@@ -31,8 +31,7 @@ use mvm_machine::{
 use mvm_symbolic::{Expr, ExprRef, SolverConfig, SolverSession};
 use res_core::kernel::{
     explore, Budget, CompatCheck, CompatVerdict, CutReason, ExploreConfig, Finalize, FrontierKind,
-    HypothesisGen, KernelStats, NodeScore, Recorder, SessionCompat, SpeculativeYield,
-    StateTransform,
+    HypothesisGen, KernelStats, NodeScore, Recorder, SessionCompat, StateTransform,
 };
 
 /// Forward-search configuration, expressed in the kernel's shared
@@ -382,7 +381,6 @@ impl ForwardSynthesizer {
             frontier.as_mut(),
             &mut stats,
             &Recorder::disabled(),
-            SpeculativeYield::none(),
         );
         stats.solver = driver.session.stats();
         let witness_seed = artifacts.first().copied();

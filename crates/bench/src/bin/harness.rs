@@ -39,10 +39,6 @@ fn run(id: &str) -> Option<Experiment> {
         "e1" => ex::e1_hotos_eval(),
         "e2" => ex::e2_figure1(),
         "e3" => ex::e3_length_sweep(),
-        // Not in ALL_IDS: E3's table already embeds the yield sweep;
-        // `e3y` exists so CI can run just that extract cheaply (and
-        // emit the BENCH artifact via RES_BENCH_OUT).
-        "e3y" => ex::e3y_speculative_yield(),
         "e4" => ex::e4_breadcrumbs(),
         "e5" => ex::e5_triage(),
         "e5c" => ex::e5c_triage_corpus(),
@@ -71,7 +67,7 @@ fn run(id: &str) -> Option<Experiment> {
 /// while they run: timing-shape experiments and the internally-parallel
 /// corpus-scale trio.
 fn sequential_only(id: &str) -> bool {
-    matches!(id, "e3" | "e3y" | "e8" | "e5c" | "e6c" | "e7c" | "srv")
+    matches!(id, "e3" | "e8" | "e5c" | "e6c" | "e7c" | "srv")
 }
 
 fn print_experiment(e: &Experiment) {
@@ -174,7 +170,7 @@ fn main() {
         match slot {
             Some(e) => results.push(e),
             None => eprintln!(
-                "unknown experiment id {:?} (use e1..e13, e3y, e5c/e6c/e7c, a1..a3, all)",
+                "unknown experiment id {:?} (use e1..e13, e5c/e6c/e7c, a1..a3, all)",
                 ids[i]
             ),
         }

@@ -263,302 +263,11 @@ pub fn e3_length_sweep() -> Experiment {
         );
     }
 
-    // Speculative yield: subtree-verdict certificates let the replay
-    // skip certified-exhausted subtrees outright (see E3y for the
-    // full protocol; the shape there is part of this experiment's).
-    let (rows, yield_shape) = speculative_yield_bench();
-    let _ = writeln!(table, "\n{}", render_yield_table(&rows));
-    shape &= yield_shape;
-
     Experiment {
         id: "E3",
         claim: "RES cost independent of execution length; forward ES scales with it",
         table,
         shape_holds: shape,
-    }
-}
-
-/// The E3 speculative-yield workload: a churn prefix (the "arbitrarily
-/// long" knob), a fat 8-block arithmetic spine that carries the one
-/// surviving suffix, and — joining the spine just before the crash —
-/// three 15-block dead-end stub trees whose every backward hypothesis
-/// is feasible (identity compatibility constraints the propagator
-/// binds outright, so every solver answer stays renaming-equivariant)
-/// but whose every leaf reconstructs far fewer instructions than the
-/// spine. Under `min_suffix_steps` those subtrees finalize into
-/// nothing: genuinely exhausted, certifiable, and skippable — while a
-/// cache-only replay must still walk all 45 of their nodes.
-fn e3_yield_program(prefix_iters: u64) -> Program {
-    let mut src = format!(
-        r#"
-        global acc 8
-        func main() {{
-        entry:
-            mov r20, {prefix_iters}
-            addr r21, acc
-            mov r11, 0
-            jmp churn
-        churn:
-            eq r22, r20, 0
-            br r22, spine1, churn_body
-        churn_body:
-            load r23, [r21]
-            add r23, r23, r20
-            xor r23, r23, 17
-            store r23, [r21]
-            sub r20, r20, 1
-            jmp churn
-        "#
-    );
-    for k in 1..=8 {
-        let next = if k == 8 {
-            "join1".to_string()
-        } else {
-            format!("spine{}", k + 1)
-        };
-        let adds: String = (0..8)
-            .map(|i| format!("            add r11, r11, {}\n", k * 8 + i))
-            .collect();
-        src.push_str(&format!(
-            "        spine{k}:\n{adds}            jmp {next}\n"
-        ));
-    }
-    for j in 1..=3usize {
-        let next = if j == 3 {
-            "boom".to_string()
-        } else {
-            format!("join{}", j + 1)
-        };
-        src.push_str(&format!(
-            "        join{j}:\n            mov r25, {j}\n            jmp {next}\n"
-        ));
-        // The dead-end stub tree: depth 4, binary, 15 blocks, feeding
-        // join j. `r26` is clobbered in `boom`, so the stub writes are
-        // invisible at the dump and every stub hypothesis is admitted.
-        src.push_str(&format!(
-            "        stub{j}_0_0:\n            mov r26, {j}\n            jmp join{j}\n"
-        ));
-        for lvl in 1..=3usize {
-            for i in 0..(1usize << lvl) {
-                let parent = format!("stub{j}_{}_{}", lvl - 1, i / 2);
-                src.push_str(&format!(
-                    "        stub{j}_{lvl}_{i}:\n            mov r26, {}\n            jmp {parent}\n",
-                    lvl * 10 + i
-                ));
-            }
-        }
-    }
-    src.push_str(
-        r#"
-        boom:
-            mov r12, 0
-            mov r26, 0
-            divu r13, 1, r12
-            halt
-        }
-        "#,
-    );
-    assemble(&src).unwrap()
-}
-
-/// One worker-count measurement from [`speculative_yield_bench`]: a
-/// warm cache-only replay versus a warm verdict-consulting replay over
-/// the same store protocol.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpeculativeYieldRow {
-    /// Speculation worker count for both legs.
-    pub workers: u64,
-    /// Nodes the cache-only (verdict-blind) replay expanded.
-    pub baseline_replayed: u64,
-    /// Nodes the verdict-consulting replay expanded.
-    pub yield_replayed: u64,
-    /// Certified subtrees the consulting replay skipped.
-    pub skipped_subtrees: u64,
-    /// Nodes inside those skipped subtrees (folded into the totals).
-    pub skipped_nodes: u64,
-    /// Warm cache-only replay wall-clock, milliseconds.
-    pub baseline_ms: f64,
-    /// Warm verdict-consulting replay wall-clock, milliseconds.
-    pub yield_ms: f64,
-    /// Both legs synthesized byte-identical suffixes to the store-less
-    /// sequential golden.
-    pub identical: bool,
-    /// Effective exploration totals (actual + certified-skipped
-    /// accounting, solver assignments excluded) reconciled exactly.
-    pub reconciled: bool,
-}
-
-mvm_json::json_struct!(SpeculativeYieldRow {
-    workers,
-    baseline_replayed,
-    yield_replayed,
-    skipped_subtrees,
-    skipped_nodes,
-    baseline_ms,
-    yield_ms,
-    identical,
-    reconciled
-});
-
-/// The `BENCH_e3_speculative_yield.json` artifact payload.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpeculativeYieldArtifact {
-    /// Artifact id (`e3_speculative_yield`).
-    pub experiment: String,
-    /// Human description of the fixed workload both legs ran.
-    pub workload: String,
-    /// One row per worker count.
-    pub rows: Vec<SpeculativeYieldRow>,
-    /// The acceptance shape (see [`speculative_yield_bench`]).
-    pub shape_holds: bool,
-}
-
-mvm_json::json_struct!(SpeculativeYieldArtifact {
-    experiment,
-    workload,
-    rows,
-    shape_holds
-});
-
-/// Prefix length for the speculative-yield workload.
-const E3_YIELD_PREFIX: u64 = 10_000;
-/// `min_suffix_steps` for both legs: above every stub-tree leaf (≤ ~17
-/// reconstructed instructions), below the spine suffix (~75).
-const E3_YIELD_MIN_SUFFIX: u64 = 32;
-
-/// Measures what subtree-verdict certificates buy the replay, per
-/// worker count, on [`e3_yield_program`]. Both legs use the identical
-/// store protocol — a cold populating pass, then a timed warm pass —
-/// and differ in exactly one bit: whether speculative yield is on. The
-/// cache-only leg's store carries solver entries alone; the yield
-/// leg's also carries certificates, which the warm replay consults to
-/// skip certified-exhausted subtrees.
-///
-/// The returned shape holds when every leg is byte-identical to the
-/// store-less sequential golden, every pair reconciles on effective
-/// totals (assignments excluded, see `tests/verdict_soundness.rs`),
-/// and at 4 workers the certificates cut replayed nodes at least 2×.
-pub fn speculative_yield_bench() -> (Vec<SpeculativeYieldRow>, bool) {
-    let program = e3_yield_program(E3_YIELD_PREFIX);
-    let machine = (0..100)
-        .find_map(|s| run_to_failure(&program, s))
-        .expect("e3 yield workload must fault");
-    let dump = Coredump::capture(&machine);
-
-    let golden = {
-        let engine = ResEngine::new(
-            &program,
-            ResConfig::builder()
-                .min_suffix_steps(E3_YIELD_MIN_SUFFIX)
-                .speculative_yield(false)
-                .build(),
-        );
-        let r = engine.synthesize(&dump);
-        assert!(matches!(r.verdict, Verdict::SuffixFound));
-        format!("{:?} {:?}", r.verdict, r.suffixes)
-    };
-    let rendered = |r: &res_core::SynthesisResult| format!("{:?} {:?}", r.verdict, r.suffixes);
-
-    let scratch = std::env::temp_dir().join(format!("res-e3-yield-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&scratch);
-    std::fs::create_dir_all(&scratch).expect("create bench scratch dir");
-
-    let mut rows = Vec::new();
-    let mut shape = true;
-    for workers in [1usize, 2, 4] {
-        let leg = |tag: &str, speculative_yield: bool| {
-            let config = ResConfig::builder()
-                .min_suffix_steps(E3_YIELD_MIN_SUFFIX)
-                .workers(workers)
-                .speculative_yield(speculative_yield)
-                .cache_path(scratch.join(format!("{tag}-w{workers}.resstore")))
-                .build();
-            // Cold pass populates the store; the warm pass is measured.
-            let _ = ResEngine::new(&program, config.clone()).synthesize(&dump);
-            let t0 = Instant::now();
-            let result = ResEngine::new(&program, config).synthesize(&dump);
-            (result, t0.elapsed().as_secs_f64() * 1000.0)
-        };
-        let (base, baseline_ms) = leg("cache-only", false);
-        let (yld, yield_ms) = leg("yield", true);
-
-        let identical = rendered(&base) == golden && rendered(&yld) == golden;
-        let mut eff_base = base.stats.effective();
-        let mut eff_yld = yld.stats.effective();
-        eff_base.assignments = 0;
-        eff_yld.assignments = 0;
-        let reconciled = eff_base == eff_yld;
-        shape &= identical && reconciled;
-        if workers == 4 {
-            shape &= yld.stats.skipped_subtrees > 0
-                && base.stats.nodes_expanded >= 2 * yld.stats.nodes_expanded;
-        }
-        rows.push(SpeculativeYieldRow {
-            workers: workers as u64,
-            baseline_replayed: base.stats.nodes_expanded,
-            yield_replayed: yld.stats.nodes_expanded,
-            skipped_subtrees: yld.stats.skipped_subtrees,
-            skipped_nodes: yld.stats.skipped.nodes,
-            baseline_ms,
-            yield_ms,
-            identical,
-            reconciled,
-        });
-    }
-    let _ = std::fs::remove_dir_all(&scratch);
-    (rows, shape)
-}
-
-/// Renders [`speculative_yield_bench`] rows as the experiment table.
-fn render_yield_table(rows: &[SpeculativeYieldRow]) -> String {
-    let mut table = String::from(
-        "workers | replayed (cache-only) | replayed (yield) | skipped subtrees/nodes | cache-only time | yield time | identical | reconciled\n\
-         --------+-----------------------+------------------+------------------------+-----------------+------------+-----------+-----------\n",
-    );
-    for r in rows {
-        let _ = writeln!(
-            table,
-            "{:>7} | {:>21} | {:>16} | {:>22} | {:>13.1}ms | {:>8.1}ms | {:>9} | {}",
-            r.workers,
-            r.baseline_replayed,
-            r.yield_replayed,
-            format!("{}/{}", r.skipped_subtrees, r.skipped_nodes),
-            r.baseline_ms,
-            r.yield_ms,
-            if r.identical { "yes" } else { "NO" },
-            if r.reconciled { "yes" } else { "NO" }
-        );
-    }
-    table
-}
-
-/// E3y — the speculative-yield extract of E3 on its own: cheap enough
-/// for CI, where it also emits the `BENCH_e3_speculative_yield.json`
-/// artifact (set `RES_BENCH_OUT=<dir>`).
-pub fn e3y_speculative_yield() -> Experiment {
-    let (rows, shape_holds) = speculative_yield_bench();
-    let table = render_yield_table(&rows);
-    if let Some(dir) = std::env::var_os("RES_BENCH_OUT") {
-        let artifact = SpeculativeYieldArtifact {
-            experiment: "e3_speculative_yield".to_string(),
-            workload: format!(
-                "e3-yield program, prefix_iters={E3_YIELD_PREFIX}, \
-                 min_suffix_steps={E3_YIELD_MIN_SUFFIX}, warm store protocol"
-            ),
-            rows,
-            shape_holds,
-        };
-        let _ = std::fs::create_dir_all(&dir);
-        let path = std::path::Path::new(&dir).join("BENCH_e3_speculative_yield.json");
-        if let Err(err) = std::fs::write(&path, mvm_json::to_string_pretty(&artifact)) {
-            eprintln!("cannot write {}: {err}", path.display());
-        }
-    }
-    Experiment {
-        id: "E3y",
-        claim: "subtree-verdict certificates let the replay skip certified subtrees",
-        table,
-        shape_holds,
     }
 }
 

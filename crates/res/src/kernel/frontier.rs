@@ -16,77 +16,6 @@
 
 use std::collections::{BinaryHeap, VecDeque};
 
-/// The canonical enumeration index of a search-tree node: the sequence
-/// of candidate indices (each the position in the deterministic
-/// [`HypothesisGen::generate`](super::HypothesisGen::generate) output)
-/// leading from the root to the node. Because hypothesis enumeration is
-/// a pure function of the node, the path is identical in every
-/// exploration of the same tree — across worker shards, replays, and
-/// runs — which is what lets subtree-verdict certificates name a
-/// subtree unambiguously.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Default, Hash)]
-pub struct EnumPath(Vec<u32>);
-
-impl EnumPath {
-    /// The root's (empty) path.
-    pub fn root() -> Self {
-        EnumPath(Vec::new())
-    }
-
-    /// The path of the child produced by candidate `index` of this
-    /// node's enumeration.
-    pub fn child(&self, index: u32) -> Self {
-        let mut v = Vec::with_capacity(self.0.len() + 1);
-        v.extend_from_slice(&self.0);
-        v.push(index);
-        EnumPath(v)
-    }
-
-    /// The raw candidate-index sequence.
-    pub fn as_slice(&self) -> &[u32] {
-        &self.0
-    }
-
-    /// Path length (node depth in enumeration steps).
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// `true` for the root path.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    /// `true` when `self` lies inside the subtree rooted at `prefix`
-    /// (inclusive: a path is inside its own subtree).
-    pub fn starts_with(&self, prefix: &[u32]) -> bool {
-        self.0.len() >= prefix.len() && self.0[..prefix.len()] == *prefix
-    }
-
-    /// Consumes the path into its index sequence.
-    pub fn into_vec(self) -> Vec<u32> {
-        self.0
-    }
-}
-
-impl From<Vec<u32>> for EnumPath {
-    fn from(v: Vec<u32>) -> Self {
-        EnumPath(v)
-    }
-}
-
-/// A frontier node tagged with its [`EnumPath`]. The kernel threads
-/// every node through the frontier in this wrapper so certificates and
-/// shard ownership can be expressed over stable enumeration indices;
-/// frontiers order by [`NodeScore`] alone and never inspect the path.
-#[derive(Debug, Clone)]
-pub struct Indexed<N> {
-    /// Canonical enumeration index of the node.
-    pub path: EnumPath,
-    /// The wrapped node.
-    pub node: N,
-}
-
 /// How promising a frontier entry is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct NodeScore {
@@ -388,22 +317,6 @@ mod tests {
         assert_eq!(f.pop().unwrap().1, 2, "most crumbs wins");
         assert_eq!(f.pop().unwrap().1, 3, "FIFO among ties");
         assert_eq!(f.pop().unwrap().1, 1);
-    }
-
-    #[test]
-    fn enum_paths_extend_and_prefix_check() {
-        let root = EnumPath::root();
-        assert!(root.is_empty());
-        let a = root.child(2);
-        let b = a.child(0);
-        assert_eq!(b.as_slice(), &[2, 0]);
-        assert_eq!(b.len(), 2);
-        assert!(b.starts_with(a.as_slice()));
-        assert!(b.starts_with(b.as_slice()), "inclusive prefix");
-        assert!(!a.starts_with(b.as_slice()));
-        assert!(!root.child(1).starts_with(a.as_slice()));
-        assert_eq!(b.clone().into_vec(), vec![2, 0]);
-        assert_eq!(EnumPath::from(vec![2, 0]), b);
     }
 
     #[test]

@@ -30,19 +30,17 @@ pub mod frontier;
 pub mod par;
 pub mod sharded;
 pub mod stats;
-pub mod verdict;
 
 pub use budget::{Budget, BudgetMeter, CutReason};
-pub use frontier::{BestFirst, Bfs, Dfs, EnumPath, Frontier, FrontierKind, Indexed, NodeScore};
+pub use frontier::{BestFirst, Bfs, Dfs, Frontier, FrontierKind, NodeScore};
 pub use par::{auto_workers, parallel_map};
 pub use sharded::ShardedFrontier;
 pub use stats::{AbandonedSpace, KernelStats, ParallelReport};
-pub use verdict::{skip_admissible, SpeculativeYield, VerdictCollector, YieldProbe};
 // Re-exported so kernel drivers in other crates can call [`explore`]
 // without a manifest dependency on the tracing crate.
 pub use res_obs::{Recorder, Span};
 
-use mvm_symbolic::{ExprRef, SolveResult, SolverSession, SubtreeStats, UnknownReason, VerdictKind};
+use mvm_symbolic::{ExprRef, SolveResult, SolverSession, UnknownReason};
 
 /// Produces predecessor (or, for forward search, successor) hypotheses
 /// for a node.
@@ -76,24 +74,6 @@ pub trait StateTransform: HypothesisGen {
     /// [`Budget::max_solver_assignments`] enforcement.
     fn solver_spent(&self) -> u64 {
         0
-    }
-
-    /// Cumulative driver-side accounting (solver assignments, private
-    /// solver answers, symbols minted) sampled around each expansion so
-    /// a [`VerdictCollector`] can attribute exact per-subtree costs.
-    /// Drivers without solver state keep the all-zero default.
-    fn yield_probe(&self) -> YieldProbe {
-        YieldProbe::default()
-    }
-
-    /// Called when the kernel skips a certified-exhausted subtree in
-    /// place of exploring it. Drivers that allocate global state during
-    /// exploration (the RES driver mints symbolic-variable ids) must
-    /// advance that state by the subtree's recorded consumption so
-    /// everything explored *after* the skip is byte-identical to a full
-    /// run.
-    fn on_subtree_skipped(&mut self, skipped: &SubtreeStats) {
-        let _ = skipped;
     }
 }
 
@@ -167,85 +147,6 @@ pub struct ExploreConfig {
     pub max_artifacts: usize,
 }
 
-/// Snapshot of the kernel counters a [`VerdictCollector`] attributes
-/// per-node; taken before an expansion, settled after it.
-struct ExpansionMark {
-    counters: SubtreeStats,
-    probe: YieldProbe,
-    artifacts: usize,
-}
-
-fn counter_image(stats: &KernelStats) -> SubtreeStats {
-    SubtreeStats {
-        nodes: stats.nodes_expanded,
-        hypotheses: stats.hypotheses,
-        accepted: stats.accepted,
-        rejected_structural: stats.rejected_structural,
-        rejected_exec: stats.rejected_exec,
-        rejected_solver: stats.rejected_solver,
-        rejected_lbr: stats.rejected_lbr,
-        rejected_log: stats.rejected_log,
-        rejected_budget: stats.rejected_budget,
-        unknown_accepted: stats.unknown_accepted,
-        unknown_accepted_budget: stats.unknown_accepted_budget,
-        unknown_accepted_incomplete: stats.unknown_accepted_incomplete,
-        finalize_failed: stats.finalize_failed,
-        artifacts: 0,
-        deepest: 0,
-        assignments: 0,
-        syms: 0,
-    }
-}
-
-impl ExpansionMark {
-    fn take<D: StateTransform>(driver: &D, stats: &KernelStats, artifacts: usize) -> Self {
-        ExpansionMark {
-            counters: counter_image(stats),
-            probe: driver.yield_probe(),
-            artifacts,
-        }
-    }
-
-    /// Per-node accounting since [`take`](Self::take), plus whether a
-    /// non-equivariant solver answer was consumed (which taints every
-    /// enclosing certificate frame).
-    fn settle<D: StateTransform>(
-        &self,
-        driver: &D,
-        stats: &KernelStats,
-        artifacts: usize,
-        depth: usize,
-    ) -> (SubtreeStats, bool) {
-        let after = counter_image(stats);
-        let probe = driver.yield_probe();
-        let b = &self.counters;
-        let node_stats = SubtreeStats {
-            nodes: after.nodes - b.nodes,
-            hypotheses: after.hypotheses - b.hypotheses,
-            accepted: after.accepted - b.accepted,
-            rejected_structural: after.rejected_structural - b.rejected_structural,
-            rejected_exec: after.rejected_exec - b.rejected_exec,
-            rejected_solver: after.rejected_solver - b.rejected_solver,
-            rejected_lbr: after.rejected_lbr - b.rejected_lbr,
-            rejected_log: after.rejected_log - b.rejected_log,
-            rejected_budget: after.rejected_budget - b.rejected_budget,
-            unknown_accepted: after.unknown_accepted - b.unknown_accepted,
-            unknown_accepted_budget: after.unknown_accepted_budget - b.unknown_accepted_budget,
-            unknown_accepted_incomplete: after.unknown_accepted_incomplete
-                - b.unknown_accepted_incomplete,
-            finalize_failed: after.finalize_failed - b.finalize_failed,
-            artifacts: (artifacts - self.artifacts) as u64,
-            deepest: depth as u64,
-            assignments: probe.assignments - self.probe.assignments,
-            syms: probe.syms - self.probe.syms,
-        };
-        (
-            node_stats,
-            probe.private_results > self.probe.private_results,
-        )
-    }
-}
-
 /// The exploration loop.
 ///
 /// Replicates the historical engine's order of operations exactly (the
@@ -256,24 +157,6 @@ impl ExpansionMark {
 /// each; finalize cul-de-sacs of nonzero depth; hand surviving children
 /// to the frontier.
 ///
-/// Every node is threaded through the frontier as an [`Indexed`]
-/// wrapper carrying its canonical [`EnumPath`] (child index = candidate
-/// position in `generate()` order, counting rejected candidates), which
-/// is what lets `yld` do its two jobs:
-///
-/// * **consult** — when the popped node's path is certified
-///   [`VerdictKind::Exhausted`] in `yld.consult` and the skip is
-///   [admissible](skip_admissible) under the budget, the subtree is not
-///   explored: its certified [`SubtreeStats`] fold into
-///   `stats.skipped`, the driver advances its allocator state
-///   ([`StateTransform::on_subtree_skipped`]), and the loop moves on.
-///   Budget admission runs on *effective* node counts
-///   (`nodes_expanded + skipped.nodes`), so cuts fire at exactly the
-///   positions a full run would cut.
-/// * **collect** — a [`VerdictCollector`] observes pops, expansions,
-///   and extends, and is sealed (aborted on a budget cut or the
-///   artifact cap) before returning.
-///
 /// `recorder` is a strictly passive observer (pass an already-scoped
 /// handle, e.g. `rec.scoped("kernel")`, or [`Recorder::disabled`]):
 /// the loop never reads it, so enabling tracing cannot perturb the
@@ -282,45 +165,30 @@ pub fn explore<D>(
     driver: &mut D,
     root: D::Node,
     config: &ExploreConfig,
-    frontier: &mut dyn Frontier<Indexed<D::Node>>,
+    frontier: &mut dyn Frontier<D::Node>,
     stats: &mut KernelStats,
     recorder: &Recorder,
-    mut yld: SpeculativeYield<'_>,
 ) -> Vec<D::Artifact>
 where
     D: StateTransform + Finalize,
 {
     let meter = BudgetMeter::start();
-    let mut artifacts: Vec<D::Artifact> = Vec::new();
-    let mut aborted = false;
-    frontier.extend(vec![(
-        NodeScore::root(),
-        Indexed {
-            path: EnumPath::root(),
-            node: root,
-        },
-    )]);
+    let mut artifacts = Vec::new();
+    frontier.extend(vec![(NodeScore::root(), root)]);
     recorder.counter("frontier_push", 1);
-    while let Some((_, Indexed { path, node })) = frontier.pop() {
+    while let Some((_, node)) = frontier.pop() {
         recorder.counter("frontier_pop", 1);
-        // The pop alone proves every frame it lies outside of fully
-        // explored, so close frames before any break below.
-        if let Some(c) = yld.collector.as_deref_mut() {
-            c.on_pop(&path);
-        }
         if artifacts.len() >= config.max_artifacts {
-            aborted = true;
             break;
         }
-        if let Some(cut) = config.budget.admit(
-            &meter,
-            stats.nodes_expanded + stats.skipped.nodes,
-            driver.solver_spent(),
-        ) {
+        if let Some(cut) = config
+            .budget
+            .admit(&meter, stats.nodes_expanded, driver.solver_spent())
+        {
             stats.cut = Some(cut);
             stats.abandoned.record(driver.depth(&node));
             for (_, n) in frontier.drain() {
-                stats.abandoned.record(driver.depth(&n.node));
+                stats.abandoned.record(driver.depth(&n));
             }
             let abandoned = stats.abandoned.nodes;
             recorder.event_with("cut", || {
@@ -329,87 +197,49 @@ where
                     ("abandoned".into(), abandoned.to_string()),
                 ]
             });
-            aborted = true;
             break;
         }
-        if let Some(v) = yld.consult.and_then(|vs| vs.get(path.as_slice())) {
-            if v.kind == VerdictKind::Exhausted && skip_admissible(&config.budget, stats, v) {
-                stats.skipped_subtrees += 1;
-                stats.skipped.absorb(&v.stats);
-                stats.deepest = stats.deepest.max(v.stats.deepest as usize);
-                driver.on_subtree_skipped(&v.stats);
-                if let Some(c) = yld.collector.as_deref_mut() {
-                    c.on_skip(v);
-                }
-                continue;
-            }
-        }
-        let mark = yld
-            .collector
-            .is_some()
-            .then(|| ExpansionMark::take(driver, stats, artifacts.len()));
         stats.nodes_expanded += 1;
         recorder.counter("nodes_expanded", 1);
         let depth = driver.depth(&node);
         stats.deepest = stats.deepest.max(depth);
 
-        let children = 'expand: {
-            if depth >= config.max_depth {
+        if depth >= config.max_depth {
+            if let Some(a) = driver.finalize(&node, stats) {
+                artifacts.push(a);
+                recorder.counter("artifacts", 1);
+            }
+            continue;
+        }
+        let candidates = driver.generate(&node);
+        if candidates.is_empty() {
+            if let Some(a) = driver.finalize(&node, stats) {
+                artifacts.push(a);
+                recorder.counter("artifacts", 1);
+            }
+            continue;
+        }
+        recorder.counter("hypotheses", candidates.len() as u64);
+        let mut children = Vec::new();
+        for cand in candidates {
+            stats.hypotheses += 1;
+            if let Some(child) = driver.transform(&node, &cand, stats) {
+                children.push(child);
+            }
+        }
+        if children.is_empty() {
+            // Cul-de-sac: the node itself is the longest suffix on this
+            // path.
+            if depth > 0 {
                 if let Some(a) = driver.finalize(&node, stats) {
                     artifacts.push(a);
                     recorder.counter("artifacts", 1);
                 }
-                break 'expand Vec::new();
             }
-            let candidates = driver.generate(&node);
-            if candidates.is_empty() {
-                if let Some(a) = driver.finalize(&node, stats) {
-                    artifacts.push(a);
-                    recorder.counter("artifacts", 1);
-                }
-                break 'expand Vec::new();
-            }
-            recorder.counter("hypotheses", candidates.len() as u64);
-            let mut children = Vec::new();
-            for (index, cand) in candidates.iter().enumerate() {
-                stats.hypotheses += 1;
-                if let Some((score, child)) = driver.transform(&node, cand, stats) {
-                    children.push((
-                        score,
-                        Indexed {
-                            path: path.child(index as u32),
-                            node: child,
-                        },
-                    ));
-                }
-            }
-            if children.is_empty() {
-                // Cul-de-sac: the node itself is the longest suffix on
-                // this path.
-                if depth > 0 {
-                    if let Some(a) = driver.finalize(&node, stats) {
-                        artifacts.push(a);
-                        recorder.counter("artifacts", 1);
-                    }
-                }
-                break 'expand Vec::new();
-            }
-            children
-        };
-        if let Some(c) = yld.collector.as_deref_mut() {
-            let mark = mark.expect("mark taken when collector present");
-            c.open(&path);
-            let (node_stats, tainted) = mark.settle(driver, stats, artifacts.len(), depth);
-            c.attribute(&node_stats, tainted);
-            c.on_extend(children.len());
+            continue;
         }
-        if !children.is_empty() {
-            recorder.counter("frontier_push", children.len() as u64);
-            frontier.extend(children);
-        }
-    }
-    if let Some(c) = yld.collector.as_deref_mut() {
-        c.seal(aborted);
+        recorder.counter("frontier_push", children.len() as u64);
+        frontier.extend(children);
     }
     artifacts
 }
@@ -484,7 +314,6 @@ mod tests {
             frontier.as_mut(),
             &mut stats,
             &Recorder::disabled(),
-            SpeculativeYield::none(),
         );
         (artifacts, stats)
     }
@@ -551,194 +380,5 @@ mod tests {
         let (artifacts, stats) = run(&mut d, FrontierKind::Bfs, &cfg);
         assert_eq!(artifacts.len(), 2);
         assert_eq!(stats.cut, None, "artifact cap is not a budget cut");
-    }
-
-    /// Like [`TreeDriver`] but only one leaf finalizes, so most
-    /// subtrees are exhausted and certifiable.
-    struct SparseDriver {
-        artifact_leaf: u32,
-    }
-
-    impl HypothesisGen for SparseDriver {
-        type Node = u32;
-        type Candidate = u32;
-        fn generate(&mut self, node: &u32) -> Vec<u32> {
-            vec![node * 2, node * 2 + 1]
-        }
-    }
-
-    impl StateTransform for SparseDriver {
-        fn transform(
-            &mut self,
-            _node: &u32,
-            cand: &u32,
-            stats: &mut KernelStats,
-        ) -> Option<(NodeScore, u32)> {
-            stats.accepted += 1;
-            Some((
-                NodeScore {
-                    priority: (cand % 2) as u8,
-                    depth: bit_depth(*cand),
-                    crumbs_matched: 0,
-                },
-                *cand,
-            ))
-        }
-    }
-
-    impl Finalize for SparseDriver {
-        type Artifact = u32;
-        fn depth(&self, node: &u32) -> usize {
-            bit_depth(*node)
-        }
-        fn finalize(&mut self, node: &u32, _stats: &mut KernelStats) -> Option<u32> {
-            (*node == self.artifact_leaf).then_some(*node)
-        }
-    }
-
-    #[test]
-    fn certified_run_then_consulting_run_skips_exhausted_subtrees() {
-        let cfg = ExploreConfig {
-            budget: Budget::default(),
-            max_depth: 3,
-            max_artifacts: 64,
-        };
-        // Certification pass: full exploration of the 15-node tree with
-        // only leaf 15 finalizing.
-        let mut certifier = VerdictCollector::for_replay(77);
-        let mut d = SparseDriver { artifact_leaf: 15 };
-        let mut frontier = FrontierKind::Dfs.build();
-        let mut full = KernelStats::default();
-        let full_artifacts = explore(
-            &mut d,
-            1u32,
-            &cfg,
-            frontier.as_mut(),
-            &mut full,
-            &Recorder::disabled(),
-            SpeculativeYield {
-                consult: None,
-                collector: Some(&mut certifier),
-            },
-        );
-        assert_eq!(full_artifacts, vec![15]);
-        assert_eq!(full.nodes_expanded, 15);
-        let mut verdicts = mvm_symbolic::VerdictSet::new();
-        for r in certifier.into_records() {
-            verdicts.insert(r);
-        }
-        // Exhausted certificates for node 2's subtree ([0]), node 6's
-        // ([1, 0]) and leaf 14's ([1, 1, 0]); artifact certificates on
-        // the path to leaf 15.
-        assert!(verdicts.get(&[0]).is_some());
-        assert_eq!(
-            verdicts.get(&[0]).unwrap().kind,
-            mvm_symbolic::VerdictKind::Exhausted
-        );
-        assert_eq!(verdicts.get(&[0]).unwrap().stats.nodes, 7);
-        assert_eq!(
-            verdicts.get(&[]).unwrap().kind,
-            mvm_symbolic::VerdictKind::HasArtifact
-        );
-
-        // Consulting pass: byte-identical artifacts, strictly fewer
-        // expansions, identical effective totals.
-        let mut d2 = SparseDriver { artifact_leaf: 15 };
-        let mut frontier2 = FrontierKind::Dfs.build();
-        let mut pruned = KernelStats::default();
-        let pruned_artifacts = explore(
-            &mut d2,
-            1u32,
-            &cfg,
-            frontier2.as_mut(),
-            &mut pruned,
-            &Recorder::disabled(),
-            SpeculativeYield {
-                consult: Some(&verdicts),
-                collector: None,
-            },
-        );
-        assert_eq!(pruned_artifacts, full_artifacts);
-        // Skips [0] (7 nodes), [1,0] (3) and [1,1,0] (1): only the
-        // chain 1 → 3 → 7 → 15 is actually expanded.
-        assert_eq!(pruned.nodes_expanded, 4);
-        assert_eq!(pruned.skipped_subtrees, 3);
-        assert_eq!(pruned.skipped.nodes, 11);
-        assert_eq!(pruned.effective(), full.effective());
-        assert_eq!(pruned.deepest, full.deepest);
-    }
-
-    #[test]
-    fn skip_declines_when_nodes_budget_would_bind_inside() {
-        let cfg = ExploreConfig {
-            budget: Budget {
-                max_nodes: 6,
-                ..Budget::default()
-            },
-            max_depth: 3,
-            max_artifacts: 64,
-        };
-        // Certificates from an unbudgeted certification pass.
-        let mut certifier = VerdictCollector::for_replay(77);
-        let free = ExploreConfig {
-            budget: Budget::default(),
-            ..cfg
-        };
-        let mut d = SparseDriver { artifact_leaf: 15 };
-        let mut frontier = FrontierKind::Dfs.build();
-        let mut full = KernelStats::default();
-        explore(
-            &mut d,
-            1u32,
-            &free,
-            frontier.as_mut(),
-            &mut full,
-            &Recorder::disabled(),
-            SpeculativeYield {
-                consult: None,
-                collector: Some(&mut certifier),
-            },
-        );
-        let mut verdicts = mvm_symbolic::VerdictSet::new();
-        for r in certifier.into_records() {
-            verdicts.insert(r);
-        }
-
-        // A budget that cuts *inside* the certified subtree must cut at
-        // the same effective position whether or not verdicts are
-        // offered: the [0] skip (7 nodes) is declined because
-        // 1 + 7 > 6.
-        let mut base_d = SparseDriver { artifact_leaf: 15 };
-        let mut base_f = FrontierKind::Dfs.build();
-        let mut base = KernelStats::default();
-        let base_artifacts = explore(
-            &mut base_d,
-            1u32,
-            &cfg,
-            base_f.as_mut(),
-            &mut base,
-            &Recorder::disabled(),
-            SpeculativeYield::none(),
-        );
-        let mut d2 = SparseDriver { artifact_leaf: 15 };
-        let mut f2 = FrontierKind::Dfs.build();
-        let mut pruned = KernelStats::default();
-        let pruned_artifacts = explore(
-            &mut d2,
-            1u32,
-            &cfg,
-            f2.as_mut(),
-            &mut pruned,
-            &Recorder::disabled(),
-            SpeculativeYield {
-                consult: Some(&verdicts),
-                collector: None,
-            },
-        );
-        assert_eq!(base.cut, Some(CutReason::Nodes));
-        assert_eq!(pruned.cut, base.cut);
-        assert_eq!(pruned_artifacts, base_artifacts);
-        assert_eq!(pruned.nodes_expanded, base.nodes_expanded);
-        assert_eq!(pruned.skipped_subtrees, 0, "inadmissible skip declined");
     }
 }

@@ -10,7 +10,7 @@
 //! [`ParallelReport`] carries the cross-worker accounting.
 
 use mvm_json::json_struct;
-use mvm_symbolic::{SessionStats, SubtreeStats};
+use mvm_symbolic::SessionStats;
 
 use super::budget::CutReason;
 
@@ -98,13 +98,21 @@ pub struct KernelStats {
     /// Solver-session counters for this search (queries, cache
     /// hits/misses, verdict tallies, assignments spent).
     pub solver: SessionStats,
-    /// Subtrees skipped on the strength of a verdict certificate.
-    pub skipped_subtrees: u64,
-    /// Exact accounting the skipped subtrees would have added; the
-    /// *effective* totals of a verdict-pruned run are `this ⊕ skipped`
-    /// and reconcile field-for-field with a full sequential run.
-    pub skipped: SubtreeStats,
+    /// Always zero: the search never skips a subtree. Kept only because
+    /// the benchmark (`perfbench/`) reads `stats.skipped.nodes`; it
+    /// leaves together with the benchmark's `res.skipped_nodes` and
+    /// `res.skip_ratio` metrics when the benchmark is next revised.
+    pub skipped: SkippedNodes,
 }
+
+/// The type of [`KernelStats::skipped`]; see there.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SkippedNodes {
+    /// Always zero.
+    pub nodes: u64,
+}
+
+json_struct!(SkippedNodes { nodes });
 
 json_struct!(KernelStats {
     nodes_expanded,
@@ -124,7 +132,6 @@ json_struct!(KernelStats {
     cut,
     abandoned,
     solver,
-    skipped_subtrees,
     skipped
 });
 
@@ -151,43 +158,6 @@ impl KernelStats {
         self.cut = self.cut.or(other.cut);
         self.abandoned.absorb(&other.abandoned);
         self.solver.absorb(&other.solver);
-        self.skipped_subtrees += other.skipped_subtrees;
-        self.skipped.absorb(&other.skipped);
-    }
-
-    /// The run's effective exploration totals: actual work plus the
-    /// certified accounting of every skipped subtree. For a run with no
-    /// skips this equals the plain counters, so a verdict-pruned run
-    /// and its full-replay twin report identical effective totals.
-    ///
-    /// `artifacts` and `syms` are zeroed: the kernel does not count
-    /// either for the work it actually performs (artifacts live in the
-    /// returned vec, symbol minting in the driver), so folding only the
-    /// skipped side in would make the totals asymmetric.
-    pub fn effective(&self) -> SubtreeStats {
-        let mut total = SubtreeStats {
-            nodes: self.nodes_expanded,
-            hypotheses: self.hypotheses,
-            accepted: self.accepted,
-            rejected_structural: self.rejected_structural,
-            rejected_exec: self.rejected_exec,
-            rejected_solver: self.rejected_solver,
-            rejected_lbr: self.rejected_lbr,
-            rejected_log: self.rejected_log,
-            rejected_budget: self.rejected_budget,
-            unknown_accepted: self.unknown_accepted,
-            unknown_accepted_budget: self.unknown_accepted_budget,
-            unknown_accepted_incomplete: self.unknown_accepted_incomplete,
-            finalize_failed: self.finalize_failed,
-            artifacts: 0,
-            deepest: self.deepest as u64,
-            assignments: self.solver.assignments,
-            syms: 0,
-        };
-        total.absorb(&self.skipped);
-        total.artifacts = 0;
-        total.syms = 0;
-        total
     }
 }
 
@@ -209,27 +179,13 @@ pub struct ParallelReport {
     pub per_worker_nodes: Vec<u64>,
     /// Portable solver-cache entries the workers handed to the replay.
     pub cache_entries: usize,
-    /// Subtree-verdict certificates each worker exported (index =
-    /// worker id).
-    pub per_worker_verdicts: Vec<usize>,
-    /// Certificates available to the replay (workers + store), after
-    /// scope filtering and dedup.
-    pub verdicts_consulted: usize,
-    /// Subtrees the replay skipped on certificate strength.
-    pub replay_skipped_subtrees: u64,
-    /// Node expansions those skips avoided.
-    pub replay_skipped_nodes: u64,
 }
 
 json_struct!(ParallelReport {
     workers,
     speculative,
     per_worker_nodes,
-    cache_entries,
-    per_worker_verdicts,
-    verdicts_consulted,
-    replay_skipped_subtrees,
-    replay_skipped_nodes
+    cache_entries
 });
 
 #[cfg(test)]
@@ -298,38 +254,6 @@ mod tests {
             ..KernelStats::default()
         });
         assert_eq!(a.cut, Some(CutReason::Deadline));
-    }
-
-    #[test]
-    fn effective_totals_fold_skipped_subtrees() {
-        let mut pruned = KernelStats {
-            nodes_expanded: 5,
-            hypotheses: 10,
-            accepted: 4,
-            deepest: 3,
-            skipped_subtrees: 2,
-            ..KernelStats::default()
-        };
-        pruned.skipped.nodes = 7;
-        pruned.skipped.hypotheses = 14;
-        pruned.skipped.accepted = 6;
-        pruned.skipped.deepest = 9;
-        pruned.skipped.syms = 11;
-        let full = KernelStats {
-            nodes_expanded: 12,
-            hypotheses: 24,
-            accepted: 10,
-            deepest: 9,
-            ..KernelStats::default()
-        };
-        assert_eq!(pruned.effective(), full.effective());
-        assert_eq!(full.effective().nodes, 12);
-        assert_eq!(full.effective().syms, 0, "kernel does not count syms");
-
-        let mut folded = KernelStats::default();
-        folded.absorb(&pruned);
-        assert_eq!(folded.skipped_subtrees, 2);
-        assert_eq!(folded.skipped.nodes, 7);
     }
 
     #[test]

@@ -30,19 +30,16 @@ use mvm_isa::{
 };
 use mvm_json::{json_enum, json_struct};
 use mvm_machine::ThreadId;
-use mvm_symbolic::{
-    ExprRef, Model, SolveResult, SolverConfig, SolverSession, SubtreeStats, UnknownReason,
-    VerdictRecord, VerdictSet,
-};
+use mvm_symbolic::{ExprRef, Model, SolveResult, SolverConfig, SolverSession, UnknownReason};
 use res_obs::Recorder;
-use res_store::{fnv64, program_fingerprint, LoadOutcome, SolverStore};
+use res_store::{program_fingerprint, LoadOutcome, SolverStore};
 
 use crate::blockexec::{run_hypothesis, EndPoint, HypSpec, Infeasible, Tagged};
 use crate::hwerr::Relax;
 use crate::kernel::{
     explore, Budget, CompatCheck, CompatVerdict, ExploreConfig, Finalize, Frontier, FrontierKind,
-    HypothesisGen, Indexed, KernelStats, NodeScore, ParallelReport, SessionCompat, ShardedFrontier,
-    SpeculativeYield, StateTransform, VerdictCollector, YieldProbe,
+    HypothesisGen, KernelStats, NodeScore, ParallelReport, SessionCompat, ShardedFrontier,
+    StateTransform,
 };
 use crate::snapshot::Snapshot;
 use crate::suffix::{ExecutionSuffix, SuffixStep};
@@ -75,15 +72,6 @@ pub struct ResConfig {
     /// the exact sequential search over it — same suffixes, byte for
     /// byte, for any `N` (see `DESIGN.md`, "The parallel kernel").
     pub workers: usize,
-    /// Speculative yield: speculative workers and the replay certify
-    /// fully-explored subtrees as verdict records (see
-    /// `mvm_symbolic::verdict`), and the replay *skips* subtrees
-    /// certified exhausted instead of re-expanding them — same suffix
-    /// bytes, superlinearly fewer replayed nodes. `false` falls back to
-    /// the cache-only pipeline (workers warm the solver cache but every
-    /// replay node is re-expanded) — the E3 baseline. Certification and
-    /// consultation only engage under the default DFS frontier.
-    pub speculative_yield: bool,
     /// Solver budgets.
     pub solver: SolverConfig,
     /// Persistent cross-run solver-result store (`res-store`). The
@@ -112,15 +100,6 @@ pub struct ResConfig {
     /// Ablation A2: minidump mode — treat the dump's memory image as
     /// unavailable (stack and registers only).
     pub opaque_memory: bool,
-    /// Minimum reconstructed history, in executed instructions, for a
-    /// dead-end (cul-de-sac) suffix to count as an artifact. `0` (the
-    /// default) keeps every dead end, the engine's historical
-    /// behaviour. A debugger asking for "at least K instructions of
-    /// history" sets this above the noise floor; search branches whose
-    /// every leaf falls short then yield *nothing* — which is what
-    /// makes them certifiably exhausted and skippable on a warm
-    /// speculative-yield replay.
-    pub min_suffix_steps: u64,
 }
 
 impl Default for ResConfig {
@@ -134,7 +113,6 @@ impl Default for ResConfig {
             deadline: None,
             frontier: FrontierKind::Dfs,
             workers: 1,
-            speculative_yield: true,
             solver: SolverConfig::default(),
             cache_path: None,
             trace: None,
@@ -144,7 +122,6 @@ impl Default for ResConfig {
             cross_thread: true,
             skip_compat_check: false,
             opaque_memory: false,
-            min_suffix_steps: 0,
         }
     }
 }
@@ -253,14 +230,6 @@ impl ResConfigBuilder {
         self
     }
 
-    /// Speculative yield: certify and skip exhausted subtrees (see
-    /// [`ResConfig::speculative_yield`]). `false` gives the cache-only
-    /// baseline.
-    pub fn speculative_yield(mut self, v: bool) -> Self {
-        self.config.speculative_yield = v;
-        self
-    }
-
     /// Solver budgets.
     pub fn solver(mut self, v: SolverConfig) -> Self {
         self.config.solver = v;
@@ -317,14 +286,6 @@ impl ResConfigBuilder {
         self
     }
 
-    /// Minimum reconstructed history, in executed instructions, for a
-    /// dead-end suffix to count (see
-    /// [`ResConfig::min_suffix_steps`]).
-    pub fn min_suffix_steps(mut self, v: u64) -> Self {
-        self.config.min_suffix_steps = v;
-        self
-    }
-
     /// Finishes the build.
     pub fn build(self) -> ResConfig {
         self.config
@@ -350,9 +311,7 @@ pub struct SynthOptions {
     /// Override every [`Budget`] dimension for this call — the
     /// per-request admission-control hook the triage daemon uses. The
     /// engine-wide budget assembled from [`ResConfig`] applies when
-    /// unset. A budget override participates in the certificate scope
-    /// exactly like the engine-wide knobs: only `hyp_max_steps` is
-    /// scope-relevant.
+    /// unset.
     pub budget: Option<Budget>,
     /// Override just the wall-clock deadline for this call; applied on
     /// top of `budget` (or the engine-wide budget) last, so a caller
@@ -471,8 +430,6 @@ pub struct StoreReport {
     pub loaded_entries: usize,
     /// New renaming-equivariant entries this call appended.
     pub appended_entries: usize,
-    /// New subtree-verdict certificates this call appended.
-    pub appended_verdicts: usize,
     /// Solver queries this call answered from store-loaded entries.
     pub store_hits: u64,
     /// `false` when the post-call commit failed (I/O error) or the
@@ -485,7 +442,6 @@ json_struct!(StoreReport {
     outcome,
     loaded_entries,
     appended_entries,
-    appended_verdicts,
     store_hits,
     committed
 });
@@ -633,8 +589,8 @@ impl<'p> ResEngine<'p> {
 
     /// [`synthesize_with`](ResEngine::synthesize_with) against a
     /// caller-owned, already-open [`SolverStore`]: the store is absorbed
-    /// into this engine's session up front and new results/certificates
-    /// are merged back afterwards, but **nothing is committed** — the
+    /// into this engine's session up front and new results are merged
+    /// back afterwards, but **nothing is committed** — the
     /// caller decides when the accumulated state reaches disk. This is
     /// the triage daemon's hot path: one store instance stays warm
     /// across many requests and is committed only on hot-set eviction or
@@ -690,68 +646,23 @@ impl<'p> ResEngine<'p> {
             }),
         };
         let session_before = self.session.stats();
-        // Speculative yield engages only under the default DFS frontier
-        // (certificates name contiguous subtrees; see `kernel::verdict`).
-        let scope = (self.config.speculative_yield && self.config.frontier == FrontierKind::Dfs)
-            .then(|| self.verdict_scope(dump, opts.relax, budget.hyp_max_steps));
         let t_absorb = wall.elapsed();
-        let mut verdicts = VerdictSet::new();
         let parallel = (workers > 1).then(|| {
             let span = run.child("speculate");
-            let (report, worker_verdicts) = self.speculate(
-                dump,
-                opts.relax,
-                workers,
-                budget,
-                scope,
-                &recorder,
-                span.id(),
-            );
-            verdicts = worker_verdicts;
-            report
+            self.speculate(dump, opts.relax, workers, budget, &recorder, span.id())
         });
-        // Certificates persisted by earlier runs of the same scope.
-        if let Some(scope) = scope {
-            let engine_store = self.store.borrow();
-            if let Some(store) = external
-                .as_deref()
-                .or(call_store.as_ref())
-                .or(engine_store.as_ref())
-            {
-                for r in store.verdicts_for(scope) {
-                    verdicts.insert(r.clone());
-                }
-            }
-        }
-        let verdicts_consulted = verdicts.len();
         let t_speculate = wall.elapsed() - t_absorb;
-        let has_store = external.is_some() || call_store.is_some() || self.store.borrow().is_some();
-        let (mut result, replay_records) = {
+        let mut result = {
             let _replay = run.child("replay");
-            self.replay(
-                dump, opts.relax, budget, &recorder, scope, &verdicts, has_store,
-            )
+            self.replay(dump, opts.relax, budget, &recorder)
         };
         let t_replay = wall.elapsed() - t_speculate - t_absorb;
-        let (skipped_subtrees, skipped_nodes) =
-            (result.stats.skipped_subtrees, result.stats.skipped.nodes);
-        result.parallel = parallel.map(|mut p| {
-            p.verdicts_consulted = verdicts_consulted;
-            p.replay_skipped_subtrees = skipped_subtrees;
-            p.replay_skipped_nodes = skipped_nodes;
-            p
-        });
+        result.parallel = parallel;
         result.store = {
             let _commit = run.child("commit");
-            // Replay-certified records first (they subsume the worker
-            // records that survived the replay), then workers' and prior
-            // runs' leftovers — the store dedups by (scope, path).
-            let mut to_persist = replay_records;
-            to_persist.extend(verdicts.records().cloned());
             self.export_to_store(
                 external.take().or(call_store.as_mut()),
                 session_before.store_hits,
-                &to_persist,
                 commit,
             )
         };
@@ -786,46 +697,14 @@ impl<'p> ResEngine<'p> {
         result
     }
 
-    /// Fingerprint of the (coredump, tree-shaping configuration) pair
-    /// that subtree-verdict certificates are valid for. Budgets and
-    /// artifact caps are deliberately excluded: a certificate states
-    /// what a *full* exploration of the subtree yields, and collection
-    /// aborts its open frames whenever a budget (or the artifact cap)
-    /// stops the search, so certified content is budget-independent.
-    /// The program itself needs no component — the store is already
-    /// keyed by program fingerprint. `hyp_max_steps` is the one budget
-    /// dimension in scope (it shapes which hypotheses survive), so the
-    /// *effective* per-call value is what gets fingerprinted.
-    fn verdict_scope(&self, dump: &Coredump, relax: Relax, hyp_max_steps: u64) -> u64 {
-        let c = &self.config;
-        let image = format!(
-            "{}|{:?}|{}|{}|{:?}|{}|{}|{}|{}|{}|{}|{}|{}",
-            mvm_json::to_string(dump),
-            relax,
-            c.max_depth,
-            hyp_max_steps,
-            c.solver,
-            c.use_lbr,
-            c.lbr_filtered,
-            c.use_error_log,
-            c.cross_thread,
-            c.skip_compat_check,
-            c.opaque_memory,
-            c.min_suffix_steps,
-            c.frontier.name(),
-        );
-        fnv64(image.as_bytes())
-    }
-
     /// After a search: feed hit counts back to the active store, merge
-    /// the session's new renaming-equivariant results and this run's
-    /// verdict certificates, and — unless `commit` is deferred to the
-    /// caller (the `synthesize_in_store` hot path) — commit.
+    /// the session's new renaming-equivariant results, and — unless
+    /// `commit` is deferred to the caller (the `synthesize_in_store`
+    /// hot path) — commit.
     fn export_to_store(
         &self,
         call_store: Option<&mut SolverStore>,
         store_hits_before: u64,
-        verdicts: &[VerdictRecord],
         commit: bool,
     ) -> Option<StoreReport> {
         let mut engine_store = self.store.borrow_mut();
@@ -835,39 +714,34 @@ impl<'p> ResEngine<'p> {
         let loaded_entries = store.load_report().entries_loaded;
         store.note_hits(store_hits);
         let appended_entries = store.merge(&self.session.export_portable());
-        let appended_verdicts = store.merge_verdicts(verdicts);
         let committed = commit && !store.read_only() && store.commit().is_ok();
         Some(StoreReport {
             outcome,
             loaded_entries,
             appended_entries,
-            appended_verdicts,
             store_hits,
             committed,
         })
     }
 
     /// Phase 1 of a sharded run: fan out `workers` speculative threads,
-    /// fold their stats, absorb their portable solver caches into this
-    /// engine's session, and collect their subtree-verdict certificates
-    /// for the replay to consult.
+    /// fold their stats, and absorb their portable solver caches into
+    /// this engine's session.
     fn speculate(
         &self,
         dump: &Coredump,
         relax: Relax,
         workers: usize,
         budget: Budget,
-        scope: Option<u64>,
         recorder: &Recorder,
         speculate_span: Option<u64>,
-    ) -> (ParallelReport, VerdictSet) {
+    ) -> ParallelReport {
         // The worker threads must not capture `self` (the session's
         // interior mutability is single-threaded); they get the shared
         // immutable program plus a config clone and build their own
         // engines. They do share the recorder (it is thread-safe),
         // each under its own `speculate.wN` scope.
         let program = self.program;
-        let verdict_scope = scope;
         let results: Vec<(KernelStats, mvm_symbolic::PortableCache)> =
             std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..workers)
@@ -884,7 +758,7 @@ impl<'p> ResEngine<'p> {
                         scope.spawn(move || {
                             let _span = worker_rec.span_under("shard", speculate_span);
                             let engine = ResEngine::with_recorder(program, config, worker_rec);
-                            engine.run_shard(dump, relax, w, workers, verdict_scope)
+                            engine.run_shard(dump, relax, w, workers)
                         })
                     })
                     .collect();
@@ -897,56 +771,29 @@ impl<'p> ResEngine<'p> {
             workers,
             ..ParallelReport::default()
         };
-        let mut verdicts = VerdictSet::new();
         for (stats, cache) in &results {
             report.per_worker_nodes.push(stats.nodes_expanded);
-            report.per_worker_verdicts.push(cache.verdicts.len());
             report.speculative.absorb(stats);
             self.session.absorb(cache);
-            for r in &cache.verdicts {
-                verdicts.insert(r.clone());
-            }
         }
         report.cache_entries = self.session.absorbed_len();
         recorder.gauge("speculate.cache_entries", report.cache_entries as u64);
-        if verdict_scope.is_some() {
-            recorder.gauge("speculate.verdicts", verdicts.len() as u64);
-        }
-        (report, verdicts)
+        report
     }
 
     /// One speculative worker: the deterministic search over this
     /// worker's frontier shard, discarding artifacts (they are built
     /// from worker-local symbol ids) and exporting the portable slice
-    /// of the solver cache plus the worker's subtree-verdict
-    /// certificates. With a `scope`, the worker also consults
-    /// certificates persisted by earlier runs — skipping a
-    /// known-exhausted subtree frees its budget slice for unexplored
-    /// territory.
+    /// of the solver cache.
     fn run_shard(
         &self,
         dump: &Coredump,
         relax: Relax,
         worker: usize,
         workers: usize,
-        scope: Option<u64>,
     ) -> (KernelStats, mvm_symbolic::PortableCache) {
         let mut stats = KernelStats::default();
         let mut frontier = ShardedFrontier::new(self.config.frontier.build(), worker, workers);
-        let mut collector = scope.map(|s| VerdictCollector::for_worker(s, worker as u32));
-        let store_verdicts = scope.and_then(|s| {
-            let store = self.store.borrow();
-            store
-                .as_ref()
-                .map(|st| {
-                    let mut set = VerdictSet::new();
-                    for r in st.verdicts_for(s) {
-                        set.insert(r.clone());
-                    }
-                    set
-                })
-                .filter(|v| !v.is_empty())
-        });
         let _ = self.explore_with(
             dump,
             relax,
@@ -954,92 +801,41 @@ impl<'p> ResEngine<'p> {
             &mut frontier,
             &mut stats,
             &self.recorder,
-            SpeculativeYield {
-                consult: store_verdicts.as_ref(),
-                collector: collector.as_mut(),
-            },
         );
-        let mut cache = self.session.export_portable();
-        if let Some(c) = collector {
-            let records = c.into_records();
-            let exhausted = records
-                .iter()
-                .filter(|r| r.kind == mvm_symbolic::VerdictKind::Exhausted)
-                .count();
-            // Scoped per worker: `speculate.wN.verdicts.*`.
-            self.recorder
-                .counter("verdicts.exported", records.len() as u64);
-            self.recorder
-                .counter("verdicts.exhausted", exhausted as u64);
-            cache.verdicts = records;
-        }
-        (stats, cache)
+        (stats, self.session.export_portable())
     }
 
     /// Phase 2 (and the whole of a single-worker run): the exact
-    /// sequential search. Consults `verdicts` to skip certified-
-    /// exhausted subtrees, and — when a store will receive them
-    /// (`collect`) — re-certifies subtrees it fully explores itself.
-    #[allow(clippy::too_many_arguments)]
+    /// sequential search.
     fn replay(
         &self,
         dump: &Coredump,
         relax: Relax,
         budget: Budget,
         recorder: &Recorder,
-        scope: Option<u64>,
-        verdicts: &VerdictSet,
-        collect: bool,
-    ) -> (SynthesisResult, Vec<VerdictRecord>) {
+    ) -> SynthesisResult {
         let mut stats = KernelStats::default();
         let mut frontier = self.config.frontier.build();
-        let mut collector = scope.filter(|_| collect).map(VerdictCollector::for_replay);
-        let consult = (scope.is_some() && !verdicts.is_empty()).then_some(verdicts);
-        let suffixes = self.explore_with(
-            dump,
-            relax,
-            budget,
-            frontier.as_mut(),
-            &mut stats,
-            recorder,
-            SpeculativeYield {
-                consult,
-                collector: collector.as_mut(),
-            },
-        );
-        if stats.skipped_subtrees > 0 {
-            recorder.counter("replay.skipped.subtrees", stats.skipped_subtrees);
-            recorder.counter("replay.skipped.nodes", stats.skipped.nodes);
-            recorder.counter("replay.skipped.hypotheses", stats.skipped.hypotheses);
-        }
-        let records = collector
-            .map(VerdictCollector::into_records)
-            .unwrap_or_default();
-        // The verdict reasons over *effective* totals (actual work plus
-        // certified skipped accounting), so a verdict-pruned run reaches
-        // the same proven/approximate conclusion as a full replay.
-        let eff = stats.effective();
+        let suffixes =
+            self.explore_with(dump, relax, budget, frontier.as_mut(), &mut stats, recorder);
         let verdict = if !suffixes.is_empty() {
             Verdict::SuffixFound
         } else if stats.cut.is_some() {
             Verdict::BudgetExhausted
         } else {
             Verdict::NoFeasibleSuffix {
-                proven: eff.rejected_budget == 0
-                    && eff.unknown_accepted == 0
-                    && eff.finalize_failed == 0,
+                proven: stats.rejected_budget == 0
+                    && stats.unknown_accepted == 0
+                    && stats.finalize_failed == 0,
             }
         };
-        (
-            SynthesisResult {
-                suffixes,
-                stats,
-                verdict,
-                parallel: None,
-                store: None,
-            },
-            records,
-        )
+        SynthesisResult {
+            suffixes,
+            stats,
+            verdict,
+            parallel: None,
+            store: None,
+        }
     }
 
     /// Runs the kernel exploration from `dump`'s root node through the
@@ -1050,10 +846,9 @@ impl<'p> ResEngine<'p> {
         dump: &Coredump,
         relax: Relax,
         budget: Budget,
-        frontier: &mut dyn Frontier<Indexed<Node>>,
+        frontier: &mut dyn Frontier<Node>,
         stats: &mut KernelStats,
         recorder: &Recorder,
-        yld: SpeculativeYield<'_>,
     ) -> Vec<ExecutionSuffix> {
         let mut ctx = SymCtx::new();
         let root = self.build_root(dump, relax, &mut ctx);
@@ -1077,7 +872,6 @@ impl<'p> ResEngine<'p> {
             frontier,
             stats,
             &recorder.scoped("kernel"),
-            yld,
         );
         stats.solver = self.session.stats().delta_since(&session_before);
         suffixes
@@ -1538,17 +1332,6 @@ impl<'p> ResEngine<'p> {
         if node.steps_rev.is_empty() {
             return None;
         }
-        // Too little reconstructed history to be worth reporting: a
-        // late rejection, so branches whose every leaf falls short
-        // yield no artifact at all (and certify as exhausted under
-        // speculative yield).
-        if self.config.min_suffix_steps > 0 {
-            let executed: u64 = node.steps_rev.iter().map(|s| s.steps).sum();
-            if executed < self.config.min_suffix_steps {
-                stats.finalize_failed += 1;
-                return None;
-            }
-        }
         let exprs: Vec<ExprRef> = node.constraints.iter().map(|t| t.expr.clone()).collect();
         let (model, approximate) = match self.session.check(&exprs) {
             SolveResult::Sat(m) => (m, node.unknown_used),
@@ -1650,24 +1433,6 @@ impl StateTransform for SearchDriver<'_, '_, '_> {
 
     fn solver_spent(&self) -> u64 {
         self.engine.session.assignments_spent() - self.assignments_before
-    }
-
-    fn yield_probe(&self) -> YieldProbe {
-        let s = self.engine.session.stats();
-        YieldProbe {
-            assignments: s.assignments,
-            private_results: s.private_results,
-            syms: self.ctx.len() as u64,
-        }
-    }
-
-    fn on_subtree_skipped(&mut self, skipped: &SubtreeStats) {
-        // Reserve the symbol ids the skipped subtree would have minted:
-        // without this, every symbol introduced after the skip would be
-        // numbered differently from the full sequential run, and
-        // probe-seeded (non-equivariant) solver answers downstream could
-        // change the suffix bytes.
-        self.ctx.advance(skipped.syms);
     }
 }
 

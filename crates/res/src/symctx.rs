@@ -43,13 +43,6 @@ pub enum SymOrigin {
         /// Location of the `input` instruction.
         site: Loc,
     },
-    /// Reserved for a symbol that a subtree the replay *skipped* (on a
-    /// verdict certificate) would have minted. Never appears in a live
-    /// expression — the skipped subtree's nodes were discarded — but
-    /// holding the id keeps every symbol minted after the skip at its
-    /// full-sequential-run number, which the byte-identical-suffix
-    /// guarantee depends on.
-    Skipped,
 }
 
 /// The registry of live symbols.
@@ -74,14 +67,6 @@ impl SymCtx {
     /// The provenance of a symbol.
     pub fn origin(&self, id: SymId) -> Option<&SymOrigin> {
         self.origins.get(id as usize)
-    }
-
-    /// Reserves `n` ids as [`SymOrigin::Skipped`], advancing the
-    /// allocator exactly as far as the skipped subtree's exploration
-    /// would have.
-    pub fn advance(&mut self, n: u64) {
-        self.origins
-            .extend(std::iter::repeat(SymOrigin::Skipped).take(n as usize));
     }
 
     /// Number of symbols minted.
@@ -140,25 +125,6 @@ mod tests {
             Some(SymOrigin::HavocMem { addr: 0x100, .. })
         ));
         assert!(ctx.origin(7).is_none());
-    }
-
-    #[test]
-    fn advance_reserves_skipped_ids() {
-        let mut ctx = SymCtx::new();
-        ctx.fresh(SymOrigin::HavocReg {
-            tid: 0,
-            reg: Reg(1),
-            depth: 0,
-        });
-        ctx.advance(3);
-        let next = ctx.fresh(SymOrigin::HavocReg {
-            tid: 0,
-            reg: Reg(2),
-            depth: 1,
-        });
-        assert_eq!(next.as_sym(), Some(4), "ids 1..=3 reserved");
-        assert!(matches!(ctx.origin(2), Some(SymOrigin::Skipped)));
-        assert!(ctx.input_syms().is_empty());
     }
 
     #[test]

@@ -244,13 +244,23 @@ pub fn write_frame(w: &mut impl Write, tag: Tag, payload: &str) -> io::Result<()
     w.flush()
 }
 
+/// The largest frame [`read_frame`] accepts, newline included. Far
+/// above any message the daemon's clients send (a batch of 50 dumps is
+/// under 1 MiB); it exists so a peer that never sends a newline cannot
+/// grow a connection thread's buffer without bound.
+const MAX_FRAME_BYTES: u64 = 64 << 20;
+
 /// Reads one framed message, checking the expected `tag`. `Ok(None)`
 /// is a clean EOF (peer closed between messages); a torn or corrupt
-/// line is an [`io::ErrorKind::InvalidData`] error.
+/// line, or one longer than 64 MiB, is an [`io::ErrorKind::InvalidData`]
+/// error.
 pub fn read_frame(r: &mut impl BufRead, tag: Tag) -> io::Result<Option<String>> {
     let mut line = String::new();
-    if r.read_line(&mut line)? == 0 {
+    if r.by_ref().take(MAX_FRAME_BYTES).read_line(&mut line)? == 0 {
         return Ok(None);
+    }
+    if line.len() as u64 == MAX_FRAME_BYTES && !line.ends_with('\n') {
+        return Err(bad_data(format!("frame exceeds {MAX_FRAME_BYTES} bytes")));
     }
     let trimmed = line.trim_end_matches('\n');
     match decode_record(trimmed) {
@@ -449,6 +459,17 @@ mod tests {
         write_response(&mut resp_bytes, &WireResponse::ShuttingDown).unwrap();
         let err = read_request(&mut BufReader::new(&resp_bytes[..])).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn oversized_frame_without_newline_is_rejected_at_the_cap() {
+        let mut r = BufReader::new(io::repeat(b'Q').take(MAX_FRAME_BYTES + 1));
+        let err = read_request(&mut r).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // The reader stopped at the cap: the byte past it is unread.
+        let mut rest = Vec::new();
+        r.read_to_end(&mut rest).unwrap();
+        assert_eq!(rest.len(), 1);
     }
 
     #[test]

@@ -65,13 +65,6 @@ pub enum Tag {
     Entry,
     /// A [`StoreStats`](crate::StoreStats) observability block.
     Stats,
-    /// One subtree-verdict certificate
-    /// ([`mvm_symbolic::VerdictRecord`]). Introduced after format v1
-    /// shipped; v1 readers that predate it see an unknown uppercase tag
-    /// and skip the record, so no version bump is needed — an old build
-    /// opening a verdict-bearing store degrades to entries-only, and an
-    /// old store simply has no `V` records.
-    Verdict,
     /// A tag this build does not know (skipped).
     Unknown(u8),
 }
@@ -82,7 +75,6 @@ impl Tag {
             Tag::Header => 'H',
             Tag::Entry => 'E',
             Tag::Stats => 'S',
-            Tag::Verdict => 'V',
             Tag::Unknown(b) => b as char,
         }
     }
@@ -97,7 +89,6 @@ impl Tag {
             b'H' => Tag::Header,
             b'E' => Tag::Entry,
             b'S' => Tag::Stats,
-            b'V' => Tag::Verdict,
             other => Tag::Unknown(other),
         })
     }

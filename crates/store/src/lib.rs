@@ -54,21 +54,16 @@
 //!   earlier record and [`SolverStore::compact`] drops the dead ones.
 //! * `S` stats records are the observability block ([`StoreStats`]);
 //!   append-only like everything else, last one wins.
-//! * `V` records are subtree-verdict certificates
-//!   ([`mvm_symbolic::VerdictRecord`]): exhaustion/artifact verdicts
-//!   keyed by canonical enumeration path and scoped to one
-//!   (dump, search-configuration) fingerprint, which let a later
-//!   replay over the same scope skip certified-exhausted subtrees
-//!   outright (see `res-core`'s speculative yield). They ride the same
-//!   framing as every other record; builds that predate them see an
-//!   unknown uppercase tag and skip them, so no format-version bump was
-//!   needed and old stores (with no `V` records) simply prune nothing.
 //! * Records with an unknown tag but valid framing are skipped, so
-//!   later format minor-extensions stay readable.
+//!   later format minor-extensions stay readable. Stores written by
+//!   older builds may carry `V` records (subtree-verdict certificates,
+//!   since removed); they load as unknown records and the next
+//!   [`SolverStore::compact`] drops them.
 //!
 //! Commits are atomic: the new content is written to a sibling
-//! temporary file and `rename`d over the store, so a crash mid-commit
-//! never corrupts previously-committed records. After a commit the
+//! temporary file, synced, and `rename`d over the store
+//! ([`write_atomic`]), so a crash mid-commit never corrupts
+//! previously-committed records. After a commit the
 //! store also compacts itself per a [`CompactionPolicy`] — supersedure
 //! ratio, byte ceiling, and/or stale-stats age
 //! ([`SolverStore::set_compaction_policy`]).
@@ -84,6 +79,6 @@ mod store;
 
 pub use format::{decode_record, encode_record, fnv64, Header, Tag, FORMAT_VERSION, MAGIC};
 pub use store::{
-    program_fingerprint, CommitReport, CompactReport, CompactionPolicy, LoadOutcome, LoadReport,
-    SolverStore, StoreStats, DEFAULT_AUTO_COMPACT_RATIO,
+    program_fingerprint, write_atomic, CommitReport, CompactReport, CompactionPolicy, LoadOutcome,
+    LoadReport, SolverStore, StoreStats, DEFAULT_AUTO_COMPACT_RATIO,
 };

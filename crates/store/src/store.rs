@@ -1,12 +1,12 @@
 //! The store proper: open/validate, absorb, append, commit, compact.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 
 use mvm_isa::Program;
 use mvm_json::{json_enum, json_struct};
-use mvm_symbolic::{CanonFp, PortableCache, PortableResult, SolverSession, VerdictRecord};
+use mvm_symbolic::{CanonFp, PortableCache, PortableResult, SolverSession};
 use res_obs::Recorder;
 
 use crate::format::{
@@ -124,9 +124,6 @@ pub struct LoadReport {
     /// On-disk entry records shadowed by a later record for the same
     /// fingerprint ([`SolverStore::compact`] reclaims them).
     pub superseded: usize,
-    /// Subtree-verdict certificates loaded (after `(scope, path)`
-    /// dedup).
-    pub verdicts_loaded: usize,
     /// Trailing records dropped as torn or corrupted.
     pub records_skipped: usize,
     /// Bytes read from disk.
@@ -139,7 +136,6 @@ impl LoadReport {
             outcome,
             entries_loaded: 0,
             superseded: 0,
-            verdicts_loaded: 0,
             records_skipped: 0,
             bytes,
         }
@@ -222,12 +218,6 @@ pub struct SolverStore {
     entries: BTreeMap<CanonFp, PortableResult>,
     /// Entries merged since the last commit, in merge order.
     pending: Vec<(CanonFp, PortableResult)>,
-    /// All live subtree-verdict certificates, in load-then-merge order.
-    verdicts: Vec<VerdictRecord>,
-    /// `(scope, path)` keys already held, for first-wins dedup.
-    verdict_keys: BTreeSet<(u64, Vec<u32>)>,
-    /// Verdicts merged since the last commit, in merge order.
-    pending_verdicts: Vec<VerdictRecord>,
     stats: StoreStats,
     report: LoadReport,
     /// The validated byte prefix of the on-disk file; commits append
@@ -269,9 +259,6 @@ impl SolverStore {
             header: Header::new(program_fp),
             entries: BTreeMap::new(),
             pending: Vec::new(),
-            verdicts: Vec::new(),
-            verdict_keys: BTreeSet::new(),
-            pending_verdicts: Vec::new(),
             stats: StoreStats::default(),
             report: LoadReport::cold(LoadOutcome::Missing, 0),
             base: Vec::new(),
@@ -406,13 +393,6 @@ impl SolverStore {
                     self.stats_records += 1;
                     Some(None)
                 }
-                Tag::Verdict => {
-                    let rec: VerdictRecord = mvm_json::from_str(payload).ok()?;
-                    if self.verdict_keys.insert((rec.scope, rec.path.clone())) {
-                        self.verdicts.push(rec);
-                    }
-                    Some(None)
-                }
                 // Stray headers and future record kinds are preserved
                 // but carry no entries for this build.
                 Tag::Header | Tag::Unknown(_) => Some(None),
@@ -436,7 +416,6 @@ impl SolverStore {
             outcome: LoadOutcome::Loaded,
             entries_loaded: self.entries.len(),
             superseded,
-            verdicts_loaded: self.verdicts.len(),
             records_skipped,
             bytes,
         };
@@ -522,10 +501,6 @@ impl SolverStore {
                 .iter()
                 .map(|(fp, r)| (*fp, r.clone()))
                 .collect(),
-            // Verdicts travel on their own channel
-            // ([`verdicts_for`](Self::verdicts_for)); the portable view
-            // exists for solver-cache absorption, which ignores them.
-            verdicts: Vec::new(),
         }
     }
 
@@ -536,35 +511,6 @@ impl SolverStore {
         if !self.entries.is_empty() {
             session.absorb_from_store(&self.to_portable());
         }
-    }
-
-    /// All live subtree-verdict certificates, in load-then-merge order.
-    pub fn verdicts(&self) -> &[VerdictRecord] {
-        &self.verdicts
-    }
-
-    /// The live certificates valid for `scope`, in load-then-merge
-    /// order.
-    pub fn verdicts_for(&self, scope: u64) -> impl Iterator<Item = &VerdictRecord> {
-        self.verdicts.iter().filter(move |r| r.scope == scope)
-    }
-
-    /// Merges subtree-verdict certificates, keeping only `(scope,
-    /// path)` keys the store does not already hold (certificates for
-    /// the same key are exact replicas by construction, so first wins).
-    /// Returns how many were new; they are appended on the next
-    /// [`commit`](Self::commit).
-    pub fn merge_verdicts(&mut self, records: &[VerdictRecord]) -> usize {
-        let mut added = 0;
-        for r in records {
-            if !self.verdict_keys.insert((r.scope, r.path.clone())) {
-                continue;
-            }
-            self.verdicts.push(r.clone());
-            self.pending_verdicts.push(r.clone());
-            added += 1;
-        }
-        added
     }
 
     /// Merges a session's portable export, keeping only fingerprints
@@ -603,7 +549,7 @@ impl SolverStore {
                 ..CommitReport::default()
             });
         }
-        if self.pending.is_empty() && self.pending_verdicts.is_empty() && !self.hits_dirty {
+        if self.pending.is_empty() && !self.hits_dirty {
             return Ok(CommitReport {
                 bytes: self.stats.bytes,
                 ..CommitReport::default()
@@ -615,16 +561,12 @@ impl SolverStore {
             self.base.clone()
         };
         let appended = self.pending.len();
-        let appended_verdicts = self.pending_verdicts.len();
         for (fp, result) in &self.pending {
             let rec = EntryRecord {
                 fp: *fp,
                 result: result.clone(),
             };
             encode_record(Tag::Entry, &mvm_json::to_string(&rec), &mut bytes);
-        }
-        for r in &self.pending_verdicts {
-            encode_record(Tag::Verdict, &mvm_json::to_string(r), &mut bytes);
         }
         self.base_entry_records += appended;
         self.stats.entries = self.entries.len() as u64;
@@ -635,14 +577,12 @@ impl SolverStore {
         self.base = bytes;
         self.stats_records += 1;
         self.pending.clear();
-        self.pending_verdicts.clear();
         self.hits_dirty = false;
         self.report.outcome = LoadOutcome::Loaded;
         let stats = self.stats;
         self.recorder.event_with("commit", || {
             vec![
                 ("appended".into(), appended.to_string()),
-                ("verdicts".into(), appended_verdicts.to_string()),
                 ("entries".into(), stats.entries.to_string()),
                 ("bytes".into(), stats.bytes.to_string()),
             ]
@@ -714,9 +654,6 @@ impl SolverStore {
             };
             encode_record(Tag::Entry, &mvm_json::to_string(&rec), &mut bytes);
         }
-        for r in &self.verdicts {
-            encode_record(Tag::Verdict, &mvm_json::to_string(r), &mut bytes);
-        }
         self.stats.entries = self.entries.len() as u64;
         self.stats.bytes = bytes.len() as u64;
         self.stats.compactions += 1;
@@ -726,7 +663,6 @@ impl SolverStore {
         self.base_entry_records = self.entries.len();
         self.stats_records = 1;
         self.pending.clear();
-        self.pending_verdicts.clear();
         self.hits_dirty = false;
         self.report.outcome = LoadOutcome::Loaded;
         let bytes_after = self.stats.bytes;
@@ -757,17 +693,24 @@ impl SolverStore {
                 std::fs::create_dir_all(parent)?;
             }
         }
-        let mut tmp_name = self.path.as_os_str().to_os_string();
-        tmp_name.push(".tmp");
-        let tmp = PathBuf::from(tmp_name);
-        {
-            use std::io::Write as _;
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(bytes)?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, &self.path)
+        write_atomic(&self.path, bytes)
     }
+}
+
+/// Replaces the file at `path` with `bytes` atomically: the bytes go
+/// to a sibling `<path>.tmp` and are synced to disk before the tmp file
+/// is renamed over `path`, so a crash leaves either the old or the new
+/// complete file, never a torn one. The parent directory must already
+/// exist.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    use std::io::Write as _;
+    let mut tmp_name = path.as_os_str().to_os_string();
+    tmp_name.push(".tmp");
+    let tmp = PathBuf::from(tmp_name);
+    let mut f = std::fs::File::create(&tmp)?;
+    f.write_all(bytes)?;
+    f.sync_all()?;
+    std::fs::rename(&tmp, path)
 }
 
 #[cfg(test)]
@@ -786,10 +729,7 @@ mod tests {
     }
 
     fn cache(entries: Vec<(CanonFp, PortableResult)>) -> PortableCache {
-        PortableCache {
-            entries,
-            verdicts: Vec::new(),
-        }
+        PortableCache { entries }
     }
 
     fn tmp_path(name: &str) -> PathBuf {
@@ -1001,69 +941,6 @@ mod tests {
         s3.note_hits(2);
         s3.commit().unwrap();
         assert_eq!(SolverStore::open(&path, 7).stats().absorbed_hits, 7);
-    }
-
-    fn verdict(scope: u64, worker: u32, path: Vec<u32>) -> VerdictRecord {
-        use mvm_symbolic::{SubtreeStats, VerdictKind};
-        VerdictRecord {
-            scope,
-            worker,
-            path,
-            kind: VerdictKind::Exhausted,
-            stats: SubtreeStats {
-                nodes: 4,
-                hypotheses: 8,
-                ..SubtreeStats::default()
-            },
-        }
-    }
-
-    #[test]
-    fn verdict_records_round_trip_and_dedup() {
-        let path = tmp_path("verdicts.resstore");
-        let _ = std::fs::remove_file(&path);
-
-        let mut s = SolverStore::open(&path, 7);
-        s.merge(&cache(vec![entry(1, 10)]));
-        assert_eq!(
-            s.merge_verdicts(&[
-                verdict(0xaa, 0, vec![0]),
-                verdict(0xaa, 1, vec![1, 2]),
-                verdict(0xbb, 2, vec![0]),
-            ]),
-            3
-        );
-        // Same (scope, path) again: a replica, not a new certificate.
-        assert_eq!(s.merge_verdicts(&[verdict(0xaa, 3, vec![0])]), 0);
-        s.commit().unwrap();
-
-        let s2 = SolverStore::open(&path, 7);
-        assert_eq!(s2.load_report().verdicts_loaded, 3);
-        assert_eq!(s2.verdicts().len(), 3);
-        let in_scope: Vec<_> = s2.verdicts_for(0xaa).collect();
-        assert_eq!(in_scope.len(), 2);
-        assert_eq!(in_scope[0].worker, 0, "first certificate won");
-        assert_eq!(s2.verdicts_for(0xcc).count(), 0);
-
-        // Compaction preserves certificates.
-        let mut s2 = s2;
-        s2.compact().unwrap();
-        let s3 = SolverStore::open(&path, 7);
-        assert_eq!(s3.load_report().verdicts_loaded, 3);
-    }
-
-    #[test]
-    fn verdict_free_commits_write_no_v_records() {
-        let path = tmp_path("noverdicts.resstore");
-        let _ = std::fs::remove_file(&path);
-        let mut s = SolverStore::open(&path, 7);
-        s.merge(&cache(vec![entry(1, 10)]));
-        s.commit().unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(
-            !text.lines().any(|l| l.starts_with("V ")),
-            "a verdict-free store must stay byte-compatible with v1 readers' fixtures"
-        );
     }
 
     #[test]

@@ -228,20 +228,14 @@ impl PortableResult {
     }
 }
 
-/// A batch of canonical cache entries exported by one worker session,
-/// plus the subtree-verdict certificates the worker's exploration
-/// produced (see [`crate::verdict`]).
+/// A batch of canonical cache entries exported by one worker session.
 #[derive(Debug, Clone, Default)]
 pub struct PortableCache {
     /// `(fingerprint, result)` pairs, deduplicated per session.
     pub entries: Vec<(CanonFp, PortableResult)>,
-    /// Subtree certificates with worker provenance. Absorbing the
-    /// solver entries ignores these; the engine routes them to the
-    /// replay pruner and the persistent store.
-    pub verdicts: Vec<crate::verdict::VerdictRecord>,
 }
 
-json_struct!(PortableCache { entries, verdicts });
+json_struct!(PortableCache { entries });
 
 impl PortableCache {
     /// Number of entries.
@@ -350,21 +344,10 @@ mod tests {
                     },
                 ),
             ],
-            verdicts: vec![crate::verdict::VerdictRecord {
-                scope: 7,
-                worker: 2,
-                path: vec![0, 1],
-                kind: crate::verdict::VerdictKind::Exhausted,
-                stats: crate::verdict::SubtreeStats {
-                    nodes: 5,
-                    ..Default::default()
-                },
-            }],
         };
         let text = mvm_json::to_string(&cache);
         let back: PortableCache = mvm_json::from_str(&text).unwrap();
         assert_eq!(back.entries, cache.entries);
-        assert_eq!(back.verdicts, cache.verdicts);
     }
 
     #[test]

@@ -29,7 +29,6 @@ pub mod interval;
 pub mod model;
 pub mod session;
 pub mod solver;
-pub mod verdict;
 
 pub use expr::{Expr, ExprRef, SymId};
 pub use fingerprint::{canonical_key, CanonFp, PortableCache, PortableResult, PortableVerdict};
@@ -37,4 +36,3 @@ pub use interval::Interval;
 pub use model::Model;
 pub use session::{AbsorbSource, SessionStats, SolverSession};
 pub use solver::{SolveResult, Solver, SolverConfig, UnknownReason};
-pub use verdict::{SubtreeStats, VerdictKind, VerdictRecord, VerdictSet, REPLAY_ORIGIN};

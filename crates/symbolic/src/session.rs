@@ -56,14 +56,6 @@ pub struct SessionStats {
     /// cost of first-time absorbed hits, so budget accounting does not
     /// depend on *which* session originally paid for a query).
     pub assignments: u64,
-    /// Queries answered by a result that is *not* renaming-equivariant
-    /// (probe-seeded enumeration; see `Solver::check_classified`),
-    /// whether solved fresh or replayed from the exact memo. The
-    /// subtree-verdict certifier watches this counter: a speculative
-    /// subtree that consumed any private result is tainted and must not
-    /// be certified, because another session could answer the same
-    /// α-equivalent query with a different (equally valid) verdict.
-    pub private_results: u64,
 }
 
 json_struct!(SessionStats {
@@ -76,8 +68,7 @@ json_struct!(SessionStats {
     unsat,
     unknown_budget,
     unknown_incomplete,
-    assignments,
-    private_results
+    assignments
 });
 
 impl SessionStats {
@@ -95,7 +86,6 @@ impl SessionStats {
             unknown_budget: self.unknown_budget - earlier.unknown_budget,
             unknown_incomplete: self.unknown_incomplete - earlier.unknown_incomplete,
             assignments: self.assignments - earlier.assignments,
-            private_results: self.private_results - earlier.private_results,
         }
     }
 
@@ -112,7 +102,6 @@ impl SessionStats {
         self.unknown_budget += other.unknown_budget;
         self.unknown_incomplete += other.unknown_incomplete;
         self.assignments += other.assignments;
-        self.private_results += other.private_results;
     }
 
     /// Cache hit rate in `[0, 1]`; 0 when no queries ran.
@@ -209,13 +198,9 @@ impl SolverSession {
         let mut stats = self.stats.borrow_mut();
         stats.queries += 1;
         rec.counter("queries", 1);
-        if let Some((hit, _, portable)) = self.cache.borrow().get(constraints) {
+        if let Some((hit, _, _)) = self.cache.borrow().get(constraints) {
             stats.cache_hits += 1;
             rec.counter("cache_hits", 1);
-            if !portable {
-                stats.private_results += 1;
-                rec.counter("private_results", 1);
-            }
             Self::tally(&mut stats, &rec, hit);
             return hit.clone();
         }
@@ -257,10 +242,6 @@ impl SolverSession {
         let mut stats = self.stats.borrow_mut();
         stats.assignments += used;
         rec.counter("assignments", used);
-        if !portable {
-            stats.private_results += 1;
-            rec.counter("private_results", 1);
-        }
         Self::tally(&mut stats, &rec, &result);
         self.cache
             .borrow_mut()
@@ -285,7 +266,6 @@ impl SolverSession {
         }
         PortableCache {
             entries: by_fp.into_iter().collect(),
-            verdicts: Vec::new(),
         }
     }
 
@@ -571,31 +551,6 @@ mod tests {
             session.export_portable().is_empty(),
             "probe-seeded results must not be exported"
         );
-    }
-
-    #[test]
-    fn private_results_count_fresh_and_memoized_replays() {
-        let session = SolverSession::new();
-        // Probe-seeded (private) query: fresh solve + memo replay both
-        // tick the taint counter; the certifier needs replays counted
-        // because a cached private answer taints a subtree just the
-        // same.
-        let private = vec![eq(
-            Expr::bin(BinOp::And, Expr::sym(0), Expr::konst(0xf0)),
-            Expr::konst(0x30),
-        )];
-        session.check(&private);
-        assert_eq!(session.stats().private_results, 1, "fresh private solve");
-        session.check(&private);
-        assert_eq!(session.stats().private_results, 2, "memoized replay");
-        // Propagation-decided (portable) query: never tainted.
-        let portable = vec![eq(
-            Expr::bin(BinOp::Add, Expr::sym(1), Expr::konst(5)),
-            Expr::konst(12),
-        )];
-        session.check(&portable);
-        session.check(&portable);
-        assert_eq!(session.stats().private_results, 2);
     }
 
     #[test]

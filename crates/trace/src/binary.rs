@@ -219,7 +219,6 @@ fn tag_byte(tag: res_store::Tag) -> u8 {
         res_store::Tag::Header => b'H',
         res_store::Tag::Entry => b'E',
         res_store::Tag::Stats => b'S',
-        res_store::Tag::Verdict => b'V',
         res_store::Tag::Unknown(b) => b,
     }
 }
@@ -229,7 +228,6 @@ fn tag_from_byte(b: u8) -> res_store::Tag {
         b'H' => res_store::Tag::Header,
         b'E' => res_store::Tag::Entry,
         b'S' => res_store::Tag::Stats,
-        b'V' => res_store::Tag::Verdict,
         other => res_store::Tag::Unknown(other),
     }
 }

@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use mvm_core::Coredump;
 use mvm_isa::{InputKind, Loc, Width};
@@ -551,8 +551,9 @@ impl TraceFile {
         Self::from_sections(sections.iter().map(|(t, j)| (*t, j)))
     }
 
-    /// Writes the trace to `path` atomically (tmp + rename), choosing
-    /// the encoding from the extension (`.bin` → binary).
+    /// Writes the trace to `path` atomically
+    /// ([`res_store::write_atomic`]: tmp + sync + rename), choosing the
+    /// encoding from the extension (`.bin` → binary).
     pub fn write(&self, path: &Path) -> io::Result<Encoding> {
         self.write_with(path, &Recorder::disabled())
     }
@@ -561,11 +562,7 @@ impl TraceFile {
     pub fn write_with(&self, path: &Path, rec: &Recorder) -> io::Result<Encoding> {
         let encoding = Encoding::for_path(path);
         let bytes = self.to_bytes(encoding);
-        let mut tmp_name = path.as_os_str().to_os_string();
-        tmp_name.push(".tmp");
-        let tmp = PathBuf::from(tmp_name);
-        std::fs::write(&tmp, &bytes)?;
-        std::fs::rename(&tmp, path)?;
+        res_store::write_atomic(path, &bytes)?;
         rec.event_with("trace.write", || {
             vec![
                 ("path".to_string(), path.display().to_string()),

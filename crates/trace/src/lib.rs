@@ -33,7 +33,7 @@
 //! | `T` | step | one [`TraceStep`] per schedule event, in order |
 //! | `X` | expected | [`ExpectedOutcome`]: fault, bucket, fingerprints |
 //!
-//! Writes are atomic (tmp file + rename) and deterministic: no
+//! Writes are atomic (tmp file + sync + rename) and deterministic: no
 //! timestamps, static writer metadata, so identical suffixes produce
 //! byte-identical trace files at any worker count.
 //!

@@ -86,7 +86,6 @@ fn inspect(path: &Path, compact: bool) -> Result<(), String> {
     println!("  bytes:            {}", report.bytes);
     println!("  live entries:     {}", report.entries_loaded);
     println!("  superseded:       {}", report.superseded);
-    println!("  verdicts:         {}", report.verdicts_loaded);
     println!("  torn/skipped:     {}", report.records_skipped);
     let total = report.entries_loaded + report.superseded;
     let ratio = if total == 0 {
@@ -101,32 +100,6 @@ fn inspect(path: &Path, compact: bool) -> Result<(), String> {
     println!("    absorbed hits:  {}", stats.absorbed_hits);
     println!("    commits:        {}", stats.commits);
     println!("    compactions:    {}", stats.compactions);
-
-    if !store.verdicts().is_empty() {
-        // Verdict certificates, grouped by scope, with per-worker
-        // provenance (`replay` = re-certified by the sequential replay).
-        use std::collections::BTreeMap;
-        let mut by_scope: BTreeMap<u64, (usize, usize, BTreeMap<u32, usize>)> = BTreeMap::new();
-        for v in store.verdicts() {
-            let (exhausted, artifact, workers) = by_scope.entry(v.scope).or_default();
-            match v.kind {
-                res_debugger::symbolic::VerdictKind::Exhausted => *exhausted += 1,
-                res_debugger::symbolic::VerdictKind::HasArtifact => *artifact += 1,
-            }
-            *workers.entry(v.worker).or_default() += 1;
-        }
-        println!("  verdict certificates:");
-        for (scope, (exhausted, artifact, workers)) in &by_scope {
-            println!("    scope {scope:#018x}: {exhausted} exhausted, {artifact} with-artifact");
-            for (worker, n) in workers {
-                if *worker == res_debugger::symbolic::REPLAY_ORIGIN {
-                    println!("      replay: {n}");
-                } else {
-                    println!("      worker {worker}: {n}");
-                }
-            }
-        }
-    }
 
     if !compact {
         return Ok(());

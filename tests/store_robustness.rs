@@ -171,38 +171,61 @@ fn wrong_program_fingerprint_is_cold_and_leaves_the_file_untouched() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A torn verdict record must degrade to *full replay*, never to a
-/// wrong skip: the engine re-runs with whatever certificates survived
-/// the tear (possibly none) and still synthesizes byte-identical
-/// suffixes.
+/// Stores written by older builds carry `V` records (subtree-verdict
+/// certificates, since removed). This build reads `V` as an unknown tag:
+/// the store must still open with every solver entry, serve a warm run
+/// byte-identical suffixes, and shed the `V` lines on compaction.
 #[test]
-fn torn_verdict_record_degrades_to_full_replay() {
-    let (program, dump, golden, path, dir) = populated_store("tornv");
-    // The populated store must actually carry certificates — the replay
-    // of the populating run certifies its own subtrees.
+fn legacy_verdict_records_are_skipped_and_compacted_away() {
+    use res_debugger::store::{encode_record, program_fingerprint, Tag};
+
+    let (program, dump, golden, path, dir) = populated_store("legacyv");
     let text = std::fs::read_to_string(&path).unwrap();
-    let v_off = text
-        .find("\nV ")
-        .expect("populating run must persist verdict records")
+    let entries = text.lines().filter(|l| l.starts_with("E ")).count();
+    assert!(entries > 0, "the populating run must persist entries");
+    // Old commits wrote their `V` records after the `E` records and
+    // before the `S` stats block.
+    let stats_at = text
+        .find("\nS ")
+        .expect("populated store has a stats record")
         + 1;
-    // Tear mid-way through the first verdict record: its framing fails,
-    // it and everything after it (further verdicts, the stats block)
-    // are dropped, and the solver entries before it survive.
-    std::fs::write(&path, &text.as_bytes()[..v_off + 10]).unwrap();
+    let mut legacy = text.as_bytes()[..stats_at].to_vec();
+    for enum_path in ["[]", "[0]", "[0,1]"] {
+        let payload = format!(
+            r#"{{"scope":7,"worker":4294967295,"path":{enum_path},"kind":"Exhausted","stats":{{"nodes":3}}}}"#
+        );
+        encode_record(Tag::Unknown(b'V'), &payload, &mut legacy);
+    }
+    legacy.extend_from_slice(&text.as_bytes()[stats_at..]);
+    std::fs::write(&path, &legacy).unwrap();
+
+    let fp = program_fingerprint(&program);
+    let opened = SolverStore::open(&path, fp);
+    let report = *opened.load_report();
+    assert_eq!(report.outcome, LoadOutcome::Loaded);
+    assert_eq!(report.entries_loaded, entries, "every E entry must load");
+    assert_eq!(report.records_skipped, 0, "V records are not damage");
+    drop(opened);
 
     let (warm, report) = run_with_store(&program, &dump, &path);
-    assert_eq!(warm, golden, "a torn verdict record changed the synthesis");
+    assert_eq!(warm, golden, "legacy V records changed the synthesis");
     assert_eq!(report.outcome, LoadOutcome::Loaded);
-    assert!(
-        report.loaded_entries > 0,
-        "entries before the torn verdict must survive"
-    );
-    assert!(report.committed, "the torn tail must be healed on commit");
+    assert!(report.store_hits > 0, "the legacy store must serve hits");
 
-    // The healed store serves certificates again on the next run.
-    let (again, report) = run_with_store(&program, &dump, &path);
-    assert_eq!(again, golden);
-    assert_eq!(report.outcome, LoadOutcome::Loaded);
+    let has_v = |text: &str| text.lines().any(|l| l.starts_with("V "));
+    assert!(
+        has_v(&std::fs::read_to_string(&path).unwrap()),
+        "an append-only commit keeps the records it cannot read"
+    );
+    let mut store = SolverStore::open(&path, fp);
+    store.compact().expect("compact legacy store");
+    assert!(
+        !has_v(&std::fs::read_to_string(&path).unwrap()),
+        "compaction must drop legacy V records"
+    );
+    let reopened = SolverStore::open(&path, fp);
+    assert_eq!(reopened.load_report().outcome, LoadOutcome::Loaded);
+    assert_eq!(reopened.len(), store.len());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -258,7 +281,6 @@ fn store_v1_golden_fixture_round_trips() {
     let mut store = SolverStore::open(&path, PROGRAM_FP);
     store.merge(&PortableCache {
         entries: entries.clone(),
-        verdicts: vec![],
     });
     store.note_hits(4);
     store.commit().expect("commit golden store");

@@ -76,9 +76,6 @@ fn render_with(workers: usize, cache_path: Option<&std::path::Path>) -> String {
     if let Some(p) = std::env::var_os("RES_TRACE") {
         builder = builder.trace(p);
     }
-    if let Ok(v) = std::env::var("RES_SPECULATIVE_YIELD") {
-        builder = builder.speculative_yield(v != "0");
-    }
     let engine = ResEngine::new(&program, builder.build());
     let result = engine.synthesize(&dump);
     let mut rendered = String::new();
@@ -110,12 +107,6 @@ fn render_with(workers: usize, cache_path: Option<&std::path::Path>) -> String {
 /// on against the *same* fixture, proving the recorder is passive
 /// (enabling it changes no synthesized byte) and leaving a journal the
 /// gate parses and sanity-checks.
-///
-/// `RES_SPECULATIVE_YIELD=0` disables verdict-certificate pruning
-/// (cache-only speculation, the pre-certificate behaviour) — the CI
-/// speculative-yield gate runs the store-backed check both ways against
-/// the *same* fixture, proving that skipping certified-exhausted
-/// subtrees changes no synthesized byte.
 #[test]
 fn default_dfs_suffixes_match_pre_refactor_fixture() {
     let workers = std::env::var("RES_WORKERS")

@@ -1231,6 +1231,8 @@ pub struct ServeThroughputArtifact {
     pub hot_cap: u64,
     /// Cold then warm pass.
     pub passes: Vec<ServePassRow>,
+    /// `store.commit` marks in the daemon journal (commits that wrote).
+    pub commits: u64,
     /// `store.compact.auto` events observed in the daemon journal.
     pub compactions: u64,
     /// The acceptance shape (see [`srv_serve_throughput`]).
@@ -1244,6 +1246,7 @@ mvm_json::json_struct!(ServeThroughputArtifact {
     clients,
     hot_cap,
     passes,
+    commits,
     compactions,
     shape_holds
 });
@@ -1266,11 +1269,14 @@ fn srv_identity(resp: &res_triage::TriageResponse) -> String {
 ///
 /// The daemon runs with a hot-store capacity *below* the number of
 /// distinct programs and an aggressive age-based compaction policy, so
-/// the pass exercises the whole store lifecycle: open → absorb → evict
-/// → commit → auto-compact → re-open. The shape holds when every
-/// response (both passes) is byte-identical to its sequential golden,
-/// the warm pass serves a nonzero hot hit rate, and at least one
-/// automatic compaction fired.
+/// the pass exercises the store lifecycle: open → absorb → evict →
+/// commit → re-open. The shape holds when every response (both passes)
+/// is byte-identical to its sequential golden, the warm pass serves a
+/// nonzero hot hit rate, and the journal shows at least one store
+/// commit, every one of which appended entries: a store that learned
+/// nothing is never rewritten. (Automatic compaction is counted but
+/// not required: it only fires on a store's second writing commit,
+/// which a warm pass that learns nothing never makes.)
 pub fn srv_serve_throughput() -> Experiment {
     use res_serve::{serve, ServeConfig, TriageClient};
     use res_store::CompactionPolicy;
@@ -1319,8 +1325,10 @@ pub fn srv_serve_throughput() -> Experiment {
         hot_cap: HOT_CAP,
         store_dir: Some(scratch.join("hot")),
         // Compact whenever a commit leaves any stale stats record —
-        // i.e. on every second commit of a store file — so the short
-        // two-pass run still exercises the auto-compaction path.
+        // i.e. on every second writing commit of a store file. Only
+        // commits that append entries write, so in this short run a
+        // file rarely gets a second one; the trigger itself is pinned
+        // by `res-serve`'s hot-store unit tests.
         policy: CompactionPolicy {
             max_stale_stats: Some(0),
             ..CompactionPolicy::default()
@@ -1379,16 +1387,28 @@ pub fn srv_serve_throughput() -> Experiment {
     let warm = run_pass("warm");
     handle.stop(); // flushes the hot stores and the journal
 
-    let compactions = res_obs::read_journal(&journal)
-        .map(|events| {
-            events
-                .iter()
-                .filter(|e| e.kind.name() == Some("store.compact.auto"))
-                .count() as u64
+    let events = res_obs::read_journal(&journal).unwrap_or_default();
+    let marks = |name: &'static str| {
+        events.iter().filter_map(move |e| match &e.kind {
+            res_obs::EventKind::Mark { name: n, fields } if n == name => Some(fields),
+            _ => None,
         })
-        .unwrap_or(0);
+    };
+    let appended: Vec<u64> = marks("store.commit")
+        .map(|fields| {
+            fields
+                .iter()
+                .find(|(k, _)| k == "appended")
+                .and_then(|(_, v)| v.parse().ok())
+                .unwrap_or(0)
+        })
+        .collect();
+    let commits = appended.len() as u64;
+    let empty_commits = appended.iter().filter(|&&n| n == 0).count();
+    let compactions = marks("store.compact.auto").count() as u64;
     let warm_hits = warm.hot_hits - cold.hot_hits;
-    let shape_holds = cold.identical && warm.identical && warm_hits > 0 && compactions > 0;
+    let shape_holds =
+        cold.identical && warm.identical && warm_hits > 0 && commits > 0 && empty_commits == 0;
 
     let mut table = String::from(
         "pass | reports | wall     | reports/s | hot hits/misses/evictions | identical\n\
@@ -1408,7 +1428,9 @@ pub fn srv_serve_throughput() -> Experiment {
     }
     let _ = writeln!(
         table,
-        "auto-compactions: {compactions}, warm-pass hot hits: {warm_hits}"
+        "store commits: {commits} ({} entries appended, {empty_commits} empty), \
+         auto-compactions: {compactions}, warm-pass hot hits: {warm_hits}",
+        appended.iter().sum::<u64>()
     );
 
     if let Some(dir) = &bench_out {
@@ -1423,6 +1445,7 @@ pub fn srv_serve_throughput() -> Experiment {
             clients: CLIENTS as u64,
             hot_cap: HOT_CAP as u64,
             passes: vec![cold, warm],
+            commits,
             compactions,
             shape_holds,
         };
@@ -1437,8 +1460,8 @@ pub fn srv_serve_throughput() -> Experiment {
     Experiment {
         id: "SRV",
         claim: "the triage daemon serves concurrent batches byte-identical to \
-                sequential library runs, with a warm hot store and automatic \
-                store compaction",
+                sequential library runs, with a warm hot store that is written \
+                only when it learns",
         table,
         shape_holds,
     }

@@ -76,7 +76,8 @@ pub struct ResConfig {
     pub solver: SolverConfig,
     /// Persistent cross-run solver-result store (`res-store`). The
     /// engine absorbs the store before searching and appends every new
-    /// renaming-equivariant result after each `synthesize*` call.
+    /// renaming-equivariant result after each `synthesize*` call; a
+    /// call that learns nothing new leaves the file untouched.
     /// Absorbed entries replay their original enumeration cost, so a
     /// warm run synthesizes byte-identical suffixes to a cold one.
     pub cache_path: Option<PathBuf>,
@@ -432,7 +433,11 @@ pub struct StoreReport {
     pub appended_entries: usize,
     /// Solver queries this call answered from store-loaded entries.
     pub store_hits: u64,
-    /// `false` when the post-call commit failed (I/O error) or the
+    /// `true` when everything this call learned is on disk: its new
+    /// entries were appended, or it had none and the file was left
+    /// untouched. `false` when the post-call commit failed (I/O error),
+    /// was deferred to the caller
+    /// ([`synthesize_in_store`](ResEngine::synthesize_in_store)), or the
     /// store is read-only (program-fingerprint mismatch); the search
     /// result itself is unaffected either way.
     pub committed: bool,
@@ -491,7 +496,9 @@ pub struct ResEngine<'p> {
     /// The engine-level persistent store ([`ResConfig::cache_path`]),
     /// opened once at construction and committed to after every
     /// `synthesize*` call, so a corpus sweep over one engine shares a
-    /// single load and appends incrementally.
+    /// single load and appends incrementally. A commit writes only
+    /// when the call learned new entries: a warm sweep that learns
+    /// nothing costs the store its open and absorb, and no write.
     store: RefCell<Option<SolverStore>>,
     /// The engine-level tracing recorder ([`ResConfig::trace`];
     /// disabled when unset). Strictly passive — the search never reads
@@ -700,7 +707,10 @@ impl<'p> ResEngine<'p> {
     /// After a search: feed hit counts back to the active store, merge
     /// the session's new renaming-equivariant results, and — unless
     /// `commit` is deferred to the caller (the `synthesize_in_store`
-    /// hot path) — commit.
+    /// hot path) — commit. The session keeps each memo entry's
+    /// canonical form, so the export re-canonicalizes nothing, and the
+    /// commit writes only when the merge added entries; the hit count
+    /// rides along with the next write.
     fn export_to_store(
         &self,
         call_store: Option<&mut SolverStore>,

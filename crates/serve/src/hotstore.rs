@@ -7,10 +7,11 @@
 //! paying open/absorb/commit per call (the deferred-commit contract of
 //! [`res_core::search::ResEngine::synthesize_in_store`]). A store is
 //! committed to its `res-store` file only when its program falls out of
-//! the hot set, and at shutdown ([`HotStore::flush_all`]); the commit
-//! runs the store's [`CompactionPolicy`], which is where the daemon's
-//! automatic age/size/supersedure compaction fires (`store.compact.auto`
-//! in the trace journal).
+//! the hot set, and at shutdown ([`HotStore::flush_all`]). A commit
+//! writes only when requests taught the store new entries; a writing
+//! commit runs the store's [`CompactionPolicy`], which is where the
+//! daemon's automatic age/size/supersedure compaction fires
+//! (`store.compact.auto` in the trace journal).
 //!
 //! Stores never change answers (see `res-store`'s determinism
 //! argument), so the hot set is purely a performance artifact: any
@@ -172,12 +173,26 @@ impl HotStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mvm_symbolic::{CanonFp, PortableCache, PortableResult, PortableVerdict};
     use res_workloads::{build, BugKind, WorkloadParams};
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("res-serve-hot-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// A one-entry export with fingerprint `fp`.
+    fn one_entry(fp: u128) -> PortableCache {
+        PortableCache {
+            entries: vec![(
+                CanonFp(fp),
+                PortableResult {
+                    verdict: PortableVerdict::Unsat,
+                    assignments: 0,
+                },
+            )],
+        }
     }
 
     #[test]
@@ -206,8 +221,8 @@ mod tests {
         .collect();
         let first = hot.checkout(&progs[0]);
         // Dirty the second store so its eviction commit has something
-        // to persist (clean commits are no-ops).
-        hot.checkout(&progs[1]).lock().unwrap().note_hits(1);
+        // to persist (commits with no new entry write nothing).
+        hot.checkout(&progs[1]).lock().unwrap().merge(&one_entry(1));
         // Touch the first again so the second is the LRU victim.
         hot.checkout(&progs[0]);
         hot.checkout(&progs[2]);
@@ -221,6 +236,40 @@ mod tests {
             "eviction must commit the store"
         );
         drop(first);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn age_policy_compacts_once_over_two_writing_commits() {
+        let dir = temp_dir("age");
+        let policy = CompactionPolicy {
+            max_stale_stats: Some(0),
+            ..CompactionPolicy::default()
+        };
+        let rec = Recorder::memory();
+        let hot = HotStore::new(&dir, 1, policy, &rec);
+        let p = build(BugKind::DivByZero, WorkloadParams::default());
+        let store = hot.checkout(&p);
+        // Each flush commits one new entry; the second leaves one stale
+        // stats record, which `max_stale_stats: Some(0)` reclaims.
+        for fp in [1, 2] {
+            store.lock().unwrap().merge(&one_entry(fp));
+            assert_eq!(hot.flush_all(), 1);
+        }
+        // A flush with nothing new writes nothing and compacts nothing.
+        store.lock().unwrap().note_hits(3);
+        assert_eq!(hot.flush_all(), 1);
+        let auto = rec
+            .snapshot()
+            .iter()
+            .filter(|e| e.kind.name() == Some("store.compact.auto"))
+            .count();
+        assert_eq!(auto, 1, "exactly one automatic compaction");
+        let fp = program_fingerprint(&p);
+        let on_disk = SolverStore::open(dir.join(format!("{fp:016x}.resstore")), fp);
+        assert_eq!(on_disk.stats().compactions, 1);
+        assert_eq!(on_disk.stats().commits, 2);
+        assert_eq!(on_disk.len(), 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -19,7 +19,8 @@
 //!   same way a torn store tail is.
 //! * **Hot store** ([`hotstore`]). Absorbed per-program
 //!   [`res_store::SolverStore`]s stay open across requests in an LRU
-//!   set; commits happen on eviction and shutdown, and each commit
+//!   set; commits happen on eviction and shutdown, write only when
+//!   requests taught the store new entries, and each writing commit
 //!   runs the store's [`res_store::CompactionPolicy`]
 //!   (age/size/supersedure — `store.compact.auto` in the journal).
 //! * **Bounded ingest + admission control** ([`server`]). A full queue

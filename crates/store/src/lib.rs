@@ -53,7 +53,9 @@
 //!   rewrite old entries; a re-appended fingerprint *supersedes* the
 //!   earlier record and [`SolverStore::compact`] drops the dead ones.
 //! * `S` stats records are the observability block ([`StoreStats`]);
-//!   append-only like everything else, last one wins.
+//!   append-only like everything else, last one wins. Only a commit
+//!   that appends entries writes one: a commit with nothing new leaves
+//!   the file untouched, so a warm run costs its read and nothing more.
 //! * Records with an unknown tag but valid framing are skipped, so
 //!   later format minor-extensions stay readable. Stores written by
 //!   older builds may carry `V` records (subtree-verdict certificates,
@@ -61,9 +63,9 @@
 //!   [`SolverStore::compact`] drops them.
 //!
 //! Commits are atomic: the new content is written to a sibling
-//! temporary file, synced, and `rename`d over the store
-//! ([`write_atomic`]), so a crash mid-commit never corrupts
-//! previously-committed records. After a commit the
+//! temporary file, synced, and `rename`d over the store, and the parent
+//! directory is synced on Unix ([`write_atomic`]), so a crash mid-commit
+//! never corrupts previously-committed records. After a commit the
 //! store also compacts itself per a [`CompactionPolicy`] — supersedure
 //! ratio, byte ceiling, and/or stale-stats age
 //! ([`SolverStore::set_compaction_policy`]).

@@ -6,7 +6,7 @@ use std::path::{Path, PathBuf};
 
 use mvm_isa::Program;
 use mvm_json::{json_enum, json_struct};
-use mvm_symbolic::{CanonFp, PortableCache, PortableResult, SolverSession};
+use mvm_symbolic::{AbsorbSource, CanonFp, PortableCache, PortableResult, SolverSession};
 use res_obs::Recorder;
 
 use crate::format::{
@@ -39,11 +39,12 @@ pub const DEFAULT_AUTO_COMPACT_RATIO: f64 = 0.5;
 ///   reclaim something (supersedure garbage or stale stats records);
 ///   otherwise a large-but-dense store would recompact on every commit
 ///   for no gain.
-/// * **age** — every commit appends one `S` (stats) record and leaves
-///   the previous ones in place, so the count of *stale* stats records
-///   is a durable proxy for "commits since last compaction" that needs
-///   no timestamps and no format change. A long-running daemon uses
-///   this to bound how ragged its hot stores get.
+/// * **age** — every commit that writes appends one `S` (stats) record
+///   and leaves the previous ones in place, so the count of *stale*
+///   stats records is a durable proxy for "writing commits since last
+///   compaction" that needs no timestamps and no format change. A
+///   long-running daemon uses this to bound how ragged its hot stores
+///   get.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompactionPolicy {
     /// Compact when `superseded / entry_records` strictly exceeds this
@@ -53,8 +54,8 @@ pub struct CompactionPolicy {
     /// there is something reclaimable. `None` disables.
     pub max_bytes: Option<u64>,
     /// Compact when more than this many stale stats records have
-    /// accumulated (i.e. after `max_stale_stats + 1` commits without a
-    /// compaction). `None` disables.
+    /// accumulated (i.e. after `max_stale_stats + 1` writing commits
+    /// without a compaction). `None` disables.
     pub max_stale_stats: Option<u64>,
 }
 
@@ -142,8 +143,8 @@ impl LoadReport {
     }
 }
 
-/// The persisted observability block: one `S` record per commit,
-/// last one wins.
+/// The persisted observability block: one `S` record per commit that
+/// writes, last one wins.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StoreStats {
     /// Distinct live entries at the last commit.
@@ -151,11 +152,14 @@ pub struct StoreStats {
     /// File size in bytes at the last commit, excluding the trailing
     /// stats record itself.
     pub bytes: u64,
-    /// Cumulative absorbed hits this store has served across every run
-    /// that committed through it (reported via
-    /// [`SolverStore::note_hits`]).
+    /// Cumulative absorbed hits this store has served, reported via
+    /// [`SolverStore::note_hits`]. Hits reach the file only with a
+    /// commit that appends entries (or a [`SolverStore::compact`]): a
+    /// run that learns nothing new leaves the file untouched, and its
+    /// hits are not counted here.
     pub absorbed_hits: u64,
-    /// Commits performed over the store's lifetime.
+    /// Commits over the store's lifetime that wrote the file, i.e.
+    /// that appended at least one entry.
     pub commits: u64,
     /// Compaction passes performed.
     pub compactions: u64,
@@ -225,12 +229,11 @@ pub struct SolverStore {
     base: Vec<u8>,
     /// Entry records represented in `base` (for compaction accounting).
     base_entry_records: usize,
-    /// Stats (`S`) records represented in `base` — one per commit since
-    /// the last compaction; all but the final one are stale. The count
-    /// is the [`CompactionPolicy`] age signal.
+    /// Stats (`S`) records represented in `base` — one per writing
+    /// commit since the last compaction; all but the final one are
+    /// stale. The count is the [`CompactionPolicy`] age signal.
     stats_records: usize,
     read_only: bool,
-    hits_dirty: bool,
     /// Auto-compaction policy checked after every commit (see
     /// [`set_compaction_policy`](Self::set_compaction_policy)).
     policy: CompactionPolicy,
@@ -265,7 +268,6 @@ impl SolverStore {
             base_entry_records: 0,
             stats_records: 0,
             read_only: false,
-            hits_dirty: false,
             policy: CompactionPolicy::default(),
             recorder,
         };
@@ -486,8 +488,8 @@ impl SolverStore {
     }
 
     /// Stale stats records accumulated since the last compaction (one
-    /// per commit; the final one is live). The [`CompactionPolicy`] age
-    /// signal, exposed for inspection tools.
+    /// per writing commit; the final one is live). The
+    /// [`CompactionPolicy`] age signal, exposed for inspection tools.
     pub fn stale_stats_records(&self) -> u64 {
         self.stats_records.saturating_sub(1) as u64
     }
@@ -506,10 +508,12 @@ impl SolverStore {
 
     /// Absorbs every entry into `session`'s cross-session cache with
     /// store provenance, so the hits they serve are reported as
-    /// cross-run ([`mvm_symbolic::SessionStats::store_hits`]).
+    /// cross-run ([`mvm_symbolic::SessionStats::store_hits`]). Entries
+    /// are lent, not copied: the session clones only fingerprints it
+    /// does not hold yet, so re-absorbing between calls is cheap.
     pub fn absorb_into(&self, session: &SolverSession) {
         if !self.entries.is_empty() {
-            session.absorb_from_store(&self.to_portable());
+            session.absorb_from(&self.entries, AbsorbSource::Store);
         }
     }
 
@@ -529,18 +533,18 @@ impl SolverStore {
         added
     }
 
-    /// Records absorbed hits served from this store's entries; folded
-    /// into the persisted [`StoreStats`] at the next commit.
+    /// Records absorbed hits served from this store's entries. They are
+    /// counted in memory at once and reach the file with the next
+    /// commit that appends entries, or with [`compact`](Self::compact);
+    /// hits alone never make a commit write.
     pub fn note_hits(&mut self, n: u64) {
-        if n > 0 {
-            self.stats.absorbed_hits += n;
-            self.hits_dirty = true;
-        }
+        self.stats.absorbed_hits += n;
     }
 
     /// Persists pending entries (and updated stats) by appending to the
-    /// validated prefix and atomically replacing the file. A no-op when
-    /// there is nothing new, and always a no-op on a read-only store.
+    /// validated prefix and atomically replacing the file. A no-op that
+    /// leaves the file untouched when no entry is pending, and always a
+    /// no-op on a read-only store.
     pub fn commit(&mut self) -> io::Result<CommitReport> {
         if self.read_only {
             return Ok(CommitReport {
@@ -549,7 +553,7 @@ impl SolverStore {
                 ..CommitReport::default()
             });
         }
-        if self.pending.is_empty() && !self.hits_dirty {
+        if self.pending.is_empty() {
             return Ok(CommitReport {
                 bytes: self.stats.bytes,
                 ..CommitReport::default()
@@ -577,7 +581,6 @@ impl SolverStore {
         self.base = bytes;
         self.stats_records += 1;
         self.pending.clear();
-        self.hits_dirty = false;
         self.report.outcome = LoadOutcome::Loaded;
         let stats = self.stats;
         self.recorder.event_with("commit", || {
@@ -663,7 +666,6 @@ impl SolverStore {
         self.base_entry_records = self.entries.len();
         self.stats_records = 1;
         self.pending.clear();
-        self.hits_dirty = false;
         self.report.outcome = LoadOutcome::Loaded;
         let bytes_after = self.stats.bytes;
         self.recorder.event_with("compact", || {
@@ -700,8 +702,9 @@ impl SolverStore {
 /// Replaces the file at `path` with `bytes` atomically: the bytes go
 /// to a sibling `<path>.tmp` and are synced to disk before the tmp file
 /// is renamed over `path`, so a crash leaves either the old or the new
-/// complete file, never a torn one. The parent directory must already
-/// exist.
+/// complete file, never a torn one. On Unix the parent directory is
+/// synced after the rename too, so once this returns the new file
+/// survives a crash. The parent directory must already exist.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     use std::io::Write as _;
     let mut tmp_name = path.as_os_str().to_os_string();
@@ -710,7 +713,16 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     let mut f = std::fs::File::create(&tmp)?;
     f.write_all(bytes)?;
     f.sync_all()?;
-    std::fs::rename(&tmp, path)
+    std::fs::rename(&tmp, path)?;
+    #[cfg(unix)]
+    {
+        let parent = match path.parent() {
+            Some(p) if !p.as_os_str().is_empty() => p,
+            _ => Path::new("."),
+        };
+        std::fs::File::open(parent)?.sync_all()?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -925,22 +937,45 @@ mod tests {
     }
 
     #[test]
-    fn hit_counters_persist_across_commits() {
+    fn hit_only_commits_leave_the_file_untouched() {
         let path = tmp_path("hits.resstore");
         let _ = std::fs::remove_file(&path);
 
         let mut s = SolverStore::open(&path, 7);
         s.merge(&cache(vec![entry(1, 10)]));
         s.commit().unwrap();
+        // Backdate the file so a rewrite would show in its mtime even
+        // within the clock's granularity.
+        let old = std::time::UNIX_EPOCH + std::time::Duration::from_secs(1_000_000);
+        std::fs::File::options()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_modified(old)
+            .unwrap();
+        let bytes = std::fs::read(&path).unwrap();
 
         let mut s2 = SolverStore::open(&path, 7);
         s2.note_hits(5);
-        s2.commit().unwrap();
-        let mut s3 = SolverStore::open(&path, 7);
-        assert_eq!(s3.stats().absorbed_hits, 5);
-        s3.note_hits(2);
-        s3.commit().unwrap();
-        assert_eq!(SolverStore::open(&path, 7).stats().absorbed_hits, 7);
+        assert_eq!(s2.merge(&cache(vec![entry(1, 10)])), 0, "nothing new");
+        let report = s2.commit().unwrap();
+        assert_eq!(report.appended, 0);
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "bytes unchanged");
+        assert_eq!(
+            std::fs::metadata(&path).unwrap().modified().unwrap(),
+            old,
+            "a hit-only commit must not rewrite the file"
+        );
+        assert_eq!(s2.stats().absorbed_hits, 5, "hits still count in memory");
+        assert_eq!(SolverStore::open(&path, 7).stats().absorbed_hits, 0);
+
+        // The next commit that appends entries carries the hits along.
+        s2.note_hits(2);
+        s2.merge(&cache(vec![entry(2, 20)]));
+        assert_eq!(s2.commit().unwrap().appended, 1);
+        let s3 = SolverStore::open(&path, 7);
+        assert_eq!(s3.stats().absorbed_hits, 7);
+        assert_eq!(s3.stats().commits, 2, "only writing commits count");
     }
 
     #[test]

@@ -247,6 +247,13 @@ impl PortableCache {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
+
+    /// The entries as borrowed `(fingerprint, result)` pairs, the shape
+    /// [`SolverSession::absorb_from`](crate::SolverSession::absorb_from)
+    /// takes.
+    pub fn iter(&self) -> impl Iterator<Item = (&CanonFp, &PortableResult)> {
+        self.entries.iter().map(|(fp, p)| (fp, p))
+    }
 }
 
 #[cfg(test)]

@@ -16,12 +16,13 @@
 //! budgets are charged against; cache hits cost zero, which is the point.
 
 use std::cell::RefCell;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 
 use mvm_json::json_struct;
 use res_obs::Recorder;
 
-use crate::expr::ExprRef;
+use crate::expr::{ExprRef, SymId};
 use crate::fingerprint::{canonical_key, CanonFp, PortableCache, PortableResult};
 use crate::solver::{SolveResult, Solver, SolverConfig, UnknownReason};
 
@@ -123,9 +124,8 @@ impl SessionStats {
 #[derive(Debug, Default)]
 pub struct SolverSession {
     solver: Solver,
-    /// Exact memo: constraint sequence → (result, original assignment
-    /// cost, renaming-equivariant?).
-    cache: RefCell<HashMap<Vec<ExprRef>, (SolveResult, u64, bool)>>,
+    /// Exact memo: constraint sequence → (result, its α-canonical form).
+    cache: RefCell<HashMap<Vec<ExprRef>, (SolveResult, Canon)>>,
     /// Cross-session cache absorbed from other sessions' portable
     /// exports, keyed by α-canonical fingerprint and tagged with where
     /// the entry came from. Consulted only after the exact memo misses.
@@ -137,6 +137,27 @@ pub struct SolverSession {
     /// hands in an already-scoped recorder (the engine uses
     /// `rec.scoped("solver")`), so counter names here stay bare.
     recorder: RefCell<Recorder>,
+}
+
+/// The α-canonical form of one memo entry, computed at most once: on
+/// the memo miss when an absorbed cache already forced the key, else on
+/// the first [`SolverSession::export_portable`] that needs it.
+#[derive(Debug)]
+enum Canon {
+    /// Not renaming-equivariant: never exported.
+    Private,
+    /// Renaming-equivariant, not canonicalized yet; holds the original
+    /// assignment cost.
+    Lazy(u64),
+    /// Renaming-equivariant and canonicalized.
+    Known(Box<(CanonFp, PortableResult)>),
+}
+
+impl Canon {
+    fn known(fp: CanonFp, result: &SolveResult, cost: u64, sorted_syms: &[SymId]) -> Canon {
+        PortableResult::from_result(result, cost, sorted_syms)
+            .map_or(Canon::Private, |p| Canon::Known(Box::new((fp, p))))
+    }
 }
 
 /// Where an absorbed cache entry originated. The distinction only
@@ -198,14 +219,17 @@ impl SolverSession {
         let mut stats = self.stats.borrow_mut();
         stats.queries += 1;
         rec.counter("queries", 1);
-        if let Some((hit, _, _)) = self.cache.borrow().get(constraints) {
+        if let Some((hit, _)) = self.cache.borrow().get(constraints) {
             stats.cache_hits += 1;
             rec.counter("cache_hits", 1);
             Self::tally(&mut stats, &rec, hit);
             return hit.clone();
         }
         // Absorbed (α-canonical) lookup. The guard keeps the common
-        // single-session path free of canonicalization overhead.
+        // single-session path free of canonicalization overhead; when
+        // it runs, the key is kept for the memo entry so no export has
+        // to canonicalize this query again.
+        let mut key = None;
         if !self.absorbed.borrow().is_empty() {
             let (fp, sorted_syms) = canonical_key(constraints);
             let instantiated = self
@@ -229,11 +253,13 @@ impl SolverSession {
                 stats.assignments += cost;
                 rec.counter("assignments", cost);
                 Self::tally(&mut stats, &rec, &result);
+                let canon = Canon::known(fp, &result, cost, &sorted_syms);
                 self.cache
                     .borrow_mut()
-                    .insert(constraints.to_vec(), (result.clone(), cost, true));
+                    .insert(constraints.to_vec(), (result.clone(), canon));
                 return result;
             }
+            key = Some((fp, sorted_syms));
         }
         stats.cache_misses += 1;
         rec.counter("cache_misses", 1);
@@ -243,25 +269,32 @@ impl SolverSession {
         stats.assignments += used;
         rec.counter("assignments", used);
         Self::tally(&mut stats, &rec, &result);
+        let canon = match key {
+            _ if !portable => Canon::Private,
+            Some((fp, sorted_syms)) => Canon::known(fp, &result, used, &sorted_syms),
+            None => Canon::Lazy(used),
+        };
         self.cache
             .borrow_mut()
-            .insert(constraints.to_vec(), (result.clone(), used, portable));
+            .insert(constraints.to_vec(), (result.clone(), canon));
         result
     }
 
     /// Exports every renaming-equivariant cached result as an
     /// α-canonical [`PortableCache`], deduplicated by fingerprint and in
     /// deterministic (fingerprint) order. The export contains no
-    /// [`ExprRef`]s, so it can cross threads.
+    /// [`ExprRef`]s, so it can cross threads. Each memo entry is
+    /// canonicalized at most once over the session's life, so repeated
+    /// exports cost a walk of the memo, not a re-canonicalization.
     pub fn export_portable(&self) -> PortableCache {
         let mut by_fp: BTreeMap<CanonFp, PortableResult> = BTreeMap::new();
-        for (key, (result, assignments, portable)) in self.cache.borrow().iter() {
-            if !portable {
-                continue;
+        for (key, (result, canon)) in self.cache.borrow_mut().iter_mut() {
+            if let Canon::Lazy(cost) = *canon {
+                let (fp, sorted_syms) = canonical_key(key);
+                *canon = Canon::known(fp, result, cost, &sorted_syms);
             }
-            let (fp, sorted_syms) = canonical_key(key);
-            if let Some(p) = PortableResult::from_result(result, *assignments, &sorted_syms) {
-                by_fp.entry(fp).or_insert(p);
+            if let Canon::Known(known) = canon {
+                by_fp.entry(known.0).or_insert_with(|| known.1.clone());
             }
         }
         PortableCache {
@@ -275,29 +308,34 @@ impl SolverSession {
     /// anyway (modulo the ~2⁻¹²⁸ hash-collision risk, which
     /// [`PortableResult::instantiate`]'s rank guard partially covers).
     pub fn absorb(&self, export: &PortableCache) {
-        self.absorb_from(export, AbsorbSource::Worker);
+        self.absorb_from(export.iter(), AbsorbSource::Worker);
     }
 
-    /// [`absorb`](SolverSession::absorb) for entries loaded from a
-    /// persistent cross-run store: hits they serve are additionally
-    /// counted in [`SessionStats::store_hits`].
-    pub fn absorb_from_store(&self, export: &PortableCache) {
-        self.absorb_from(export, AbsorbSource::Store);
-    }
-
-    /// Merges a portable export, tagging every newly-absorbed entry
-    /// with `source` for hit attribution.
-    pub fn absorb_from(&self, export: &PortableCache, source: AbsorbSource) {
+    /// Merges borrowed `(fingerprint, result)` entries into the absorbed
+    /// cache, tagging each newly-absorbed one with `source` for hit
+    /// attribution (a persistent store passes [`AbsorbSource::Store`],
+    /// so the hits its entries serve are additionally counted in
+    /// [`SessionStats::store_hits`]). Only fingerprints this session
+    /// does not hold yet are cloned, so re-absorbing a large store
+    /// between calls costs one lookup per entry.
+    pub fn absorb_from<'a>(
+        &self,
+        entries: impl IntoIterator<Item = (&'a CanonFp, &'a PortableResult)>,
+        source: AbsorbSource,
+    ) {
         let mut absorbed = self.absorbed.borrow_mut();
-        let before = absorbed.len();
-        for (fp, p) in &export.entries {
-            absorbed.entry(*fp).or_insert_with(|| (p.clone(), source));
+        let (mut seen, mut new) = (0usize, 0usize);
+        for (fp, p) in entries {
+            seen += 1;
+            if let Entry::Vacant(slot) = absorbed.entry(*fp) {
+                slot.insert((p.clone(), source));
+                new += 1;
+            }
         }
-        let new = absorbed.len() - before;
         self.recorder.borrow().event_with("absorb", || {
             vec![
                 ("source".into(), format!("{source:?}")),
-                ("entries".into(), export.entries.len().to_string()),
+                ("entries".into(), seen.to_string()),
                 ("new".into(), new.to_string()),
             ]
         });
@@ -527,7 +565,7 @@ mod tests {
 
         // Store-absorbed: both tick.
         let via_store = SolverSession::new();
-        via_store.absorb_from_store(&export);
+        via_store.absorb_from(export.iter(), AbsorbSource::Store);
         via_store.check(&q(23));
         let st = via_store.stats();
         assert_eq!(st.absorbed_hits, 1);
@@ -566,5 +604,110 @@ mod tests {
         assert_eq!(d.queries, 2);
         assert_eq!(d.cache_misses, 1);
         assert_eq!(d.cache_hits, 1);
+    }
+
+    /// One generated constraint: `(kind, sym a, sym b, constant)`.
+    type Spec = (u64, u64, u64);
+
+    /// Builds a query over symbols `shift + 0..4`. Adding the same
+    /// `shift` to every symbol is a monotone renaming, so shifted
+    /// copies are α-equivalent to the original and can hit an absorbed
+    /// entry. The kinds cover propagation-decided, complete-domain and
+    /// probe-based (private) verdicts.
+    fn query(specs: &[Spec], shift: u32) -> Vec<ExprRef> {
+        specs
+            .iter()
+            .map(|&(kind, ab, c)| {
+                let a = Expr::sym(shift + (ab % 4) as u32);
+                let b = Expr::sym(shift + (ab / 4 % 4) as u32);
+                match kind {
+                    0 => eq(Expr::bin(BinOp::Add, a, Expr::konst(c)), Expr::konst(c + 5)),
+                    1 => Expr::bin(BinOp::LtU, a, Expr::konst(c + 1)),
+                    2 => eq(Expr::bin(BinOp::Mul, a, b), Expr::konst(c)),
+                    3 => Expr::bin(BinOp::LtU, a, b),
+                    4 => Expr::bin(BinOp::Ne, a, Expr::konst(c)),
+                    _ => eq(
+                        Expr::bin(BinOp::And, a, Expr::konst(0xf0)),
+                        Expr::konst(c << 4),
+                    ),
+                }
+            })
+            .collect()
+    }
+
+    /// The export recomputed from scratch: every distinct query asked so
+    /// far is solved afresh and, when renaming-equivariant,
+    /// canonicalized with [`canonical_key`].
+    fn export_from_scratch(asked: &[Vec<ExprRef>]) -> PortableCache {
+        let solver = Solver::new();
+        let mut by_fp = BTreeMap::new();
+        for q in asked {
+            let (result, used, portable) = solver.check_classified(q);
+            if !portable {
+                continue;
+            }
+            let (fp, sorted_syms) = canonical_key(q);
+            if let Some(p) = PortableResult::from_result(&result, used, &sorted_syms) {
+                by_fp.entry(fp).or_insert(p);
+            }
+        }
+        PortableCache {
+            entries: by_fp.into_iter().collect(),
+        }
+    }
+
+    /// The memoized canonical form never drifts from a recomputation:
+    /// over random constraint sets, in sessions with no absorbed cache,
+    /// with a worker-absorbed one and with a store-absorbed one, every
+    /// export (including those taken right after absorbed hits) equals
+    /// the export recomputed from scratch.
+    #[test]
+    fn memoized_export_equals_export_recomputed_from_scratch() {
+        use proptest_mini::{
+            check, pair, prop_assert_eq, triple, u64_range, usize_range, vec_of, Config,
+        };
+        use std::cell::Cell;
+
+        let spec = triple(u64_range(0, 6), u64_range(0, 16), u64_range(0, 12));
+        let queries = vec_of(vec_of(spec, 1, 4), 1, 7);
+        let absorbed_hits = Cell::new(0u64);
+        check(
+            "memoized_export_equals_export_recomputed_from_scratch",
+            &Config::with_cases(128),
+            &pair(queries, usize_range(0, 3)),
+            |(queries, mode)| {
+                // The origin session solves the first half; its export
+                // seeds the session under test (mode 1: worker, mode 2:
+                // store), which asks every query renamed.
+                let origin = SolverSession::new();
+                for specs in &queries[..queries.len() / 2] {
+                    origin.check(&query(specs, 0));
+                }
+                let session = SolverSession::new();
+                match mode {
+                    1 => session.absorb(&origin.export_portable()),
+                    2 => session.absorb_from(origin.export_portable().iter(), AbsorbSource::Store),
+                    _ => {}
+                }
+                let mut asked = Vec::new();
+                for specs in queries {
+                    let q = query(specs, 7);
+                    session.check(&q);
+                    // A repeat is an exact-memo hit and adds no entry.
+                    session.check(&q);
+                    asked.push(q);
+                    prop_assert_eq!(
+                        session.export_portable().entries,
+                        export_from_scratch(&asked).entries
+                    );
+                }
+                absorbed_hits.set(absorbed_hits.get() + session.stats().absorbed_hits);
+                Ok(())
+            },
+        );
+        assert!(
+            absorbed_hits.get() > 0,
+            "the property must cover exports taken after absorbed hits"
+        );
     }
 }

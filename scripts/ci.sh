@@ -40,15 +40,22 @@ echo "==> cross-run determinism gate (golden suffix fixture, cold then warm stor
 # store synthesizes byte-identical suffixes to a cold run. Run the
 # golden fixture test twice against one store file — the first run
 # populates it, the second answers solver queries from it; both must
-# match the very same cold golden fixture.
+# match the very same cold golden fixture. The warm run learns nothing
+# new, so it must not write the store either: the file after the warm
+# pass must equal a copy taken after the cold one.
 scratch_dir="$(mktemp -d)"
 trap 'rm -rf "$scratch_dir"' EXIT
 for pass in cold warm; do
     echo "    RES_CACHE_PATH ($pass)"
     RES_CACHE_PATH="$scratch_dir/ci.resstore" cargo test -q --test suffix_golden \
         default_dfs_suffixes_match_pre_refactor_fixture
+    if [ "$pass" = cold ]; then
+        test -s "$scratch_dir/ci.resstore" || { echo "store was never populated"; exit 1; }
+        cp "$scratch_dir/ci.resstore" "$scratch_dir/ci.cold.resstore"
+    fi
 done
-test -s "$scratch_dir/ci.resstore" || { echo "store was never populated"; exit 1; }
+cmp "$scratch_dir/ci.resstore" "$scratch_dir/ci.cold.resstore" \
+    || { echo "the warm pass rewrote the store"; exit 1; }
 
 echo "==> triage daemon gate (serve/submit round trip, batch byte-identity)"
 # Layer 1: the shipped binaries. Boot `res-serve` on an ephemeral port,
@@ -104,13 +111,13 @@ echo "$journal_out" | grep -Eq 'c[0-9]+\.[0-9]+ +triage +[0-9]+ +ok' \
 # connections twice (cold, then warm hot store), and exits non-zero
 # unless every answer is byte-identical to the sequential direct
 # library run, the warm pass serves a nonzero hot-store hit rate, and
-# automatic store compaction fired. Emits BENCH_serve_throughput.json
-# plus the daemon's own journal.
+# the journal shows store commits, each of which appended entries.
+# Emits BENCH_serve_throughput.json plus the daemon's own journal.
 RES_BENCH_OUT="$repo_root" \
     cargo run --release -q -p res-bench --bin harness -- srv | tail -n 1
 test -s "$repo_root/BENCH_serve_throughput.json" \
     || { echo "serve bench artifact was never written"; exit 1; }
-for needle in serve.queue.depth serve.hot.programs serve.hot.hit store.compact.auto; do
+for needle in serve.queue.depth serve.hot.programs serve.hot.hit store.commit; do
     grep -q "$needle" "$repo_root/BENCH_serve_journal.jsonl" \
         || { echo "daemon journal missing $needle"; exit 1; }
 done

@@ -94,10 +94,13 @@ fn inspect(path: &Path, compact: bool) -> Result<(), String> {
         report.superseded as f64 / total as f64
     };
     println!("  superseded ratio: {ratio:.2}");
-    println!("  stats (persisted at last commit):");
+    println!("  stats (persisted at the last commit that wrote entries):");
     println!("    entries:        {}", stats.entries);
     println!("    bytes:          {}", stats.bytes);
-    println!("    absorbed hits:  {}", stats.absorbed_hits);
+    println!(
+        "    absorbed hits:  {} (up to that write)",
+        stats.absorbed_hits
+    );
     println!("    commits:        {}", stats.commits);
     println!("    compactions:    {}", stats.compactions);
 

@@ -229,6 +229,28 @@ fn legacy_verdict_records_are_skipped_and_compacted_away() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A warm run that learns nothing new must cost only its read: two
+/// warm `cache_path` runs serve hits from the store, append nothing and
+/// leave the file byte-identical to what the cold run wrote.
+#[test]
+fn warm_runs_that_learn_nothing_leave_the_store_byte_identical() {
+    let (program, dump, golden, path, dir) = populated_store("warmread");
+    let cold_bytes = std::fs::read(&path).unwrap();
+    for pass in 1..=2 {
+        let (warm, report) = run_with_store(&program, &dump, &path);
+        assert_eq!(warm, golden, "warm pass {pass} changed the synthesis");
+        assert!(report.store_hits > 0, "warm pass {pass} served no hits");
+        assert_eq!(report.appended_entries, 0, "warm pass {pass} learned");
+        assert!(report.committed, "nothing new is trivially committed");
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            cold_bytes,
+            "warm pass {pass} rewrote the store"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn empty_store_file_is_a_cold_start() {
     let (program, dump) = crash();

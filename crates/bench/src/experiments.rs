@@ -1233,8 +1233,6 @@ pub struct ServeThroughputArtifact {
     pub passes: Vec<ServePassRow>,
     /// `store.commit` marks in the daemon journal (commits that wrote).
     pub commits: u64,
-    /// `store.compact.auto` events observed in the daemon journal.
-    pub compactions: u64,
     /// The acceptance shape (see [`srv_serve_throughput`]).
     pub shape_holds: bool,
 }
@@ -1247,7 +1245,6 @@ mvm_json::json_struct!(ServeThroughputArtifact {
     hot_cap,
     passes,
     commits,
-    compactions,
     shape_holds
 });
 
@@ -1268,18 +1265,14 @@ fn srv_identity(resp: &res_triage::TriageResponse) -> String {
 /// sequential direct library runs.
 ///
 /// The daemon runs with a hot-store capacity *below* the number of
-/// distinct programs and an aggressive age-based compaction policy, so
-/// the pass exercises the store lifecycle: open → absorb → evict →
-/// commit → re-open. The shape holds when every response (both passes)
-/// is byte-identical to its sequential golden, the warm pass serves a
-/// nonzero hot hit rate, and the journal shows at least one store
-/// commit, every one of which appended entries: a store that learned
-/// nothing is never rewritten. (Automatic compaction is counted but
-/// not required: it only fires on a store's second writing commit,
-/// which a warm pass that learns nothing never makes.)
+/// distinct programs, so the pass exercises the store lifecycle:
+/// open → absorb → evict → commit → re-open. The shape holds when
+/// every response (both passes) is byte-identical to its sequential
+/// golden, the warm pass serves a nonzero hot hit rate, and the journal
+/// shows at least one store commit, every one of which appended
+/// entries: a store that learned nothing is never rewritten.
 pub fn srv_serve_throughput() -> Experiment {
     use res_serve::{serve, ServeConfig, TriageClient};
-    use res_store::CompactionPolicy;
     use res_triage::TriageRequest;
 
     let spec = CorpusSpec {
@@ -1311,7 +1304,7 @@ pub fn srv_serve_throughput() -> Experiment {
     std::fs::create_dir_all(&scratch).expect("create bench scratch dir");
     let bench_out = std::env::var_os("RES_BENCH_OUT").map(std::path::PathBuf::from);
     // The journal survives in RES_BENCH_OUT (CI greps it for the
-    // serve.* gauges and the store.compact.auto marks).
+    // serve.* gauges and the store.commit marks).
     let journal = bench_out
         .as_deref()
         .unwrap_or(&scratch)
@@ -1324,15 +1317,6 @@ pub fn srv_serve_throughput() -> Experiment {
         workers: DAEMON_WORKERS,
         hot_cap: HOT_CAP,
         store_dir: Some(scratch.join("hot")),
-        // Compact whenever a commit leaves any stale stats record —
-        // i.e. on every second writing commit of a store file. Only
-        // commits that append entries write, so in this short run a
-        // file rarely gets a second one; the trigger itself is pinned
-        // by `res-serve`'s hot-store unit tests.
-        policy: CompactionPolicy {
-            max_stale_stats: Some(0),
-            ..CompactionPolicy::default()
-        },
         trace: Some(journal.clone()),
         ..ServeConfig::default()
     })
@@ -1405,7 +1389,6 @@ pub fn srv_serve_throughput() -> Experiment {
         .collect();
     let commits = appended.len() as u64;
     let empty_commits = appended.iter().filter(|&&n| n == 0).count();
-    let compactions = marks("store.compact.auto").count() as u64;
     let warm_hits = warm.hot_hits - cold.hot_hits;
     let shape_holds =
         cold.identical && warm.identical && warm_hits > 0 && commits > 0 && empty_commits == 0;
@@ -1429,7 +1412,7 @@ pub fn srv_serve_throughput() -> Experiment {
     let _ = writeln!(
         table,
         "store commits: {commits} ({} entries appended, {empty_commits} empty), \
-         auto-compactions: {compactions}, warm-pass hot hits: {warm_hits}",
+         warm-pass hot hits: {warm_hits}",
         appended.iter().sum::<u64>()
     );
 
@@ -1446,7 +1429,6 @@ pub fn srv_serve_throughput() -> Experiment {
             hot_cap: HOT_CAP as u64,
             passes: vec![cold, warm],
             commits,
-            compactions,
             shape_holds,
         };
         let _ = std::fs::create_dir_all(dir);

@@ -13,12 +13,12 @@
 //!   ([`Recorder::span`], [`Span::child`]). Each span emits a
 //!   [`EventKind::Span`] on open and an [`EventKind::End`] (with its
 //!   duration) on drop.
-//! * **Metrics** — named [`counters`](Recorder::counter),
-//!   [`gauges`](Recorder::gauge), and
-//!   [`histograms`](Recorder::observe), accumulated in memory and
-//!   flushed as cumulative-total events by [`Recorder::finish`]
-//!   (append-only; the last total for a name wins, like the store's
-//!   stats records).
+//! * **Metrics** — named [`counters`](Recorder::counter) and
+//!   [`gauges`](Recorder::gauge), accumulated in memory and flushed as
+//!   cumulative-total events by [`Recorder::finish`] (append-only; the
+//!   last total for a name wins, like the store's stats records).
+//!   Distributions are [`Registry`] histograms, journaled by
+//!   [`Registry::flush_to`].
 //! * **Marks** — discrete occurrences with string fields
 //!   ([`Recorder::event_with`]): a budget cut, a store defect, an
 //!   absorb with its provenance.

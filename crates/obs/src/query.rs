@@ -239,6 +239,7 @@ pub fn histo_summaries(events: &[Event]) -> Vec<HistoSnapshot> {
 mod tests {
     use super::*;
     use crate::recorder::Recorder;
+    use crate::registry::Registry;
 
     #[test]
     fn glob_matches_literals_and_stars() {
@@ -345,10 +346,12 @@ mod tests {
     #[test]
     fn histo_summaries_compute_quantiles() {
         let rec = Recorder::memory();
+        let reg = Registry::new();
+        let lat = reg.histogram("lat_us");
         for v in 1..=100u64 {
-            rec.observe("lat_us", v);
+            lat.record(v);
         }
-        rec.finish();
+        reg.flush_to(&rec);
         let summaries = histo_summaries(&rec.snapshot());
         assert_eq!(summaries.len(), 1);
         let s = &summaries[0];

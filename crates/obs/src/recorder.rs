@@ -10,7 +10,6 @@ use std::time::Instant;
 use mvm_json::{FromJson as _, Json, ToJson as _};
 
 use crate::event::{Event, EventKind};
-use crate::registry::{bucket_index, BUCKETS};
 
 /// The journal schema version this crate writes. Every JSONL line
 /// carries a leading `"v"` key so readers can tell apart (and skip)
@@ -63,26 +62,6 @@ enum SinkOut {
 struct Metrics {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, u64>,
-    histos: BTreeMap<String, HistoAcc>,
-}
-
-#[derive(Debug, Clone)]
-struct HistoAcc {
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
-    buckets: [u64; BUCKETS],
-}
-
-impl HistoAcc {
-    fn trimmed_buckets(&self) -> Vec<u64> {
-        let mut buckets = self.buckets.to_vec();
-        while buckets.last() == Some(&0) {
-            buckets.pop();
-        }
-        buckets
-    }
 }
 
 impl Recorder {
@@ -186,26 +165,6 @@ impl Recorder {
             .insert(self.key(name), value);
     }
 
-    /// Records one observation in the named histogram (count/sum/min/
-    /// max summary plus a power-of-two bucket distribution, so
-    /// [`render`](crate::render) can print quantiles post-mortem).
-    pub fn observe(&self, name: &str, value: u64) {
-        let Some(inner) = &self.inner else { return };
-        let mut metrics = inner.metrics.lock().expect("metrics lock");
-        let h = metrics.histos.entry(self.key(name)).or_insert(HistoAcc {
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-            buckets: [0; BUCKETS],
-        });
-        h.count += 1;
-        h.sum += value;
-        h.min = h.min.min(value);
-        h.max = h.max.max(value);
-        h.buckets[bucket_index(value)] += 1;
-    }
-
     /// Emits a discrete [`EventKind::Mark`]. The field closure runs
     /// only when the recorder is enabled, so callers can format freely
     /// without paying on the disabled path.
@@ -246,10 +205,12 @@ impl Recorder {
     }
 
     /// Flushes the accumulated metric totals (as cumulative
-    /// [`EventKind::Count`]/[`Gauge`](EventKind::Gauge)/
-    /// [`Histo`](EventKind::Histo) events, in sorted name order) and
-    /// the journal file. Call at the end of a run; calling again later
-    /// appends a newer snapshot — the last total for a name wins.
+    /// [`EventKind::Count`]/[`Gauge`](EventKind::Gauge) events, in
+    /// sorted name order) and the journal file. Call at the end of a
+    /// run; calling again later appends a newer snapshot — the last
+    /// total for a name wins. Histograms live in a
+    /// [`Registry`](crate::Registry) and reach the journal through
+    /// [`Registry::flush_to`](crate::Registry::flush_to).
     pub fn finish(&self) {
         let Some(inner) = &self.inner else { return };
         let metrics = inner.metrics.lock().expect("metrics lock");
@@ -269,14 +230,6 @@ impl Recorder {
                         value,
                     }),
             )
-            .chain(metrics.histos.iter().map(|(name, h)| EventKind::Histo {
-                name: name.clone(),
-                count: h.count,
-                sum: h.sum,
-                min: h.min,
-                max: h.max,
-                buckets: Some(h.trimmed_buckets()),
-            }))
             .collect();
         drop(metrics);
         for kind in counts {
@@ -290,7 +243,7 @@ impl Recorder {
 
     /// Emits the current value of every gauge under this handle's
     /// prefix as [`EventKind::Gauge`] events *now*, without flushing
-    /// counters or histograms. A long-lived daemon calls this per
+    /// counters. A long-lived daemon calls this per
     /// request completion so the journal records a **time series** of
     /// queue depth / hot-set size instead of a single final total;
     /// [`finish`](Recorder::finish) at shutdown still writes the last
@@ -501,7 +454,6 @@ mod tests {
         assert!(!rec.enabled());
         rec.counter("c", 1);
         rec.gauge("g", 2);
-        rec.observe("h", 3);
         rec.event_with("m", || vec![("k".into(), "v".into())]);
         let span = rec.span("s");
         assert_eq!(span.id(), None);
@@ -562,8 +514,6 @@ mod tests {
         rec.counter("a", 2);
         rec.gauge("g", 9);
         rec.gauge("g", 4);
-        rec.observe("h", 10);
-        rec.observe("h", 2);
         rec.finish();
         rec.counter("a", 1);
         rec.finish();
@@ -575,18 +525,6 @@ mod tests {
             _ => None,
         });
         assert_eq!(gauge, Some(4), "gauge keeps the last write");
-        let histo = events.iter().find_map(|e| match &e.kind {
-            EventKind::Histo {
-                name,
-                count,
-                sum,
-                min,
-                max,
-                ..
-            } if name == "h" => Some((*count, *sum, *min, *max)),
-            _ => None,
-        });
-        assert_eq!(histo, Some((2, 12, 2, 10)));
     }
 
     #[test]
@@ -694,24 +632,6 @@ mod tests {
                 .any(|e| matches!(&e.kind, EventKind::Gauge { name, .. } if name == "other")),
             "a scoped flush only covers gauges under its prefix"
         );
-    }
-
-    #[test]
-    fn observe_accumulates_buckets() {
-        let rec = Recorder::memory();
-        rec.observe("h", 0);
-        rec.observe("h", 1);
-        rec.observe("h", 1000);
-        rec.finish();
-        let buckets = rec.snapshot().iter().find_map(|e| match &e.kind {
-            EventKind::Histo { name, buckets, .. } if name == "h" => buckets.clone(),
-            _ => None,
-        });
-        let buckets = buckets.expect("finish emits bucketed histos");
-        assert_eq!(buckets.iter().sum::<u64>(), 3);
-        assert_eq!(buckets[0], 1, "zero lands in bucket 0");
-        assert_eq!(buckets[1], 1);
-        assert_eq!(buckets[crate::registry::bucket_index(1000)], 1);
     }
 
     #[test]

@@ -445,4 +445,33 @@ mod tests {
         });
         assert!(found, "registry flush must emit a bucketed Histo event");
     }
+
+    #[test]
+    fn flush_to_journals_the_summary_and_the_buckets() {
+        let rec = Recorder::memory();
+        let reg = Registry::new();
+        let h = reg.histogram("h");
+        for v in [0, 1, 1000] {
+            h.record(v);
+        }
+        reg.flush_to(&rec);
+        let histo = rec.snapshot().iter().find_map(|e| match &e.kind {
+            crate::EventKind::Histo {
+                name,
+                count,
+                sum,
+                min,
+                max,
+                buckets,
+            } if name == "h" => Some((*count, *sum, *min, *max, buckets.clone())),
+            _ => None,
+        });
+        let (count, sum, min, max, buckets) = histo.expect("flush emits a Histo event");
+        assert_eq!((count, sum, min, max), (3, 1001, 0, 1000));
+        let buckets = buckets.expect("registry histograms carry buckets");
+        assert_eq!(buckets.iter().sum::<u64>(), 3);
+        assert_eq!(buckets[0], 1, "zero lands in bucket 0");
+        assert_eq!(buckets[1], 1);
+        assert_eq!(buckets[bucket_index(1000)], 1);
+    }
 }

@@ -222,6 +222,7 @@ pub fn render(events: &[Event]) -> String {
 mod tests {
     use super::*;
     use crate::recorder::Recorder;
+    use crate::registry::Registry;
 
     #[test]
     fn tree_shows_nesting_and_durations() {
@@ -263,13 +264,15 @@ mod tests {
     #[test]
     fn render_includes_all_sections() {
         let rec = Recorder::memory();
+        let reg = Registry::new();
         {
             let _run = rec.span("run");
             rec.counter("kernel.nodes_expanded", 41);
             rec.gauge("workers", 4);
-            rec.observe("suffix.len", 6);
+            reg.histogram("suffix.len").record(6);
             rec.event_with("store.open", || vec![("outcome".into(), "Loaded".into())]);
         }
+        reg.flush_to(&rec);
         rec.finish();
         let report = render(&rec.snapshot());
         for needle in [
@@ -291,10 +294,12 @@ mod tests {
     #[test]
     fn histogram_section_prints_quantiles_when_buckets_present() {
         let rec = Recorder::memory();
+        let reg = Registry::new();
+        let rtt = reg.histogram("rtt_us");
         for v in [10u64, 20, 30, 400, 5000] {
-            rec.observe("rtt_us", v);
+            rtt.record(v);
         }
-        rec.finish();
+        reg.flush_to(&rec);
         let report = render(&rec.snapshot());
         assert!(report.contains("p50="), "{report}");
         assert!(report.contains("p95="), "{report}");

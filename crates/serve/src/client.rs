@@ -93,12 +93,14 @@ impl TriageClient {
         }
     }
 
-    /// The daemon's counters.
+    /// The daemon's counters: a [`stats_query`](TriageClient::stats_query)
+    /// without histograms or the flight recorder.
     pub fn stats(&mut self) -> io::Result<ServerStats> {
-        match self.call(&WireRequest::Stats)? {
-            WireResponse::Stats(s) => Ok(s),
-            other => Err(unexpected(other)),
-        }
+        let q = StatsRequest {
+            histograms: false,
+            recent: false,
+        };
+        Ok(self.stats_query(&q)?.server)
     }
 
     /// The full telemetry snapshot: counters, latency histograms, and

@@ -8,10 +8,7 @@
 //! [`res_core::search::ResEngine::synthesize_in_store`]). A store is
 //! committed to its `res-store` file only when its program falls out of
 //! the hot set, and at shutdown ([`HotStore::flush_all`]). A commit
-//! writes only when requests taught the store new entries; a writing
-//! commit runs the store's [`CompactionPolicy`], which is where the
-//! daemon's automatic age/size/supersedure compaction fires
-//! (`store.compact.auto` in the trace journal).
+//! writes only when requests taught the store new entries.
 //!
 //! Stores never change answers (see `res-store`'s determinism
 //! argument), so the hot set is purely a performance artifact: any
@@ -20,11 +17,20 @@
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use mvm_isa::Program;
 use res_obs::Recorder;
-use res_store::{program_fingerprint, CompactionPolicy, SolverStore};
+use res_store::{program_fingerprint, SolverStore};
+
+/// Locks one program's store. A job that panicked while holding the
+/// lock poisons it; the store is still consistent, because it is
+/// changed only by `merge`/`note_hits`, which run after a search has
+/// returned. So a poisoned lock is taken over instead of failing every
+/// later request for the program.
+pub(crate) fn lock_store(store: &Mutex<SolverStore>) -> MutexGuard<'_, SolverStore> {
+    store.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// One open store plus its LRU bookkeeping.
 struct Slot {
@@ -47,12 +53,11 @@ struct Inner {
 pub struct HotStore {
     dir: PathBuf,
     cap: usize,
-    policy: CompactionPolicy,
     /// `serve.hot.*` metrics.
     rec: Recorder,
-    /// Handed to each opened store, so store events (`store.commit`,
-    /// `store.compact.auto`) land in the daemon's journal under the
-    /// same names the library path uses.
+    /// Handed to each opened store, so store events (`store.open`,
+    /// `store.commit`) land in the daemon's journal under the same
+    /// names the library path uses.
     store_rec: Recorder,
     inner: Mutex<Inner>,
 }
@@ -62,16 +67,10 @@ impl HotStore {
     /// program, the same layout `res_triage::store_path_for` uses)
     /// keeping at most `cap` programs warm. `recorder` is the daemon's
     /// root recorder.
-    pub fn new(
-        dir: impl Into<PathBuf>,
-        cap: usize,
-        policy: CompactionPolicy,
-        recorder: &Recorder,
-    ) -> HotStore {
+    pub fn new(dir: impl Into<PathBuf>, cap: usize, recorder: &Recorder) -> HotStore {
         HotStore {
             dir: dir.into(),
             cap: cap.max(1),
-            policy,
             rec: recorder.scoped("serve.hot"),
             store_rec: recorder.scoped("store"),
             inner: Mutex::new(Inner {
@@ -120,7 +119,7 @@ impl HotStore {
             // the evicted Arc can keep searching against it; results it
             // merges after this point stay memory-only for that Arc's
             // remaining life — the store is a cache, never ground truth.
-            let _ = slot.store.lock().expect("store lock").commit();
+            let _ = lock_store(&slot.store).commit();
             inner.evictions += 1;
             self.rec.counter("evictions", 1);
             self.rec
@@ -128,9 +127,11 @@ impl HotStore {
         }
         let _ = std::fs::create_dir_all(&self.dir);
         let path = self.dir.join(format!("{fp:016x}.resstore"));
-        let mut store = SolverStore::open_with(path, fp, self.store_rec.clone());
-        store.set_compaction_policy(self.policy);
-        let store = Arc::new(Mutex::new(store));
+        let store = Arc::new(Mutex::new(SolverStore::open_with(
+            path,
+            fp,
+            self.store_rec.clone(),
+        )));
         inner.slots.insert(
             fp,
             Slot {
@@ -149,7 +150,7 @@ impl HotStore {
         inner
             .slots
             .values()
-            .filter(|s| s.store.lock().expect("store lock").commit().is_ok())
+            .filter(|s| lock_store(&s.store).commit().is_ok())
             .count()
     }
 
@@ -198,7 +199,7 @@ mod tests {
     #[test]
     fn checkout_is_warm_on_the_second_request() {
         let dir = temp_dir("warm");
-        let hot = HotStore::new(&dir, 2, CompactionPolicy::default(), &Recorder::disabled());
+        let hot = HotStore::new(&dir, 2, &Recorder::disabled());
         let p = build(BugKind::DivByZero, WorkloadParams::default());
         let a = hot.checkout(&p);
         let b = hot.checkout(&p);
@@ -210,7 +211,7 @@ mod tests {
     #[test]
     fn capacity_evicts_lru_and_commits_it() {
         let dir = temp_dir("evict");
-        let hot = HotStore::new(&dir, 2, CompactionPolicy::default(), &Recorder::disabled());
+        let hot = HotStore::new(&dir, 2, &Recorder::disabled());
         let progs: Vec<Program> = [
             BugKind::DivByZero,
             BugKind::UseAfterFree,
@@ -236,40 +237,6 @@ mod tests {
             "eviction must commit the store"
         );
         drop(first);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn age_policy_compacts_once_over_two_writing_commits() {
-        let dir = temp_dir("age");
-        let policy = CompactionPolicy {
-            max_stale_stats: Some(0),
-            ..CompactionPolicy::default()
-        };
-        let rec = Recorder::memory();
-        let hot = HotStore::new(&dir, 1, policy, &rec);
-        let p = build(BugKind::DivByZero, WorkloadParams::default());
-        let store = hot.checkout(&p);
-        // Each flush commits one new entry; the second leaves one stale
-        // stats record, which `max_stale_stats: Some(0)` reclaims.
-        for fp in [1, 2] {
-            store.lock().unwrap().merge(&one_entry(fp));
-            assert_eq!(hot.flush_all(), 1);
-        }
-        // A flush with nothing new writes nothing and compacts nothing.
-        store.lock().unwrap().note_hits(3);
-        assert_eq!(hot.flush_all(), 1);
-        let auto = rec
-            .snapshot()
-            .iter()
-            .filter(|e| e.kind.name() == Some("store.compact.auto"))
-            .count();
-        assert_eq!(auto, 1, "exactly one automatic compaction");
-        let fp = program_fingerprint(&p);
-        let on_disk = SolverStore::open(dir.join(format!("{fp:016x}.resstore")), fp);
-        assert_eq!(on_disk.stats().compactions, 1);
-        assert_eq!(on_disk.stats().commits, 2);
-        assert_eq!(on_disk.len(), 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -19,14 +19,14 @@
 //!   same way a torn store tail is.
 //! * **Hot store** ([`hotstore`]). Absorbed per-program
 //!   [`res_store::SolverStore`]s stay open across requests in an LRU
-//!   set; commits happen on eviction and shutdown, write only when
-//!   requests taught the store new entries, and each writing commit
-//!   runs the store's [`res_store::CompactionPolicy`]
-//!   (age/size/supersedure — `store.compact.auto` in the journal).
+//!   set; commits happen on eviction and shutdown, and write only
+//!   when requests taught the store new entries.
 //! * **Bounded ingest + admission control** ([`server`]). A full queue
 //!   or an over-ceiling budget is answered with
 //!   [`WireResponse::Rejected`] immediately — never clamped, since a
-//!   clamped budget would silently change results.
+//!   clamped budget would silently change results. A job that panics
+//!   is answered with [`WireResponse::Error`]; its worker and the
+//!   program's store stay in service.
 //! * **Observability.** Queue depth, hot-set size, per-fingerprint hit
 //!   counters, admission rejections all land in the daemon's `res-obs`
 //!   journal under `serve.*`.
@@ -35,8 +35,8 @@
 //!   deterministic id (`c<conn>.<seq>`) echoed in its answer and a
 //!   `serve.req` span tree in the journal; wait-free latency
 //!   histograms and a flight recorder of recent requests are served by
-//!   the typed [`WireRequest::StatsQuery`] endpoint — answered inline,
-//!   so it works even while the queue is rejecting work.
+//!   the one stats endpoint, [`WireRequest::StatsQuery`] — answered
+//!   inline, so it works even while the queue is rejecting work.
 
 pub mod client;
 pub mod hotstore;

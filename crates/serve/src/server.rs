@@ -26,6 +26,7 @@
 //! per-request ceiling [`res_core::Budget::slice`]d across the batch.
 
 use std::io::{self, BufReader, Write as _};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
@@ -33,12 +34,13 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
+use mvm_isa::Program;
 use res_core::{Budget, ResConfig};
 use res_obs::Recorder;
-use res_store::CompactionPolicy;
+use res_store::SolverStore;
 use res_triage::{hw_verdict_for, hw_verdict_for_in_store, triage, triage_in_store, TriageRequest};
 
-use crate::hotstore::HotStore;
+use crate::hotstore::{lock_store, HotStore};
 use crate::telemetry::{Phases, RequestSummary, Telemetry};
 use crate::wire::{
     read_request, write_response, Conn, Listener, ServerStats, StatsRequest, StatsResponse,
@@ -62,8 +64,6 @@ pub struct ServeConfig {
     /// Hot-store directory (`None` serves store-less: every request
     /// pays a cold search).
     pub store_dir: Option<PathBuf>,
-    /// Compaction policy applied to every hot store file on commit.
-    pub policy: CompactionPolicy,
     /// Per-request budget ceiling. `None` admits everything; `Some`
     /// rejects any request whose effective budget exceeds a dimension
     /// (batches: the ceiling sliced across the batch).
@@ -93,7 +93,6 @@ impl Default for ServeConfig {
             queue_cap: 64,
             hot_cap: 8,
             store_dir: None,
-            policy: CompactionPolicy::default(),
             ceiling: None,
             config: ResConfig::default(),
             trace: None,
@@ -290,7 +289,7 @@ pub fn serve(cfg: ServeConfig) -> io::Result<ServerHandle> {
     let hot = cfg
         .store_dir
         .as_ref()
-        .map(|dir| HotStore::new(dir, cfg.hot_cap, cfg.policy, &rec));
+        .map(|dir| HotStore::new(dir, cfg.hot_cap, &rec));
     let mut config = cfg.config.clone();
     config.cache_path = None;
     config.trace = None;
@@ -372,7 +371,7 @@ fn endpoint_name(req: &WireRequest) -> &'static str {
         WireRequest::Triage(_) => "triage",
         WireRequest::BucketBatch(_) => "bucket_batch",
         WireRequest::HwFilterBatch(_) => "hw_filter_batch",
-        WireRequest::Stats | WireRequest::StatsQuery(_) => "stats",
+        WireRequest::StatsQuery(_) => "stats",
         WireRequest::Shutdown => "shutdown",
     }
 }
@@ -420,7 +419,6 @@ fn handle_conn(conn: Conn, shared: &Shared, tx: &SyncSender<Job>) -> io::Result<
         let (mut resp, phases) = match req {
             // Stats reads are answered inline — no queue slot, no
             // solver work — so they succeed even under backpressure.
-            WireRequest::Stats => (WireResponse::Stats(shared.stats()), Phases::default()),
             WireRequest::StatsQuery(q) => (
                 WireResponse::StatsReport(shared.stats_response(&q)),
                 Phases::default(),
@@ -563,7 +561,7 @@ fn admit(req: &WireRequest, shared: &Shared) -> Result<(), String> {
     let items: Vec<&TriageRequest> = match req {
         WireRequest::Triage(r) => vec![r],
         WireRequest::BucketBatch(rs) | WireRequest::HwFilterBatch(rs) => rs.iter().collect(),
-        WireRequest::Stats | WireRequest::StatsQuery(_) | WireRequest::Shutdown => return Ok(()),
+        WireRequest::StatsQuery(_) | WireRequest::Shutdown => return Ok(()),
     };
     let cap = ceiling.slice(items.len().max(1));
     for (i, r) in items.iter().enumerate() {
@@ -634,13 +632,28 @@ fn worker_loop(shared: &Shared, rx: &Arc<Mutex<Receiver<Job>>>) {
         // hierarchy that crosses threads.
         let work = shared.serve_rec.span_under("req.work", job.parent);
         let started = Instant::now();
-        let (resp, mut phases) = process(job.req, shared, work.id());
+        // A job that panics (an input the engine does not handle) is
+        // answered with an error instead of taking this worker down.
+        let (resp, mut phases) =
+            panic::catch_unwind(AssertUnwindSafe(|| process(job.req, shared, work.id())))
+                .unwrap_or_else(|payload| {
+                    let msg = payload
+                        .downcast_ref::<String>()
+                        .map(String::as_str)
+                        .or_else(|| payload.downcast_ref::<&str>().copied())
+                        .unwrap_or("no message");
+                    (
+                        WireResponse::Error(format!("request panicked: {msg}")),
+                        Phases::default(),
+                    )
+                });
         drop(work);
         phases.queue_wait_us = queue_wait_us;
         shared.telem.synth.record(phases.synth_us);
         shared
-            .serve_rec
-            .observe("latency_us", started.elapsed().as_micros() as u64);
+            .telem
+            .latency
+            .record(started.elapsed().as_micros() as u64);
         shared.counters.completed.fetch_add(1, Ordering::SeqCst);
         shared.serve_rec.counter("completed", 1);
         shared.publish_gauges();
@@ -670,34 +683,22 @@ fn process(req: WireRequest, shared: &Shared, parent: Option<u64>) -> (WireRespo
             shared.telem.batch_fanout.record(rs.len() as u64);
             WireResponse::HwFilterBatch(
                 rs.iter()
-                    .map(|r| match &shared.hot {
-                        Some(hot) => {
-                            let store = {
-                                let t = Instant::now();
-                                let _span = shared.serve_rec.span_under("req.store", parent);
-                                let store = hot.checkout(&r.program);
-                                phases.store_us += t.elapsed().as_micros() as u64;
-                                store
-                            };
-                            let mut store = store.lock().expect("store lock");
-                            let t = Instant::now();
-                            let _span = shared.serve_rec.span_under("req.synth", parent);
-                            let v = hw_verdict_for_in_store(r, &shared.config, &mut store);
-                            phases.synth_us += t.elapsed().as_micros() as u64;
-                            v
-                        }
-                        None => {
-                            let t = Instant::now();
-                            let _span = shared.serve_rec.span_under("req.synth", parent);
-                            let v = hw_verdict_for(r, &shared.config);
-                            phases.synth_us += t.elapsed().as_micros() as u64;
-                            v
-                        }
+                    .map(|r| {
+                        in_store(
+                            shared,
+                            &r.program,
+                            parent,
+                            &mut phases,
+                            |store| match store {
+                                Some(store) => hw_verdict_for_in_store(r, &shared.config, store),
+                                None => hw_verdict_for(r, &shared.config),
+                            },
+                        )
                     })
                     .collect(),
             )
         }
-        WireRequest::Stats | WireRequest::StatsQuery(_) | WireRequest::Shutdown => {
+        WireRequest::StatsQuery(_) | WireRequest::Shutdown => {
             WireResponse::Error("not a queued request".into())
         }
     };
@@ -710,31 +711,40 @@ fn run_triage(
     parent: Option<u64>,
     phases: &mut Phases,
 ) -> res_triage::TriageResponse {
-    match &shared.hot {
-        Some(hot) => {
-            // The checkout is where hot-store commits happen (evicting
-            // the LRU store commits it), so the `req.store` span covers
-            // commit latency too.
-            let store = {
-                let t = Instant::now();
-                let _span = shared.serve_rec.span_under("req.store", parent);
-                let store = hot.checkout(&r.program);
-                phases.store_us += t.elapsed().as_micros() as u64;
-                store
-            };
-            let mut store = store.lock().expect("store lock");
-            let t = Instant::now();
-            let _span = shared.serve_rec.span_under("req.synth", parent);
-            let resp = triage_in_store(r, &shared.config, &mut store);
-            phases.synth_us += t.elapsed().as_micros() as u64;
-            resp
-        }
-        None => {
-            let t = Instant::now();
-            let _span = shared.serve_rec.span_under("req.synth", parent);
-            let resp = triage(r, &shared.config);
-            phases.synth_us += t.elapsed().as_micros() as u64;
-            resp
-        }
-    }
+    in_store(shared, &r.program, parent, phases, |store| match store {
+        Some(store) => triage_in_store(r, &shared.config, store),
+        None => triage(r, &shared.config),
+    })
+}
+
+/// Runs `synth` against `program`'s hot store (`None` when the daemon
+/// serves store-less) under the request's phase spans. `req.store`
+/// covers the checkout, where evicting the LRU store commits it, and
+/// the wait for the program's store lock, so same-program contention
+/// is attributed to the store phase; `req.synth` covers `synth`.
+fn in_store<T>(
+    shared: &Shared,
+    program: &Program,
+    parent: Option<u64>,
+    phases: &mut Phases,
+    synth: impl FnOnce(Option<&mut SolverStore>) -> T,
+) -> T {
+    let Some(hot) = &shared.hot else {
+        let _span = shared.serve_rec.span_under("req.synth", parent);
+        let t = Instant::now();
+        let out = synth(None);
+        phases.synth_us += t.elapsed().as_micros() as u64;
+        return out;
+    };
+    let span = shared.serve_rec.span_under("req.store", parent);
+    let t = Instant::now();
+    let store = hot.checkout(program);
+    let mut store = lock_store(&store);
+    phases.store_us += t.elapsed().as_micros() as u64;
+    drop(span);
+    let _span = shared.serve_rec.span_under("req.synth", parent);
+    let t = Instant::now();
+    let out = synth(Some(&mut store));
+    phases.synth_us += t.elapsed().as_micros() as u64;
+    out
 }

@@ -49,7 +49,7 @@ pub struct RequestSummary {
     /// Time inside synthesis/solver work, µs.
     pub synth_us: u64,
     /// Time checking out (and possibly committing/evicting) hot-store
-    /// state, µs.
+    /// state and waiting for the program's store lock, µs.
     pub store_us: u64,
 }
 
@@ -88,7 +88,7 @@ pub struct Phases {
     pub queue_wait_us: u64,
     /// Synthesis/solver time, µs.
     pub synth_us: u64,
-    /// Hot-store checkout/commit time, µs.
+    /// Hot-store checkout/commit and store-lock wait time, µs.
     pub store_us: u64,
 }
 
@@ -110,6 +110,8 @@ pub struct Telemetry {
     pub queue_wait: Histogram,
     /// Solver/synthesis time per job, µs.
     pub synth: Histogram,
+    /// Worker time per job (store phase plus synthesis), µs.
+    pub latency: Histogram,
     /// Items per batch request.
     pub batch_fanout: Histogram,
     /// When the daemon booted (uptime in stats payloads only).
@@ -137,6 +139,7 @@ impl Telemetry {
             rtt_stats: registry.histogram("serve.rtt.stats_us"),
             queue_wait: registry.histogram("serve.queue.wait_us"),
             synth: registry.histogram("serve.synth.us"),
+            latency: registry.histogram("serve.latency_us"),
             batch_fanout: registry.histogram("serve.batch.fanout"),
             registry,
             started: Instant::now(),

@@ -50,9 +50,7 @@ pub enum WireRequest {
     /// The §3.2 batch endpoint: hardware-filter verdicts (relaxation
     /// sweeps included) for a report batch, in order.
     HwFilterBatch(Vec<TriageRequest>),
-    /// Read the daemon's counters without queueing work.
-    Stats,
-    /// The full telemetry snapshot: counters plus latency histograms
+    /// The telemetry snapshot: counters plus latency histograms
     /// and the flight recorder, shaped by [`StatsRequest`]. Answered
     /// inline by the connection thread — no solver work, no queue slot
     /// — so it succeeds even when the daemon is rejecting work under
@@ -66,7 +64,6 @@ json_enum!(WireRequest {
     Triage(TriageRequest),
     BucketBatch(Vec<TriageRequest>),
     HwFilterBatch(Vec<TriageRequest>),
-    Stats,
     StatsQuery(StatsRequest),
     Shutdown
 });
@@ -80,9 +77,7 @@ pub enum WireResponse {
     BucketBatch(Vec<String>),
     /// §3.2 verdicts, one per batch item, in request order.
     HwFilterBatch(Vec<HwVerdict>),
-    /// The daemon's counters.
-    Stats(ServerStats),
-    /// The full telemetry snapshot ([`WireRequest::StatsQuery`]).
+    /// The telemetry snapshot ([`WireRequest::StatsQuery`]).
     StatsReport(StatsResponse),
     /// Admission control refused the request; nothing was queued. The
     /// well-formed backpressure signal — clients retry or shed load.
@@ -104,7 +99,6 @@ json_enum!(WireResponse {
     Triage(TriageResponse),
     BucketBatch(Vec<String>),
     HwFilterBatch(Vec<HwVerdict>),
-    Stats(ServerStats),
     StatsReport(StatsResponse),
     Rejected { reason: String, queue_depth: u64 },
     ShuttingDown,
@@ -140,7 +134,7 @@ impl Default for StatsRequest {
 /// determinism tests compare.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StatsResponse {
-    /// The counters (same payload as [`WireRequest::Stats`]).
+    /// The counters.
     pub server: ServerStats,
     /// Microseconds since the daemon booted.
     pub uptime_us: u64,
@@ -190,8 +184,9 @@ impl StatsResponse {
     }
 }
 
-/// The daemon's observable state, as served by [`WireRequest::Stats`].
-/// Mirrors the `serve.*` gauges/counters in the trace journal.
+/// The daemon's counters, as served in [`StatsResponse::server`] and
+/// by [`ServerHandle::stats`](crate::ServerHandle::stats). Mirrors the
+/// `serve.*` gauges/counters in the trace journal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServerStats {
     /// Jobs waiting in the ingest queue right now.
@@ -440,7 +435,7 @@ mod tests {
 
     #[test]
     fn frames_round_trip_and_detect_corruption() {
-        let req = WireRequest::Stats;
+        let req = WireRequest::Shutdown;
         let mut buf = Vec::new();
         write_request(&mut buf, &req).unwrap();
         let mut r = BufReader::new(&buf[..]);
@@ -470,27 +465,6 @@ mod tests {
         let mut rest = Vec::new();
         r.read_to_end(&mut rest).unwrap();
         assert_eq!(rest.len(), 1);
-    }
-
-    #[test]
-    fn stats_response_round_trips() {
-        let resp = WireResponse::Stats(ServerStats {
-            queue_depth: 2,
-            queue_cap: 8,
-            workers: 3,
-            hot_programs: 1,
-            hot_hits: 5,
-            hot_misses: 2,
-            hot_evictions: 1,
-            admitted: 9,
-            rejected_queue: 4,
-            rejected_budget: 1,
-            completed: 7,
-        });
-        let mut buf = Vec::new();
-        write_response(&mut buf, &resp).unwrap();
-        let back = read_response(&mut BufReader::new(&buf[..])).unwrap();
-        assert_eq!(back, Some(resp));
     }
 
     #[test]

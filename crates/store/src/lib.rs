@@ -65,10 +65,11 @@
 //! Commits are atomic: the new content is written to a sibling
 //! temporary file, synced, and `rename`d over the store, and the parent
 //! directory is synced on Unix ([`write_atomic`]), so a crash mid-commit
-//! never corrupts previously-committed records. After a commit the
-//! store also compacts itself per a [`CompactionPolicy`] — supersedure
-//! ratio, byte ceiling, and/or stale-stats age
-//! ([`SolverStore::set_compaction_policy`]).
+//! never corrupts previously-committed records. Compaction is explicit
+//! ([`SolverStore::compact`], `store-inspect --compact`). This build
+//! never writes a superseded entry (a merge skips fingerprints the
+//! store holds), and only a commit that appends entries writes an `S`
+//! record, so stale stats records never outnumber live entries.
 //!
 //! The record framing (`encode_record`/`decode_record`) is exported for
 //! reuse: `res-serve` frames its wire requests/responses with the same
@@ -81,6 +82,6 @@ mod store;
 
 pub use format::{decode_record, encode_record, fnv64, Header, Tag, FORMAT_VERSION, MAGIC};
 pub use store::{
-    program_fingerprint, write_atomic, CommitReport, CompactReport, CompactionPolicy, LoadOutcome,
-    LoadReport, SolverStore, StoreStats, DEFAULT_AUTO_COMPACT_RATIO,
+    program_fingerprint, write_atomic, CommitReport, CompactReport, LoadOutcome, LoadReport,
+    SolverStore, StoreStats,
 };

@@ -21,67 +21,6 @@ pub fn program_fingerprint(program: &Program) -> u64 {
     fnv64(mvm_json::to_string(program).as_bytes())
 }
 
-/// Default [`SolverStore::set_auto_compact`] threshold: compact when
-/// more than half the on-disk entry records are supersedure garbage.
-pub const DEFAULT_AUTO_COMPACT_RATIO: f64 = 0.5;
-
-/// When a [`SolverStore::commit`] triggers an automatic compaction.
-///
-/// Dimensions are checked in declaration order; the first one exceeded
-/// fires (and is named in the `compact.auto` trace mark). All three are
-/// independent and optional:
-///
-/// * **supersedure** — the classic garbage trigger: the fraction of
-///   on-disk entry records shadowed by a later record for the same
-///   fingerprint.
-/// * **size** — an absolute byte ceiling. Because entries themselves
-///   are never dropped, this only fires when compaction can actually
-///   reclaim something (supersedure garbage or stale stats records);
-///   otherwise a large-but-dense store would recompact on every commit
-///   for no gain.
-/// * **age** — every commit that writes appends one `S` (stats) record
-///   and leaves the previous ones in place, so the count of *stale*
-///   stats records is a durable proxy for "writing commits since last
-///   compaction" that needs no timestamps and no format change. A
-///   long-running daemon uses this to bound how ragged its hot stores
-///   get.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CompactionPolicy {
-    /// Compact when `superseded / entry_records` strictly exceeds this
-    /// fraction. `None` disables the supersedure trigger.
-    pub superseded_ratio: Option<f64>,
-    /// Compact when the committed file exceeds this many bytes *and*
-    /// there is something reclaimable. `None` disables.
-    pub max_bytes: Option<u64>,
-    /// Compact when more than this many stale stats records have
-    /// accumulated (i.e. after `max_stale_stats + 1` writing commits
-    /// without a compaction). `None` disables.
-    pub max_stale_stats: Option<u64>,
-}
-
-impl Default for CompactionPolicy {
-    /// The historic behaviour: supersedure ratio
-    /// [`DEFAULT_AUTO_COMPACT_RATIO`], no size or age trigger.
-    fn default() -> Self {
-        CompactionPolicy {
-            superseded_ratio: Some(DEFAULT_AUTO_COMPACT_RATIO),
-            max_bytes: None,
-            max_stale_stats: None,
-        }
-    }
-}
-
-impl CompactionPolicy {
-    /// A policy with every trigger disabled (manual compaction only).
-    pub fn disabled() -> Self {
-        CompactionPolicy {
-            superseded_ratio: None,
-            max_bytes: None,
-            max_stale_stats: None,
-        }
-    }
-}
-
 /// What [`SolverStore::open`] found on disk. Every outcome other than
 /// [`Loaded`](LoadOutcome::Loaded) is a *cold start*: the store opens
 /// with zero entries and the engine searches exactly as it would with
@@ -229,14 +168,7 @@ pub struct SolverStore {
     base: Vec<u8>,
     /// Entry records represented in `base` (for compaction accounting).
     base_entry_records: usize,
-    /// Stats (`S`) records represented in `base` — one per writing
-    /// commit since the last compaction; all but the final one are
-    /// stale. The count is the [`CompactionPolicy`] age signal.
-    stats_records: usize,
     read_only: bool,
-    /// Auto-compaction policy checked after every commit (see
-    /// [`set_compaction_policy`](Self::set_compaction_policy)).
-    policy: CompactionPolicy,
     /// Passive observer: open/degraded/commit/compact marks. The caller
     /// hands in an already-scoped recorder (the engine uses
     /// `rec.scoped("store")`), so event names here stay bare. Never
@@ -266,9 +198,7 @@ impl SolverStore {
             report: LoadReport::cold(LoadOutcome::Missing, 0),
             base: Vec::new(),
             base_entry_records: 0,
-            stats_records: 0,
             read_only: false,
-            policy: CompactionPolicy::default(),
             recorder,
         };
         store.load(program_fp);
@@ -392,7 +322,6 @@ impl SolverStore {
                 }
                 Tag::Stats => {
                     self.stats = mvm_json::from_str(payload).ok()?;
-                    self.stats_records += 1;
                     Some(None)
                 }
                 // Stray headers and future record kinds are preserved
@@ -465,33 +394,6 @@ impl SolverStore {
     /// `true` when the store refuses writes (fingerprint mismatch).
     pub fn read_only(&self) -> bool {
         self.read_only
-    }
-
-    /// Sets just the supersedure-ratio trigger of the compaction
-    /// policy, leaving the size and age triggers untouched. `None`
-    /// disables it; the default is [`DEFAULT_AUTO_COMPACT_RATIO`].
-    pub fn set_auto_compact(&mut self, threshold: Option<f64>) {
-        self.policy.superseded_ratio = threshold;
-    }
-
-    /// Sets the full auto-compaction policy checked after every commit.
-    /// When any trigger fires, the commit is followed by a
-    /// [`compact`](Self::compact), marked `compact.auto` in the trace
-    /// with the firing dimension named.
-    pub fn set_compaction_policy(&mut self, policy: CompactionPolicy) {
-        self.policy = policy;
-    }
-
-    /// The active auto-compaction policy.
-    pub fn compaction_policy(&self) -> &CompactionPolicy {
-        &self.policy
-    }
-
-    /// Stale stats records accumulated since the last compaction (one
-    /// per writing commit; the final one is live). The
-    /// [`CompactionPolicy`] age signal, exposed for inspection tools.
-    pub fn stale_stats_records(&self) -> u64 {
-        self.stats_records.saturating_sub(1) as u64
     }
 
     /// All live entries as a portable cache, in deterministic
@@ -579,7 +481,6 @@ impl SolverStore {
         encode_record(Tag::Stats, &mvm_json::to_string(&self.stats), &mut bytes);
         self.write_atomic(&bytes)?;
         self.base = bytes;
-        self.stats_records += 1;
         self.pending.clear();
         self.report.outcome = LoadOutcome::Loaded;
         let stats = self.stats;
@@ -590,46 +491,6 @@ impl SolverStore {
                 ("bytes".into(), stats.bytes.to_string()),
             ]
         });
-        // Append-only commits leave reclaimable records behind —
-        // superseded entries and stale stats blocks. When the policy's
-        // first exceeded trigger fires, reclaim them right away instead
-        // of waiting for an operator `compact`.
-        let total = self.base_entry_records;
-        let garbage = total.saturating_sub(self.entries.len());
-        let stale_stats = self.stale_stats_records();
-        let reclaimable = garbage as u64 + stale_stats;
-        let reason = if self
-            .policy
-            .superseded_ratio
-            .is_some_and(|t| total > 0 && (garbage as f64) / (total as f64) > t)
-        {
-            Some("superseded_ratio")
-        } else if self
-            .policy
-            .max_bytes
-            .is_some_and(|cap| self.stats.bytes > cap && reclaimable > 0)
-        {
-            Some("max_bytes")
-        } else if self
-            .policy
-            .max_stale_stats
-            .is_some_and(|cap| stale_stats > cap)
-        {
-            Some("max_stale_stats")
-        } else {
-            None
-        };
-        if let Some(reason) = reason {
-            self.recorder.event_with("compact.auto", || {
-                vec![
-                    ("reason".into(), reason.to_string()),
-                    ("superseded".into(), garbage.to_string()),
-                    ("records".into(), total.to_string()),
-                    ("stale_stats".into(), stale_stats.to_string()),
-                ]
-            });
-            self.compact()?;
-        }
         Ok(CommitReport {
             appended,
             bytes: self.stats.bytes,
@@ -664,7 +525,6 @@ impl SolverStore {
         self.write_atomic(&bytes)?;
         self.base = bytes;
         self.base_entry_records = self.entries.len();
-        self.stats_records = 1;
         self.pending.clear();
         self.report.outcome = LoadOutcome::Loaded;
         let bytes_after = self.stats.bytes;
@@ -976,104 +836,6 @@ mod tests {
         let s3 = SolverStore::open(&path, 7);
         assert_eq!(s3.stats().absorbed_hits, 7);
         assert_eq!(s3.stats().commits, 2, "only writing commits count");
-    }
-
-    #[test]
-    fn commit_auto_compacts_past_the_supersedure_threshold() {
-        let path = tmp_path("autocompact.resstore");
-        let _ = std::fs::remove_file(&path);
-
-        let mut s = SolverStore::open(&path, 7);
-        s.merge(&cache(vec![entry(1, 10)]));
-        s.commit().unwrap();
-        // Two superseding re-appends for fp 1: 3 records, 1 live,
-        // ratio 2/3 > 0.5.
-        s.pending.push(entry(1, 20));
-        s.pending.push(entry(1, 30));
-        s.commit().unwrap();
-
-        let s2 = SolverStore::open(&path, 7);
-        assert_eq!(s2.stats().compactions, 1, "commit compacted itself");
-        assert_eq!(s2.load_report().superseded, 0);
-        assert_eq!(s2.len(), 1);
-
-        // Below the threshold (or disabled) nothing happens.
-        let mut s3 = SolverStore::open(&path, 7);
-        s3.set_auto_compact(None);
-        s3.pending.push(entry(1, 40));
-        s3.pending.push(entry(1, 50));
-        s3.pending.push(entry(1, 60));
-        s3.commit().unwrap();
-        assert_eq!(s3.stats().compactions, 1, "disabled: no new compaction");
-    }
-
-    #[test]
-    fn stale_stats_age_trigger_compacts_on_commit() {
-        let path = tmp_path("agepolicy.resstore");
-        let _ = std::fs::remove_file(&path);
-
-        let mut s = SolverStore::open(&path, 7);
-        s.set_compaction_policy(CompactionPolicy {
-            superseded_ratio: None,
-            max_bytes: None,
-            max_stale_stats: Some(2),
-        });
-        for (i, e) in [entry(1, 10), entry(2, 20), entry(3, 30)]
-            .into_iter()
-            .enumerate()
-        {
-            s.merge(&cache(vec![e]));
-            s.commit().unwrap();
-            assert_eq!(
-                s.stale_stats_records(),
-                i as u64,
-                "one stale S per prior commit"
-            );
-        }
-        assert_eq!(
-            s.stats().compactions,
-            0,
-            "stale = 2 is within max_stale_stats = 2"
-        );
-        s.merge(&cache(vec![entry(4, 40)]));
-        s.commit().unwrap();
-        assert_eq!(
-            s.stats().compactions,
-            1,
-            "stale = 3 > 2 fires the age trigger"
-        );
-        assert_eq!(s.stale_stats_records(), 0, "compaction resets the age");
-
-        let s2 = SolverStore::open(&path, 7);
-        assert_eq!(s2.len(), 4);
-        assert_eq!(s2.stale_stats_records(), 0);
-    }
-
-    #[test]
-    fn size_trigger_fires_only_when_something_is_reclaimable() {
-        let path = tmp_path("sizepolicy.resstore");
-        let _ = std::fs::remove_file(&path);
-
-        let mut s = SolverStore::open(&path, 7);
-        s.set_compaction_policy(CompactionPolicy {
-            superseded_ratio: None,
-            max_bytes: Some(1),
-            max_stale_stats: None,
-        });
-        s.merge(&cache(vec![entry(1, 10)]));
-        s.commit().unwrap();
-        assert_eq!(
-            s.stats().compactions,
-            0,
-            "over the byte cap but fully dense: compacting would reclaim nothing"
-        );
-        s.merge(&cache(vec![entry(2, 20)]));
-        s.commit().unwrap();
-        assert_eq!(
-            s.stats().compactions,
-            1,
-            "a stale stats record makes the oversized store reclaimable"
-        );
     }
 
     #[test]

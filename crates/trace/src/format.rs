@@ -1,4 +1,4 @@
-//! The trace file model and both on-disk encodings.
+//! The trace file model and its on-disk encoding.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -7,7 +7,7 @@ use std::path::Path;
 
 use mvm_core::Coredump;
 use mvm_isa::{InputKind, Loc, Width};
-use mvm_json::{json_struct, FromJson, Json, ToJson};
+use mvm_json::{json_struct, FromJson};
 use mvm_machine::{Fault, ThreadId};
 use mvm_symbolic::Model;
 use res_core::blockexec::EndPoint;
@@ -15,20 +15,14 @@ use res_core::{ExecutionSuffix, ObservedEvent, SuffixStep};
 use res_obs::Recorder;
 use res_store::{decode_record, encode_record, fnv64, Tag};
 
-use crate::binary;
-
-/// First token of a text trace file's magic line.
+/// First token of a trace file's magic line.
 pub const MAGIC: &str = "RES-TRACE";
 
 /// The format version this build reads and writes.
 pub const FORMAT_VERSION: u32 = 1;
 
-/// Extension of the text encoding.
+/// The conventional extension of a trace file.
 pub const EXT_JSON: &str = "restrace";
-
-/// Extension of the binary encoding (note: a *double* extension — the
-/// auto-detection keys on the full `.restrace.bin` suffix).
-pub const EXT_BIN: &str = "restrace.bin";
 
 /// The trace header: what the file is and which program it replays.
 /// `writer` is deliberately static (crate name and version, no
@@ -175,46 +169,6 @@ pub struct TraceFile {
     pub expected: ExpectedOutcome,
 }
 
-/// Which on-disk encoding a trace uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Encoding {
-    /// mvm-json text records (`.restrace`).
-    Json,
-    /// Compact binary records (`.restrace.bin`).
-    Binary,
-}
-
-impl Encoding {
-    /// The encoding a path's extension selects (write side).
-    pub fn for_path(path: &Path) -> Encoding {
-        if path.to_string_lossy().ends_with(".bin") {
-            Encoding::Binary
-        } else {
-            Encoding::Json
-        }
-    }
-
-    /// Detects the encoding from file contents (read side). The binary
-    /// magic shares the text prefix, so it is checked first.
-    pub fn sniff(bytes: &[u8]) -> Option<Encoding> {
-        if bytes.starts_with(b"RES-TRACE-BIN ") {
-            Some(Encoding::Binary)
-        } else if bytes.starts_with(MAGIC.as_bytes()) {
-            Some(Encoding::Json)
-        } else {
-            None
-        }
-    }
-
-    /// A short display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Encoding::Json => "json",
-            Encoding::Binary => "binary",
-        }
-    }
-}
-
 /// Why a trace could not be read (or replayed). A trace is
 /// all-or-nothing: unlike the solver store, which degrades damage to a
 /// cold start, a half-readable schedule cannot be replayed soundly, so
@@ -271,12 +225,12 @@ impl fmt::Display for TraceError {
 
 impl std::error::Error for TraceError {}
 
-/// The magic line the text encoding writes (without the newline).
+/// The magic line a trace file starts with (without the newline).
 pub fn magic_line() -> String {
     format!("{MAGIC} {FORMAT_VERSION}")
 }
 
-/// Parses a text magic line; returns the declared format version.
+/// Parses a magic line; returns the declared format version.
 pub fn parse_magic(line: &str) -> Option<u32> {
     let rest = line.strip_prefix(MAGIC)?.strip_prefix(' ')?;
     rest.parse().ok()
@@ -439,69 +393,51 @@ impl TraceFile {
         self.steps.iter().map(|s| s.writes.len()).sum()
     }
 
-    /// Serializes to the chosen encoding.
-    pub fn to_bytes(&self, encoding: Encoding) -> Vec<u8> {
-        match encoding {
-            Encoding::Json => self.to_text_bytes(),
-            Encoding::Binary => binary::to_bin_bytes(self),
-        }
-    }
-
-    /// Parses either encoding, auto-detected from the magic.
-    pub fn from_bytes(bytes: &[u8]) -> Result<(TraceFile, Encoding), TraceError> {
-        match Encoding::sniff(bytes) {
-            Some(Encoding::Json) => Ok((Self::from_text_bytes(bytes)?, Encoding::Json)),
-            Some(Encoding::Binary) => Ok((binary::from_bin_bytes(bytes)?, Encoding::Binary)),
-            None => Err(TraceError::NotATrace),
-        }
-    }
-
-    /// The text encoding: magic line + framed single-line JSON records.
+    /// The file bytes: the magic line, then one framed single-line JSON
+    /// record per section, in file order.
     pub fn to_text_bytes(&self) -> Vec<u8> {
         let mut out = format!("{}\n", magic_line()).into_bytes();
-        for (tag, payload) in self.sections() {
-            encode_record(tag, &payload.to_string_compact(), &mut out);
-        }
-        out
-    }
-
-    /// The sections in file order, each as `(tag, json-tree)`. Shared
-    /// by both encodings so they stay logically identical.
-    pub(crate) fn sections(&self) -> Vec<(Tag, Json)> {
-        let mut out = vec![
-            (Tag::Header, self.header.to_json()),
-            (TAG_DUMP, self.dump.to_json()),
-            (TAG_IMAGE, self.image.to_json()),
-            (
-                TAG_INPUTS,
-                TraceInputs {
-                    inputs: self.inputs.clone(),
-                }
-                .to_json(),
-            ),
-        ];
+        encode_record(Tag::Header, &mvm_json::to_string(&self.header), &mut out);
+        encode_record(TAG_DUMP, &mvm_json::to_string(&self.dump), &mut out);
+        encode_record(TAG_IMAGE, &mvm_json::to_string(&self.image), &mut out);
+        let inputs = TraceInputs {
+            inputs: self.inputs.clone(),
+        };
+        encode_record(TAG_INPUTS, &mvm_json::to_string(&inputs), &mut out);
         for s in &self.steps {
-            out.push((TAG_STEP, s.to_json()));
+            encode_record(TAG_STEP, &mvm_json::to_string(s), &mut out);
         }
-        out.push((TAG_EXPECTED, self.expected.to_json()));
+        encode_record(TAG_EXPECTED, &mvm_json::to_string(&self.expected), &mut out);
         out
     }
 
-    /// Assembles a trace from decoded `(tag, json)` sections, shared
-    /// by both encodings.
-    pub(crate) fn from_sections<'a>(
-        sections: impl Iterator<Item = (Tag, &'a Json)>,
-    ) -> Result<TraceFile, TraceError> {
+    /// Parses file bytes. Anything that does not start with this
+    /// build's magic line, including the binary traces older builds
+    /// wrote, is [`TraceError::NotATrace`].
+    pub fn from_text_bytes(bytes: &[u8]) -> Result<TraceFile, TraceError> {
+        let text = std::str::from_utf8(bytes).map_err(|_| TraceError::NotATrace)?;
+        let mut lines = text.lines();
+        let version = lines
+            .next()
+            .and_then(parse_magic)
+            .ok_or(TraceError::NotATrace)?;
+        if version != FORMAT_VERSION {
+            return Err(TraceError::Version(version));
+        }
+        fn parse<T: FromJson>(payload: &str) -> Result<T, TraceError> {
+            mvm_json::from_str(payload).map_err(|e| TraceError::Json(e.to_string()))
+        }
         let mut header: Option<TraceHeader> = None;
         let mut dump: Option<Coredump> = None;
         let mut image: Option<TraceImage> = None;
         let mut inputs: Option<TraceInputs> = None;
         let mut steps: Vec<TraceStep> = Vec::new();
         let mut expected: Option<ExpectedOutcome> = None;
-        fn parse<T: FromJson>(payload: &Json) -> Result<T, TraceError> {
-            T::from_json(payload).map_err(|e| TraceError::Json(e.to_string()))
-        }
-        for (tag, payload) in sections {
+        for (i, line) in lines.enumerate() {
+            if line.is_empty() {
+                continue;
+            }
+            let (tag, payload) = decode_record(line).ok_or(TraceError::Torn { record: i })?;
             match tag {
                 Tag::Header => header = Some(parse(payload)?),
                 TAG_DUMP => dump = Some(parse(payload)?),
@@ -528,70 +464,43 @@ impl TraceFile {
         })
     }
 
-    /// Parses the text encoding.
-    pub fn from_text_bytes(bytes: &[u8]) -> Result<TraceFile, TraceError> {
-        let text = std::str::from_utf8(bytes).map_err(|_| TraceError::NotATrace)?;
-        let mut lines = text.lines();
-        let version = lines
-            .next()
-            .and_then(parse_magic)
-            .ok_or(TraceError::NotATrace)?;
-        if version != FORMAT_VERSION {
-            return Err(TraceError::Version(version));
-        }
-        let mut sections: Vec<(Tag, Json)> = Vec::new();
-        for (i, line) in lines.enumerate() {
-            if line.is_empty() {
-                continue;
-            }
-            let (tag, payload) = decode_record(line).ok_or(TraceError::Torn { record: i })?;
-            let json = mvm_json::parse(payload).map_err(|e| TraceError::Json(e.to_string()))?;
-            sections.push((tag, json));
-        }
-        Self::from_sections(sections.iter().map(|(t, j)| (*t, j)))
-    }
-
     /// Writes the trace to `path` atomically
-    /// ([`res_store::write_atomic`]: tmp + sync + rename), choosing the
-    /// encoding from the extension (`.bin` → binary).
-    pub fn write(&self, path: &Path) -> io::Result<Encoding> {
+    /// ([`res_store::write_atomic`]: tmp + sync + rename).
+    pub fn write(&self, path: &Path) -> io::Result<()> {
         self.write_with(path, &Recorder::disabled())
     }
 
     /// [`write`](Self::write) with a `trace.write` observability mark.
-    pub fn write_with(&self, path: &Path, rec: &Recorder) -> io::Result<Encoding> {
-        let encoding = Encoding::for_path(path);
-        let bytes = self.to_bytes(encoding);
+    pub fn write_with(&self, path: &Path, rec: &Recorder) -> io::Result<()> {
+        let bytes = self.to_text_bytes();
         res_store::write_atomic(path, &bytes)?;
         rec.event_with("trace.write", || {
             vec![
                 ("path".to_string(), path.display().to_string()),
-                ("encoding".to_string(), encoding.name().to_string()),
                 ("bytes".to_string(), bytes.len().to_string()),
                 ("steps".to_string(), self.steps.len().to_string()),
             ]
         });
-        Ok(encoding)
+        Ok(())
     }
 
-    /// Reads a trace from `path`, auto-detecting the encoding.
-    pub fn read(path: &Path) -> Result<(TraceFile, Encoding), TraceError> {
+    /// Reads a trace from `path`.
+    pub fn read(path: &Path) -> Result<TraceFile, TraceError> {
         Self::read_with(path, &Recorder::disabled())
     }
 
     /// [`read`](Self::read) with a `trace.read` observability mark.
-    pub fn read_with(path: &Path, rec: &Recorder) -> Result<(TraceFile, Encoding), TraceError> {
+    pub fn read_with(path: &Path, rec: &Recorder) -> Result<TraceFile, TraceError> {
         let bytes = std::fs::read(path).map_err(|e| TraceError::Io(e.to_string()))?;
-        let (trace, encoding) = Self::from_bytes(&bytes)?;
+        let trace = Self::from_text_bytes(&bytes)?;
         rec.event_with("trace.read", || {
             vec![
                 ("path".to_string(), path.display().to_string()),
-                ("encoding".to_string(), encoding.name().to_string()),
                 ("bytes".to_string(), bytes.len().to_string()),
                 ("steps".to_string(), trace.steps.len().to_string()),
             ]
         });
-        Ok((trace, encoding))
+        Ok(trace)
     }
 }
 
@@ -605,24 +514,5 @@ mod tests {
         assert_eq!(parse_magic("RES-TRACE 9"), Some(9));
         assert_eq!(parse_magic("RES-STORE 1"), None);
         assert_eq!(parse_magic(""), None);
-    }
-
-    #[test]
-    fn encoding_selection_and_sniffing() {
-        assert_eq!(
-            Encoding::for_path(Path::new("a/repro.restrace")),
-            Encoding::Json
-        );
-        assert_eq!(
-            Encoding::for_path(Path::new("a/repro.restrace.bin")),
-            Encoding::Binary
-        );
-        assert_eq!(Encoding::sniff(b"RES-TRACE 1\n"), Some(Encoding::Json));
-        assert_eq!(
-            Encoding::sniff(b"RES-TRACE-BIN 1\n"),
-            Some(Encoding::Binary)
-        );
-        assert_eq!(Encoding::sniff(b"RES-STORE 1\n"), None);
-        assert_eq!(Encoding::sniff(b""), None);
     }
 }

@@ -8,18 +8,13 @@
 //! in one versioned file that can be attached to a bug report, returned
 //! by the `res-serve` daemon, or re-checked after a fix.
 //!
-//! ## File formats
+//! ## File format
 //!
-//! Two interchangeable encodings carry the same logical content and
-//! are auto-detected on read (and selected by extension on write):
-//!
-//! * **mvm-json text** (`.restrace`) — a `RES-TRACE 1` magic line
-//!   followed by `res-store`-framed records (`<tag> <len> <fnv64-hex>
-//!   <payload-json>`), one JSON payload per line. Human-greppable.
-//! * **compact binary** (`.restrace.bin`) — a `RES-TRACE-BIN 1` magic
-//!   line followed by length-prefixed, fnv64-checksummed binary records
-//!   holding the same JSON trees in a varint-coded binary form
-//!   (typically 3–4× smaller). See [`binary`].
+//! A `.restrace` file is a `RES-TRACE 1` magic line followed by
+//! records in the `res-store` framing (`<tag> <len> <fnv64-hex>
+//! <payload-json>`), one mvm-json payload per line — the same framing
+//! and payload codec as solver stores and `res-serve` wire frames, and
+//! greppable with ordinary tools.
 //!
 //! Record tags (section order is fixed; unknown tags are skipped so
 //! future versions can append sections without a version bump):
@@ -57,13 +52,11 @@
 //! changed; an unrelated change that still faults identically verifies
 //! `PASS`.
 
-pub mod binary;
 pub mod format;
 pub mod ops;
 
-pub use binary::{decode_json, encode_json, BIN_MAGIC};
 pub use format::{
-    Encoding, ExpectedOutcome, TraceError, TraceFile, TraceHeader, TraceImage, TraceInputs,
-    TraceStep, EXT_BIN, EXT_JSON, FORMAT_VERSION, MAGIC,
+    ExpectedOutcome, TraceError, TraceFile, TraceHeader, TraceImage, TraceInputs, TraceStep,
+    EXT_JSON, FORMAT_VERSION, MAGIC,
 };
 pub use ops::{record_trace, replay_trace, verify_trace, RecordError, VerifyOutcome};

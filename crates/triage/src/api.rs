@@ -65,9 +65,9 @@ pub struct TriageRequest {
     pub store: Option<String>,
     /// JSONL trace path for this call.
     pub trace: Option<String>,
-    /// Return a portable replay-trace artifact (`res-trace` text
-    /// encoding) in [`TriageResponse::trace`] when a reproduced suffix
-    /// exists. Off by default: the artifact embeds the coredump, so it
+    /// Return a portable replay-trace artifact (the bytes of a
+    /// `.restrace` file) in [`TriageResponse::trace`] when a reproduced
+    /// suffix exists. Off by default: the artifact embeds the coredump, so it
     /// roughly doubles the response size.
     pub return_trace: bool,
 }
@@ -250,8 +250,8 @@ pub struct TriageResponse {
     pub parallel: Option<ParallelReport>,
     /// Persistent-store accounting; `None` when no store was in play.
     pub store: Option<StoreReport>,
-    /// The portable replay-trace artifact (`res-trace` text encoding,
-    /// first reproduced suffix), when the request asked for one via
+    /// The portable replay-trace artifact (the bytes of a `.restrace`
+    /// file, first reproduced suffix), when the request asked for one via
     /// [`TriageRequest::return_trace`]. Write it to a `.restrace` file
     /// and it replays with `res-cli replay`/`verify`.
     pub trace: Option<String>,

@@ -18,11 +18,13 @@ cargo build --workspace --release
 echo "==> cargo test"
 cargo test --workspace -q
 
-echo "==> benchmark build (perfbench/ compiles against the library APIs)"
+echo "==> benchmark build and self-test (perfbench/)"
 # perfbench/ is its own package with path dependencies on crates/*, so
 # the workspace build does not cover it; a library API change that
-# breaks the benchmark must fail here.
+# breaks the benchmark must fail here. Its self-test then runs every
+# workload briefly and fails if any operation fails its answer check.
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> parallel determinism gate (golden suffix fixture at 1, 2, 4 workers)"
 # The sharded kernel's contract: any worker count synthesizes
@@ -136,44 +138,36 @@ trace_out="$(cargo run --release -q --bin res-cli -- trace "$scratch_dir/golden.
 echo "$trace_out" | grep -q "synthesize" || { echo "journal missing synthesize span"; exit 1; }
 echo "$trace_out" | grep -q "kernel.nodes_expanded" || { echo "journal missing kernel counters"; exit 1; }
 
-echo "==> replay-trace gate (record / replay / verify, both encodings)"
+echo "==> replay-trace gate (record / replay / verify)"
 # The portable-trace contract: `record` writes byte-identical files at
-# any worker count and in either encoding; `replay` reproduces the
-# recorded failure from the file alone; `verify` against the repaired
-# program FAILs with a point-of-first-divergence report. All four
-# claims are exercised through the shipped binaries.
+# any worker count; `store-inspect` reads the trace back; `replay`
+# reproduces the recorded failure from the file alone; `verify` against
+# the repaired program FAILs with a point-of-first-divergence report.
+# All four claims are exercised through the shipped binaries.
 trace_dir="$scratch_dir/trace"
 cargo run --release -q --bin res-cli -- crash div-by-zero "$trace_dir" --emit-fixed > /dev/null
-echo "    record is byte-identical across worker counts and re-runs"
+echo "    record is byte-identical across worker counts"
 for workers in 1 4; do
     cargo run --release -q --bin res-cli -- record "$trace_dir" \
         --workers "$workers" --out "$trace_dir/w$workers.restrace" > /dev/null
-    cargo run --release -q --bin res-cli -- record "$trace_dir" \
-        --workers "$workers" --out "$trace_dir/w$workers.restrace.bin" > /dev/null
 done
 cmp "$trace_dir/w1.restrace" "$trace_dir/w4.restrace" \
-    || { echo "JSON traces differ across worker counts"; exit 1; }
-cmp "$trace_dir/w1.restrace.bin" "$trace_dir/w4.restrace.bin" \
-    || { echo "binary traces differ across worker counts"; exit 1; }
-echo "    JSON <-> binary carry the same trace"
-inspect_json="$(cargo run --release -q --bin store-inspect -- "$trace_dir/w1.restrace" | grep -v -e '^replay trace:' -e 'encoding:' -e 'bytes:')"
-inspect_bin="$(cargo run --release -q --bin store-inspect -- "$trace_dir/w1.restrace.bin" | grep -v -e '^replay trace:' -e 'encoding:' -e 'bytes:')"
-[ "$inspect_json" = "$inspect_bin" ] \
-    || { echo "encodings disagree about the trace contents"; exit 1; }
+    || { echo "traces differ across worker counts"; exit 1; }
+echo "    store-inspect reads the trace"
+inspect_out="$(cargo run --release -q --bin store-inspect -- "$trace_dir/w1.restrace")" \
+    || { echo "store-inspect failed on the trace"; exit 1; }
+grep -Eq '^  events: +[1-9]' <<< "$inspect_out" \
+    || { echo "store-inspect reports no trace events"; exit 1; }
 echo "    replay reproduces from the file alone"
-for t in w1.restrace w1.restrace.bin; do
-    cargo run --release -q --bin res-cli -- replay "$trace_dir" "$trace_dir/$t" \
-        | grep -q "REPRODUCED" || { echo "$t did not reproduce"; exit 1; }
-done
+cargo run --release -q --bin res-cli -- replay "$trace_dir" "$trace_dir/w1.restrace" \
+    | grep -q "REPRODUCED" || { echo "trace did not reproduce"; exit 1; }
 echo "    verify FAILs on the repaired program with a divergence report"
 cp "$trace_dir/program.fixed.json" "$trace_dir/program.json"
-for t in w1.restrace w1.restrace.bin; do
-    if out="$(cargo run --release -q --bin res-cli -- verify "$trace_dir" "$trace_dir/$t")"; then
-        echo "$t verified PASS against the repaired program"; exit 1
-    fi
-    echo "$out" | grep -q "FAIL: first divergence at event" \
-        || { echo "$t FAIL report carries no divergence point"; exit 1; }
-done
+if out="$(cargo run --release -q --bin res-cli -- verify "$trace_dir" "$trace_dir/w1.restrace")"; then
+    echo "trace verified PASS against the repaired program"; exit 1
+fi
+echo "$out" | grep -q "FAIL: first divergence at event" \
+    || { echo "FAIL report carries no divergence point"; exit 1; }
 
 echo "==> corpus-scale smoke gate (seeded generator, E5c/E6c/E7c)"
 # The buggy-program generator + parallel corpus harness: a small

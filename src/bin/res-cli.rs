@@ -10,7 +10,6 @@
 //!                             synthesize + replay + root-cause from those files
 //! res-cli record <dir> [--out FILE] [--workers N] [--store FILE] [--trace PATH]
 //!                             synthesize, then save a portable replay trace
-//!                             (.restrace = JSON, .restrace.bin = binary)
 //! res-cli replay <dir> <trace>
 //!                             re-run a recorded trace; exit 0 iff REPRODUCED
 //! res-cli verify <dir> <trace>
@@ -260,13 +259,12 @@ fn cmd_record(dir: &Path, flags: &[(String, String)]) -> Result<(), String> {
                 continue;
             }
         };
-        let encoding = trace
+        trace
             .write(&out)
             .map_err(|e| format!("writing {}: {e}", out.display()))?;
         println!(
-            "recorded {} ({}): {} events / {} instructions, {} writes, bucket {}",
+            "recorded {}: {} events / {} instructions, {} writes, bucket {}",
             out.display(),
-            encoding.name(),
             trace.steps.len(),
             trace.expected.total_steps,
             trace.total_writes(),
@@ -279,11 +277,10 @@ fn cmd_record(dir: &Path, flags: &[(String, String)]) -> Result<(), String> {
 
 fn cmd_replay(dir: &Path, trace_path: &Path) -> Result<(), String> {
     let program = load_program(dir)?;
-    let (trace, encoding) = TraceFile::read(trace_path).map_err(|e| e.to_string())?;
+    let trace = TraceFile::read(trace_path).map_err(|e| e.to_string())?;
     println!(
-        "{} ({}): format v{}, program {:016x}, {} events, expected `{}`",
+        "{}: format v{}, program {:016x}, {} events, expected `{}`",
         trace_path.display(),
-        encoding.name(),
         trace.header.format_version,
         trace.header.program_fp,
         trace.steps.len(),
@@ -301,7 +298,7 @@ fn cmd_replay(dir: &Path, trace_path: &Path) -> Result<(), String> {
 
 fn cmd_verify(dir: &Path, trace_path: &Path) -> Result<(), String> {
     let program = load_program(dir)?;
-    let (trace, encoding) = TraceFile::read(trace_path).map_err(|e| e.to_string())?;
+    let trace = TraceFile::read(trace_path).map_err(|e| e.to_string())?;
     let out = verify_trace(&program, &trace, &Recorder::disabled());
     if !out.fingerprint_matches {
         println!(
@@ -311,9 +308,8 @@ fn cmd_verify(dir: &Path, trace_path: &Path) -> Result<(), String> {
     }
     if out.pass {
         println!(
-            "PASS: {} events ({}) replayed identically; fault `{}` reproduced",
+            "PASS: {} events replayed identically; fault `{}` reproduced",
             trace.steps.len(),
-            encoding.name(),
             trace.expected.fault
         );
         Ok(())
@@ -714,7 +710,7 @@ fn usage() -> ! {
   res-cli top [--addr A] [--interval-ms N] [--count N]
   res-cli journal <file> [--span PREFIX] [--counters GLOB] [--req ID] [--requests] [--quantiles]
 
-replay traces end in .restrace (JSON) or .restrace.bin (binary).
+replay traces end in .restrace.
 --trace PATH is the res-obs journal; it wins over the RES_TRACE env fallback."
     );
     std::process::exit(2)

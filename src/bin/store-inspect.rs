@@ -9,9 +9,9 @@
 //! ```
 //!
 //! The file kind is sniffed from its magic bytes: replay traces
-//! (`.restrace` / `.restrace.bin`, either encoding) get a trace report
-//! — header, fingerprints, event counts, schedule summary, expected
-//! outcome; anything else is treated as a solver store. Read-only by
+//! (`.restrace`) get a trace report — header, fingerprints, event
+//! counts, schedule summary, expected outcome; anything else is
+//! treated as a solver store. Read-only by
 //! default (`--compact` is refused on traces): inspection never
 //! modifies the file. The program fingerprint is taken from the file's
 //! own header, so any valid file can be inspected without the program
@@ -20,16 +20,15 @@
 use std::path::Path;
 
 use res_debugger::store::{LoadOutcome, SolverStore};
-use res_debugger::trace::{Encoding, TraceFile};
+use res_debugger::trace::{TraceFile, MAGIC};
 
 fn inspect_trace(path: &Path, compact: bool) -> Result<(), String> {
     if compact {
         return Err("replay traces are immutable; --compact applies only to stores".into());
     }
-    let (trace, encoding) = TraceFile::read(path).map_err(|e| e.to_string())?;
+    let trace = TraceFile::read(path).map_err(|e| e.to_string())?;
     let bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
     println!("replay trace: {}", path.display());
-    println!("  encoding:         {}", encoding.name());
     println!("  format version:   {}", trace.header.format_version);
     println!("  program fp:       {:#018x}", trace.header.program_fp);
     println!("  suffix fp:        {:#018x}", trace.expected.suffix_fp);
@@ -69,7 +68,7 @@ fn inspect(path: &Path, compact: bool) -> Result<(), String> {
         return Err(format!("no store at {}", path.display()));
     }
     let head = std::fs::read(path).map_err(|e| e.to_string())?;
-    if Encoding::sniff(&head).is_some() {
+    if head.starts_with(MAGIC.as_bytes()) {
         return inspect_trace(path, compact);
     }
     let mut store = SolverStore::open_for_inspection(path);

@@ -289,7 +289,6 @@ fn disabled_recorder_allocates_nothing_on_the_hot_path() {
     for i in 0..1_000u64 {
         rec.counter("kernel.nodes_expanded", 1);
         rec.gauge("workers", i);
-        rec.observe("suffix.len", i);
         rec.event_with("kernel.cut", || {
             vec![("reason".to_string(), "Nodes".to_string())]
         });

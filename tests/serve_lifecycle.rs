@@ -1,6 +1,6 @@
 //! Lifecycle tests for the `res-serve` triage daemon: hot-store LRU
-//! eviction/commit/reopen, concurrent-vs-sequential byte identity, and
-//! bounded-queue backpressure.
+//! eviction/commit/reopen, concurrent-vs-sequential byte identity,
+//! bounded-queue backpressure, and containment of a panicking job.
 
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -212,4 +212,45 @@ fn full_queue_rejects_with_backpressure_response() {
     drop(occupant);
     let mut handle = handle;
     handle.stop();
+}
+
+/// A job that panics is answered with an error, and the daemon stays
+/// whole: its one worker keeps serving, the program's store lock that
+/// the panic poisoned is taken over, and `stop` still commits the hot
+/// store. The panicking input is a dump whose `faulting_tid` names no
+/// thread, which the engine does not validate.
+#[test]
+fn panicking_job_is_answered_with_an_error_and_contained() {
+    let dir = temp_dir("panic");
+    let corpus = small_corpus(vec![BugKind::DivByZero], 1);
+    let report = &corpus[0];
+    let mut bad = request_for(report);
+    bad.dump.faulting_tid = 99;
+    assert!(bad.dump.threads.iter().all(|t| t.tid != 99));
+
+    let mut handle = serve(ServeConfig {
+        workers: 1,
+        store_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    })
+    .expect("boot daemon");
+    let mut client = TriageClient::connect(handle.addr()).expect("connect");
+    match client.call(&WireRequest::Triage(bad)).expect("io") {
+        WireResponse::Error(msg) => assert!(msg.contains("panicked"), "{msg}"),
+        other => panic!("expected an error answer, got {other:?}"),
+    }
+
+    // The same program again, through the same (only) worker and the
+    // same store: answered, and identical to the library.
+    let expected = identity(&triage(&request_for(report), &ResConfig::default()));
+    let resp = client
+        .triage(request_for(report))
+        .expect("io")
+        .expect("admitted");
+    assert_eq!(identity(&resp), expected);
+    assert_eq!(client.stats().expect("stats").completed, 2);
+
+    drop(client);
+    handle.stop();
+    let _ = std::fs::remove_dir_all(&dir);
 }

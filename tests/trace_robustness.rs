@@ -7,11 +7,10 @@
 //! "verify" something the recording never said, so every kind of
 //! damage here must surface as a typed [`TraceError`] and never as a
 //! partial trace, a panic, or a silent PASS. Each test damages a real
-//! trace a different way — in both encodings where the damage applies —
-//! and asserts the exact error class.
+//! trace a different way and asserts the exact error class.
 
 use res_debugger::prelude::*;
-use res_debugger::trace::{Encoding, TraceError};
+use res_debugger::trace::TraceError;
 use res_debugger::triage::bucket_key_for;
 use res_debugger::workloads::run_to_failure;
 
@@ -52,52 +51,36 @@ fn recorded() -> (Program, TraceFile) {
 #[test]
 fn truncation_is_torn_never_partial() {
     let (_, trace) = recorded();
-    for encoding in [Encoding::Json, Encoding::Binary] {
-        let bytes = trace.to_bytes(encoding);
-        // Tear at several depths: mid-final-record, mid-file, just past
-        // the magic. Every depth must produce a typed error — a torn
-        // trace never yields a shorter schedule.
-        for keep in [bytes.len() - 3, bytes.len() / 2, 40] {
-            let err = TraceFile::from_bytes(&bytes[..keep])
-                .expect_err(&format!("{}: tear at {keep} accepted", encoding.name()));
-            assert!(
-                matches!(err, TraceError::Torn { .. } | TraceError::Missing(_)),
-                "{}: tear at {keep} gave {err:?}",
-                encoding.name()
-            );
-        }
-        // Torn inside the magic itself: not recognizably a trace.
-        assert!(matches!(
-            TraceFile::from_bytes(&bytes[..4]),
-            Err(TraceError::NotATrace)
-        ));
+    let bytes = trace.to_text_bytes();
+    // Tear at several depths: mid-final-record, mid-file, just past
+    // the magic. Every depth must produce a typed error — a torn trace
+    // never yields a shorter schedule.
+    for keep in [bytes.len() - 3, bytes.len() / 2, 40] {
+        let err = TraceFile::from_text_bytes(&bytes[..keep])
+            .expect_err(&format!("tear at {keep} accepted"));
+        assert!(
+            matches!(err, TraceError::Torn { .. } | TraceError::Missing(_)),
+            "tear at {keep} gave {err:?}"
+        );
     }
+    // Torn inside the magic itself: not recognizably a trace.
+    assert!(matches!(
+        TraceFile::from_text_bytes(&bytes[..4]),
+        Err(TraceError::NotATrace)
+    ));
 }
 
 #[test]
 fn corrupted_payload_is_torn_at_the_damaged_record() {
     let (_, trace) = recorded();
-    // Text: flip one payload byte mid-file; the checksum catches it.
-    let text = trace.to_bytes(Encoding::Json);
-    let mut tampered = text.clone();
+    // Flip one payload byte mid-file; the checksum catches it.
+    let mut tampered = trace.to_text_bytes();
     let mid = tampered.len() / 2;
     tampered[mid] ^= 0x01;
-    match TraceFile::from_bytes(&tampered) {
+    match TraceFile::from_text_bytes(&tampered) {
         Err(TraceError::Torn { record }) => assert!(record > 0, "magic is intact"),
-        other => panic!("corrupt text byte gave {other:?}"),
+        other => panic!("corrupt byte gave {other:?}"),
     }
-    // Binary: same damage, same answer.
-    let bin = trace.to_bytes(Encoding::Binary);
-    let mut tampered = bin.clone();
-    let mid = tampered.len() / 2;
-    tampered[mid] ^= 0x01;
-    assert!(
-        matches!(
-            TraceFile::from_bytes(&tampered),
-            Err(TraceError::Torn { .. })
-        ),
-        "corrupt binary byte must be torn"
-    );
 }
 
 #[test]
@@ -109,7 +92,7 @@ fn foreign_bytes_are_not_a_trace() {
         b"{\"header\":{}}",
     ] {
         assert!(
-            matches!(TraceFile::from_bytes(junk), Err(TraceError::NotATrace)),
+            matches!(TraceFile::from_text_bytes(junk), Err(TraceError::NotATrace)),
             "accepted junk {junk:?}"
         );
     }
@@ -118,29 +101,47 @@ fn foreign_bytes_are_not_a_trace() {
 #[test]
 fn future_format_version_is_refused_with_the_version() {
     let (_, trace) = recorded();
-    // Text magic line: `RES-TRACE 1 <fp>` -> version 99.
-    let text = String::from_utf8(trace.to_bytes(Encoding::Json)).unwrap();
+    // Magic line: `RES-TRACE 1` -> version 99.
+    let text = String::from_utf8(trace.to_text_bytes()).unwrap();
     let bumped = text.replacen("RES-TRACE 1", "RES-TRACE 99", 1);
     assert_eq!(
-        TraceFile::from_bytes(bumped.as_bytes()).unwrap_err(),
+        TraceFile::from_text_bytes(bumped.as_bytes()).unwrap_err(),
         TraceError::Version(99)
     );
-    // Binary magic: `RES-TRACE-BIN 1\n` -> version 9 (same length, so
-    // the framing after it is untouched).
-    let mut bin = trace.to_bytes(Encoding::Binary);
-    let needle = b"RES-TRACE-BIN 1\n";
-    assert_eq!(&bin[..needle.len()], needle);
-    bin[needle.len() - 2] = b'9';
+}
+
+/// Older builds could also write traces in a binary encoding
+/// (`.restrace.bin`, magic `RES-TRACE-BIN 1`), since removed. Such a
+/// file is refused as not a trace, never half-parsed and never a panic.
+#[test]
+fn legacy_binary_trace_is_not_a_trace() {
+    // The magic line and header record of a binary trace as an older
+    // build wrote it, followed by the start of its dump record.
+    let legacy: &[u8] = b"RES-TRACE-BIN 1\nH@\x00\x00\x00l5\xb4\xda:\x95O\xdd\x08\x03\x0e\
+        format_version\x03\x01\nprogram_fp\x03\xad\x8b\xbe\x99\x96\x9a\xaa\xa2H\x06\
+        writer\x06\x0fres-trace 0.1.0DS#\x00\x00\xb7\xeb\xca\x9d\xb2s\xac\xe7\x08\n\x0c";
     assert_eq!(
-        TraceFile::from_bytes(&bin).unwrap_err(),
-        TraceError::Version(9)
+        TraceFile::from_text_bytes(legacy).unwrap_err(),
+        TraceError::NotATrace
     );
+    // The magic line alone is valid UTF-8: refused by the magic check.
+    assert_eq!(
+        TraceFile::from_text_bytes(&legacy[..16]).unwrap_err(),
+        TraceError::NotATrace
+    );
+    let dir = std::env::temp_dir().join(format!("res-trace-legacy-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("repro.restrace.bin");
+    std::fs::write(&path, legacy).unwrap();
+    assert_eq!(TraceFile::read(&path).unwrap_err(), TraceError::NotATrace);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn missing_section_is_reported_by_name() {
     let (_, trace) = recorded();
-    let text = String::from_utf8(trace.to_bytes(Encoding::Json)).unwrap();
+    let text = String::from_utf8(trace.to_text_bytes()).unwrap();
     // Drop the expected-outcome record (tag X) entirely; the file is
     // otherwise pristine, so this exercises the completeness check
     // rather than the framing.
@@ -150,7 +151,7 @@ fn missing_section_is_reported_by_name() {
         .map(|l| format!("{l}\n"))
         .collect();
     assert_eq!(
-        TraceFile::from_bytes(without.as_bytes()).unwrap_err(),
+        TraceFile::from_text_bytes(without.as_bytes()).unwrap_err(),
         TraceError::Missing("expected-outcome")
     );
 }
@@ -176,7 +177,8 @@ fn replay_refuses_a_foreign_program_by_fingerprint() {
 }
 
 /// Damage must also be typed end to end: a torn file on disk surfaces
-/// through [`TraceFile::read`] the same way as through `from_bytes`.
+/// through [`TraceFile::read`] the same way as through
+/// `from_text_bytes`.
 #[test]
 fn read_from_disk_reports_the_same_typed_errors() {
     let (_, trace) = recorded();

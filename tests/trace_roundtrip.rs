@@ -3,27 +3,21 @@
 //!
 //! Three properties pin the format:
 //!
-//! 1. **Losslessness** — a trace survives JSON↔binary encoding
-//!    unchanged, so the two encodings are interchangeable.
+//! 1. **Losslessness** — a trace survives encoding to bytes, and a
+//!    write to and read from disk, unchanged.
 //! 2. **Determinism** — recording the same failure at any worker count
 //!    produces byte-identical files (the header carries no timestamps,
 //!    the search is deterministic), so traces can be diffed and cached.
-//! 3. **Stability** — the byte-level golden fixtures
-//!    (`tests/fixtures/trace_v1.restrace{,.bin}`) pin format version 1:
-//!    a trace recorded today must match the committed bytes exactly, so
+//! 3. **Stability** — the byte-level golden fixture
+//!    (`tests/fixtures/trace_v1.restrace`) pins format version 1: a
+//!    trace recorded today must match the committed bytes exactly, so
 //!    accidental drift — which would orphan every archived trace —
 //!    fails loudly. Regenerate after an *intentional* format change
 //!    with `RES_REGEN_FIXTURES=1 cargo test --test trace_roundtrip`.
-//!
-//! The binary value codec additionally gets a property test: any JSON
-//! tree round-trips through `encode_json`/`decode_json`.
 
 use std::path::PathBuf;
 
-use mvm_json::Json;
-use proptest_mini::{check, prop_assert_eq, vec_of, Config};
 use res_debugger::prelude::*;
-use res_debugger::trace::{decode_json, encode_json, Encoding};
 use res_debugger::triage::bucket_key_for;
 use res_debugger::workloads::run_to_failure;
 
@@ -76,142 +70,79 @@ fn record(workers: usize) -> TraceFile {
     panic!("no suffix produced a recordable trace");
 }
 
+/// The JSON encoding, now the only one (the binary encoding this test
+/// once also covered was removed), round-trips through bytes losslessly,
+/// and re-encoding the decoded trace gives the same bytes.
 #[test]
 fn json_and_binary_encodings_round_trip_losslessly() {
     let trace = record(1);
-    for encoding in [Encoding::Json, Encoding::Binary] {
-        let bytes = trace.to_bytes(encoding);
-        let (back, detected) = TraceFile::from_bytes(&bytes).expect("decode own bytes");
-        assert_eq!(detected, encoding, "sniffing must recover the encoding");
-        assert_eq!(back, trace, "{} round trip lost data", encoding.name());
-    }
-    // Cross-encoding: JSON -> struct -> binary -> struct is still equal.
-    let via_json = TraceFile::from_bytes(&trace.to_bytes(Encoding::Json))
-        .unwrap()
-        .0;
-    let via_bin = TraceFile::from_bytes(&via_json.to_bytes(Encoding::Binary))
-        .unwrap()
-        .0;
-    assert_eq!(via_bin, trace);
+    let bytes = trace.to_text_bytes();
+    let back = TraceFile::from_text_bytes(&bytes).expect("decode own bytes");
+    assert_eq!(back, trace, "byte round trip lost data");
+    assert_eq!(back.to_text_bytes(), bytes, "re-encoding changed the bytes");
 }
 
+/// Every file name selects the one encoding: `write` stores exactly
+/// `to_text_bytes` whatever the extension, and `read` gets the trace back.
 #[test]
 fn file_extension_selects_the_encoding() {
     let trace = record(1);
     let dir = temp_dir("ext");
-    let json_path = dir.join("t.restrace");
-    let bin_path = dir.join("t.restrace.bin");
-    assert_eq!(trace.write(&json_path).unwrap(), Encoding::Json);
-    assert_eq!(trace.write(&bin_path).unwrap(), Encoding::Binary);
-    let (j, je) = TraceFile::read(&json_path).unwrap();
-    let (b, be) = TraceFile::read(&bin_path).unwrap();
-    assert_eq!((je, be), (Encoding::Json, Encoding::Binary));
-    assert_eq!(j, trace);
-    assert_eq!(b, trace);
+    for name in ["t.restrace", "t.trace", "t"] {
+        let path = dir.join(name);
+        trace.write(&path).unwrap();
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            trace.to_text_bytes(),
+            "{name}"
+        );
+        assert_eq!(
+            TraceFile::read(&path).unwrap(),
+            trace,
+            "{name}: disk round trip lost data"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn traces_are_byte_identical_across_worker_counts() {
-    let baseline = record(1);
-    let json1 = baseline.to_bytes(Encoding::Json);
-    let bin1 = baseline.to_bytes(Encoding::Binary);
+    let baseline = record(1).to_text_bytes();
     for workers in [2, 4] {
-        let t = record(workers);
         assert_eq!(
-            t.to_bytes(Encoding::Json),
-            json1,
-            "{workers}-worker JSON trace differs from sequential"
-        );
-        assert_eq!(
-            t.to_bytes(Encoding::Binary),
-            bin1,
-            "{workers}-worker binary trace differs from sequential"
+            record(workers).to_text_bytes(),
+            baseline,
+            "{workers}-worker trace differs from sequential"
         );
     }
 }
 
-/// Byte-level golden fixtures for format version 1, both encodings.
+/// Byte-level golden fixture for format version 1.
 #[test]
 fn trace_v1_golden_fixtures_round_trip() {
     let trace = record(1);
-    for (name, encoding) in [
-        ("trace_v1.restrace", Encoding::Json),
-        ("trace_v1.restrace.bin", Encoding::Binary),
-    ] {
-        let written = trace.to_bytes(encoding);
-        let fixture = fixture_path(name);
-        if std::env::var_os("RES_REGEN_FIXTURES").is_some() {
-            std::fs::write(&fixture, &written).expect("write fixture");
-        } else {
-            let golden = std::fs::read(&fixture).unwrap_or_else(|e| {
-                panic!(
-                    "missing fixture {} ({e}); regenerate with RES_REGEN_FIXTURES=1",
-                    fixture.display()
-                )
-            });
-            assert_eq!(
-                written, golden,
-                "{name}: trace format drifted from the committed version-1 \
-                 fixture; bump FORMAT_VERSION for an intentional change"
-            );
-        }
-        // The committed fixture must still decode and verify PASS.
-        let (back, detected) = TraceFile::read(&fixture).expect("read fixture");
-        assert_eq!(detected, encoding);
-        assert_eq!(back, trace);
-        let (program, _) = crash();
-        let outcome = verify_trace(&program, &back, &Recorder::disabled());
-        assert!(outcome.pass, "committed fixture no longer verifies");
-        assert!(outcome.fingerprint_matches);
+    let written = trace.to_text_bytes();
+    let fixture = fixture_path("trace_v1.restrace");
+    if std::env::var_os("RES_REGEN_FIXTURES").is_some() {
+        std::fs::write(&fixture, &written).expect("write fixture");
+    } else {
+        let golden = std::fs::read(&fixture).unwrap_or_else(|e| {
+            panic!(
+                "missing fixture {} ({e}); regenerate with RES_REGEN_FIXTURES=1",
+                fixture.display()
+            )
+        });
+        assert_eq!(
+            written, golden,
+            "trace format drifted from the committed version-1 fixture; \
+             bump FORMAT_VERSION for an intentional change"
+        );
     }
-}
-
-/// Builds an arbitrary JSON tree from a vector of entropy words —
-/// every variant reachable, depth bounded, floats kept exactly
-/// representable so equality is meaningful.
-fn json_from_entropy(words: &[u64], pos: &mut usize, depth: usize) -> Json {
-    let next = |pos: &mut usize| {
-        let w = words[*pos % words.len()];
-        *pos += 1;
-        w
-    };
-    let w = next(pos);
-    match w % if depth == 0 { 6 } else { 8 } {
-        0 => Json::Null,
-        1 => Json::Bool(next(pos) % 2 == 0),
-        2 => Json::U64(next(pos)),
-        3 => Json::I64(next(pos) as i64),
-        4 => Json::F64((next(pos) % 10_000) as f64 * 0.25 - 1250.0),
-        5 => Json::Str(format!("k{:x}\n\"é", next(pos))),
-        6 => Json::Arr(
-            (0..next(pos) % 4)
-                .map(|_| json_from_entropy(words, pos, depth - 1))
-                .collect(),
-        ),
-        _ => Json::Obj(
-            (0..next(pos) % 4)
-                .map(|i| (format!("f{i}"), json_from_entropy(words, pos, depth - 1)))
-                .collect(),
-        ),
-    }
-}
-
-/// Property: any JSON value round-trips through the binary codec.
-#[test]
-fn binary_codec_round_trips_arbitrary_json() {
-    check(
-        "binary_codec_round_trips_arbitrary_json",
-        &Config::new(),
-        &vec_of(proptest_mini::any_u64(), 1, 64),
-        |words| {
-            let mut pos = 0;
-            let value = json_from_entropy(words, &mut pos, 3);
-            let mut buf = Vec::new();
-            encode_json(&value, &mut buf);
-            let back = decode_json(&buf).map_err(|e| format!("decode: {e}"))?;
-            prop_assert_eq!(back, value);
-            Ok(())
-        },
-    );
+    // The committed fixture must still decode and verify PASS.
+    let back = TraceFile::read(&fixture).expect("read fixture");
+    assert_eq!(back, trace);
+    let (program, _) = crash();
+    let outcome = verify_trace(&program, &back, &Recorder::disabled());
+    assert!(outcome.pass, "committed fixture no longer verifies");
+    assert!(outcome.fingerprint_matches);
 }

@@ -13,7 +13,7 @@ use res_baselines::{
     RecorderKind, //
 };
 use res_core::{
-    analyze_root_cause,
+    replay_and_diagnose,
     replay_suffix,
     CutReason,
     FrontierKind,
@@ -72,10 +72,10 @@ pub fn e1_hotos_eval() -> Experiment {
         let mut found: Option<RootCause> = None;
         let mut false_pos = 0usize;
         for sfx in &result.suffixes {
-            if !replay_suffix(&p, &d, sfx).reproduced {
+            let (rep, rc) = replay_and_diagnose(&p, &d, sfx);
+            if !rep.reproduced {
                 continue;
             }
-            let rc = analyze_root_cause(&p, &d, sfx);
             if rc.is_concurrency() {
                 if found.is_none() {
                     found = Some(rc);

@@ -9,12 +9,15 @@
 
 use std::collections::BTreeMap;
 
-use mvm_json::json_struct;
+use mvm_json::{Json, JsonError, ToJson};
 
 use mvm_isa::Width;
 
 /// Size of a memory page in bytes.
 pub const PAGE_SIZE: u64 = 4096;
+
+/// What an unmapped page compares as.
+static ZERO_PAGE: [u8; PAGE_SIZE as usize] = [0; PAGE_SIZE as usize];
 
 /// Sparse byte-addressable memory backed by 4 KiB pages.
 ///
@@ -25,7 +28,35 @@ pub struct Memory {
     pages: BTreeMap<u64, Vec<u8>>,
 }
 
-json_struct!(Memory { pages });
+impl ToJson for Memory {
+    fn to_json(&self) -> Json {
+        Json::Obj(vec![("pages".to_string(), self.pages.to_json())])
+    }
+}
+
+/// Accepts only whole pages at page-aligned bases, so every `Memory`
+/// holds `PAGE_SIZE`-byte pages whatever its source: the accessors index
+/// into a page and [`Memory::diff`] compares whole pages.
+impl mvm_json::FromJson for Memory {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        let obj = v.as_obj().ok_or_else(|| JsonError::expected("Memory", v))?;
+        let pages: BTreeMap<u64, Vec<u8>> = mvm_json::field(obj, "pages", "Memory")?;
+        for (base, page) in &pages {
+            if base % PAGE_SIZE != 0 {
+                return Err(JsonError::msg(format!(
+                    "Memory.pages[\"{base}\"]: page base {base:#x} is not {PAGE_SIZE}-byte aligned"
+                )));
+            }
+            if page.len() as u64 != PAGE_SIZE {
+                return Err(JsonError::msg(format!(
+                    "Memory.pages[\"{base}\"]: page at {base:#x} holds {} bytes, not {PAGE_SIZE}",
+                    page.len()
+                )));
+            }
+        }
+        Ok(Memory { pages })
+    }
+}
 
 impl Memory {
     /// Creates an empty (fully unmapped) memory.
@@ -133,9 +164,17 @@ impl Memory {
         }
     }
 
+    /// The page at `base`, or the zero page when it is unmapped.
+    fn page_or_zero(&self, base: u64) -> &[u8] {
+        self.pages.get(&base).map_or(&ZERO_PAGE, Vec::as_slice)
+    }
+
     /// Addresses (at byte granularity) where two memories differ,
-    /// considering unmapped bytes equal to zero. Capped at `limit`
-    /// results.
+    /// considering unmapped bytes equal to zero, in address order.
+    /// Capped at `limit` results.
+    ///
+    /// Pages are compared whole (an unmapped page as a zero page); only
+    /// a page that differs is scanned byte by byte.
     pub fn diff(&self, other: &Memory, limit: usize) -> Vec<u64> {
         let mut out = Vec::new();
         let mut bases: Vec<u64> = self
@@ -147,11 +186,13 @@ impl Memory {
         bases.sort_unstable();
         bases.dedup();
         for base in bases {
-            for i in 0..PAGE_SIZE {
-                let a = self.read_byte(base + i).unwrap_or(0);
-                let b = other.read_byte(base + i).unwrap_or(0);
-                if a != b {
-                    out.push(base + i);
+            let (a, b) = (self.page_or_zero(base), other.page_or_zero(base));
+            if a == b {
+                continue;
+            }
+            for (i, (x, y)) in a.iter().zip(b).enumerate() {
+                if x != y {
+                    out.push(base + i as u64);
                     if out.len() >= limit {
                         return out;
                     }
@@ -244,6 +285,70 @@ mod tests {
         a.write(0x300, 0, Width::W8);
         let b = Memory::new();
         assert!(a.diff(&b, 10).is_empty());
+        assert!(b.diff(&a, 10).is_empty());
+    }
+
+    /// The byte-wise definition [`Memory::diff`] must keep: every
+    /// address of every page either side maps, unmapped bytes reading
+    /// as zero.
+    fn diff_bytewise(a: &Memory, b: &Memory, limit: usize) -> Vec<u64> {
+        let mut bases: Vec<u64> = a.pages.keys().chain(b.pages.keys()).copied().collect();
+        bases.sort_unstable();
+        bases.dedup();
+        let mut out = Vec::new();
+        for base in bases {
+            for addr in base..base + PAGE_SIZE {
+                if a.read_byte(addr).unwrap_or(0) != b.read_byte(addr).unwrap_or(0) {
+                    out.push(addr);
+                    if out.len() >= limit {
+                        return out;
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn diff_equals_the_bytewise_reference() {
+        use proptest_mini::{check, pair, prop_assert_eq, triple, u64_range, vec_of, Config};
+
+        // One operation: (kind, page slot, value). Kind 0 maps a zero
+        // page, 1-2 write `value` at an offset derived from it; the
+        // common half runs on both sides, the rest on one side each.
+        let op = triple(u64_range(0, 3), u64_range(0, 5), u64_range(0, 1 << 20));
+        let ops = pair(
+            vec_of(op.clone(), 0, 6),
+            vec_of(pair(u64_range(0, 2), op), 0, 10),
+        );
+        let apply = |m: &mut Memory, &(kind, slot, value): &(u64, u64, u64)| {
+            let base = 0x1000_0000 + slot * PAGE_SIZE;
+            match kind {
+                0 => m.map_zeroed(base, PAGE_SIZE),
+                _ => m.write_byte(base + (value >> 8) % PAGE_SIZE, value as u8),
+            }
+        };
+        check(
+            "diff_equals_the_bytewise_reference",
+            &Config::with_cases(256),
+            &ops,
+            |(common, edits)| {
+                let mut a = Memory::new();
+                for o in common {
+                    apply(&mut a, o);
+                }
+                let mut b = a.clone();
+                for (side, o) in edits {
+                    apply(if *side == 0 { &mut a } else { &mut b }, o);
+                }
+                let all = diff_bytewise(&a, &b, usize::MAX);
+                prop_assert_eq!(a.diff(&b, usize::MAX), all.clone());
+                for limit in 1..=all.len() + 1 {
+                    prop_assert_eq!(a.diff(&b, limit), diff_bytewise(&a, &b, limit));
+                }
+                Ok(())
+            },
+        );
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub use kernel::{
 pub use replay::{
     replay_observed, replay_suffix, Divergence, DivergenceKind, ObservedEvent, ReplayReport,
 };
-pub use rootcause::{analyze_root_cause, RootCause};
+pub use rootcause::{analyze_root_cause, replay_and_diagnose, RootCause};
 pub use search::{
     ResConfig, ResConfigBuilder, ResEngine, StoreReport, SynthOptions, SynthesisResult, Verdict,
 };

@@ -13,9 +13,9 @@ use std::collections::{HashMap, HashSet};
 
 use mvm_core::Coredump;
 use mvm_isa::{Loc, Program};
-use mvm_machine::{AccessKind, Fault, ThreadId, TraceEvent, TraceLevel};
+use mvm_machine::{AccessKind, Fault, Machine, ThreadId, TraceEvent, TraceLevel};
 
-use crate::replay::replay_with_trace;
+use crate::replay::{replay_with_trace, ReplayReport};
 use crate::suffix::ExecutionSuffix;
 
 /// The diagnosed root cause of a failure.
@@ -176,14 +176,37 @@ impl RootCause {
     }
 }
 
-/// Analyzes a synthesized suffix: replays it with full tracing and runs
-/// the per-class analyzers against the observed window.
+/// Replays a suffix once, with full tracing, and runs the per-class
+/// analyzers against the observed window: the report says whether the
+/// suffix reproduced the failure, the root cause is read off the same
+/// replay. Callers that need both pay for one replay.
+pub fn replay_and_diagnose(
+    program: &Program,
+    dump: &Coredump,
+    suffix: &ExecutionSuffix,
+) -> (ReplayReport, RootCause) {
+    let (report, machine) = replay_with_trace(program, dump, suffix, TraceLevel::Full);
+    let rc = diagnose(program, dump, suffix, &machine);
+    (report, rc)
+}
+
+/// Analyzes a synthesized suffix: the root cause half of
+/// [`replay_and_diagnose`].
 pub fn analyze_root_cause(
     program: &Program,
     dump: &Coredump,
     suffix: &ExecutionSuffix,
 ) -> RootCause {
-    let (report, machine) = replay_with_trace(program, dump, suffix, TraceLevel::Full);
+    replay_and_diagnose(program, dump, suffix).1
+}
+
+/// The per-class analyzers over a traced replay's machine.
+fn diagnose(
+    program: &Program,
+    dump: &Coredump,
+    suffix: &ExecutionSuffix,
+    machine: &Machine,
+) -> RootCause {
     let events = machine.tracer().events();
     let fault_pc = dump.fault_pc();
 
@@ -263,7 +286,6 @@ pub fn analyze_root_cause(
         }
         _ => {}
     }
-    let _ = report;
     RootCause::Unknown
 }
 

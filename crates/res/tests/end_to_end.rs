@@ -486,3 +486,54 @@ fn replay_is_deterministic() {
         assert_eq!(rep.replay_fault, Some(Fault::DivByZero));
     }
 }
+
+/// `replay_and_diagnose` reads `reproduced` off a traced replay where
+/// triage used to run a plain one, so tracing must not change what a
+/// replay reports: on the golden DivByZero crash and on one dump of
+/// every generated bug class, a `TraceLevel::Full` replay of every
+/// synthesized suffix reports exactly what a plain replay does.
+#[test]
+fn traced_replay_reports_what_a_plain_replay_does() {
+    use mvm_machine::TraceLevel;
+    use res_core::replay::replay_with_trace;
+    use res_workloads::gen::{collect_failures, corpus_specs, generate, GenClass};
+    use res_workloads::{build as build_workload, run_to_failure, BugKind, WorkloadParams};
+
+    let golden = build_workload(
+        BugKind::DivByZero,
+        WorkloadParams {
+            prefix_iters: 2,
+            hash_rounds: 1,
+        },
+    );
+    let machine = (0..500)
+        .find_map(|s| run_to_failure(&golden, s))
+        .expect("DivByZero workload must fault");
+    let mut cases = vec![("golden div-by-zero", golden, Coredump::capture(&machine))];
+    for spec in corpus_specs(&GenClass::ALL, GenClass::ALL.len(), 7, 1) {
+        let gp = generate(spec);
+        for failure in collect_failures(&gp, 1) {
+            cases.push((spec.class.name(), gp.program.clone(), failure.dump));
+        }
+    }
+    let mut compared = 0;
+    for (name, p, d) in &cases {
+        let result = ResEngine::new(p, ResConfig::default()).synthesize(d);
+        for (i, sfx) in result.suffixes.iter().enumerate() {
+            let plain = replay_suffix(p, d, sfx);
+            let (traced, _) = replay_with_trace(p, d, sfx, TraceLevel::Full);
+            let at = format!("{name}, suffix {i}");
+            assert_eq!(traced.reproduced, plain.reproduced, "{at}");
+            assert_eq!(traced.fault_matches, plain.fault_matches, "{at}");
+            assert_eq!(traced.diff, plain.diff, "{at}");
+            assert_eq!(traced.replay_fault, plain.replay_fault, "{at}");
+            assert_eq!(traced.steps_executed, plain.steps_executed, "{at}");
+            compared += 1;
+        }
+    }
+    assert!(
+        compared >= cases.len(),
+        "only {compared} suffixes over {} dumps",
+        cases.len()
+    );
+}

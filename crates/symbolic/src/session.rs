@@ -4,10 +4,11 @@
 //! sets that repeat: sibling hypotheses share the suffix they extend, the
 //! hardware-error localization sweep re-solves the same relaxed sets, and
 //! the global compatibility check grows one tagged constraint at a time.
-//! Because [`ExprRef`]s are structurally hashed and the solver is a
-//! deterministic function of its input, a `(constraint set → result)`
+//! Because the memo compares [`ExprRef`]s structurally and the solver is
+//! a deterministic function of its input, a `(constraint set → result)`
 //! memo is exact: a cache hit returns precisely what a fresh
-//! [`Solver::check`] would.
+//! [`Solver::check`] would. Each key carries its hash, computed once
+//! per query with a word-at-a-time hasher.
 //!
 //! [`SolverSession`] wraps a [`Solver`] with that memo plus cumulative
 //! accounting — queries, hit/miss counts, sat/unsat/unknown tallies
@@ -18,6 +19,7 @@
 use std::cell::RefCell;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 use mvm_json::json_struct;
 use res_obs::Recorder;
@@ -125,7 +127,7 @@ impl SessionStats {
 pub struct SolverSession {
     solver: Solver,
     /// Exact memo: constraint sequence → (result, its α-canonical form).
-    cache: RefCell<HashMap<Vec<ExprRef>, (SolveResult, Canon)>>,
+    cache: RefCell<HashMap<MemoKey, (SolveResult, Canon), BuildHasherDefault<WordHasher>>>,
     /// Cross-session cache absorbed from other sessions' portable
     /// exports, keyed by α-canonical fingerprint and tagged with where
     /// the entry came from. Consulted only after the exact memo misses.
@@ -137,6 +139,83 @@ pub struct SolverSession {
     /// hands in an already-scoped recorder (the engine uses
     /// `rec.scoped("solver")`), so counter names here stay bare.
     recorder: RefCell<Recorder>,
+}
+
+/// An exact-memo key: a constraint sequence and its hash, computed once
+/// per [`SolverSession::check`] and reused by the insert. Equality still
+/// compares the expressions, so two sequences share an entry only when
+/// they are structurally equal.
+#[derive(Debug)]
+struct MemoKey {
+    hash: u64,
+    exprs: Vec<ExprRef>,
+}
+
+impl MemoKey {
+    fn new(constraints: &[ExprRef]) -> MemoKey {
+        let mut h = WordHasher::default();
+        constraints.hash(&mut h);
+        MemoKey {
+            hash: h.finish(),
+            exprs: constraints.to_vec(),
+        }
+    }
+}
+
+impl PartialEq for MemoKey {
+    fn eq(&self, other: &MemoKey) -> bool {
+        self.hash == other.hash && self.exprs == other.exprs
+    }
+}
+
+impl Eq for MemoKey {}
+
+impl Hash for MemoKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+/// A word-at-a-time multiplicative hasher (the Fx step: rotate, xor,
+/// multiply per word). Not collision-resistant, which an exact memo
+/// does not need: it hashes expression trees a few words per node.
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl WordHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.add(n.into());
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(n.into());
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// The α-canonical form of one memo entry, computed at most once: on
@@ -219,7 +298,8 @@ impl SolverSession {
         let mut stats = self.stats.borrow_mut();
         stats.queries += 1;
         rec.counter("queries", 1);
-        if let Some((hit, _)) = self.cache.borrow().get(constraints) {
+        let key = MemoKey::new(constraints);
+        if let Some((hit, _)) = self.cache.borrow().get(&key) {
             stats.cache_hits += 1;
             rec.counter("cache_hits", 1);
             Self::tally(&mut stats, &rec, hit);
@@ -227,9 +307,9 @@ impl SolverSession {
         }
         // Absorbed (α-canonical) lookup. The guard keeps the common
         // single-session path free of canonicalization overhead; when
-        // it runs, the key is kept for the memo entry so no export has
-        // to canonicalize this query again.
-        let mut key = None;
+        // it runs, the canonical form is kept for the memo entry so no
+        // export has to canonicalize this query again.
+        let mut canonical = None;
         if !self.absorbed.borrow().is_empty() {
             let (fp, sorted_syms) = canonical_key(constraints);
             let instantiated = self
@@ -254,12 +334,10 @@ impl SolverSession {
                 rec.counter("assignments", cost);
                 Self::tally(&mut stats, &rec, &result);
                 let canon = Canon::known(fp, &result, cost, &sorted_syms);
-                self.cache
-                    .borrow_mut()
-                    .insert(constraints.to_vec(), (result.clone(), canon));
+                self.cache.borrow_mut().insert(key, (result.clone(), canon));
                 return result;
             }
-            key = Some((fp, sorted_syms));
+            canonical = Some((fp, sorted_syms));
         }
         stats.cache_misses += 1;
         rec.counter("cache_misses", 1);
@@ -269,14 +347,12 @@ impl SolverSession {
         stats.assignments += used;
         rec.counter("assignments", used);
         Self::tally(&mut stats, &rec, &result);
-        let canon = match key {
+        let canon = match canonical {
             _ if !portable => Canon::Private,
             Some((fp, sorted_syms)) => Canon::known(fp, &result, used, &sorted_syms),
             None => Canon::Lazy(used),
         };
-        self.cache
-            .borrow_mut()
-            .insert(constraints.to_vec(), (result.clone(), canon));
+        self.cache.borrow_mut().insert(key, (result.clone(), canon));
         result
     }
 
@@ -290,7 +366,7 @@ impl SolverSession {
         let mut by_fp: BTreeMap<CanonFp, PortableResult> = BTreeMap::new();
         for (key, (result, canon)) in self.cache.borrow_mut().iter_mut() {
             if let Canon::Lazy(cost) = *canon {
-                let (fp, sorted_syms) = canonical_key(key);
+                let (fp, sorted_syms) = canonical_key(&key.exprs);
                 *canon = Canon::known(fp, result, cost, &sorted_syms);
             }
             if let Canon::Known(known) = canon {
@@ -401,6 +477,7 @@ mod tests {
     use super::*;
     use crate::expr::Expr;
     use mvm_isa::BinOp;
+    use std::rc::Rc;
 
     fn eq(a: ExprRef, b: ExprRef) -> ExprRef {
         Expr::bin(BinOp::Eq, a, b)
@@ -422,6 +499,40 @@ mod tests {
         assert_eq!(st.cache_misses, 1);
         assert_eq!(st.sat, 2, "cached replays still tally verdicts");
         assert_eq!(session.cache_len(), 1);
+    }
+
+    #[test]
+    fn memo_keys_compare_structure_not_pointers() {
+        let session = SolverSession::new();
+        let build = |k: u64, s: u32| {
+            vec![
+                eq(
+                    Expr::bin(BinOp::Add, Expr::sym(s), Expr::konst(5)),
+                    Expr::konst(k),
+                ),
+                Expr::bin(BinOp::LtU, Expr::sym(s), Expr::konst(100)),
+            ]
+        };
+        let first = build(12, 0);
+        session.check(&first);
+        // Rebuilt from scratch: structurally equal, no node shared.
+        let again = build(12, 0);
+        assert!(first.iter().zip(&again).all(|(a, b)| !Rc::ptr_eq(a, b)));
+        session.check(&again);
+        assert_eq!(session.stats().cache_hits, 1, "structural equality hits");
+        let mut reordered = build(12, 0);
+        reordered.reverse();
+        for (what, q) in [
+            ("one constant", build(13, 0)),
+            ("one symbol id", build(12, 1)),
+            ("the order", reordered),
+        ] {
+            let misses = session.stats().cache_misses;
+            session.check(&q);
+            assert_eq!(session.stats().cache_misses, misses + 1, "{what} differs");
+        }
+        assert_eq!(session.stats().cache_hits, 1);
+        assert_eq!(session.cache_len(), 4);
     }
 
     #[test]

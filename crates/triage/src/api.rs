@@ -29,14 +29,14 @@ use mvm_core::Coredump;
 use mvm_isa::Program;
 use mvm_json::json_struct;
 use res_core::{
-    hardware_verdict, hardware_verdict_in_store, ExecutionSuffix, HwVerdict, KernelStats,
-    ParallelReport, Relax, ResConfig, ResEngine, StoreReport, SynthOptions, SynthesisResult,
-    Verdict,
+    hardware_verdict, hardware_verdict_in_store, replay_and_diagnose, replay_suffix, HwVerdict,
+    KernelStats, ParallelReport, Relax, ResConfig, ResEngine, StoreReport, SynthOptions,
+    SynthesisResult, Verdict,
 };
 use res_obs::Recorder;
 use res_store::SolverStore;
 
-use crate::bucket::{bucket_key_for, deadlock_bucket_key};
+use crate::bucket::{deadlock_bucket_key, explained_key, unexplained_key};
 
 /// One triage job: the failing program, its dump, and every per-call
 /// override. Field defaults (`None` / [`Relax::None`]) mean "use the
@@ -275,18 +275,37 @@ json_struct!(TriageResponse {
     req_id
 });
 
+/// Replays each suffix once for both its `replayed` flag and the bucket
+/// key: traced, with its root cause diagnosed, until one suffix yields
+/// the key ([`crate::bucket_key_for`]'s answer), plain after that. A
+/// requested trace artifact is recorded separately.
 fn response_from(
     program: &Program,
     dump: &Coredump,
     result: SynthesisResult,
     return_trace: bool,
 ) -> TriageResponse {
+    let mut key = None;
     let suffixes: Vec<SuffixSummary> = result
         .suffixes
         .iter()
-        .map(|s| summarize(program, dump, s))
+        .map(|s| {
+            let replayed = if key.is_none() {
+                let (report, rc) = replay_and_diagnose(program, dump, s);
+                key = explained_key(&report, &rc);
+                report.reproduced
+            } else {
+                replay_suffix(program, dump, s).reproduced
+            };
+            SuffixSummary {
+                bytes: format!("{s:?}"),
+                steps: s.len(),
+                instructions: s.total_steps(),
+                replayed,
+            }
+        })
         .collect();
-    let bucket_key = bucket_key_for(program, dump, &result.suffixes);
+    let bucket_key = key.unwrap_or_else(|| unexplained_key(dump));
     let trace = if return_trace {
         result.suffixes.iter().find_map(|s| {
             res_trace::record_trace(
@@ -312,15 +331,6 @@ fn response_from(
         store: result.store,
         trace,
         req_id: None,
-    }
-}
-
-fn summarize(program: &Program, dump: &Coredump, s: &ExecutionSuffix) -> SuffixSummary {
-    SuffixSummary {
-        bytes: format!("{s:?}"),
-        steps: s.len(),
-        instructions: s.total_steps(),
-        replayed: res_core::replay_suffix(program, dump, s).reproduced,
     }
 }
 

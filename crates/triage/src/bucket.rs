@@ -11,7 +11,7 @@
 use mvm_core::Coredump;
 use mvm_isa::Program;
 use res_baselines::wer::{bucket_by_stack, build_report, BucketingReport};
-use res_core::{analyze_root_cause, replay_suffix, ResConfig, ResEngine};
+use res_core::{replay_and_diagnose, ReplayReport, ResConfig, ResEngine, RootCause};
 use res_workloads::FailureReport;
 
 /// The order-normalized deadlock key, when the dump records a hang.
@@ -43,21 +43,30 @@ pub fn deadlock_bucket_key(dump: &Coredump) -> Option<String> {
 /// (marked `unexplained:`), mirroring the paper's suggestion to combine
 /// RES with existing triage. [`res_bucket_key`] is this over a fresh
 /// synthesis; the triage daemon calls it on results it already holds.
+/// Each suffix it looks at is replayed once, traced.
 pub fn bucket_key_for(
     program: &Program,
     dump: &Coredump,
     suffixes: &[res_core::ExecutionSuffix],
 ) -> String {
-    for sfx in suffixes {
-        if !replay_suffix(program, dump, sfx).reproduced {
-            continue;
-        }
-        let rc = analyze_root_cause(program, dump, sfx);
-        if rc != res_core::RootCause::Unknown {
-            return rc.bucket_key();
-        }
-    }
-    // Fall back to the naive signature, marked as unexplained.
+    suffixes
+        .iter()
+        .find_map(|sfx| {
+            let (report, rc) = replay_and_diagnose(program, dump, sfx);
+            explained_key(&report, &rc)
+        })
+        .unwrap_or_else(|| unexplained_key(dump))
+}
+
+/// The bucket key one diagnosed replay yields: its root cause's key
+/// when the suffix reproduced the failure and the cause is known.
+pub(crate) fn explained_key(report: &ReplayReport, rc: &RootCause) -> Option<String> {
+    (report.reproduced && *rc != RootCause::Unknown).then(|| rc.bucket_key())
+}
+
+/// The fallback key when no suffix explains the dump: the naive stack
+/// signature, marked as unexplained.
+pub(crate) fn unexplained_key(dump: &Coredump) -> String {
     let sig = dump.stack_signature(2);
     let frames: Vec<String> = sig.frames.iter().map(|l| l.to_string()).collect();
     format!("unexplained:{}|{}", sig.signal, frames.join(";"))

@@ -36,10 +36,10 @@ fn main() {
     );
     let mut diagnosis = None;
     for suffix in &result.suffixes {
-        if !replay_suffix(&program, &dump, suffix).reproduced {
+        let (report, rc) = replay_and_diagnose(&program, &dump, suffix);
+        if !report.reproduced {
             continue;
         }
-        let rc = analyze_root_cause(&program, &dump, suffix);
         if rc.is_concurrency() {
             diagnosis = Some((suffix, rc));
             break;

@@ -26,38 +26,48 @@ echo "==> benchmark build and self-test (perfbench/)"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "==> parallel determinism gate (golden suffix fixture at 1, 2, 4 workers)"
+echo "==> parallel determinism gate (golden suffix and triage fixtures at 1, 2, 4 workers)"
 # The sharded kernel's contract: any worker count synthesizes
-# byte-identical suffixes. Run the golden fixture test under each
-# worker count — the fixture file is the same, so any divergence is a
-# byte-for-byte diff failure.
+# byte-identical suffixes, and so triages to byte-identical answers
+# (bucket keys and `replayed` flags included). Run both golden fixture
+# tests under each worker count — the fixture files are the same, so
+# any divergence is a byte-for-byte diff failure.
 for workers in 1 2 4; do
     echo "    RES_WORKERS=$workers"
     RES_WORKERS=$workers cargo test -q --test suffix_golden \
         default_dfs_suffixes_match_pre_refactor_fixture
+    RES_WORKERS=$workers cargo test -q --test triage_golden
 done
 
-echo "==> cross-run determinism gate (golden suffix fixture, cold then warm store)"
+echo "==> cross-run determinism gate (golden suffix and triage fixtures, cold then warm store)"
 # The persistent store's contract: a warm run absorbing a populated
 # store synthesizes byte-identical suffixes to a cold run. Run the
 # golden fixture test twice against one store file — the first run
 # populates it, the second answers solver queries from it; both must
-# match the very same cold golden fixture. The warm run learns nothing
-# new, so it must not write the store either: the file after the warm
-# pass must equal a copy taken after the cold one.
+# match the very same cold golden fixture. The triage fixture spans
+# many programs, so its store is a directory with one file per
+# program. The warm run learns nothing new, so it must not write a
+# store either: the stores after the warm pass must equal copies taken
+# after the cold one.
 scratch_dir="$(mktemp -d)"
 trap 'rm -rf "$scratch_dir"' EXIT
 for pass in cold warm; do
     echo "    RES_CACHE_PATH ($pass)"
     RES_CACHE_PATH="$scratch_dir/ci.resstore" cargo test -q --test suffix_golden \
         default_dfs_suffixes_match_pre_refactor_fixture
+    RES_CACHE_PATH="$scratch_dir/triage-store" cargo test -q --test triage_golden
     if [ "$pass" = cold ]; then
         test -s "$scratch_dir/ci.resstore" || { echo "store was never populated"; exit 1; }
         cp "$scratch_dir/ci.resstore" "$scratch_dir/ci.cold.resstore"
+        test -n "$(ls -A "$scratch_dir/triage-store")" \
+            || { echo "triage stores were never populated"; exit 1; }
+        cp -r "$scratch_dir/triage-store" "$scratch_dir/triage-store.cold"
     fi
 done
 cmp "$scratch_dir/ci.resstore" "$scratch_dir/ci.cold.resstore" \
     || { echo "the warm pass rewrote the store"; exit 1; }
+diff -r "$scratch_dir/triage-store" "$scratch_dir/triage-store.cold" \
+    || { echo "the warm pass rewrote a triage store"; exit 1; }
 
 echo "==> triage daemon gate (serve/submit round trip, batch byte-identity)"
 # Layer 1: the shipped binaries. Boot `res-serve` on an ephemeral port,
@@ -124,15 +134,18 @@ for needle in serve.queue.depth serve.hot.programs serve.hot.hit store.commit; d
         || { echo "daemon journal missing $needle"; exit 1; }
 done
 
-echo "==> traced determinism gate (golden suffix fixture with RES_TRACE on)"
+echo "==> traced determinism gate (golden suffix and triage fixtures with RES_TRACE on)"
 # The observability contract: the recorder is strictly passive. Run the
-# golden fixture test with journaling enabled — the fixture file is
-# still the same, so tracing must not change a single synthesized byte —
-# then parse and sanity-check the journal it left behind.
+# golden fixture tests with journaling enabled — the fixture files are
+# still the same, so tracing must not change a single synthesized byte
+# or triage answer — then parse and sanity-check the journal left
+# behind.
 echo "    RES_TRACE (passivity)"
 RES_TRACE="$scratch_dir/golden.jsonl" cargo test -q --test suffix_golden \
     default_dfs_suffixes_match_pre_refactor_fixture
 test -s "$scratch_dir/golden.jsonl" || { echo "trace journal was never written"; exit 1; }
+RES_TRACE="$scratch_dir/triage.jsonl" cargo test -q --test triage_golden
+test -s "$scratch_dir/triage.jsonl" || { echo "triage trace journal was never written"; exit 1; }
 echo "    journal parses and reconstructs the run"
 trace_out="$(cargo run --release -q --bin res-cli -- trace "$scratch_dir/golden.jsonl")"
 echo "$trace_out" | grep -q "synthesize" || { echo "journal missing synthesize span"; exit 1; }

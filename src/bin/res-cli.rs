@@ -213,7 +213,7 @@ fn cmd_synthesize(dir: &Path, flags: &[(String, String)]) -> Result<(), String> 
         result.stats.deepest
     );
     for (i, sfx) in result.suffixes.iter().enumerate() {
-        let rep = replay_suffix(&program, &dump, sfx);
+        let (rep, rc) = replay_and_diagnose(&program, &dump, sfx);
         print!(
             "suffix #{i}: {} blocks / {} instructions, replay {}",
             sfx.len(),
@@ -225,7 +225,6 @@ fn cmd_synthesize(dir: &Path, flags: &[(String, String)]) -> Result<(), String> 
             }
         );
         if rep.reproduced {
-            let rc = analyze_root_cause(&program, &dump, sfx);
             println!(", root cause: {}", rc.bucket_key());
         } else {
             println!();
@@ -353,10 +352,10 @@ fn cmd_demo(kind: BugKind) -> Result<(), String> {
         result.verdict, result.stats.hypotheses
     );
     for sfx in &result.suffixes {
-        if !replay_suffix(&program, &dump, sfx).reproduced {
+        let (rep, rc) = replay_and_diagnose(&program, &dump, sfx);
+        if !rep.reproduced {
             continue;
         }
-        let rc = analyze_root_cause(&program, &dump, sfx);
         println!(
             "replay-verified suffix: {} blocks, schedule {:?}",
             sfx.len(),

@@ -85,6 +85,7 @@ pub mod prelude {
     pub use res_core::{
         analyze_root_cause,
         hardware_verdict,
+        replay_and_diagnose,
         replay_suffix,
         ExecutionSuffix,
         HwVerdict,

@@ -1,6 +1,7 @@
 //! Robustness tests: misbehaving inputs, edge configurations, and the
 //! engine's honesty about divergence.
 
+use mvm_json::{Json, ToJson};
 use res_debugger::isa::BinOp;
 use res_debugger::machine::{LbrEntry, LbrRing, Machine, MachineConfig};
 use res_debugger::prelude::*;
@@ -165,5 +166,98 @@ fn corpus_reports_are_self_consistent() {
             res_debugger::coredump::diff_dumps(&r.dump, &d2, 8).is_empty(),
             true
         );
+    }
+}
+
+/// The malformed memory pages a decoder must refuse: a page shorter or
+/// longer than `PAGE_SIZE`, and a page at a base that is not
+/// page-aligned.
+#[derive(Debug, Clone, Copy)]
+enum BadPage {
+    Short,
+    Long,
+    Misaligned,
+}
+
+/// Damages the first memory page inside `j` (a dump, or any value
+/// embedding one). Returns `false` when `j` holds no page.
+fn damage_page(j: &mut Json, how: BadPage) -> bool {
+    match j {
+        Json::Obj(fields) => fields.iter_mut().any(|(key, v)| {
+            if let (true, Json::Obj(pages)) = (key == "pages", &mut *v) {
+                if let Some((base, Json::Arr(bytes))) = pages.first_mut() {
+                    match how {
+                        BadPage::Short => bytes.truncate(10),
+                        BadPage::Long => bytes.push(Json::U64(0)),
+                        BadPage::Misaligned => {
+                            *base = (base.parse::<u64>().expect("page base") + 8).to_string()
+                        }
+                    }
+                    return true;
+                }
+            }
+            damage_page(v, how)
+        }),
+        Json::Arr(items) => items.iter_mut().any(|v| damage_page(v, how)),
+        _ => false,
+    }
+}
+
+fn fixture(name: &str) -> String {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(name);
+    std::fs::read_to_string(path).expect("read fixture")
+}
+
+/// A malformed memory page is a typed decode error at every entry point
+/// that decodes a dump: dump JSON, a daemon request frame and a trace
+/// file. Before pages were checked at decode, a short page decoded and
+/// then panicked the engine (`Memory::read_byte` indexes past it).
+#[test]
+fn malformed_memory_pages_are_typed_errors_at_every_dump_entry_point() {
+    use res_debugger::serve::wire::{read_request, write_frame, REQUEST_TAG};
+    use res_debugger::serve::WireRequest;
+    use res_debugger::store::{decode_record, encode_record};
+    use res_debugger::trace::TraceError;
+    use res_debugger::triage::TriageRequest;
+
+    let program: Program = mvm_json::from_str(&fixture("program.json")).expect("program");
+    let dump: Coredump = mvm_json::from_str(&fixture("coredump.json")).expect("dump");
+    let trace = fixture("trace_v1.restrace");
+    let names_the_page = |msg: &str| msg.contains("Memory.pages[");
+    for how in [BadPage::Short, BadPage::Long, BadPage::Misaligned] {
+        // Dump JSON.
+        let mut j = dump.to_json();
+        assert!(damage_page(&mut j, how));
+        let err = mvm_json::from_str::<Coredump>(&j.to_string_compact())
+            .expect_err(&format!("{how:?} page decoded as a dump"));
+        assert!(names_the_page(&err.message), "{how:?}: {err}");
+
+        // A daemon request frame.
+        let req = WireRequest::Triage(TriageRequest::new(program.clone(), dump.clone()));
+        let mut j = req.to_json();
+        assert!(damage_page(&mut j, how));
+        let mut frame = Vec::new();
+        write_frame(&mut frame, REQUEST_TAG, &j.to_string_compact()).expect("frame");
+        let err = read_request(&mut &frame[..]).expect_err(&format!("{how:?} page framed"));
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{how:?}");
+        assert!(names_the_page(&err.to_string()), "{how:?}: {err}");
+
+        // A trace file: every record re-framed, the dump's page damaged.
+        let mut lines = trace.lines();
+        let mut bytes = format!("{}\n", lines.next().expect("magic")).into_bytes();
+        let mut damaged = false;
+        for line in lines {
+            let (tag, payload) = decode_record(line).expect("fixture record");
+            let mut j = mvm_json::parse(payload).expect("record payload");
+            damaged |= !damaged && damage_page(&mut j, how);
+            encode_record(tag, &j.to_string_compact(), &mut bytes);
+        }
+        assert!(damaged, "the trace fixture embeds no page");
+        match TraceFile::from_text_bytes(&bytes) {
+            Err(TraceError::Json(msg)) => assert!(names_the_page(&msg), "{how:?}: {msg}"),
+            other => panic!("{how:?} page in a trace gave {other:?}"),
+        }
     }
 }

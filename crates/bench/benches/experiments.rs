@@ -5,9 +5,14 @@
 
 use res_bench::micro::{bench_function, Group};
 
-use mvm_core::{Coredump, Minidump};
+use mvm_core::{Coredump, HwFlavor, Minidump};
 use res_baselines::{measure_recording, ForwardConfig, ForwardSynthesizer, RecorderKind};
-use res_core::{replay_suffix, ResConfig, ResEngine};
+use res_core::{hardware_verdict, replay_suffix, ResConfig, ResEngine};
+use res_serve::wire::{read_request, read_response, write_request, write_response};
+use res_serve::{WireRequest, WireResponse};
+use res_store::{program_fingerprint, SolverStore};
+use res_triage::{with_shared_store, TriageRequest};
+use res_workloads::gen::{collect_failures, corpus_specs, generate, hardware_variant, GenClass};
 use res_workloads::{build, run_to_failure, BugKind, WorkloadParams};
 
 fn dump_for(kind: BugKind, prefix: u64) -> (mvm_isa::Program, Coredump) {
@@ -116,7 +121,69 @@ fn bench_a3_solver() {
     }
 }
 
+/// The JSON codec and the fixed costs it sets on a warm-store call:
+/// store open, program fingerprint, dump encode/decode, one wire round
+/// trip, and `hardware_verdict` with a warm store and with none. The
+/// input is one generated use-after-free program (the `hwfilter`
+/// shape) with its first four dumps, the second one hardware-corrupted;
+/// the store is warmed by running every dump through it first.
+fn bench_codec() {
+    let g = Group::new("codec").sample_size(200);
+    let spec = corpus_specs(&[GenClass::UseAfterFree], 1, 91, 1)[0];
+    let gp = generate(spec);
+    let failures = collect_failures(&gp, 4);
+    let program = &gp.program;
+    let mut dumps: Vec<Coredump> = failures.iter().map(|f| f.dump.clone()).collect();
+    dumps[1] = hardware_variant(&gp, &failures[1], HwFlavor::BitFlip).0;
+    let dump = &dumps[0];
+
+    let dir = std::env::temp_dir().join(format!("res-bench-codec-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create the bench store directory");
+    let warm = with_shared_store(&ResConfig::default(), &dir, program);
+    let cold = ResConfig::default();
+    for d in &dumps {
+        hardware_verdict(program, d, &warm);
+    }
+    let store = warm.cache_path.clone().expect("a shared store path");
+    let fp = program_fingerprint(program);
+    assert!(
+        !SolverStore::open(&store, fp).is_empty(),
+        "warming must populate the store"
+    );
+
+    g.bench("store_open", || SolverStore::open(&store, fp));
+    g.bench("program_fingerprint", || program_fingerprint(program));
+    let text = mvm_json::to_string(dump);
+    g.bench("dump_to_string", || mvm_json::to_string(dump));
+    g.bench("dump_from_str", || {
+        mvm_json::from_str::<Coredump>(&text).expect("decode the dump")
+    });
+    let req = WireRequest::HwFilterBatch(vec![TriageRequest::new(program.clone(), dump.clone())]);
+    let resp = WireResponse::HwFilterBatch(vec![hardware_verdict(program, dump, &cold)]);
+    g.bench("wire_round_trip", || {
+        let mut req_bytes = Vec::new();
+        write_request(&mut req_bytes, &req).expect("encode the request");
+        let mut resp_bytes = Vec::new();
+        write_response(&mut resp_bytes, &resp).expect("encode the response");
+        let back = read_request(&mut &req_bytes[..]).expect("decode the request");
+        (
+            back,
+            read_response(&mut &resp_bytes[..]).expect("decode the response"),
+        )
+    });
+    for (i, d) in dumps.iter().enumerate() {
+        g.bench(&format!("hw_verdict_warm/{i}"), || {
+            hardware_verdict(program, d, &warm)
+        });
+        g.bench(&format!("hw_verdict_no_store/{i}"), || {
+            hardware_verdict(program, d, &cold)
+        });
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 fn main() {
+    bench_codec();
     bench_e1_synthesis();
     bench_e2_figure1();
     bench_e3_length_sweep();

@@ -9,7 +9,7 @@
 
 use std::collections::BTreeMap;
 
-use mvm_json::{Json, JsonError, ToJson};
+use mvm_json::{FromJson, Json, JsonError, Reader, ToJson};
 
 use mvm_isa::Width;
 
@@ -32,30 +32,53 @@ impl ToJson for Memory {
     fn to_json(&self) -> Json {
         Json::Obj(vec![("pages".to_string(), self.pages.to_json())])
     }
+    fn write_json(&self, out: &mut String) {
+        out.push_str("{\"pages\":");
+        self.pages.write_json(out);
+        out.push('}');
+    }
 }
 
 /// Accepts only whole pages at page-aligned bases, so every `Memory`
 /// holds `PAGE_SIZE`-byte pages whatever its source: the accessors index
 /// into a page and [`Memory::diff`] compares whole pages.
-impl mvm_json::FromJson for Memory {
+impl FromJson for Memory {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
         let obj = v.as_obj().ok_or_else(|| JsonError::expected("Memory", v))?;
         let pages: BTreeMap<u64, Vec<u8>> = mvm_json::field(obj, "pages", "Memory")?;
-        for (base, page) in &pages {
-            if base % PAGE_SIZE != 0 {
-                return Err(JsonError::msg(format!(
-                    "Memory.pages[\"{base}\"]: page base {base:#x} is not {PAGE_SIZE}-byte aligned"
-                )));
-            }
-            if page.len() as u64 != PAGE_SIZE {
-                return Err(JsonError::msg(format!(
-                    "Memory.pages[\"{base}\"]: page at {base:#x} holds {} bytes, not {PAGE_SIZE}",
-                    page.len()
-                )));
-            }
-        }
+        check_pages(&pages)?;
         Ok(Memory { pages })
     }
+    fn read_json(r: &mut Reader<'_>) -> Option<Self> {
+        let mut pages = None;
+        r.object(|r, key| {
+            if key != "pages" || pages.is_some() {
+                return None;
+            }
+            pages = Some(BTreeMap::read_json(r)?);
+            Some(())
+        })?;
+        let pages = pages?;
+        check_pages(&pages).ok()?;
+        Some(Memory { pages })
+    }
+}
+
+fn check_pages(pages: &BTreeMap<u64, Vec<u8>>) -> Result<(), JsonError> {
+    for (base, page) in pages {
+        if base % PAGE_SIZE != 0 {
+            return Err(JsonError::msg(format!(
+                "Memory.pages[\"{base}\"]: page base {base:#x} is not {PAGE_SIZE}-byte aligned"
+            )));
+        }
+        if page.len() as u64 != PAGE_SIZE {
+            return Err(JsonError::msg(format!(
+                "Memory.pages[\"{base}\"]: page at {base:#x} holds {} bytes, not {PAGE_SIZE}",
+                page.len()
+            )));
+        }
+    }
+    Ok(())
 }
 
 impl Memory {

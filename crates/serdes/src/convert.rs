@@ -5,22 +5,46 @@
 //! sequences as arrays, integer-keyed maps as objects with decimal
 //! string keys — so dumps written by the old serde build parse
 //! unchanged.
+//!
+//! Each trait has two paths. The tree path (`to_json`/`from_json`)
+//! goes through a [`Json`] value; the direct path
+//! (`write_json`/`read_json`) goes straight between text and the Rust
+//! value. The direct methods default to the tree path, and the macros,
+//! the std impls here and the workspace's hot hand-written impls
+//! override them.
 
 use std::collections::{BTreeMap, VecDeque};
 
-use crate::value::Json;
+use crate::parse::Reader;
+use crate::value::{write_compact, write_escaped, write_i64, write_u64, Json};
 
-/// Conversion into the JSON tree.
+/// Conversion into JSON.
 pub trait ToJson {
     /// Builds the JSON representation of `self`.
     fn to_json(&self) -> Json;
+
+    /// Appends the compact JSON text of `self` to `out`. An override
+    /// must write exactly the bytes of this default, which prints
+    /// [`to_json`](Self::to_json).
+    fn write_json(&self, out: &mut String) {
+        write_compact(&self.to_json(), out);
+    }
 }
 
-/// Conversion out of the JSON tree.
+/// Conversion out of JSON.
 pub trait FromJson: Sized {
     /// Reconstructs a value, reporting a path-annotated error on shape
     /// mismatch.
     fn from_json(v: &Json) -> Result<Self, JsonError>;
+
+    /// Reads a value straight from the text at the cursor. An override
+    /// may refuse (`None`) anything it does not expect, but whatever it
+    /// accepts must equal what [`from_json`](Self::from_json) makes of
+    /// the same text. The default parses the value into a tree and
+    /// converts it, refusing on any error.
+    fn read_json(r: &mut Reader<'_>) -> Option<Self> {
+        Self::from_json(&r.value()?).ok()
+    }
 }
 
 /// A deserialization failure.
@@ -89,17 +113,26 @@ impl ToJson for bool {
     fn to_json(&self) -> Json {
         Json::Bool(*self)
     }
+    fn write_json(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
 }
 
 impl FromJson for bool {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
         v.as_bool().ok_or_else(|| JsonError::expected("bool", v))
     }
+    fn read_json(r: &mut Reader<'_>) -> Option<Self> {
+        r.bool()
+    }
 }
 
 impl ToJson for String {
     fn to_json(&self) -> Json {
         Json::Str(self.clone())
+    }
+    fn write_json(&self, out: &mut String) {
+        write_escaped(self, out);
     }
 }
 
@@ -109,11 +142,17 @@ impl FromJson for String {
             .map(str::to_owned)
             .ok_or_else(|| JsonError::expected("string", v))
     }
+    fn read_json(r: &mut Reader<'_>) -> Option<Self> {
+        r.str().map(String::from)
+    }
 }
 
 impl ToJson for str {
     fn to_json(&self) -> Json {
         Json::Str(self.to_owned())
+    }
+    fn write_json(&self, out: &mut String) {
+        write_escaped(self, out);
     }
 }
 
@@ -122,6 +161,10 @@ macro_rules! impl_json_uint {
         impl ToJson for $ty {
             fn to_json(&self) -> Json {
                 Json::U64(*self as u64)
+            }
+            #[inline]
+            fn write_json(&self, out: &mut String) {
+                write_u64(*self as u64, out);
             }
         }
         impl FromJson for $ty {
@@ -135,6 +178,10 @@ macro_rules! impl_json_uint {
                         stringify!($ty)
                     ))
                 })
+            }
+            #[inline]
+            fn read_json(r: &mut Reader<'_>) -> Option<Self> {
+                <$ty>::try_from(r.u64()?).ok()
             }
         }
     )*};
@@ -153,6 +200,10 @@ macro_rules! impl_json_int {
                     Json::I64(v)
                 }
             }
+            #[inline]
+            fn write_json(&self, out: &mut String) {
+                write_i64(*self as i64, out);
+            }
         }
         impl FromJson for $ty {
             fn from_json(v: &Json) -> Result<Self, JsonError> {
@@ -165,6 +216,10 @@ macro_rules! impl_json_int {
                         stringify!($ty)
                     ))
                 })
+            }
+            #[inline]
+            fn read_json(r: &mut Reader<'_>) -> Option<Self> {
+                <$ty>::try_from(r.i64()?).ok()
             }
         }
     )*};
@@ -193,6 +248,12 @@ impl<T: ToJson> ToJson for Option<T> {
             None => Json::Null,
         }
     }
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Some(v) => v.write_json(out),
+            None => out.push_str("null"),
+        }
+    }
 }
 
 impl<T: FromJson> FromJson for Option<T> {
@@ -203,11 +264,33 @@ impl<T: FromJson> FromJson for Option<T> {
             T::from_json(v).map(Some)
         }
     }
+    fn read_json(r: &mut Reader<'_>) -> Option<Self> {
+        if r.null() {
+            Some(None)
+        } else {
+            T::read_json(r).map(Some)
+        }
+    }
+}
+
+/// Writes the elements of a sequence as a JSON array.
+fn write_seq<'a, T: ToJson + 'a>(items: impl IntoIterator<Item = &'a T>, out: &mut String) {
+    out.push('[');
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item.write_json(out);
+    }
+    out.push(']');
 }
 
 impl<T: ToJson> ToJson for Vec<T> {
     fn to_json(&self) -> Json {
         Json::Arr(self.iter().map(ToJson::to_json).collect())
+    }
+    fn write_json(&self, out: &mut String) {
+        write_seq(self, out);
     }
 }
 
@@ -220,11 +303,22 @@ impl<T: FromJson> FromJson for Vec<T> {
             .map(|(i, item)| T::from_json(item).map_err(|e| e.in_context(&format!("[{i}]"))))
             .collect()
     }
+    fn read_json(r: &mut Reader<'_>) -> Option<Self> {
+        let mut items = Vec::new();
+        r.array(|r| {
+            items.push(T::read_json(r)?);
+            Some(())
+        })?;
+        Some(items)
+    }
 }
 
 impl<T: ToJson> ToJson for VecDeque<T> {
     fn to_json(&self) -> Json {
         Json::Arr(self.iter().map(ToJson::to_json).collect())
+    }
+    fn write_json(&self, out: &mut String) {
+        write_seq(self, out);
     }
 }
 
@@ -232,17 +326,48 @@ impl<T: FromJson> FromJson for VecDeque<T> {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
         Vec::<T>::from_json(v).map(VecDeque::from)
     }
+    fn read_json(r: &mut Reader<'_>) -> Option<Self> {
+        Vec::<T>::read_json(r).map(VecDeque::from)
+    }
 }
 
 impl<T: ToJson> ToJson for &T {
     fn to_json(&self) -> Json {
         (*self).to_json()
     }
+    fn write_json(&self, out: &mut String) {
+        (*self).write_json(out);
+    }
+}
+
+/// Reads a JSON array of exactly `N` elements, the `i`th with
+/// `each(i, ..)`.
+fn read_tuple<const N: usize>(
+    r: &mut Reader<'_>,
+    mut each: impl FnMut(usize, &mut Reader<'_>) -> Option<()>,
+) -> Option<()> {
+    let mut n = 0;
+    r.array(|r| {
+        if n == N {
+            return None;
+        }
+        each(n, r)?;
+        n += 1;
+        Some(())
+    })?;
+    (n == N).then_some(())
 }
 
 impl<A: ToJson, B: ToJson> ToJson for (A, B) {
     fn to_json(&self) -> Json {
         Json::Arr(vec![self.0.to_json(), self.1.to_json()])
+    }
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        self.0.write_json(out);
+        out.push(',');
+        self.1.write_json(out);
+        out.push(']');
     }
 }
 
@@ -256,11 +381,31 @@ impl<A: FromJson, B: FromJson> FromJson for (A, B) {
             _ => Err(JsonError::expected("2-element array", v)),
         }
     }
+    fn read_json(r: &mut Reader<'_>) -> Option<Self> {
+        let (mut a, mut b) = (None, None);
+        read_tuple::<2>(r, |i, r| {
+            match i {
+                0 => a = Some(A::read_json(r)?),
+                _ => b = Some(B::read_json(r)?),
+            }
+            Some(())
+        })?;
+        Some((a?, b?))
+    }
 }
 
 impl<A: ToJson, B: ToJson, C: ToJson> ToJson for (A, B, C) {
     fn to_json(&self) -> Json {
         Json::Arr(vec![self.0.to_json(), self.1.to_json(), self.2.to_json()])
+    }
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        self.0.write_json(out);
+        out.push(',');
+        self.1.write_json(out);
+        out.push(',');
+        self.2.write_json(out);
+        out.push(']');
     }
 }
 
@@ -274,6 +419,18 @@ impl<A: FromJson, B: FromJson, C: FromJson> FromJson for (A, B, C) {
             )),
             _ => Err(JsonError::expected("3-element array", v)),
         }
+    }
+    fn read_json(r: &mut Reader<'_>) -> Option<Self> {
+        let (mut a, mut b, mut c) = (None, None, None);
+        read_tuple::<3>(r, |i, r| {
+            match i {
+                0 => a = Some(A::read_json(r)?),
+                1 => b = Some(B::read_json(r)?),
+                _ => c = Some(C::read_json(r)?),
+            }
+            Some(())
+        })?;
+        Some((a?, b?, c?))
     }
 }
 
@@ -324,6 +481,18 @@ impl<K: JsonKey, V: ToJson> ToJson for BTreeMap<K, V> {
                 .collect(),
         )
     }
+    fn write_json(&self, out: &mut String) {
+        out.push('{');
+        for (i, (k, v)) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            write_escaped(&k.to_key(), out);
+            out.push(':');
+            v.write_json(out);
+        }
+        out.push('}');
+    }
 }
 
 impl<K: JsonKey, V: FromJson> FromJson for BTreeMap<K, V> {
@@ -338,6 +507,17 @@ impl<K: JsonKey, V: FromJson> FromJson for BTreeMap<K, V> {
                 ))
             })
             .collect()
+    }
+    /// Refuses a repeated key, which the tree path resolves by keeping
+    /// the last value.
+    fn read_json(r: &mut Reader<'_>) -> Option<Self> {
+        let mut map = BTreeMap::new();
+        r.object(|r, k| {
+            let key = K::from_key(k).ok()?;
+            let value = V::read_json(r)?;
+            map.insert(key, value).is_none().then_some(())
+        })?;
+        Some(map)
     }
 }
 

@@ -11,6 +11,26 @@
 //! * [`json_struct!`], [`json_newtype!`], [`json_enum!`] — declarative
 //!   macros that stand in for `#[derive(Serialize, Deserialize)]`.
 //!
+//! # Two paths, one result
+//!
+//! [`to_string`] and [`from_str`] move typed values straight between
+//! text and Rust values ([`ToJson::write_json`], [`FromJson::read_json`]
+//! over a [`Reader`]); no [`Json`] tree is built for the types the
+//! macros cover, the std containers and integers, or the hand-written
+//! impls that override both methods. The tree path
+//! ([`ToJson::to_json`], [`parse`] + [`FromJson::from_json`]) stays the
+//! definition of the format:
+//!
+//! * the direct writer must print the bytes the tree printer prints;
+//! * the direct reader may refuse anything it does not expect (a
+//!   repeated or unknown key, a number it cannot read as the target
+//!   type, a failed check), and on any refusal [`from_str`] decodes the
+//!   text again through the tree path and returns that result. So a
+//!   value it accepts, and every error message and byte offset, is
+//!   exactly what the tree path gives.
+//!
+//! [`to_string_pretty`] always prints the tree.
+//!
 //! # Wire-format compatibility
 //!
 //! The representation matches serde's defaults, so dumps produced by
@@ -64,12 +84,15 @@ mod parse;
 mod value;
 
 pub use convert::{field, FromJson, JsonError, JsonKey, ToJson};
-pub use parse::{parse, ParseError};
+pub use parse::{parse, ParseError, Reader};
 pub use value::Json;
 
-/// Serializes a value to compact JSON.
+/// Serializes a value to compact JSON, through
+/// [`ToJson::write_json`].
 pub fn to_string<T: ToJson + ?Sized>(value: &T) -> String {
-    value.to_json().to_string_compact()
+    let mut out = String::new();
+    value.write_json(&mut out);
+    out
 }
 
 /// Serializes a value to pretty-printed JSON (2-space indent).
@@ -77,10 +100,17 @@ pub fn to_string_pretty<T: ToJson + ?Sized>(value: &T) -> String {
     value.to_json().to_string_pretty()
 }
 
-/// Parses JSON text into a value.
+/// Parses JSON text into a value: directly through
+/// [`FromJson::read_json`], or, when that refuses, through [`parse`] and
+/// [`FromJson::from_json`], whose result (value or error) is returned.
 pub fn from_str<T: FromJson>(text: &str) -> Result<T, JsonError> {
-    let v = parse(text)?;
-    T::from_json(&v)
+    let mut r = Reader::new(text);
+    if let Some(v) = T::read_json(&mut r) {
+        if r.at_end() {
+            return Ok(v);
+        }
+    }
+    T::from_json(&parse(text)?)
 }
 
 /// Implements [`ToJson`]/[`FromJson`] for a braced struct, serializing
@@ -101,6 +131,9 @@ macro_rules! json_struct {
                     )+
                 ])
             }
+            fn write_json(&self, out: &mut String) {
+                $crate::json_struct!(@write out, $($field = &self.$field),+);
+            }
         }
         impl $crate::FromJson for $ty {
             fn from_json(v: &$crate::Json) -> Result<Self, $crate::JsonError> {
@@ -111,8 +144,43 @@ macro_rules! json_struct {
                     $($field: $crate::field(obj, stringify!($field), stringify!($ty))?,)+
                 })
             }
+            fn read_json(r: &mut $crate::Reader<'_>) -> Option<Self> {
+                $crate::json_struct!(@read r, { $ty }, $($field),+)
+            }
         }
     };
+
+    // Writes `{"a":..,"b":..}` from `name = &value` pairs. Field names
+    // are identifiers, so they need no escaping.
+    (@write $out:ident, $first:ident = $fv:expr $(, $rest:ident = $rv:expr)*) => {
+        $out.push_str(concat!("{\"", stringify!($first), "\":"));
+        $crate::ToJson::write_json($fv, $out);
+        $(
+            $out.push_str(concat!(",\"", stringify!($rest), "\":"));
+            $crate::ToJson::write_json($rv, $out);
+        )*
+        $out.push('}');
+    };
+
+    // Reads an object into the struct literal `$ctor { fields }`: an
+    // `Option<Self>` expression. A repeated or unknown key refuses; a
+    // missing field reads as `null`, as `field` does.
+    (@read $r:ident, { $($ctor:tt)+ }, $($field:ident),+) => {{
+        $(let mut $field = None;)+
+        $r.object(|r, key| match key {
+            $(stringify!($field) if $field.is_none() => {
+                $field = Some($crate::FromJson::read_json(r)?);
+                Some(())
+            })+
+            _ => None,
+        })?;
+        Some($($ctor)+ {
+            $($field: match $field {
+                Some(v) => v,
+                None => $crate::FromJson::from_json(&$crate::Json::Null).ok()?,
+            },)+
+        })
+    }};
 }
 
 /// Implements [`ToJson`]/[`FromJson`] for a single-field tuple struct
@@ -124,12 +192,18 @@ macro_rules! json_newtype {
             fn to_json(&self) -> $crate::Json {
                 $crate::ToJson::to_json(&self.0)
             }
+            fn write_json(&self, out: &mut String) {
+                $crate::ToJson::write_json(&self.0, out);
+            }
         }
         impl $crate::FromJson for $ty {
             fn from_json(v: &$crate::Json) -> Result<Self, $crate::JsonError> {
                 Ok($ty($crate::FromJson::from_json(v).map_err(
                     |e: $crate::JsonError| e.in_context(stringify!($ty)),
                 )?))
+            }
+            fn read_json(r: &mut $crate::Reader<'_>) -> Option<Self> {
+                Some($ty($crate::FromJson::read_json(r)?))
             }
         }
     };
@@ -183,6 +257,19 @@ macro_rules! json_enum {
                     stringify!($ty)
                 )
             }
+            fn write_json(&self, out: &mut String) {
+                $(
+                    $crate::json_enum!(
+                        @write self, out, $ty, $variant
+                        $( ( $payload ) )?
+                        $( { $($f),+ } )?
+                    );
+                )+
+                unreachable!(
+                    "json_enum! for {} does not list every variant",
+                    stringify!($ty)
+                )
+            }
         }
         impl $crate::FromJson for $ty {
             fn from_json(v: &$crate::Json) -> Result<Self, $crate::JsonError> {
@@ -198,6 +285,36 @@ macro_rules! json_enum {
                     stringify!($ty),
                     v.to_string_compact()
                 )))
+            }
+            /// A unit variant is a string; any other variant is an
+            /// object of exactly one member.
+            fn read_json(r: &mut $crate::Reader<'_>) -> Option<Self> {
+                if r.peek() == Some(b'"') {
+                    let name = r.str()?;
+                    $(
+                        $crate::json_enum!(
+                            @read_unit name, $ty, $variant
+                            $( ( $payload ) )?
+                            $( { $($f),+ } )?
+                        );
+                    )+
+                    return None;
+                }
+                let mut out = None;
+                r.object(|r, name| {
+                    if out.is_some() {
+                        return None;
+                    }
+                    $(
+                        $crate::json_enum!(
+                            @read_tagged r, name, out, $ty, $variant
+                            $( ( $payload ) )?
+                            $( { $($f),+ } )?
+                        );
+                    )+
+                    None
+                })?;
+                out
             }
         }
     };
@@ -229,6 +346,52 @@ macro_rules! json_enum {
                     )+
                 ]),
             )]);
+        }
+    };
+
+    // -- direct writing arms (statement position) --
+    (@write $self_:ident, $out:ident, $ty:ident, $variant:ident) => {
+        if let $ty::$variant = $self_ {
+            $out.push_str(concat!("\"", stringify!($variant), "\""));
+            return;
+        }
+    };
+    (@write $self_:ident, $out:ident, $ty:ident, $variant:ident ( $payload:ty )) => {
+        if let $ty::$variant(inner) = $self_ {
+            $out.push_str(concat!("{\"", stringify!($variant), "\":"));
+            $crate::ToJson::write_json(inner, $out);
+            $out.push('}');
+            return;
+        }
+    };
+    (@write $self_:ident, $out:ident, $ty:ident, $variant:ident { $($f:ident),+ }) => {
+        if let $ty::$variant { $($f),+ } = $self_ {
+            $out.push_str(concat!("{\"", stringify!($variant), "\":"));
+            $crate::json_struct!(@write $out, $($f = $f),+);
+            $out.push('}');
+            return;
+        }
+    };
+
+    // -- direct reading arms (statement position) --
+    (@read_unit $name:ident, $ty:ident, $variant:ident) => {
+        if $name == stringify!($variant) {
+            return Some($ty::$variant);
+        }
+    };
+    (@read_unit $name:ident, $ty:ident, $variant:ident ( $payload:ty )) => {};
+    (@read_unit $name:ident, $ty:ident, $variant:ident { $($f:ident),+ }) => {};
+    (@read_tagged $r:ident, $name:ident, $out:ident, $ty:ident, $variant:ident) => {};
+    (@read_tagged $r:ident, $name:ident, $out:ident, $ty:ident, $variant:ident ( $payload:ty )) => {
+        if $name == stringify!($variant) {
+            $out = Some($ty::$variant(<$payload as $crate::FromJson>::read_json($r)?));
+            return Some(());
+        }
+    };
+    (@read_tagged $r:ident, $name:ident, $out:ident, $ty:ident, $variant:ident { $($f:ident),+ }) => {
+        if $name == stringify!($variant) {
+            $out = Some($crate::json_struct!(@read $r, { $ty::$variant }, $($f),+)?);
+            return Some(());
         }
     };
 

@@ -1,8 +1,16 @@
-//! Recursive-descent JSON parser.
+//! Recursive-descent JSON reader.
 //!
-//! Strict RFC 8259 input grammar: no comments, no trailing commas. The
-//! parser reports byte offsets in errors and caps nesting so a
-//! malicious dump file cannot blow the stack.
+//! Strict RFC 8259 input grammar: no comments, no trailing commas, no
+//! leading zeros, no numbers beyond the range of an `f64`. One byte
+//! cursor, [`Reader`], serves both decoding paths: [`parse`] builds a
+//! [`Json`] tree with it, and the typed
+//! [`FromJson::read_json`](crate::FromJson::read_json) readers pull
+//! values straight out of it. Both share the string and number
+//! scanners, so they accept the same grammar. The parser reports byte
+//! offsets in errors and caps nesting so a malicious dump file cannot
+//! blow the stack.
+
+use std::borrow::Cow;
 
 use crate::value::Json;
 
@@ -32,12 +40,9 @@ impl std::error::Error for ParseError {}
 
 /// Parses a complete JSON document (leading/trailing whitespace allowed).
 pub fn parse(input: &str) -> Result<Json, ParseError> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
+    let mut p = Reader::new(input);
     p.skip_ws();
-    let v = p.value(0)?;
+    let v = p.value_at(0)?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
         return Err(p.err("trailing characters after document"));
@@ -45,12 +50,209 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
     Ok(v)
 }
 
-struct Parser<'a> {
+/// A byte cursor over JSON text.
+///
+/// The typed methods (`null`, `u64`, `str`, `array`, `object`, ...)
+/// each skip the whitespace before their token and return `None` when
+/// the next token is not what they read. A `None` is a *refusal*, not
+/// an error report: it leaves the cursor anywhere, and the caller
+/// ([`from_str`](crate::from_str)) abandons the reader and decodes the
+/// text again through [`parse`], which produces the error message.
+pub struct Reader<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Containers the typed methods have opened and not yet closed.
+    depth: usize,
 }
 
-impl<'a> Parser<'a> {
+impl<'a> Reader<'a> {
+    /// A reader at the start of `text`.
+    pub fn new(text: &'a str) -> Self {
+        Reader {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// `true` when only whitespace is left.
+    #[inline]
+    pub fn at_end(&mut self) -> bool {
+        self.skip_ws();
+        self.pos == self.bytes.len()
+    }
+
+    /// The first byte of the next token, if any.
+    #[inline]
+    pub fn peek(&mut self) -> Option<u8> {
+        self.skip_ws();
+        self.byte()
+    }
+
+    /// Consumes the next token if it is the single byte `b`.
+    #[inline]
+    pub fn eat(&mut self, b: u8) -> bool {
+        if self.peek() == Some(b) {
+            self.pos += 1;
+            true
+        } else {
+            false
+        }
+    }
+
+    /// Consumes a `null` token; `false` (nothing consumed) otherwise.
+    #[inline]
+    pub fn null(&mut self) -> bool {
+        self.skip_ws();
+        self.keyword("null")
+    }
+
+    /// Reads `true` or `false`.
+    #[inline]
+    pub fn bool(&mut self) -> Option<bool> {
+        self.skip_ws();
+        if self.keyword("true") {
+            Some(true)
+        } else if self.keyword("false") {
+            Some(false)
+        } else {
+            None
+        }
+    }
+
+    /// Reads a non-negative integer that fits a `u64`. Refuses a sign,
+    /// a fraction or an exponent, which [`parse`] would not read as an
+    /// unsigned integer either.
+    #[inline]
+    pub fn u64(&mut self) -> Option<u64> {
+        self.skip_ws();
+        self.digits()
+    }
+
+    /// Reads an integer that fits an `i64`.
+    #[inline]
+    pub fn i64(&mut self) -> Option<i64> {
+        self.skip_ws();
+        if self.byte() == Some(b'-') {
+            self.pos += 1;
+            let magnitude = self.digits()?;
+            // -2^63 is the one magnitude with no positive i64.
+            (magnitude <= 1 << 63).then(|| (magnitude as i64).wrapping_neg())
+        } else {
+            i64::try_from(self.digits()?).ok()
+        }
+    }
+
+    /// Reads a string token, borrowing it from the input when it holds
+    /// no escapes.
+    pub fn str(&mut self) -> Option<Cow<'a, str>> {
+        self.skip_ws();
+        self.string().ok()
+    }
+
+    /// Reads an array, calling `each` once per element with the cursor
+    /// at the element. `each` must read exactly one value.
+    pub fn array(&mut self, mut each: impl FnMut(&mut Self) -> Option<()>) -> Option<()> {
+        self.open(b'[')?;
+        if !self.eat(b']') {
+            loop {
+                each(self)?;
+                if self.eat(b',') {
+                    continue;
+                }
+                if !self.eat(b']') {
+                    return None;
+                }
+                break;
+            }
+        }
+        self.depth -= 1;
+        Some(())
+    }
+
+    /// Reads an object, calling `each` once per member with its key and
+    /// the cursor at its value. `each` must read exactly one value.
+    pub fn object(&mut self, mut each: impl FnMut(&mut Self, &str) -> Option<()>) -> Option<()> {
+        self.open(b'{')?;
+        if !self.eat(b'}') {
+            loop {
+                let key = self.str()?;
+                if !self.eat(b':') {
+                    return None;
+                }
+                each(self, &key)?;
+                if self.eat(b',') {
+                    continue;
+                }
+                if !self.eat(b'}') {
+                    return None;
+                }
+                break;
+            }
+        }
+        self.depth -= 1;
+        Some(())
+    }
+
+    /// Reads any value into a tree, under the nesting already open.
+    pub fn value(&mut self) -> Option<Json> {
+        self.skip_ws();
+        self.value_at(self.depth).ok()
+    }
+
+    #[inline]
+    fn open(&mut self, b: u8) -> Option<()> {
+        if !self.eat(b) {
+            return None;
+        }
+        self.depth += 1;
+        (self.depth <= MAX_DEPTH).then_some(())
+    }
+
+    /// An unsigned digit run with no leading zero, not followed by a
+    /// fraction or an exponent, that fits a `u64`.
+    #[inline]
+    fn digits(&mut self) -> Option<u64> {
+        let start = self.pos;
+        let mut v: u64 = 0;
+        while let Some(d) = self
+            .byte()
+            .map(|b| b.wrapping_sub(b'0'))
+            .filter(|&d| d < 10)
+        {
+            // Nineteen digits cannot overflow a u64; a longer run is
+            // checked.
+            v = if self.pos - start < 19 {
+                v * 10 + u64::from(d)
+            } else {
+                v.checked_mul(10)?.checked_add(u64::from(d))?
+            };
+            self.pos += 1;
+        }
+        let len = self.pos - start;
+        if len == 0 || (len > 1 && self.bytes[start] == b'0') {
+            return None;
+        }
+        if matches!(self.byte(), Some(b'.' | b'e' | b'E')) {
+            return None;
+        }
+        Some(v)
+    }
+
+    #[inline]
+    fn keyword(&mut self, kw: &str) -> bool {
+        if self.bytes[self.pos..].starts_with(kw.as_bytes()) {
+            self.pos += kw.len();
+            true
+        } else {
+            false
+        }
+    }
+
+    // ---- the tree path ----------------------------------------------
+
     fn err(&self, msg: impl Into<String>) -> ParseError {
         ParseError {
             offset: self.pos,
@@ -58,18 +260,20 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn peek(&self) -> Option<u8> {
+    #[inline]
+    fn byte(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
     }
 
+    #[inline]
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        while matches!(self.byte(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
     fn expect(&mut self, b: u8) -> Result<(), ParseError> {
-        if self.peek() == Some(b) {
+        if self.byte() == Some(b) {
             self.pos += 1;
             Ok(())
         } else {
@@ -78,44 +282,43 @@ impl<'a> Parser<'a> {
     }
 
     fn eat_keyword(&mut self, kw: &str, v: Json) -> Result<Json, ParseError> {
-        if self.bytes[self.pos..].starts_with(kw.as_bytes()) {
-            self.pos += kw.len();
+        if self.keyword(kw) {
             Ok(v)
         } else {
             Err(self.err(format!("expected '{kw}'")))
         }
     }
 
-    fn value(&mut self, depth: usize) -> Result<Json, ParseError> {
+    fn value_at(&mut self, depth: usize) -> Result<Json, ParseError> {
         if depth > MAX_DEPTH {
             return Err(self.err("maximum nesting depth exceeded"));
         }
-        match self.peek() {
+        match self.byte() {
             Some(b'n') => self.eat_keyword("null", Json::Null),
             Some(b't') => self.eat_keyword("true", Json::Bool(true)),
             Some(b'f') => self.eat_keyword("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(depth),
-            Some(b'{') => self.object(depth),
+            Some(b'"') => Ok(Json::Str(self.string()?.into_owned())),
+            Some(b'[') => self.array_at(depth),
+            Some(b'{') => self.object_at(depth),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(self.err(format!("unexpected character '{}'", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
     }
 
-    fn array(&mut self, depth: usize) -> Result<Json, ParseError> {
+    fn array_at(&mut self, depth: usize) -> Result<Json, ParseError> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
-        if self.peek() == Some(b']') {
+        if self.byte() == Some(b']') {
             self.pos += 1;
             return Ok(Json::Arr(items));
         }
         loop {
             self.skip_ws();
-            items.push(self.value(depth + 1)?);
+            items.push(self.value_at(depth + 1)?);
             self.skip_ws();
-            match self.peek() {
+            match self.byte() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
@@ -126,24 +329,24 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self, depth: usize) -> Result<Json, ParseError> {
+    fn object_at(&mut self, depth: usize) -> Result<Json, ParseError> {
         self.expect(b'{')?;
         let mut entries = Vec::new();
         self.skip_ws();
-        if self.peek() == Some(b'}') {
+        if self.byte() == Some(b'}') {
             self.pos += 1;
             return Ok(Json::Obj(entries));
         }
         loop {
             self.skip_ws();
-            let key = self.string()?;
+            let key = self.string()?.into_owned();
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let val = self.value(depth + 1)?;
+            let val = self.value_at(depth + 1)?;
             entries.push((key, val));
             self.skip_ws();
-            match self.peek() {
+            match self.byte() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
@@ -154,19 +357,38 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn string(&mut self) -> Result<String, ParseError> {
+    /// Advances over bytes that stand for themselves inside a string.
+    /// It stops only at ASCII bytes, so the run ends on a char boundary.
+    fn plain_run(&mut self) {
+        while let Some(b) = self.byte() {
+            if b == b'"' || b == b'\\' || b < 0x20 {
+                break;
+            }
+            self.pos += 1;
+        }
+    }
+
+    /// The string token at the cursor, copied in plain runs between
+    /// escapes, and borrowed from the input when it has none.
+    fn string(&mut self) -> Result<Cow<'a, str>, ParseError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let start = self.pos;
+        self.plain_run();
+        if self.byte() == Some(b'"') {
+            self.pos += 1;
+            return Ok(Cow::Borrowed(&self.text[start..self.pos - 1]));
+        }
+        let mut out = String::from(&self.text[start..self.pos]);
         loop {
-            match self.peek() {
+            match self.byte() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(Cow::Owned(out));
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    match self.peek() {
+                    match self.byte() {
                         Some(b'"') => out.push('"'),
                         Some(b'\\') => out.push('\\'),
                         Some(b'/') => out.push('/'),
@@ -208,80 +430,92 @@ impl<'a> Parser<'a> {
                     return Err(self.err("raw control character in string"));
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is valid UTF-8 by
-                    // construction from &str).
-                    let start = self.pos;
-                    let mut end = start + 1;
-                    while end < self.bytes.len() && (self.bytes[end] & 0xC0) == 0x80 {
-                        end += 1;
-                    }
-                    out.push_str(std::str::from_utf8(&self.bytes[start..end]).unwrap());
-                    self.pos = end;
+                    let run = self.pos;
+                    self.plain_run();
+                    out.push_str(&self.text[run..self.pos]);
                 }
             }
         }
     }
 
+    /// Four hex digits; a sign or any other byte is refused.
     fn hex4(&mut self) -> Result<u32, ParseError> {
-        if self.pos + 4 > self.bytes.len() {
+        let Some(digits) = self.bytes.get(self.pos..self.pos + 4) else {
             return Err(self.err("truncated unicode escape"));
+        };
+        let mut v = 0;
+        for &d in digits {
+            let nibble = (d as char)
+                .to_digit(16)
+                .ok_or_else(|| self.err("invalid unicode escape"))?;
+            v = (v << 4) | nibble;
         }
-        let s = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| self.err("invalid unicode escape"))?;
-        let v = u32::from_str_radix(s, 16).map_err(|_| self.err("invalid unicode escape"))?;
         self.pos += 4;
         Ok(v)
     }
 
     fn number(&mut self) -> Result<Json, ParseError> {
         let start = self.pos;
-        let negative = self.peek() == Some(b'-');
+        let negative = self.byte() == Some(b'-');
         if negative {
             self.pos += 1;
         }
-        if !matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+        if !matches!(self.byte(), Some(c) if c.is_ascii_digit()) {
             return Err(self.err("expected digit"));
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+        let int_start = self.pos;
+        // The integer part, accumulated inline; `None` on overflow.
+        let mut int = Some(0u64);
+        while let Some(d) = self.byte().filter(u8::is_ascii_digit) {
+            int = int.and_then(|v| v.checked_mul(10)?.checked_add(u64::from(d - b'0')));
             self.pos += 1;
+        }
+        if self.pos - int_start > 1 && self.bytes[int_start] == b'0' {
+            self.pos = int_start + 1;
+            return Err(self.err("leading zero in number"));
         }
         let mut is_float = false;
-        if self.peek() == Some(b'.') {
+        if self.byte() == Some(b'.') {
             is_float = true;
             self.pos += 1;
-            if !matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+            if !matches!(self.byte(), Some(c) if c.is_ascii_digit()) {
                 return Err(self.err("expected digit after decimal point"));
             }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+            while matches!(self.byte(), Some(c) if c.is_ascii_digit()) {
                 self.pos += 1;
             }
         }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
+        if matches!(self.byte(), Some(b'e' | b'E')) {
             is_float = true;
             self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
+            if matches!(self.byte(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            if !matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+            if !matches!(self.byte(), Some(c) if c.is_ascii_digit()) {
                 return Err(self.err("expected digit in exponent"));
             }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+            while matches!(self.byte(), Some(c) if c.is_ascii_digit()) {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let text = &self.text[start..self.pos];
         if !is_float {
             if negative {
                 if let Ok(v) = text.parse::<i64>() {
                     return Ok(Json::I64(v));
                 }
-            } else if let Ok(v) = text.parse::<u64>() {
+            } else if let Some(v) = int {
                 return Ok(Json::U64(v));
             }
         }
-        text.parse::<f64>()
-            .map(Json::F64)
-            .map_err(|_| self.err("invalid number"))
+        match text.parse::<f64>() {
+            Ok(v) if v.is_finite() => Ok(Json::F64(v)),
+            Ok(_) => {
+                self.pos = start;
+                Err(self.err("number out of range"))
+            }
+            Err(_) => Err(self.err("invalid number")),
+        }
     }
 }
 
@@ -295,9 +529,16 @@ mod tests {
         assert_eq!(parse(" true ").unwrap(), Json::Bool(true));
         assert_eq!(parse("false").unwrap(), Json::Bool(false));
         assert_eq!(parse("42").unwrap(), Json::U64(42));
+        assert_eq!(parse("0").unwrap(), Json::U64(0));
         assert_eq!(parse("-7").unwrap(), Json::I64(-7));
+        assert_eq!(parse("-0").unwrap(), Json::I64(0));
         assert_eq!(parse("18446744073709551615").unwrap(), Json::U64(u64::MAX));
+        assert_eq!(
+            parse("18446744073709551616").unwrap(),
+            Json::F64(18446744073709551616.0)
+        );
         assert_eq!(parse("1.5").unwrap(), Json::F64(1.5));
+        assert_eq!(parse("0.5").unwrap(), Json::F64(0.5));
         assert_eq!(parse("1e3").unwrap(), Json::F64(1000.0));
         assert_eq!(parse("\"hi\"").unwrap(), Json::Str("hi".into()));
     }
@@ -322,10 +563,12 @@ mod tests {
             parse(r#""a\"b\\c\nd\u0041""#).unwrap(),
             Json::Str("a\"b\\c\ndA".into())
         );
+        assert_eq!(parse(r#""\u00e9\u00E9""#).unwrap(), Json::Str("éé".into()));
         // Surrogate pair: U+1F600.
         assert_eq!(parse(r#""\ud83d\ude00""#).unwrap(), Json::Str("😀".into()));
-        // Non-ASCII passthrough.
+        // Non-ASCII passthrough, in a plain run and between escapes.
         assert_eq!(parse("\"héllo\"").unwrap(), Json::Str("héllo".into()));
+        assert_eq!(parse("\"é\\né\"").unwrap(), Json::Str("é\né".into()));
     }
 
     #[test]
@@ -345,9 +588,32 @@ mod tests {
             "01a",
             "\"\\q\"",
             "[",
+            "\"\\u+041\"",
+            "\"\\u-041\"",
+            "01",
+            "-007",
+            "00",
+            "[1,01]",
+            "1E400",
+            "-1e400",
         ] {
             assert!(parse(bad).is_err(), "should reject {bad:?}");
         }
+    }
+
+    #[test]
+    fn grammar_errors_point_at_the_offending_byte() {
+        let at = |text: &str| parse(text).unwrap_err().offset;
+        // The sign inside the escape, where four hex digits must start.
+        assert_eq!(at("\"\\u+041\""), 3);
+        // The digit after a leading zero.
+        assert_eq!(at("01"), 1);
+        assert_eq!(at("-007"), 2);
+        assert_eq!(at("00"), 1);
+        assert_eq!(at("[1, 01]"), 5);
+        // The number that overflows an f64.
+        assert_eq!(at("1E400"), 0);
+        assert_eq!(at("[0, -2e999]"), 4);
     }
 
     #[test]
@@ -362,5 +628,46 @@ mod tests {
         let v = parse(src).unwrap();
         assert_eq!(v.to_string_compact(), src);
         assert_eq!(parse(&v.to_string_pretty()).unwrap(), v);
+    }
+
+    #[test]
+    fn typed_reads_refuse_what_the_tree_path_would_not_read_the_same() {
+        let u = |text: &str| Reader::new(text).u64();
+        assert_eq!(u(" 42"), Some(42));
+        assert_eq!(u("18446744073709551615"), Some(u64::MAX));
+        for refused in ["18446744073709551616", "-0", "01", "1.0", "1e2", "+1", ""] {
+            assert_eq!(u(refused), None, "{refused:?}");
+        }
+        let i = |text: &str| Reader::new(text).i64();
+        assert_eq!(i("-9223372036854775808"), Some(i64::MIN));
+        assert_eq!(i("9223372036854775807"), Some(i64::MAX));
+        assert_eq!(i("-0"), Some(0));
+        for refused in ["9223372036854775808", "-9223372036854775809", "- 1", "-01"] {
+            assert_eq!(i(refused), None, "{refused:?}");
+        }
+    }
+
+    #[test]
+    fn typed_containers_track_nesting() {
+        let mut sum = 0;
+        let mut r = Reader::new(" [ 1 , 2 ] ");
+        r.array(|r| {
+            sum += r.u64()?;
+            Some(())
+        })
+        .unwrap();
+        assert!(r.at_end());
+        assert_eq!(sum, 3);
+        for refused in ["[1,]", "[,1]", "[1 2]", "[1"] {
+            assert!(Reader::new(refused).array(|r| r.u64().map(drop)).is_none());
+        }
+        let mut keys = Vec::new();
+        let mut r = Reader::new(r#"{"a":null,"b\n":null}"#);
+        r.object(|r, k| {
+            keys.push(k.to_string());
+            r.null().then_some(())
+        })
+        .unwrap();
+        assert_eq!(keys, ["a", "b\n"]);
     }
 }

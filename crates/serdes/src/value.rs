@@ -140,24 +140,63 @@ impl Json {
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
+/// Writes `s` as a JSON string token, copying the runs between escapes
+/// in one step each.
+pub(crate) fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{0008}' => out.push_str("\\b"),
-            '\u{000C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x08 => "\\b",
+            0x0c => "\\f",
+            0x00..=0x1f => "",
+            _ => continue,
+        };
+        // `i` holds an ASCII byte, so both slices end on char boundaries.
+        out.push_str(&s[run..i]);
+        if escape.is_empty() {
+            const HEX: &[u8; 16] = b"0123456789abcdef";
+            out.push_str("\\u00");
+            out.push(HEX[usize::from(b >> 4)] as char);
+            out.push(HEX[usize::from(b & 0xf)] as char);
+        } else {
+            out.push_str(escape);
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
+}
+
+/// Writes `n` in decimal from a stack buffer.
+#[inline]
+pub(crate) fn write_u64(mut n: u64, out: &mut String) {
+    if n < 10 {
+        out.push(char::from(b'0' + n as u8));
+        return;
+    }
+    let mut buf = [0u8; 20];
+    let mut i = buf.len();
+    while n > 0 {
+        i -= 1;
+        buf[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+    }
+    out.push_str(std::str::from_utf8(&buf[i..]).expect("decimal digits are ASCII"));
+}
+
+/// Writes `n` in decimal, with a leading `-` when negative.
+#[inline]
+pub(crate) fn write_i64(n: i64, out: &mut String) {
+    if n < 0 {
+        out.push('-');
+    }
+    write_u64(n.unsigned_abs(), out);
 }
 
 fn write_number_f64(v: f64, out: &mut String) {
@@ -174,12 +213,12 @@ fn write_number_f64(v: f64, out: &mut String) {
     }
 }
 
-fn write_compact(v: &Json, out: &mut String) {
+pub(crate) fn write_compact(v: &Json, out: &mut String) {
     match v {
         Json::Null => out.push_str("null"),
         Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Json::U64(n) => out.push_str(&n.to_string()),
-        Json::I64(n) => out.push_str(&n.to_string()),
+        Json::U64(n) => write_u64(*n, out),
+        Json::I64(n) => write_i64(*n, out),
         Json::F64(n) => write_number_f64(*n, out),
         Json::Str(s) => write_escaped(s, out),
         Json::Arr(items) => {

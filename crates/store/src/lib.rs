@@ -62,6 +62,17 @@
 //!   since removed); they load as unknown records and the next
 //!   [`SolverStore::compact`] drops them.
 //!
+//! ## What an open costs
+//!
+//! [`SolverStore::open`] reads the file once, checks every record's
+//! length and checksum, and decodes each payload straight into its
+//! typed value through `mvm-json`'s direct reader (no JSON tree; a
+//! payload the direct reader refuses is decoded again through the tree
+//! path, so what loads is unchanged). The read buffer, cut at the first
+//! torn or undecodable record, becomes the prefix later commits append
+//! to. The byte-serial FNV-1a checksum pass is the part of an open that
+//! only a format change could shrink.
+//!
 //! Commits are atomic: the new content is written to a sibling
 //! temporary file, synced, and `rename`d over the store, and the parent
 //! directory is synced on Unix ([`write_atomic`]), so a crash mid-commit

@@ -14,9 +14,11 @@ use crate::format::{
 };
 
 /// Fingerprint of a program for the store header: FNV-1a 64 over its
-/// canonical JSON serialization. Any change to the program — even a
+/// canonical (compact) JSON serialization, which `to_string` writes
+/// without building a tree. Any change to the program — even a
 /// constant — changes the fingerprint, so a store built against an
-/// older build is refused rather than half-trusted.
+/// older build is refused rather than half-trusted. Not memoized:
+/// `Program`'s fields are public, so a cached value could go stale.
 pub fn program_fingerprint(program: &Program) -> u64 {
     fnv64(mvm_json::to_string(program).as_bytes())
 }
@@ -258,7 +260,7 @@ impl SolverStore {
     }
 
     fn load(&mut self, program_fp: u64) {
-        let raw = match std::fs::read(&self.path) {
+        let mut raw = match std::fs::read(&self.path) {
             Ok(raw) => raw,
             Err(_) => return, // Missing: the default cold report stands.
         };
@@ -342,7 +344,9 @@ impl SolverStore {
             off = end;
         }
         let records_skipped = text[off..].lines().count();
-        self.base = raw[..off].to_vec();
+        // The validated prefix is the file's own buffer, cut short.
+        raw.truncate(off);
+        self.base = raw;
         self.report = LoadReport {
             outcome: LoadOutcome::Loaded,
             entries_loaded: self.entries.len(),
@@ -369,6 +373,12 @@ impl SolverStore {
     /// What the reader observed at open time.
     pub fn load_report(&self) -> &LoadReport {
         &self.report
+    }
+
+    /// The file bytes the next commit keeps and appends after: at open,
+    /// every record up to the first torn or undecodable one.
+    pub fn validated_prefix(&self) -> &[u8] {
+        &self.base
     }
 
     /// The store header (as loaded, or as it will be written).

@@ -31,7 +31,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use mvm_json::{field, json_enum, json_struct, FromJson, Json, JsonError, ToJson};
+use mvm_json::{field, json_enum, json_struct, FromJson, Json, JsonError, Reader, ToJson};
 
 use crate::expr::{Expr, ExprRef, SymId};
 use crate::model::Model;
@@ -50,6 +50,13 @@ impl ToJson for CanonFp {
             ("lo".to_string(), Json::U64(self.0 as u64)),
         ])
     }
+    fn write_json(&self, out: &mut String) {
+        out.push_str("{\"hi\":");
+        ((self.0 >> 64) as u64).write_json(out);
+        out.push_str(",\"lo\":");
+        (self.0 as u64).write_json(out);
+        out.push('}');
+    }
 }
 
 impl FromJson for CanonFp {
@@ -60,6 +67,22 @@ impl FromJson for CanonFp {
         let hi: u64 = field(obj, "hi", "CanonFp")?;
         let lo: u64 = field(obj, "lo", "CanonFp")?;
         Ok(CanonFp(((hi as u128) << 64) | lo as u128))
+    }
+    fn read_json(r: &mut Reader<'_>) -> Option<Self> {
+        let (mut hi, mut lo) = (None, None);
+        r.object(|r, key| {
+            let word = match key {
+                "hi" => &mut hi,
+                "lo" => &mut lo,
+                _ => return None,
+            };
+            if word.is_some() {
+                return None;
+            }
+            *word = Some(r.u64()?);
+            Some(())
+        })?;
+        Some(CanonFp(((hi? as u128) << 64) | lo? as u128))
     }
 }
 

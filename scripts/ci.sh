@@ -18,6 +18,17 @@ cargo build --workspace --release
 echo "==> cargo test"
 cargo test --workspace -q
 
+echo "==> codec and store-open properties under two more seeds"
+# The direct JSON reader must equal the tree path (value or error) on
+# every random case. Two more fixed seeds make each CI run check three
+# times as many cases against the reference.
+for seed in 1 2; do
+    echo "    RES_PROP_SEED=$seed"
+    RES_PROP_SEED=$seed cargo test -q --test codec_identity
+    RES_PROP_SEED=$seed cargo test -q --test store_robustness \
+        store_open_matches_the_tree_reference_under_mutation
+done
+
 echo "==> benchmark build and self-test (perfbench/)"
 # perfbench/ is its own package with path dependencies on crates/*, so
 # the workspace build does not cover it; a library API change that

@@ -333,3 +333,377 @@ fn store_v1_golden_fixture_round_trips() {
     assert_eq!(back.stats().absorbed_hits, 4);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+// ---- store open under mutation -----------------------------------------
+
+mod open_reference {
+    //! `SolverStore::open` as the tree path defines it: the same framing
+    //! rules, with every payload decoded by `parse` + `from_json`.
+
+    use std::collections::BTreeMap;
+
+    use mvm_json::FromJson;
+    use res_debugger::store::{decode_record, Header, LoadOutcome, LoadReport, StoreStats, Tag};
+    use res_debugger::symbolic::{CanonFp, PortableResult};
+
+    /// The shape of an `E` record payload.
+    pub struct Entry {
+        pub fp: CanonFp,
+        pub result: PortableResult,
+    }
+    mvm_json::json_struct!(Entry { fp, result });
+
+    /// Everything an open exposes.
+    #[derive(Debug, PartialEq)]
+    pub struct Opened {
+        pub report: LoadReport,
+        pub header: Header,
+        pub entries: Vec<(CanonFp, PortableResult)>,
+        pub stats: StoreStats,
+        pub prefix: Vec<u8>,
+        pub read_only: bool,
+    }
+
+    pub fn tree<T: FromJson>(payload: &str) -> Option<T> {
+        T::from_json(&mvm_json::parse(payload).ok()?).ok()
+    }
+
+    /// The newline-terminated line at `off` and the offset past it.
+    fn next_line(text: &str, off: usize) -> Option<(&str, usize)> {
+        let nl = text.get(off..)?.find('\n')?;
+        Some((&text[off..off + nl], off + nl + 1))
+    }
+
+    pub fn open(raw: &[u8], program_fp: u64) -> Opened {
+        let cold = |outcome, bytes: u64, read_only| Opened {
+            report: LoadReport {
+                outcome,
+                entries_loaded: 0,
+                superseded: 0,
+                records_skipped: 0,
+                bytes,
+            },
+            header: Header::new(program_fp),
+            entries: Vec::new(),
+            stats: StoreStats::default(),
+            prefix: Vec::new(),
+            read_only,
+        };
+        let bytes = raw.len() as u64;
+        if raw.is_empty() {
+            return cold(LoadOutcome::Empty, 0, false);
+        }
+        let Ok(text) = std::str::from_utf8(raw) else {
+            return cold(LoadOutcome::CorruptHeader, bytes, false);
+        };
+        let Some((magic, mut off)) = next_line(text, 0) else {
+            return cold(LoadOutcome::CorruptHeader, bytes, false);
+        };
+        let version = magic
+            .strip_prefix("RES-STORE ")
+            .and_then(|v| v.parse::<u32>().ok());
+        match version {
+            Some(1) => {}
+            Some(_) => return cold(LoadOutcome::VersionMismatch, bytes, false),
+            None => return cold(LoadOutcome::CorruptHeader, bytes, false),
+        }
+        let header = next_line(text, off)
+            .and_then(|(line, _)| decode_record(line))
+            .filter(|(tag, _)| *tag == Tag::Header)
+            .and_then(|(_, payload)| tree::<Header>(payload));
+        let Some(header) = header else {
+            return cold(LoadOutcome::CorruptHeader, bytes, false);
+        };
+        off = next_line(text, off).expect("the header line").1;
+        if header.format_version != 1 {
+            return cold(LoadOutcome::VersionMismatch, bytes, false);
+        }
+        if header.program_fp != program_fp {
+            return cold(LoadOutcome::FingerprintMismatch, bytes, true);
+        }
+        let mut entries = BTreeMap::new();
+        let mut stats = StoreStats::default();
+        let mut superseded = 0;
+        while let Some((line, end)) = next_line(text, off) {
+            let Some((tag, payload)) = decode_record(line) else {
+                break;
+            };
+            match tag {
+                Tag::Entry => {
+                    let Some(e) = tree::<Entry>(payload) else {
+                        break;
+                    };
+                    if entries.insert(e.fp, e.result).is_some() {
+                        superseded += 1;
+                    }
+                }
+                Tag::Stats => {
+                    let Some(s) = tree::<StoreStats>(payload) else {
+                        break;
+                    };
+                    stats = s;
+                }
+                Tag::Header | Tag::Unknown(_) => {}
+            }
+            off = end;
+        }
+        Opened {
+            report: LoadReport {
+                outcome: LoadOutcome::Loaded,
+                entries_loaded: entries.len(),
+                superseded,
+                records_skipped: text[off..].lines().count(),
+                bytes,
+            },
+            header,
+            entries: entries.into_iter().collect(),
+            stats,
+            prefix: raw[..off].to_vec(),
+            read_only: false,
+        }
+    }
+}
+
+/// A store of several commits whose entries cover every verdict shape.
+fn multi_entry_store(path: &std::path::Path, program_fp: u64) -> Vec<u8> {
+    use res_debugger::symbolic::{
+        CanonFp, PortableCache, PortableResult, PortableVerdict, UnknownReason,
+    };
+    let _ = std::fs::remove_file(path);
+    let mut store = SolverStore::open(path, program_fp);
+    for commit in 0..3u64 {
+        let entries = (0..5u64)
+            .map(|i| {
+                let k = commit * 5 + i;
+                let verdict = match k % 4 {
+                    0 => PortableVerdict::Unsat,
+                    1 => PortableVerdict::Unknown(UnknownReason::BudgetExhausted),
+                    _ => PortableVerdict::Sat(
+                        (0..k as u32)
+                            .map(|r| (r, u64::MAX / (r as u64 + 1)))
+                            .collect(),
+                    ),
+                };
+                let fp =
+                    CanonFp(u128::from(k).wrapping_mul(0x9e37_79b9_7f4a_7c15_f39c_c060_5ced_c835));
+                (
+                    fp,
+                    PortableResult {
+                        verdict,
+                        assignments: k * 1000,
+                    },
+                )
+            })
+            .collect();
+        store.merge(&PortableCache { entries });
+        store.note_hits(commit);
+        store.commit().expect("commit a populated store");
+    }
+    std::fs::read(path).expect("read the populated store")
+}
+
+/// Byte offsets at which a record starts (and the end of the file).
+fn boundaries(raw: &[u8]) -> Vec<usize> {
+    let mut out = vec![0];
+    out.extend(
+        raw.iter()
+            .enumerate()
+            .filter(|(_, &b)| b == b'\n')
+            .map(|(i, _)| i + 1),
+    );
+    out
+}
+
+/// The first top-level member of an object body (the text between
+/// its braces) and the rest after its comma. Record payloads hold no
+/// strings with brackets or commas, so nesting is all there is to skip.
+fn split_first_member(body: &str) -> (&str, Option<&str>) {
+    let mut depth = 0i32;
+    for (i, c) in body.char_indices() {
+        match c {
+            '{' | '[' => depth += 1,
+            '}' | ']' => depth -= 1,
+            ',' if depth == 0 => return (&body[..i], Some(&body[i + 1..])),
+            _ => {}
+        }
+    }
+    (body, None)
+}
+
+/// Rewrites the JSON of one record payload, keeping its meaning or not:
+/// members reordered, padded with spaces, a repeated or unknown key
+/// added, or the text made invalid.
+fn edit_payload(payload: &str, rng: &mut mvm_prng::Xoshiro256StarStar) -> String {
+    let body = &payload[1..payload.len() - 1];
+    let (first, rest) = split_first_member(body);
+    match rng.next_below(6) {
+        // The first member moved last.
+        0 => match rest {
+            Some(rest) => format!("{{{rest},{first}}}"),
+            None => payload.to_string(),
+        },
+        1 => payload
+            .replace(',', " , ")
+            .replace(':', " :\t")
+            .replace('{', " { "),
+        2 => {
+            // The first member repeated, before or after the rest, with
+            // a digit of its value changed: the tree path keeps the
+            // first of two repeated keys.
+            let changed: String = match first.rfind(|c: char| c.is_ascii_digit()) {
+                Some(at) => {
+                    let d = if &first[at..=at] == "7" { "3" } else { "7" };
+                    format!("{}{d}{}", &first[..at], &first[at + 1..])
+                }
+                None => first.to_string(),
+            };
+            if rng.next_below(2) == 0 {
+                format!("{{{changed},{body}}}")
+            } else {
+                format!("{{{body},{changed}}}")
+            }
+        }
+        3 => format!("{{\"unknown\":[1,{{}}],{body}}}"),
+        4 => {
+            let at = 1 + rng.next_below(payload.len() as u64 - 1) as usize;
+            payload[..at].to_string()
+        }
+        _ => {
+            let bad = [
+                "01",
+                "-1",
+                "1.0",
+                "1e2",
+                ",}",
+                "\"x\"",
+                "null",
+                "18446744073709551616",
+            ];
+            let pick = bad[rng.next_below(bad.len() as u64) as usize];
+            match payload.find(|c: char| c.is_ascii_digit()) {
+                Some(at) => format!("{}{pick}{}", &payload[..at], &payload[at + 1..]),
+                None => payload.to_string(),
+            }
+        }
+    }
+}
+
+/// One mutation of a store file.
+fn mutate(raw: &[u8], kind: usize, rng: &mut mvm_prng::Xoshiro256StarStar) -> Vec<u8> {
+    use res_debugger::store::{decode_record, encode_record, Tag};
+    let mut out = raw.to_vec();
+    match kind {
+        // A flipped bit anywhere.
+        0 => {
+            let at = rng.next_below(out.len() as u64) as usize;
+            out[at] ^= 1 << rng.next_below(8);
+        }
+        // A cut at or near a record boundary.
+        1 => {
+            let cuts = boundaries(raw);
+            let cut = cuts[rng.next_below(cuts.len() as u64) as usize] as i64
+                + rng.next_below(7) as i64
+                - 3;
+            out.truncate(cut.clamp(0, raw.len() as i64) as usize);
+        }
+        // A record superseding an existing entry, appended at the end.
+        2 => {
+            let text = std::str::from_utf8(raw).expect("a UTF-8 store");
+            let entries: Vec<&str> = text
+                .lines()
+                .filter_map(decode_record)
+                .filter(|(tag, _)| *tag == Tag::Entry)
+                .map(|(_, payload)| payload)
+                .collect();
+            let victim = entries[rng.next_below(entries.len() as u64) as usize];
+            let e: open_reference::Entry = open_reference::tree(victim).expect("an entry");
+            let superseding = format!(
+                r#"{{"fp":{},"result":{{"verdict":"Unsat","assignments":{}}}}}"#,
+                mvm_json::to_string(&e.fp),
+                rng.next_below(1000)
+            );
+            encode_record(Tag::Entry, &superseding, &mut out);
+        }
+        // One entry or stats record with its JSON rewritten and its
+        // framing (length and checksum) recomputed.
+        _ => {
+            let text = std::str::from_utf8(raw).expect("a UTF-8 store");
+            let lines: Vec<&str> = text.lines().collect();
+            let targets: Vec<usize> = (0..lines.len())
+                .filter(|&i| matches!(decode_record(lines[i]), Some((Tag::Entry | Tag::Stats, _))))
+                .collect();
+            let victim = targets[rng.next_below(targets.len() as u64) as usize];
+            out.clear();
+            for (i, line) in lines.iter().enumerate() {
+                match decode_record(line) {
+                    Some((tag, payload)) if i == victim => {
+                        encode_record(tag, &edit_payload(payload, rng), &mut out)
+                    }
+                    _ => {
+                        out.extend_from_slice(line.as_bytes());
+                        out.push(b'\n');
+                    }
+                }
+            }
+        }
+    }
+    out
+}
+
+/// `SolverStore::open` never panics on a mutated store, and what it
+/// loads (report, header, entries, stats, validated prefix, read-only
+/// flag) equals what the tree-path reference loads from the same bytes.
+/// The inputs are the version-1 fixture and a freshly populated
+/// multi-commit store. Reproduce with
+/// `RES_PROP_SEED=<seed> cargo test --test store_robustness`.
+#[test]
+fn store_open_matches_the_tree_reference_under_mutation() {
+    use proptest_mini::{any_u64, check, prop_assert_eq, triple, usize_range, Config};
+    use res_debugger::store::Header;
+
+    let dir = temp_dir("mutate");
+    let fixture = std::fs::read(fixture_path("store_v1.resstore")).expect("read the fixture");
+    let fixture_fp = open_reference::tree::<Header>(
+        std::str::from_utf8(&fixture)
+            .expect("a UTF-8 fixture")
+            .lines()
+            .nth(1)
+            .and_then(|l| res_debugger::store::decode_record(l))
+            .expect("a header record")
+            .1,
+    )
+    .expect("a header")
+    .program_fp;
+    const POPULATED_FP: u64 = 0x5eed_0f57_0e0f_0001;
+    let populated = multi_entry_store(&dir.join("populated.resstore"), POPULATED_FP);
+    let inputs = [(fixture, fixture_fp), (populated, POPULATED_FP)];
+    let path = dir.join("mutated.resstore");
+    check(
+        "store_open_matches_the_tree_reference_under_mutation",
+        &Config::with_cases(256),
+        &triple(usize_range(0, inputs.len()), usize_range(0, 5), any_u64()),
+        |&(input, kind, seed)| {
+            let (raw, fp) = &inputs[input];
+            let mut rng = mvm_prng::Xoshiro256StarStar::new(seed);
+            let mut bytes = mutate(raw, kind.min(3), &mut rng);
+            if kind == 4 && !bytes.is_empty() {
+                // A rewritten record, then a flip or a cut on top.
+                bytes = mutate(&bytes, rng.next_below(2) as usize, &mut rng);
+            }
+            std::fs::write(&path, &bytes).expect("write the mutated store");
+            let store = SolverStore::open(&path, *fp);
+            let want = open_reference::open(&bytes, *fp);
+            let got = open_reference::Opened {
+                report: *store.load_report(),
+                header: store.header().clone(),
+                entries: store.to_portable().entries,
+                stats: *store.stats(),
+                prefix: store.validated_prefix().to_vec(),
+                read_only: store.read_only(),
+            };
+            prop_assert_eq!(got, want);
+            Ok(())
+        },
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -11,13 +11,11 @@
 //!
 //! The searcher is driven by the same exploration kernel as the RES
 //! engine (`res_core::kernel`): candidates form a linear chain of
-//! nodes walked by a pluggable [`res_core::kernel::Frontier`], resource limits are one
-//! shared [`Budget`], the minidump-match check goes through the
+//! nodes walked by [`explore`], resource limits are one shared
+//! [`Budget`], the minidump-match check goes through the
 //! [`CompatCheck`] seam backed by a memoizing [`SolverSession`], and
 //! costs come back as [`KernelStats`]. E3 therefore compares the two
 //! *algorithms* under identical accounting, not two bespoke harnesses.
-
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use mvm_core::Minidump;
 use mvm_isa::{Loc, Program};
@@ -30,8 +28,8 @@ use mvm_machine::{
 };
 use mvm_symbolic::{Expr, ExprRef, SolverConfig, SolverSession};
 use res_core::kernel::{
-    explore, Budget, CompatCheck, CompatVerdict, CutReason, ExploreConfig, Finalize, FrontierKind,
-    HypothesisGen, KernelStats, NodeScore, Recorder, SessionCompat, StateTransform,
+    explore, Budget, CompatCheck, CompatVerdict, CutReason, ExploreConfig, Finalize, HypothesisGen,
+    KernelStats, NodeScore, Recorder, SessionCompat, StateTransform,
 };
 
 /// Forward-search configuration, expressed in the kernel's shared
@@ -43,20 +41,10 @@ pub struct ForwardConfig {
     /// `hyp_max_steps` bounds each candidate's instruction count, and
     /// the solver/deadline limits apply as in the RES engine.
     pub budget: Budget,
-    /// Exploration order over the candidate chain. The chain is linear,
-    /// so every order visits the same candidates; the knob exists for
-    /// uniformity with [`res_core::ResConfig`].
-    pub frontier: FrontierKind,
     /// Solver tuning for the compatibility check.
     pub solver: SolverConfig,
     /// Base seed.
     pub seed: u64,
-    /// Parallel scan workers, mirroring `ResConfig::workers` so E3
-    /// compares the algorithms under identical parallel accounting.
-    /// Worker `w` of `N` scans candidate indices `w, w + N, w + 2N, …`;
-    /// the reported witness is always the *lowest* matching index —
-    /// exactly what the sequential scan finds — regardless of timing.
-    pub workers: usize,
 }
 
 impl Default for ForwardConfig {
@@ -68,10 +56,8 @@ impl Default for ForwardConfig {
                 max_solver_assignments: None,
                 deadline: None,
             },
-            frontier: FrontierKind::Dfs,
             solver: SolverConfig::default(),
             seed: 42,
-            workers: 1,
         }
     }
 }
@@ -120,11 +106,10 @@ fn stack_fingerprint(stack: &[Loc]) -> u64 {
 }
 
 /// One candidate execution, identified by its position in the seed
-/// sequence. Within one worker, candidates form a linear chain:
-/// expanding the node at global index `i` runs candidate `i` and yields
-/// the node at `i + workers` (stride 1 for the sequential scan).
+/// sequence. Candidates form a linear chain: expanding the node at
+/// index `i` runs candidate `i` and yields the node at `i + 1`.
 struct FwdNode {
-    /// Next candidate index to run (global, across all workers).
+    /// Next candidate index to run.
     index: u64,
     /// Seed of a reproducing candidate found on the path to this node.
     witness: Option<u64>,
@@ -136,12 +121,6 @@ struct ForwardDriver<'a> {
     goal_prints: [u64; 2],
     config: &'a ForwardConfig,
     session: SolverSession,
-    /// This worker's stride through the candidate indices.
-    stride: u64,
-    /// Lowest matching candidate index found by *any* worker
-    /// (`u64::MAX` until one matches). Workers publish matches here and
-    /// stop once no index they could still try can beat it.
-    best: &'a AtomicU64,
     candidates_tried: u64,
     total_steps: u64,
 }
@@ -179,12 +158,6 @@ impl HypothesisGen for ForwardDriver<'_> {
 
     fn generate(&mut self, node: &FwdNode) -> Vec<u64> {
         if node.witness.is_some() || node.index >= self.config.budget.max_nodes {
-            return Vec::new();
-        }
-        // Another worker already matched at a lower index than anything
-        // this chain can still reach: no candidate here can change the
-        // (minimum-index) outcome, so stop scanning.
-        if self.best.load(Ordering::SeqCst) < node.index {
             return Vec::new();
         }
         vec![self.seed_for(node.index)]
@@ -225,7 +198,6 @@ impl StateTransform for ForwardDriver<'_> {
             if self.matches_goal(observed) {
                 stats.accepted += 1;
                 witness = Some(seed);
-                self.best.fetch_min(node.index, Ordering::SeqCst);
             } else {
                 // Faulted, but not the goal failure: rejected by the
                 // compatibility check.
@@ -237,18 +209,13 @@ impl StateTransform for ForwardDriver<'_> {
         }
 
         // The chain always continues: the child either carries the
-        // witness (and finalizes on its expansion) or moves on to this
-        // worker's next candidate.
+        // witness (and finalizes on its expansion) or moves on to the
+        // next candidate.
         let child = FwdNode {
-            index: node.index + self.stride,
+            index: node.index + 1,
             witness,
         };
-        let score = NodeScore {
-            priority: 0,
-            depth: child.index as usize,
-            crumbs_matched: usize::from(child.witness.is_some()),
-        };
-        Some((score, child))
+        Some((NodeScore { priority: 0 }, child))
     }
 
     fn solver_spent(&self) -> u64 {
@@ -278,68 +245,9 @@ impl ForwardSynthesizer {
     ///
     /// A candidate matches when it faults with the same fault class at
     /// the same program counter with the same call stack — the
-    /// information a minidump contains.
-    ///
-    /// With `workers > 1` the candidate indices are scanned by residue
-    /// class across OS threads. `found` and `witness_seed` are
-    /// deterministic (always the lowest matching index, as in the
-    /// sequential scan); the effort counters (`candidates_tried`,
-    /// `total_steps`, kernel stats) are sums over whatever each worker
-    /// ran before the early-stop reached it, so they may vary run to
-    /// run when a witness exists.
+    /// information a minidump contains. Candidates run in seed-sequence
+    /// order; the witness is the first that matches.
     pub fn synthesize(&self, program: &Program, goal: &Minidump) -> ForwardResult {
-        let workers = self.config.workers.max(1);
-        let best = AtomicU64::new(u64::MAX);
-        if workers == 1 {
-            return self.scan_class(program, goal, 0, 1, &best);
-        }
-        let results: Vec<ForwardResult> = std::thread::scope(|scope| {
-            let best = &best;
-            let this = &*self;
-            let handles: Vec<_> = (0..workers as u64)
-                .map(|w| {
-                    scope.spawn(move || this.scan_class(program, goal, w, workers as u64, best))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("forward-ES worker panicked"))
-                .collect()
-        });
-        let mut merged = ForwardResult {
-            found: false,
-            candidates_tried: 0,
-            total_steps: 0,
-            witness_seed: None,
-            stats: KernelStats::default(),
-        };
-        for r in &results {
-            merged.candidates_tried += r.candidates_tried;
-            merged.total_steps += r.total_steps;
-            merged.stats.absorb(&r.stats);
-        }
-        let min = best.load(Ordering::SeqCst);
-        if min != u64::MAX {
-            merged.found = true;
-            merged.witness_seed =
-                Some(self.config.seed.wrapping_add(min.wrapping_mul(0x9e37_79b9)));
-            // A witness exists, so per-class exhaustion is not a cut of
-            // the overall search.
-            merged.stats.cut = None;
-        }
-        merged
-    }
-
-    /// Runs one worker's scan over candidate indices `worker, worker +
-    /// stride, …` below the cap, publishing matches to `best`.
-    fn scan_class(
-        &self,
-        program: &Program,
-        goal: &Minidump,
-        worker: u64,
-        stride: u64,
-        best: &AtomicU64,
-    ) -> ForwardResult {
         let mut driver = ForwardDriver {
             program,
             goal_prints: [
@@ -348,8 +256,6 @@ impl ForwardSynthesizer {
             ],
             config: &self.config,
             session: SolverSession::with_config(self.config.solver),
-            stride,
-            best,
             candidates_tried: 0,
             total_steps: 0,
         };
@@ -357,9 +263,7 @@ impl ForwardSynthesizer {
         // The node budget is enforced by `generate` (the candidate cap);
         // give the kernel two nodes of headroom so a witness found on
         // the very last candidate still gets its finalize expansion
-        // instead of being cut at the pop. Node budgets count per
-        // worker, so a sharded scan divides the candidate cap naturally
-        // (each class holds at most `ceil(cap / stride)` indices).
+        // instead of being cut at the pop.
         let explore_cfg = ExploreConfig {
             budget: Budget {
                 max_nodes: cap.saturating_add(2),
@@ -368,28 +272,24 @@ impl ForwardSynthesizer {
             max_depth: usize::MAX,
             max_artifacts: 1,
         };
-        let mut frontier = self.config.frontier.build();
         let mut stats = KernelStats::default();
         let root = FwdNode {
-            index: worker,
+            index: 0,
             witness: None,
         };
         let artifacts = explore(
             &mut driver,
             root,
             &explore_cfg,
-            frontier.as_mut(),
             &mut stats,
             &Recorder::disabled(),
         );
         stats.solver = driver.session.stats();
         let witness_seed = artifacts.first().copied();
-        if witness_seed.is_none() && stats.cut.is_none() && best.load(Ordering::SeqCst) == u64::MAX
-        {
+        if witness_seed.is_none() && stats.cut.is_none() {
             // The candidate cap is this harness's node budget; record
             // exhausting it as the cut rather than reporting a silently
-            // truncated search. (Skipped when another worker matched:
-            // stopping early then is success, not exhaustion.)
+            // truncated search.
             stats.cut = Some(CutReason::Nodes);
         }
         ForwardResult {
@@ -464,33 +364,6 @@ mod tests {
         // more than one candidate (and may fail outright).
         assert!(r.candidates_tried >= 1);
         assert!(r.total_steps > 0);
-    }
-
-    #[test]
-    fn parallel_scan_reports_the_sequential_witness() {
-        // A goal needing schedule re-discovery, so the witness usually
-        // sits at index > 0 and the early-stop logic is exercised.
-        let (p, goal) = goal_for(BugKind::AtomicityViolation, 10);
-        let base = ForwardConfig {
-            budget: Budget {
-                max_nodes: 64,
-                ..ForwardConfig::default().budget
-            },
-            ..ForwardConfig::default()
-        };
-        let sequential = ForwardSynthesizer::new(base.clone()).synthesize(&p, &goal);
-        for workers in [2, 4] {
-            let r = ForwardSynthesizer::new(ForwardConfig {
-                workers,
-                ..base.clone()
-            })
-            .synthesize(&p, &goal);
-            assert_eq!(r.found, sequential.found, "workers = {workers}");
-            assert_eq!(
-                r.witness_seed, sequential.witness_seed,
-                "parallel scan must report the lowest-index witness (workers = {workers})"
-            );
-        }
     }
 
     #[test]

@@ -16,7 +16,6 @@ use res_core::{
     replay_and_diagnose,
     replay_suffix,
     CutReason,
-    FrontierKind,
     ResConfig,
     ResEngine,
     RootCause,
@@ -197,71 +196,11 @@ pub fn e3_length_sweep() -> Experiment {
     let res_ratio = res_times.last().unwrap() / res_times.first().unwrap().max(1e-9);
     let fwd_ratio =
         *fwd_steps.last().unwrap() as f64 / (*fwd_steps.first().unwrap() as f64).max(1.0);
-    let mut shape = fwd_ratio > 100.0 && res_ratio < 20.0;
+    let shape = fwd_ratio > 100.0 && res_ratio < 20.0;
     let _ = writeln!(
         table,
         "growth over sweep: RES time ×{res_ratio:.1}, forward-ES steps ×{fwd_ratio:.0}"
     );
-
-    // Worker sweep: both algorithms under identical parallel
-    // accounting. RES speculates with N sharded workers then replays
-    // sequentially — the suffixes must be byte-identical at every
-    // worker count (the shape check); wall clock and the speculative
-    // node counts are informational (speedup needs spare cores).
-    let params = WorkloadParams {
-        prefix_iters: 10_000,
-        ..WorkloadParams::default()
-    };
-    let (p, d) = fail_dump(BugKind::DivByZero, params);
-    let goal = Minidump::from_coredump(&d);
-    let _ = writeln!(
-        table,
-        "\nworkers | RES time | speedup | spec nodes | cache entries | suffixes identical | fwd-ES time\n\
-         --------+----------+---------+------------+---------------+--------------------+------------"
-    );
-    let mut golden: Option<String> = None;
-    let mut base_time = 0.0f64;
-    for workers in [1usize, 2, 4] {
-        let engine = ResEngine::new(&p, ResConfig::builder().workers(workers).build());
-        let t0 = Instant::now();
-        let result = engine.synthesize(&d);
-        let res_time = t0.elapsed().as_secs_f64();
-        if workers == 1 {
-            base_time = res_time;
-        }
-        let rendering = format!("{:?}", result.suffixes);
-        let identical = match &golden {
-            None => {
-                golden = Some(rendering);
-                true
-            }
-            Some(g) => *g == rendering,
-        };
-        shape &= identical;
-        let (spec_nodes, cache_entries) = result
-            .parallel
-            .as_ref()
-            .map(|r| (r.speculative.nodes_expanded, r.cache_entries))
-            .unwrap_or((0, 0));
-        let fwd_cfg = ForwardConfig {
-            workers,
-            ..ForwardConfig::default()
-        };
-        let t1 = Instant::now();
-        let _ = ForwardSynthesizer::new(fwd_cfg).synthesize(&p, &goal);
-        let fwd_time = t1.elapsed().as_secs_f64();
-        let _ = writeln!(
-            table,
-            "{:>7} | {:>6.1}ms | {:>6.2}x | {:>10} | {:>13} | {:>18} | {:>8.1}ms",
-            workers,
-            res_time * 1000.0,
-            base_time / res_time.max(1e-9),
-            spec_nodes,
-            cache_entries,
-            if identical { "yes" } else { "NO" },
-            fwd_time * 1000.0
-        );
-    }
 
     Experiment {
         id: "E3",
@@ -358,54 +297,10 @@ pub fn e4_breadcrumbs() -> Experiment {
             result.stats.rejected_lbr
         );
     }
-    let mut shape = hyps[1] < hyps[0];
-
-    // Frontier × worker sweep over the same dump: exploration order
-    // changes how many nodes the authoritative replay expands; worker
-    // count must not (replay is sequential — extra workers only warm
-    // the solver cache, so `replay nodes` must be constant along each
-    // row, the added shape check).
-    let _ = writeln!(
-        table,
-        "\nfrontier  | workers | replay nodes | spec nodes | suffixes\n\
-         ----------+---------+--------------+------------+---------"
-    );
-    for kind in [
-        FrontierKind::Dfs,
-        FrontierKind::Bfs,
-        FrontierKind::BestFirst,
-    ] {
-        let mut baseline_nodes: Option<u64> = None;
-        for workers in [1usize, 2, 4] {
-            let config = ResConfig::builder()
-                .frontier(kind)
-                .workers(workers)
-                .max_suffixes(8)
-                .max_depth(16)
-                .build();
-            let engine = ResEngine::new(&p, config);
-            let result = engine.synthesize(&d);
-            let nodes = result.stats.nodes_expanded;
-            shape &= *baseline_nodes.get_or_insert(nodes) == nodes;
-            let spec = result
-                .parallel
-                .as_ref()
-                .map(|r| r.speculative.nodes_expanded)
-                .unwrap_or(0);
-            let _ = writeln!(
-                table,
-                "{:<9} | {:>7} | {:>12} | {:>10} | {:>8}",
-                format!("{kind:?}"),
-                workers,
-                nodes,
-                spec,
-                result.suffixes.len()
-            );
-        }
-    }
+    let shape = hyps[1] < hyps[0];
     Experiment {
         id: "E4",
-        claim: "LBR breadcrumbs trim the search; worker count never changes the replayed search",
+        claim: "LBR breadcrumbs trim the search",
         table,
         shape_holds: shape,
     }

@@ -1,6 +1,6 @@
 //! The coredump format.
 
-use mvm_json::json_struct;
+use mvm_json::{json_struct, JsonError};
 
 use mvm_isa::Loc;
 use mvm_machine::{
@@ -170,7 +170,31 @@ json_struct!(Coredump {
     error_log,
     heap_allocs,
     globals_end,
-});
+} check check_threads);
+
+/// Refuses a dump no execution ends in: every thread must have a frame
+/// (a halted thread keeps its bottom frame, so every capture does), and
+/// `faulting_tid` must name one of the threads.
+fn check_threads(dump: &Coredump) -> Result<(), JsonError> {
+    if let Some((i, t)) = dump
+        .threads
+        .iter()
+        .enumerate()
+        .find(|(_, t)| t.frames.is_empty())
+    {
+        return Err(JsonError::msg(format!(
+            "Coredump.threads[{i}].frames: thread {} has no frames",
+            t.tid
+        )));
+    }
+    if dump.thread(dump.faulting_tid).is_none() {
+        return Err(JsonError::msg(format!(
+            "Coredump.faulting_tid: thread {} is not in `threads`",
+            dump.faulting_tid
+        )));
+    }
+    Ok(())
+}
 json_struct!(StackSignature { signal, frames });
 
 #[cfg(test)]

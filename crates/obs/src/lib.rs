@@ -20,8 +20,8 @@
 //!   Distributions are [`Registry`] histograms, journaled by
 //!   [`Registry::flush_to`].
 //! * **Marks** — discrete occurrences with string fields
-//!   ([`Recorder::event_with`]): a budget cut, a store defect, an
-//!   absorb with its provenance.
+//!   ([`Recorder::event_with`]): a budget cut, a store defect, a store
+//!   absorb with its entry counts.
 //!
 //! Everything lands in an append-only **JSONL journal** — one
 //! [`Event`] per line, serialized with `mvm-json` (no registry
@@ -38,7 +38,7 @@
 //! generation, solver queries, or budget accounting. Enabling tracing
 //! therefore cannot perturb the search; `tests/obs_determinism.rs` and
 //! the `scripts/ci.sh` traced gate prove the golden suffix fixture is
-//! byte-identical with tracing on and off at any worker count.
+//! byte-identical with tracing on and off.
 //!
 //! A **disabled** recorder ([`Recorder::disabled`], the default) is a
 //! handle around `None`: every call returns immediately and allocates
@@ -52,7 +52,7 @@
 //! let rec = Recorder::memory();
 //! {
 //!     let run = rec.span("synthesize");
-//!     let _replay = run.child("replay");
+//!     let _search = run.child("search");
 //!     rec.counter("kernel.nodes_expanded", 3);
 //!     rec.event_with("kernel.cut", || vec![("reason".into(), "Nodes".into())]);
 //! }

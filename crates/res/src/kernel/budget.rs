@@ -80,25 +80,6 @@ impl BudgetMeter {
 }
 
 impl Budget {
-    /// The per-worker budget slice for an `workers`-way sharded search.
-    ///
-    /// Whole-search resources (node expansions, cumulative solver
-    /// assignments) are divided `ceil(total / workers)` so the shards
-    /// together never exceed ~the sequential allowance, while `workers
-    /// = 1` reproduces the original budget exactly. Per-hypothesis and
-    /// wall-clock limits are *not* divided: each hypothesis costs the
-    /// same wherever it runs, and workers run concurrently, so the
-    /// deadline applies to each worker as-is.
-    pub fn slice(&self, workers: usize) -> Budget {
-        let w = workers.max(1) as u64;
-        Budget {
-            max_nodes: self.max_nodes.div_ceil(w),
-            hyp_max_steps: self.hyp_max_steps,
-            max_solver_assignments: self.max_solver_assignments.map(|c| c.div_ceil(w)),
-            deadline: self.deadline,
-        }
-    }
-
     /// May another node be expanded? Returns the binding [`CutReason`]
     /// if not. Dimensions are checked in a fixed order (nodes, solver
     /// assignments, deadline) so the reported reason is deterministic
@@ -150,23 +131,6 @@ mod tests {
         assert_eq!(b.hyp_max_steps, 4096);
         assert_eq!(b.max_solver_assignments, None);
         assert_eq!(b.deadline, None);
-    }
-
-    #[test]
-    fn slice_divides_whole_search_resources_only() {
-        let b = Budget {
-            max_nodes: 10,
-            hyp_max_steps: 4096,
-            max_solver_assignments: Some(100),
-            deadline: Some(Duration::from_secs(3)),
-        };
-        assert_eq!(b.slice(1), b, "one worker keeps the full budget");
-        let s = b.slice(4);
-        assert_eq!(s.max_nodes, 3, "ceil(10/4)");
-        assert_eq!(s.max_solver_assignments, Some(25));
-        assert_eq!(s.hyp_max_steps, 4096, "per-hypothesis limit undivided");
-        assert_eq!(s.deadline, Some(Duration::from_secs(3)));
-        assert_eq!(b.slice(0), b.slice(1), "zero clamps to one");
     }
 
     #[test]

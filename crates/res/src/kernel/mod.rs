@@ -4,43 +4,43 @@
 //! pop a node, form predecessor hypotheses, test each by forward
 //! symbolic execution, keep the compatible children, repeat. The kernel
 //! factors that loop out of the RES engine so the same machinery drives
-//! the forward-ES baseline (making E3 apples-to-apples) and so search
-//! strategy, budgets, and solver accounting are each one seam:
+//! the forward-ES baseline (making E3 apples-to-apples) and so budgets
+//! and solver accounting are each one seam:
 //!
 //! * [`budget`] — one [`Budget`] over nodes, per-hypothesis
 //!   instructions, solver assignments, and wall clock; every cutoff is
 //!   a [`CutReason`].
-//! * [`frontier`] — pluggable exploration orders ([`Dfs`] is
-//!   byte-identical to the historical engine; [`Bfs`] and [`BestFirst`]
-//!   are alternatives).
-//! * [`sharded`] — [`ShardedFrontier`], a deterministic first-branch
-//!   partitioner that gives N speculative workers disjoint subtrees.
-//! * [`stats`] — [`KernelStats`] plus [`ParallelReport`] for sharded
-//!   runs.
+//! * [`stats`] — [`KernelStats`], what one search did.
+//! * [`par`] — [`parallel_map`], fan-out *across* searches (corpus
+//!   runs, the harness); each search runs on one thread.
 //! * the trait seams below — hypothesis generation
 //!   ([`HypothesisGen`]), state transformation ([`StateTransform`]:
 //!   havoc + forward exec), artifact completion ([`Finalize`]), and the
 //!   `S' ⊇ Spost` compatibility check ([`CompatCheck`]).
 //!
-//! [`explore`] is the loop itself, generic over a driver implementing
-//! the seams.
+//! [`explore`] is the loop itself, a depth-first search generic over a
+//! driver implementing the seams.
 
 pub mod budget;
-pub mod frontier;
 pub mod par;
-pub mod sharded;
 pub mod stats;
 
 pub use budget::{Budget, BudgetMeter, CutReason};
-pub use frontier::{BestFirst, Bfs, Dfs, Frontier, FrontierKind, NodeScore};
 pub use par::{auto_workers, parallel_map};
-pub use sharded::ShardedFrontier;
 pub use stats::{AbandonedSpace, KernelStats, ParallelReport};
 // Re-exported so kernel drivers in other crates can call [`explore`]
 // without a manifest dependency on the tracing crate.
 pub use res_obs::{Recorder, Span};
 
 use mvm_symbolic::{ExprRef, SolveResult, SolverSession, UnknownReason};
+
+/// How promising a surviving child is: [`explore`] expands the lowest
+/// `priority` first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NodeScore {
+    /// Candidate priority from hypothesis enumeration; 0 is best.
+    pub priority: u8,
+}
 
 /// Produces predecessor (or, for forward search, successor) hypotheses
 /// for a node.
@@ -62,7 +62,7 @@ pub trait HypothesisGen {
 pub trait StateTransform: HypothesisGen {
     /// Executes the hypothesis. `None` rejects it (the transform
     /// records the rejection reason in `stats`); `Some` yields the
-    /// child and its frontier score.
+    /// child and its score.
     fn transform(
         &mut self,
         node: &Self::Node,
@@ -147,15 +147,14 @@ pub struct ExploreConfig {
     pub max_artifacts: usize,
 }
 
-/// The exploration loop.
+/// The exploration loop: a depth-first search over a stack.
 ///
 /// Replicates the historical engine's order of operations exactly (the
 /// golden suffix fixture depends on it): pop; stop if enough artifacts;
-/// admit against the budget (recording the cut and the abandoned
-/// frontier on failure); count the expansion; finalize at the depth
-/// horizon; generate hypotheses (finalizing childless nodes); transform
-/// each; finalize cul-de-sacs of nonzero depth; hand surviving children
-/// to the frontier.
+/// admit against the budget (recording the cut and the abandoned stack
+/// on failure); count the expansion; finalize at the depth horizon;
+/// generate hypotheses (finalizing childless nodes); transform each;
+/// finalize cul-de-sacs of nonzero depth; push surviving children.
 ///
 /// `recorder` is a strictly passive observer (pass an already-scoped
 /// handle, e.g. `rec.scoped("kernel")`, or [`Recorder::disabled`]):
@@ -165,7 +164,6 @@ pub fn explore<D>(
     driver: &mut D,
     root: D::Node,
     config: &ExploreConfig,
-    frontier: &mut dyn Frontier<D::Node>,
     stats: &mut KernelStats,
     recorder: &Recorder,
 ) -> Vec<D::Artifact>
@@ -174,9 +172,9 @@ where
 {
     let meter = BudgetMeter::start();
     let mut artifacts = Vec::new();
-    frontier.extend(vec![(NodeScore::root(), root)]);
+    let mut stack = vec![root];
     recorder.counter("frontier_push", 1);
-    while let Some((_, node)) = frontier.pop() {
+    while let Some(node) = stack.pop() {
         recorder.counter("frontier_pop", 1);
         if artifacts.len() >= config.max_artifacts {
             break;
@@ -187,8 +185,8 @@ where
         {
             stats.cut = Some(cut);
             stats.abandoned.record(driver.depth(&node));
-            for (_, n) in frontier.drain() {
-                stats.abandoned.record(driver.depth(&n));
+            for n in &stack {
+                stats.abandoned.record(driver.depth(n));
             }
             let abandoned = stats.abandoned.nodes;
             recorder.event_with("cut", || {
@@ -239,7 +237,14 @@ where
             continue;
         }
         recorder.counter("frontier_push", children.len() as u64);
-        frontier.extend(children);
+        // Stable sort by *descending* priority value, then push in
+        // order: the best (lowest value) lands on top of the stack, and
+        // among equal priorities the later-enumerated child pops first.
+        // This is exactly the historical `sort_by(|a, b| b.0.cmp(&a.0))`
+        // + push loop; do not "simplify" to ascending-sort-and-reverse,
+        // which flips the equal-priority order.
+        children.sort_by_key(|(score, _)| std::cmp::Reverse(score.priority));
+        stack.extend(children.into_iter().map(|(_, child)| child));
     }
     artifacts
 }
@@ -282,8 +287,6 @@ mod tests {
             Some((
                 NodeScore {
                     priority: (cand % 2) as u8,
-                    depth: bit_depth(*cand),
-                    crumbs_matched: 0,
                 },
                 *cand,
             ))
@@ -300,21 +303,50 @@ mod tests {
         }
     }
 
-    fn run(
-        driver: &mut TreeDriver,
-        kind: FrontierKind,
+    /// A root (node 0) whose children `1..=n` carry the given
+    /// priorities and finalize at depth 1, so the artifacts list the
+    /// order in which the stack pops them.
+    struct FanDriver {
+        priorities: Vec<u8>,
+    }
+
+    impl HypothesisGen for FanDriver {
+        type Node = u32;
+        type Candidate = u32;
+        fn generate(&mut self, _node: &u32) -> Vec<u32> {
+            (1..=self.priorities.len() as u32).collect()
+        }
+    }
+
+    impl StateTransform for FanDriver {
+        fn transform(
+            &mut self,
+            _node: &u32,
+            cand: &u32,
+            _stats: &mut KernelStats,
+        ) -> Option<(NodeScore, u32)> {
+            let priority = self.priorities[*cand as usize - 1];
+            Some((NodeScore { priority }, *cand))
+        }
+    }
+
+    impl Finalize for FanDriver {
+        type Artifact = u32;
+        fn depth(&self, node: &u32) -> usize {
+            usize::from(*node > 0)
+        }
+        fn finalize(&mut self, node: &u32, _stats: &mut KernelStats) -> Option<u32> {
+            Some(*node)
+        }
+    }
+
+    fn run<D: StateTransform + Finalize>(
+        driver: &mut D,
+        root: D::Node,
         config: &ExploreConfig,
-    ) -> (Vec<u32>, KernelStats) {
-        let mut frontier = kind.build();
+    ) -> (Vec<D::Artifact>, KernelStats) {
         let mut stats = KernelStats::default();
-        let artifacts = explore(
-            driver,
-            1u32,
-            config,
-            frontier.as_mut(),
-            &mut stats,
-            &Recorder::disabled(),
-        );
+        let artifacts = explore(driver, root, config, &mut stats, &Recorder::disabled());
         (artifacts, stats)
     }
 
@@ -326,11 +358,29 @@ mod tests {
             max_depth: 2,
             max_artifacts: 1,
         };
-        let (artifacts, stats) = run(&mut d, FrontierKind::Dfs, &cfg);
+        let (artifacts, stats) = run(&mut d, 1, &cfg);
         // Even children score priority 0, so DFS dives 1 → 2 → 4.
         assert_eq!(artifacts, vec![4]);
         assert_eq!(stats.cut, None);
         assert!(stats.deepest >= 2);
+    }
+
+    /// The property the golden suffix fixture depends on: descending
+    /// stable sort + stack push means the best (lowest) priority pops
+    /// first, and among equal priorities the *later-enumerated* sibling
+    /// pops first — exactly the historical engine's order.
+    #[test]
+    fn equal_priority_siblings_pop_latest_enumerated_first() {
+        let mut d = FanDriver {
+            priorities: vec![2, 0, 0, 1],
+        };
+        let cfg = ExploreConfig {
+            budget: Budget::default(),
+            max_depth: 1,
+            max_artifacts: 64,
+        };
+        let (artifacts, _) = run(&mut d, 0, &cfg);
+        assert_eq!(artifacts, vec![3, 2, 4, 1]);
     }
 
     #[test]
@@ -344,12 +394,12 @@ mod tests {
             max_depth: 8,
             max_artifacts: 64,
         };
-        let (artifacts, stats) = run(&mut d, FrontierKind::Dfs, &cfg);
+        let (artifacts, stats) = run(&mut d, 1, &cfg);
         assert!(artifacts.is_empty());
         assert_eq!(stats.cut, Some(CutReason::Nodes));
         assert_eq!(stats.nodes_expanded, 2);
-        // After 2 expansions the frontier holds 3 entries; all 3 are
-        // abandoned (the popped one plus the drained rest).
+        // After 2 expansions the stack holds 3 entries; all 3 are
+        // abandoned (the popped one plus the rest).
         assert_eq!(stats.abandoned.nodes, 3);
         assert!(stats.abandoned.max_depth >= stats.abandoned.min_depth);
     }
@@ -362,7 +412,7 @@ mod tests {
             max_depth: 3,
             max_artifacts: 64,
         };
-        let (artifacts, stats) = run(&mut d, FrontierKind::Dfs, &cfg);
+        let (artifacts, stats) = run(&mut d, 1, &cfg);
         // Only even children survive: the single chain 1→2→4→8 (node 8
         // sits at the depth horizon, so 3 expansions reject odd kids).
         assert_eq!(artifacts, vec![8]);
@@ -377,8 +427,8 @@ mod tests {
             max_depth: 3,
             max_artifacts: 2,
         };
-        let (artifacts, stats) = run(&mut d, FrontierKind::Bfs, &cfg);
-        assert_eq!(artifacts.len(), 2);
+        let (artifacts, stats) = run(&mut d, 1, &cfg);
+        assert_eq!(artifacts, vec![8, 9]);
         assert_eq!(stats.cut, None, "artifact cap is not a budget cut");
     }
 }

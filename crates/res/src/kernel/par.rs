@@ -1,20 +1,18 @@
 //! Deterministic thread fan-out for embarrassingly parallel work.
 //!
-//! The engine's sharded speculation parallelizes *inside* one search;
-//! corpus-scale evaluation (hundreds of generated programs, each an
-//! independent synthesize) parallelizes *across* searches. Both must
-//! honor the same contract: the thread count changes wall clock only,
-//! never a result byte. [`parallel_map`] delivers that by making the
-//! output a pure positional function of the input — workers race only
-//! for *which* index they process next, and every result is placed by
-//! its input index before the call returns.
+//! One search runs on one thread; corpus-scale evaluation (hundreds of
+//! generated programs, each an independent synthesize) and the
+//! experiment harness parallelize *across* searches. The contract: the
+//! thread count changes wall clock only, never a result byte.
+//! [`parallel_map`] delivers that by making the output a pure
+//! positional function of the input — workers race only for *which*
+//! index they process next, and every result is placed by its input
+//! index before the call returns.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Worker count from the machine's available parallelism, clamped to
-/// `1..=8` — the same policy the engine's `workers_auto()` uses (beyond
-/// 8 the speculative shards mostly duplicate work, and corpus runs
-/// saturate memory bandwidth first).
+/// `1..=8` (beyond 8, corpus runs saturate memory bandwidth first).
 pub fn auto_workers() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())

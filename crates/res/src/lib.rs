@@ -46,8 +46,8 @@ pub mod symctx;
 
 pub use hwerr::{hardware_verdict, hardware_verdict_in_store, HwKind, HwVerdict, Relax};
 pub use kernel::{
-    auto_workers, parallel_map, AbandonedSpace, Budget, CutReason, FrontierKind, KernelStats,
-    NodeScore, ParallelReport, ShardedFrontier,
+    auto_workers, parallel_map, AbandonedSpace, Budget, CutReason, KernelStats, NodeScore,
+    ParallelReport,
 };
 pub use replay::{
     replay_observed, replay_suffix, Divergence, DivergenceKind, ObservedEvent, ReplayReport,

@@ -37,9 +37,8 @@ use res_store::{program_fingerprint, LoadOutcome, SolverStore};
 use crate::blockexec::{run_hypothesis, EndPoint, HypSpec, Infeasible, Tagged};
 use crate::hwerr::Relax;
 use crate::kernel::{
-    explore, Budget, CompatCheck, CompatVerdict, ExploreConfig, Finalize, Frontier, FrontierKind,
-    HypothesisGen, KernelStats, NodeScore, ParallelReport, SessionCompat, ShardedFrontier,
-    StateTransform,
+    explore, Budget, CompatCheck, CompatVerdict, ExploreConfig, Finalize, HypothesisGen,
+    KernelStats, NodeScore, ParallelReport, SessionCompat, StateTransform,
 };
 use crate::snapshot::Snapshot;
 use crate::suffix::{ExecutionSuffix, SuffixStep};
@@ -63,14 +62,10 @@ pub struct ResConfig {
     /// Wall-clock deadline for the whole search (`None` keeps the
     /// search fully deterministic).
     pub deadline: Option<std::time::Duration>,
-    /// Exploration order; the default reproduces the engine's
-    /// historical DFS byte-for-byte.
-    pub frontier: FrontierKind,
-    /// Speculative search workers. `1` (the default) is the plain
-    /// sequential search; `N > 1` fans out N OS threads over disjoint
-    /// frontier shards to warm a portable solver cache, then replays
-    /// the exact sequential search over it — same suffixes, byte for
-    /// byte, for any `N` (see `DESIGN.md`, "The parallel kernel").
+    /// Ignored: the search runs on one thread. Kept only because the
+    /// benchmark (`perfbench/`) sets it; it leaves together with the
+    /// benchmark's `spec.w1`/`spec.w2` probes when the benchmark is
+    /// next revised.
     pub workers: usize,
     /// Solver budgets.
     pub solver: SolverConfig,
@@ -112,7 +107,6 @@ impl Default for ResConfig {
             hyp_max_steps: 4096,
             max_solver_assignments: None,
             deadline: None,
-            frontier: FrontierKind::Dfs,
             workers: 1,
             solver: SolverConfig::default(),
             cache_path: None,
@@ -149,15 +143,12 @@ impl ResConfig {
 ///
 /// ```
 /// use res_core::search::ResConfig;
-/// use res_core::kernel::FrontierKind;
 ///
 /// let config = ResConfig::builder()
 ///     .max_depth(8)
-///     .frontier(FrontierKind::BestFirst)
-///     .workers(4)
 ///     .use_lbr(true)
 ///     .build();
-/// assert_eq!(config.workers, 4);
+/// assert_eq!(config.max_depth, 8);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ResConfigBuilder {
@@ -210,24 +201,10 @@ impl ResConfigBuilder {
         self
     }
 
-    /// Exploration order.
-    pub fn frontier(mut self, v: FrontierKind) -> Self {
-        self.config.frontier = v;
-        self
-    }
-
-    /// Speculative search workers (clamped to at least 1 at run time).
+    /// Sets the ignored [`ResConfig::workers`]. Kept only because the
+    /// benchmark (`perfbench/`) calls it; see there.
     pub fn workers(mut self, v: usize) -> Self {
         self.config.workers = v;
-        self
-    }
-
-    /// Sets the worker count from the machine's available parallelism,
-    /// clamped to `1..=8` (beyond that the speculative shards mostly
-    /// duplicate work). Determinism is unaffected — speculate-then-
-    /// replay returns byte-identical suffixes for any worker count.
-    pub fn workers_auto(mut self) -> Self {
-        self.config.workers = crate::kernel::auto_workers();
         self
     }
 
@@ -299,16 +276,13 @@ impl ResConfigBuilder {
 /// use res_core::search::SynthOptions;
 /// use res_core::hwerr::Relax;
 ///
-/// let opts = SynthOptions::new().relax(Relax::Mem { addr: 0x1000 }).workers(2);
-/// assert_eq!(opts.workers, Some(2));
+/// let opts = SynthOptions::new().relax(Relax::Mem { addr: 0x1000 });
 /// assert_eq!(opts.relax, Relax::Mem { addr: 0x1000 });
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SynthOptions {
     /// Treat one dump location as unknown (the §3.2 localization probe).
     pub relax: Relax,
-    /// Override the engine's configured worker count for this call.
-    pub workers: Option<usize>,
     /// Override every [`Budget`] dimension for this call — the
     /// per-request admission-control hook the triage daemon uses. The
     /// engine-wide budget assembled from [`ResConfig`] applies when
@@ -328,8 +302,8 @@ pub struct SynthOptions {
 }
 
 impl SynthOptions {
-    /// The defaults: no relaxation, the engine's configured workers,
-    /// budget, and store.
+    /// The defaults: no relaxation, the engine's configured budget and
+    /// store.
     pub fn new() -> Self {
         Self::default()
     }
@@ -337,12 +311,6 @@ impl SynthOptions {
     /// Sets the relaxation.
     pub fn relax(mut self, relax: Relax) -> Self {
         self.relax = relax;
-        self
-    }
-
-    /// Overrides the worker count.
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = Some(workers);
         self
     }
 
@@ -409,11 +377,12 @@ json_enum!(Verdict {
 pub struct SynthesisResult {
     /// Suffixes found, in discovery order.
     pub suffixes: Vec<ExecutionSuffix>,
-    /// Search statistics (for a sharded run: the authoritative replay).
+    /// Search statistics.
     pub stats: KernelStats,
     /// Overall verdict.
     pub verdict: Verdict,
-    /// Speculative fan-out accounting; `None` for single-worker runs.
+    /// Always `None`: the search runs on one thread. Kept only because
+    /// the benchmark (`perfbench/`) reads it; see [`ParallelReport`].
     pub parallel: Option<ParallelReport>,
     /// Persistent-store accounting; `None` when no store is configured.
     pub store: Option<StoreReport>,
@@ -519,14 +488,6 @@ impl<'p> ResEngine<'p> {
             .as_ref()
             .map(Recorder::journal)
             .unwrap_or_default();
-        Self::with_recorder(program, config, recorder)
-    }
-
-    /// [`new`](Self::new) with an explicit recorder — used by the
-    /// speculative workers, which share (a scoped view of) the parent
-    /// engine's recorder instead of opening their own journals, and by
-    /// per-call trace overrides.
-    fn with_recorder(program: &'p Program, config: ResConfig, recorder: Recorder) -> Self {
         let session =
             SolverSession::with_config(config.solver).with_recorder(recorder.scoped("solver"));
         let store = config.cache_path.as_ref().map(|p| {
@@ -576,20 +537,8 @@ impl<'p> ResEngine<'p> {
     }
 
     /// The synthesis entry point: every other `synthesize*` method is a
-    /// thin wrapper over this one.
-    ///
-    /// With an effective worker count of 1 this is the plain sequential
-    /// backward search. With `N > 1` it runs speculate-then-replay: N
-    /// OS threads explore disjoint frontier shards (each with its own
-    /// engine, symbol numbering, solver session, and a
-    /// [`Budget::slice`]d allowance), their renaming-equivariant solver
-    /// results are absorbed into this engine's session as an
-    /// α-canonical cache, and then the exact sequential search replays
-    /// over the warmed cache. The replay *is* the `workers = 1`
-    /// algorithm — same hypotheses, same symbol ids, same budget
-    /// accounting — so the returned suffixes are byte-identical for any
-    /// worker count; the fan-out only changes where solver time is
-    /// spent.
+    /// thin wrapper over this one. It runs the backward search once,
+    /// depth-first, under the effective budget of `opts`.
     pub fn synthesize_with(&self, dump: &Coredump, opts: SynthOptions) -> SynthesisResult {
         self.run_synthesis(dump, &opts, None, true)
     }
@@ -621,7 +570,6 @@ impl<'p> ResEngine<'p> {
         mut external: Option<&mut SolverStore>,
         commit: bool,
     ) -> SynthesisResult {
-        let workers = opts.workers.unwrap_or(self.config.workers).max(1);
         let budget = opts.effective_budget(&self.config);
         // A per-call trace overrides the engine-level recorder for this
         // call only — including the session's counters, which are
@@ -635,7 +583,6 @@ impl<'p> ResEngine<'p> {
             .map(|r| self.session.set_recorder(r.scoped("solver")));
         let wall = std::time::Instant::now();
         let run = recorder.span("synthesize");
-        recorder.gauge("workers", workers as u64);
         // A per-call store overrides the engine-level one for this call.
         // An external (caller-owned) store takes precedence over both
         // and was already absorbed by `synthesize_in_store`.
@@ -654,17 +601,11 @@ impl<'p> ResEngine<'p> {
         };
         let session_before = self.session.stats();
         let t_absorb = wall.elapsed();
-        let parallel = (workers > 1).then(|| {
-            let span = run.child("speculate");
-            self.speculate(dump, opts.relax, workers, budget, &recorder, span.id())
-        });
-        let t_speculate = wall.elapsed() - t_absorb;
         let mut result = {
-            let _replay = run.child("replay");
-            self.replay(dump, opts.relax, budget, &recorder)
+            let _search = run.child("search");
+            self.search(dump, opts.relax, budget, &recorder)
         };
-        let t_replay = wall.elapsed() - t_speculate - t_absorb;
-        result.parallel = parallel;
+        let t_search = wall.elapsed() - t_absorb;
         result.store = {
             let _commit = run.child("commit");
             self.export_to_store(
@@ -673,7 +614,7 @@ impl<'p> ResEngine<'p> {
                 commit,
             )
         };
-        let t_commit = wall.elapsed() - t_replay - t_speculate - t_absorb;
+        let t_commit = wall.elapsed() - t_search - t_absorb;
         drop(run);
         recorder.finish();
         if let Some(prev) = prev_session_rec {
@@ -682,22 +623,20 @@ impl<'p> ResEngine<'p> {
         if recorder.enabled() {
             // The common case should not need journal post-processing:
             // one line with the headline numbers. Hit attribution is
-            // the replay session's delta — memo (exact in-session),
-            // worker (speculative absorb), store (cross-run).
+            // the session's delta — memo (exact in-session) or store
+            // (cross-run).
             let s = self.session.stats().delta_since(&session_before);
             eprintln!(
                 "res-trace: nodes={} suffixes={} verdict={:?} \
-                 hits memo={} worker={} store={} \
-                 wall absorb={}ms speculate={}ms replay={}ms commit={}ms",
+                 hits memo={} store={} \
+                 wall absorb={}ms search={}ms commit={}ms",
                 result.stats.nodes_expanded,
                 result.suffixes.len(),
                 result.verdict,
-                s.cache_hits - s.absorbed_hits,
-                s.absorbed_hits - s.store_hits,
+                s.cache_hits - s.store_hits,
                 s.store_hits,
                 t_absorb.as_millis(),
-                t_speculate.as_millis(),
-                t_replay.as_millis(),
+                t_search.as_millis(),
                 t_commit.as_millis(),
             );
         }
@@ -734,100 +673,40 @@ impl<'p> ResEngine<'p> {
         })
     }
 
-    /// Phase 1 of a sharded run: fan out `workers` speculative threads,
-    /// fold their stats, and absorb their portable solver caches into
-    /// this engine's session.
-    fn speculate(
-        &self,
-        dump: &Coredump,
-        relax: Relax,
-        workers: usize,
-        budget: Budget,
-        recorder: &Recorder,
-        speculate_span: Option<u64>,
-    ) -> ParallelReport {
-        // The worker threads must not capture `self` (the session's
-        // interior mutability is single-threaded); they get the shared
-        // immutable program plus a config clone and build their own
-        // engines. They do share the recorder (it is thread-safe),
-        // each under its own `speculate.wN` scope.
-        let program = self.program;
-        let results: Vec<(KernelStats, mvm_symbolic::PortableCache)> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| {
-                        // Per-call budget overrides propagate into the
-                        // workers via their config clones; `run_shard`
-                        // slices whatever it finds there.
-                        let mut config = self.config.clone();
-                        config.max_nodes = budget.max_nodes;
-                        config.hyp_max_steps = budget.hyp_max_steps;
-                        config.max_solver_assignments = budget.max_solver_assignments;
-                        config.deadline = budget.deadline;
-                        let worker_rec = recorder.scoped(&format!("speculate.w{w}"));
-                        scope.spawn(move || {
-                            let _span = worker_rec.span_under("shard", speculate_span);
-                            let engine = ResEngine::with_recorder(program, config, worker_rec);
-                            engine.run_shard(dump, relax, w, workers)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("speculative worker panicked"))
-                    .collect()
-            });
-        let mut report = ParallelReport {
-            workers,
-            ..ParallelReport::default()
-        };
-        for (stats, cache) in &results {
-            report.per_worker_nodes.push(stats.nodes_expanded);
-            report.speculative.absorb(stats);
-            self.session.absorb(cache);
-        }
-        report.cache_entries = self.session.absorbed_len();
-        recorder.gauge("speculate.cache_entries", report.cache_entries as u64);
-        report
-    }
-
-    /// One speculative worker: the deterministic search over this
-    /// worker's frontier shard, discarding artifacts (they are built
-    /// from worker-local symbol ids) and exporting the portable slice
-    /// of the solver cache.
-    fn run_shard(
-        &self,
-        dump: &Coredump,
-        relax: Relax,
-        worker: usize,
-        workers: usize,
-    ) -> (KernelStats, mvm_symbolic::PortableCache) {
-        let mut stats = KernelStats::default();
-        let mut frontier = ShardedFrontier::new(self.config.frontier.build(), worker, workers);
-        let _ = self.explore_with(
-            dump,
-            relax,
-            self.config.budget().slice(workers),
-            &mut frontier,
-            &mut stats,
-            &self.recorder,
-        );
-        (stats, self.session.export_portable())
-    }
-
-    /// Phase 2 (and the whole of a single-worker run): the exact
-    /// sequential search.
-    fn replay(
+    /// The backward search itself: the kernel exploration from `dump`'s
+    /// root node under `budget`, with the session's solver work since
+    /// the start attributed to its stats, and its verdict.
+    fn search(
         &self,
         dump: &Coredump,
         relax: Relax,
         budget: Budget,
         recorder: &Recorder,
     ) -> SynthesisResult {
+        let mut ctx = SymCtx::new();
+        let root = self.build_root(dump, relax, &mut ctx);
+        let session_before = self.session.stats();
+        let mut driver = SearchDriver {
+            engine: self,
+            dump,
+            ctx,
+            assignments_before: session_before.assignments,
+            hyp_max_steps: budget.hyp_max_steps,
+        };
+        let explore_config = ExploreConfig {
+            budget,
+            max_depth: self.config.max_depth,
+            max_artifacts: self.config.max_suffixes,
+        };
         let mut stats = KernelStats::default();
-        let mut frontier = self.config.frontier.build();
-        let suffixes =
-            self.explore_with(dump, relax, budget, frontier.as_mut(), &mut stats, recorder);
+        let suffixes = explore(
+            &mut driver,
+            root,
+            &explore_config,
+            &mut stats,
+            &recorder.scoped("kernel"),
+        );
+        stats.solver = self.session.stats().delta_since(&session_before);
         let verdict = if !suffixes.is_empty() {
             Verdict::SuffixFound
         } else if stats.cut.is_some() {
@@ -846,45 +725,6 @@ impl<'p> ResEngine<'p> {
             parallel: None,
             store: None,
         }
-    }
-
-    /// Runs the kernel exploration from `dump`'s root node through the
-    /// given frontier under `budget`, attributing solver-session deltas
-    /// to `stats`.
-    fn explore_with(
-        &self,
-        dump: &Coredump,
-        relax: Relax,
-        budget: Budget,
-        frontier: &mut dyn Frontier<Node>,
-        stats: &mut KernelStats,
-        recorder: &Recorder,
-    ) -> Vec<ExecutionSuffix> {
-        let mut ctx = SymCtx::new();
-        let root = self.build_root(dump, relax, &mut ctx);
-        let session_before = self.session.stats();
-        let mut driver = SearchDriver {
-            engine: self,
-            dump,
-            ctx,
-            assignments_before: session_before.assignments,
-            hyp_max_steps: budget.hyp_max_steps,
-        };
-        let explore_config = ExploreConfig {
-            budget,
-            max_depth: self.config.max_depth,
-            max_artifacts: self.config.max_suffixes,
-        };
-        let suffixes = explore(
-            &mut driver,
-            root,
-            &explore_config,
-            frontier,
-            stats,
-            &recorder.scoped("kernel"),
-        );
-        stats.solver = self.session.stats().delta_since(&session_before);
-        suffixes
     }
 
     /// Builds the search root: the coredump's state with the configured
@@ -1431,12 +1271,8 @@ impl StateTransform for SearchDriver<'_, '_, '_> {
             self.hyp_max_steps,
             stats,
         )?;
-        let crumbs_matched =
-            (self.dump.lbr.len() - child.lbr_rem) + (self.dump.error_log.len() - child.log_rem);
         let score = NodeScore {
             priority: cand.priority,
-            depth: child.depth,
-            crumbs_matched,
         };
         Some((score, child))
     }

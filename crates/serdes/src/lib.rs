@@ -117,9 +117,13 @@ pub fn from_str<T: FromJson>(text: &str) -> Result<T, JsonError> {
 /// the listed fields in order as a JSON object. The macro must be
 /// invoked where the fields are visible (typically the defining
 /// module), mirroring what a derive would see.
+///
+/// A trailing `check path::to::f` names a
+/// `fn(&Self) -> Result<(), JsonError>` that both decode paths run on
+/// the decoded value, refusing it with that error.
 #[macro_export]
 macro_rules! json_struct {
-    ($ty:ident { $($field:ident),+ $(,)? }) => {
+    ($ty:ident { $($field:ident),+ $(,)? } $(check $check:path)?) => {
         impl $crate::ToJson for $ty {
             fn to_json(&self) -> $crate::Json {
                 $crate::Json::Obj(vec![
@@ -140,12 +144,16 @@ macro_rules! json_struct {
                 let obj = v
                     .as_obj()
                     .ok_or_else(|| $crate::JsonError::expected(stringify!($ty), v))?;
-                Ok($ty {
+                let value = $ty {
                     $($field: $crate::field(obj, stringify!($field), stringify!($ty))?,)+
-                })
+                };
+                $($check(&value)?;)?
+                Ok(value)
             }
             fn read_json(r: &mut $crate::Reader<'_>) -> Option<Self> {
-                $crate::json_struct!(@read r, { $ty }, $($field),+)
+                let value = $crate::json_struct!(@read r, { $ty }, $($field),+)?;
+                $($check(&value).ok()?;)?
+                Some(value)
             }
         }
     };

@@ -22,8 +22,9 @@
 //! change which suffixes a request finds, silently breaking the
 //! byte-identity contract. A request either runs with exactly the
 //! budget it asked for or is rejected with the reason. Batch requests
-//! occupy one queue slot, so their per-item ceiling is the daemon's
-//! per-request ceiling [`res_core::Budget::slice`]d across the batch.
+//! occupy one queue slot and their items run one after another, so
+//! each item's ceiling is the daemon's per-request ceiling divided
+//! across the batch.
 
 use std::io::{self, BufReader, Write as _};
 use std::panic::{self, AssertUnwindSafe};
@@ -65,8 +66,9 @@ pub struct ServeConfig {
     /// pays a cold search).
     pub store_dir: Option<PathBuf>,
     /// Per-request budget ceiling. `None` admits everything; `Some`
-    /// rejects any request whose effective budget exceeds a dimension
-    /// (batches: the ceiling sliced across the batch).
+    /// rejects any request whose effective budget exceeds a dimension.
+    /// A batch's items run one after another in one queue slot, so each
+    /// item must fit an equal share of the ceiling.
     pub ceiling: Option<Budget>,
     /// Base engine config requests inherit (and override per call).
     /// `cache_path`/`trace` are cleared at startup — the hot store owns
@@ -551,9 +553,27 @@ fn dispatch(
     })
 }
 
+/// Each item's share of `ceiling` in a batch of `items`, which run one
+/// after another on one worker. Node and solver-assignment caps divide
+/// rounding up; the deadline divides rounding down, so the items'
+/// deadlines together never exceed the ceiling's. The per-hypothesis
+/// instruction cap is not divided: a hypothesis costs the same in any
+/// item.
+fn slice(ceiling: &Budget, items: usize) -> Budget {
+    let n = items.max(1);
+    Budget {
+        max_nodes: ceiling.max_nodes.div_ceil(n as u64),
+        hyp_max_steps: ceiling.hyp_max_steps,
+        max_solver_assignments: ceiling.max_solver_assignments.map(|c| c.div_ceil(n as u64)),
+        deadline: ceiling
+            .deadline
+            .map(|d| d / u32::try_from(n).unwrap_or(u32::MAX)),
+    }
+}
+
 /// Checks a work request against the daemon's budget ceiling. Batches
-/// share one queue slot, so each item must fit the ceiling sliced
-/// across the batch ([`Budget::slice`]).
+/// share one queue slot, so each item must fit its [`slice`] of the
+/// ceiling.
 fn admit(req: &WireRequest, shared: &Shared) -> Result<(), String> {
     let Some(ceiling) = shared.ceiling else {
         return Ok(());
@@ -563,7 +583,7 @@ fn admit(req: &WireRequest, shared: &Shared) -> Result<(), String> {
         WireRequest::BucketBatch(rs) | WireRequest::HwFilterBatch(rs) => rs.iter().collect(),
         WireRequest::StatsQuery(_) | WireRequest::Shutdown => return Ok(()),
     };
-    let cap = ceiling.slice(items.len().max(1));
+    let cap = slice(&ceiling, items.len());
     for (i, r) in items.iter().enumerate() {
         let b = r
             .synth_options(&shared.config)
@@ -747,4 +767,31 @@ fn in_store<T>(
     let out = synth(Some(&mut store));
     phases.synth_us += t.elapsed().as_micros() as u64;
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Duration;
+
+    #[test]
+    fn slice_divides_whole_request_resources_across_a_batch() {
+        let b = Budget {
+            max_nodes: 10,
+            hyp_max_steps: 4096,
+            max_solver_assignments: Some(100),
+            deadline: Some(Duration::from_secs(3)),
+        };
+        assert_eq!(slice(&b, 1), b, "one item keeps the full ceiling");
+        let s = slice(&b, 4);
+        assert_eq!(s.max_nodes, 3, "ceil(10/4)");
+        assert_eq!(s.max_solver_assignments, Some(25));
+        assert_eq!(s.hyp_max_steps, 4096, "per-hypothesis limit undivided");
+        assert_eq!(s.deadline, Some(Duration::from_millis(750)));
+        assert_eq!(slice(&b, 0), slice(&b, 1), "zero clamps to one");
+        // The deadline rounds down: seven shares never exceed the whole.
+        let share = slice(&b, 7).deadline.expect("deadline");
+        assert!(share * 7 <= Duration::from_secs(3));
+        assert!(share * 7 + Duration::from_nanos(7) > Duration::from_secs(3));
+    }
 }

@@ -4,13 +4,13 @@
 //! hardware-error filtering) run RES over many coredumps of the *same*
 //! program, where most solver work repeats between dumps. Within one
 //! process that repetition is absorbed by
-//! [`SolverSession`](mvm_symbolic::SolverSession)'s memo and by the
-//! α-canonical [`PortableCache`](mvm_symbolic::PortableCache) the
-//! parallel workers exchange — but both evaporate when the process
-//! exits. This crate makes the portable cache durable: a crash-safe,
-//! append-only on-disk store of renaming-equivariant solver results
-//! that any later run over the same program can absorb before
-//! searching.
+//! [`SolverSession`](mvm_symbolic::SolverSession)'s memo, which keys
+//! exact constraint sequences and evaporates when the process exits.
+//! This crate makes the α-canonical
+//! [`PortableCache`](mvm_symbolic::PortableCache) export of that memo
+//! durable: a crash-safe, append-only on-disk store of
+//! renaming-equivariant solver results that any later run over the same
+//! program can absorb before searching.
 //!
 //! ## Why absorbing a store cannot change results
 //!

@@ -6,7 +6,7 @@ use std::path::{Path, PathBuf};
 
 use mvm_isa::Program;
 use mvm_json::{json_enum, json_struct};
-use mvm_symbolic::{AbsorbSource, CanonFp, PortableCache, PortableResult, SolverSession};
+use mvm_symbolic::{CanonFp, PortableCache, PortableResult, SolverSession};
 use res_obs::Recorder;
 
 use crate::format::{
@@ -425,7 +425,7 @@ impl SolverStore {
     /// does not hold yet, so re-absorbing between calls is cheap.
     pub fn absorb_into(&self, session: &SolverSession) {
         if !self.entries.is_empty() {
-            session.absorb_from(&self.entries, AbsorbSource::Store);
+            session.absorb_from(&self.entries);
         }
     }
 

@@ -1,12 +1,12 @@
 //! Canonical (α-renamed) constraint fingerprints and portable results.
 //!
-//! The sharded exploration kernel runs speculative workers, each with
-//! its own [`SymCtx`]-style symbol numbering. Two workers exploring the
-//! same search path build constraint sets that are *α-equivalent* —
-//! identical up to a monotone renaming of symbol ids — but never
-//! byte-equal, so the exact memo cache in
+//! Every search mints its own [`SymCtx`]-style symbol numbering, so two
+//! runs over dumps of the same program build constraint sets that are
+//! *α-equivalent* — identical up to a monotone renaming of symbol ids —
+//! but never byte-equal, and the exact memo cache in
 //! [`SolverSession`](crate::SolverSession) cannot share answers between
-//! them. This module provides the bridge:
+//! them. This module provides the bridge that the persistent store
+//! (`res-store`) carries from one run to the next:
 //!
 //! * [`canonical_key`] renames every symbol to its *rank* among the
 //!   distinct symbols of the query (a monotone renaming) and hashes the
@@ -14,9 +14,8 @@
 //!   constraint sequences collide exactly; everything else collides
 //!   with probability ~2⁻¹²⁸.
 //! * [`PortableResult`] is a solver verdict expressed over ranks
-//!   instead of raw symbol ids. It contains no [`ExprRef`]s (which are
-//!   `Rc`-backed and cannot cross threads), so worker threads can ship
-//!   their caches back to the coordinating session.
+//!   instead of raw symbol ids. It contains no [`ExprRef`]s, so it can
+//!   be written to disk and instantiated in another session.
 //!
 //! Only *renaming-equivariant* results may be exported (see
 //! [`Solver::check_classified`](crate::Solver::check_classified)):
@@ -251,7 +250,7 @@ impl PortableResult {
     }
 }
 
-/// A batch of canonical cache entries exported by one worker session.
+/// A batch of canonical cache entries exported by one session.
 #[derive(Debug, Clone, Default)]
 pub struct PortableCache {
     /// `(fingerprint, result)` pairs, deduplicated per session.

@@ -34,5 +34,5 @@ pub use expr::{Expr, ExprRef, SymId};
 pub use fingerprint::{canonical_key, CanonFp, PortableCache, PortableResult, PortableVerdict};
 pub use interval::Interval;
 pub use model::Model;
-pub use session::{AbsorbSource, SessionStats, SolverSession};
+pub use session::{SessionStats, SolverSession};
 pub use solver::{SolveResult, Solver, SolverConfig, UnknownReason};

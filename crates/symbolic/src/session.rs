@@ -37,15 +37,11 @@ pub struct SessionStats {
     pub cache_hits: u64,
     /// Queries that ran the underlying solver.
     pub cache_misses: u64,
-    /// Cache hits served by the absorbed (cross-session, α-canonical)
-    /// cache rather than the exact in-session memo. A subset of
-    /// `cache_hits`.
-    pub absorbed_hits: u64,
-    /// Absorbed hits served by entries that came from a *persistent
-    /// cross-run store* (as opposed to a same-process speculative
-    /// worker). A subset of `absorbed_hits`; this is the counter the
-    /// warm-run experiments report, so cross-run reuse is never
-    /// conflated with intra-run memoization.
+    /// Cache hits served by entries absorbed from a persistent cross-run
+    /// store (α-canonical) rather than the exact in-session memo. A
+    /// subset of `cache_hits`; this is the counter the warm-run
+    /// experiments report, so cross-run reuse is never conflated with
+    /// intra-run memoization.
     pub store_hits: u64,
     /// Sat verdicts (counting cached replays).
     pub sat: u64,
@@ -65,7 +61,6 @@ json_struct!(SessionStats {
     queries,
     cache_hits,
     cache_misses,
-    absorbed_hits,
     store_hits,
     sat,
     unsat,
@@ -82,7 +77,6 @@ impl SessionStats {
             queries: self.queries - earlier.queries,
             cache_hits: self.cache_hits - earlier.cache_hits,
             cache_misses: self.cache_misses - earlier.cache_misses,
-            absorbed_hits: self.absorbed_hits - earlier.absorbed_hits,
             store_hits: self.store_hits - earlier.store_hits,
             sat: self.sat - earlier.sat,
             unsat: self.unsat - earlier.unsat,
@@ -90,21 +84,6 @@ impl SessionStats {
             unknown_incomplete: self.unknown_incomplete - earlier.unknown_incomplete,
             assignments: self.assignments - earlier.assignments,
         }
-    }
-
-    /// Counter-wise sum, for rolling per-worker sessions into one
-    /// report.
-    pub fn absorb(&mut self, other: &SessionStats) {
-        self.queries += other.queries;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.absorbed_hits += other.absorbed_hits;
-        self.store_hits += other.store_hits;
-        self.sat += other.sat;
-        self.unsat += other.unsat;
-        self.unknown_budget += other.unknown_budget;
-        self.unknown_incomplete += other.unknown_incomplete;
-        self.assignments += other.assignments;
     }
 
     /// Cache hit rate in `[0, 1]`; 0 when no queries ran.
@@ -128,10 +107,10 @@ pub struct SolverSession {
     solver: Solver,
     /// Exact memo: constraint sequence → (result, its α-canonical form).
     cache: RefCell<HashMap<MemoKey, (SolveResult, Canon), BuildHasherDefault<WordHasher>>>,
-    /// Cross-session cache absorbed from other sessions' portable
-    /// exports, keyed by α-canonical fingerprint and tagged with where
-    /// the entry came from. Consulted only after the exact memo misses.
-    absorbed: RefCell<HashMap<CanonFp, (PortableResult, AbsorbSource)>>,
+    /// Cross-session cache absorbed from a persistent store, keyed by
+    /// α-canonical fingerprint. Consulted only after the exact memo
+    /// misses.
+    absorbed: RefCell<HashMap<CanonFp, PortableResult>>,
     stats: RefCell<SessionStats>,
     /// Passive observer mirroring the stats counters into a journal
     /// (disabled by default: every call is then an allocation-free
@@ -239,17 +218,6 @@ impl Canon {
     }
 }
 
-/// Where an absorbed cache entry originated. The distinction only
-/// affects accounting ([`SessionStats::store_hits`]); lookup semantics
-/// are identical.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AbsorbSource {
-    /// A sibling session in this process (a speculative worker).
-    Worker,
-    /// A persistent cross-run store loaded from disk.
-    Store,
-}
-
 impl SolverSession {
     /// Session around a solver with default budgets.
     pub fn new() -> Self {
@@ -316,16 +284,12 @@ impl SolverSession {
                 .absorbed
                 .borrow()
                 .get(&fp)
-                .and_then(|(p, src)| Some((p.instantiate(&sorted_syms)?, p.assignments, *src)));
-            if let Some((result, cost, source)) = instantiated {
+                .and_then(|p| Some((p.instantiate(&sorted_syms)?, p.assignments)));
+            if let Some((result, cost)) = instantiated {
                 stats.cache_hits += 1;
-                stats.absorbed_hits += 1;
+                stats.store_hits += 1;
                 rec.counter("cache_hits", 1);
-                rec.counter("absorbed_hits", 1);
-                if source == AbsorbSource::Store {
-                    stats.store_hits += 1;
-                    rec.counter("store_hits", 1);
-                }
+                rec.counter("store_hits", 1);
                 // Charge the original enumeration cost so solver-budget
                 // enforcement matches a session that solved this query
                 // itself; repeats then hit the exact memo for free,
@@ -378,48 +342,33 @@ impl SolverSession {
         }
     }
 
-    /// Merges another session's portable export into this session's
-    /// absorbed cache. On fingerprint collision between absorptions the
-    /// first entry wins; by equivariance the entries are identical
-    /// anyway (modulo the ~2⁻¹²⁸ hash-collision risk, which
-    /// [`PortableResult::instantiate`]'s rank guard partially covers).
-    pub fn absorb(&self, export: &PortableCache) {
-        self.absorb_from(export.iter(), AbsorbSource::Worker);
-    }
-
-    /// Merges borrowed `(fingerprint, result)` entries into the absorbed
-    /// cache, tagging each newly-absorbed one with `source` for hit
-    /// attribution (a persistent store passes [`AbsorbSource::Store`],
-    /// so the hits its entries serve are additionally counted in
-    /// [`SessionStats::store_hits`]). Only fingerprints this session
+    /// Merges a persistent store's borrowed `(fingerprint, result)`
+    /// entries into the absorbed cache; the hits they serve are counted
+    /// in [`SessionStats::store_hits`]. Only fingerprints this session
     /// does not hold yet are cloned, so re-absorbing a large store
-    /// between calls costs one lookup per entry.
+    /// between calls costs one lookup per entry. On fingerprint
+    /// collision the first entry wins; by equivariance the entries are
+    /// identical anyway (modulo the ~2⁻¹²⁸ hash-collision risk, which
+    /// [`PortableResult::instantiate`]'s rank guard partially covers).
     pub fn absorb_from<'a>(
         &self,
         entries: impl IntoIterator<Item = (&'a CanonFp, &'a PortableResult)>,
-        source: AbsorbSource,
     ) {
         let mut absorbed = self.absorbed.borrow_mut();
         let (mut seen, mut new) = (0usize, 0usize);
         for (fp, p) in entries {
             seen += 1;
             if let Entry::Vacant(slot) = absorbed.entry(*fp) {
-                slot.insert((p.clone(), source));
+                slot.insert(p.clone());
                 new += 1;
             }
         }
         self.recorder.borrow().event_with("absorb", || {
             vec![
-                ("source".into(), format!("{source:?}")),
                 ("entries".into(), seen.to_string()),
                 ("new".into(), new.to_string()),
             ]
         });
-    }
-
-    /// Number of entries in the absorbed (cross-session) cache.
-    pub fn absorbed_len(&self) -> usize {
-        self.absorbed.borrow().len()
     }
 
     /// Memoized [`Solver::solve`]: check and demand a model.
@@ -597,8 +546,7 @@ mod tests {
         assert!(!export.is_empty(), "portable result must be exported");
 
         let b = SolverSession::new();
-        b.absorb(&export);
-        assert_eq!(b.absorbed_len(), export.len());
+        b.absorb_from(export.iter());
         // Same query, different symbol numbering.
         let q_b = vec![eq(
             Expr::bin(BinOp::Add, Expr::sym(41), Expr::konst(5)),
@@ -609,12 +557,12 @@ mod tests {
         let st = b.stats();
         assert_eq!(st.queries, 1);
         assert_eq!(st.cache_hits, 1, "absorbed hit counts as a hit");
-        assert_eq!(st.absorbed_hits, 1);
+        assert_eq!(st.store_hits, 1);
         assert_eq!(st.cache_misses, 0);
         // The absorbed answer is now in the exact memo: a repeat is an
-        // ordinary hit, not a second absorbed hit.
+        // ordinary hit, not a second store hit.
         b.check(&q_b);
-        assert_eq!(b.stats().absorbed_hits, 1);
+        assert_eq!(b.stats().store_hits, 1);
         assert_eq!(b.stats().cache_hits, 2);
     }
 
@@ -634,7 +582,7 @@ mod tests {
         assert!(original_cost > 0, "enumeration must cost assignments");
 
         let b = SolverSession::new();
-        b.absorb(&a.export_portable());
+        b.absorb_from(a.export_portable().iter());
         let q_b = vec![
             Expr::bin(BinOp::LtU, Expr::sym(9), Expr::konst(4)),
             eq(
@@ -651,40 +599,6 @@ mod tests {
         );
         b.check(&q_b);
         assert_eq!(b.assignments_spent(), original_cost, "repeats are free");
-    }
-
-    #[test]
-    fn store_hits_are_split_from_worker_absorbed_hits() {
-        let origin = SolverSession::new();
-        let q = |sym: u32| {
-            vec![eq(
-                Expr::bin(BinOp::Add, Expr::sym(sym), Expr::konst(5)),
-                Expr::konst(12),
-            )]
-        };
-        origin.check(&q(0));
-        let export = origin.export_portable();
-        assert!(!export.is_empty());
-
-        // Worker-absorbed: absorbed_hits ticks, store_hits does not.
-        let via_worker = SolverSession::new();
-        via_worker.absorb(&export);
-        via_worker.check(&q(17));
-        let st = via_worker.stats();
-        assert_eq!(st.absorbed_hits, 1);
-        assert_eq!(st.store_hits, 0);
-
-        // Store-absorbed: both tick.
-        let via_store = SolverSession::new();
-        via_store.absorb_from(export.iter(), AbsorbSource::Store);
-        via_store.check(&q(23));
-        let st = via_store.stats();
-        assert_eq!(st.absorbed_hits, 1);
-        assert_eq!(st.store_hits, 1);
-        // A repeat lands in the exact memo: a plain session hit.
-        via_store.check(&q(23));
-        assert_eq!(via_store.stats().store_hits, 1);
-        assert_eq!(via_store.stats().cache_hits, 2);
     }
 
     #[test]
@@ -768,10 +682,9 @@ mod tests {
     }
 
     /// The memoized canonical form never drifts from a recomputation:
-    /// over random constraint sets, in sessions with no absorbed cache,
-    /// with a worker-absorbed one and with a store-absorbed one, every
-    /// export (including those taken right after absorbed hits) equals
-    /// the export recomputed from scratch.
+    /// over random constraint sets, in sessions with and without an
+    /// absorbed cache, every export (including those taken right after
+    /// absorbed hits) equals the export recomputed from scratch.
     #[test]
     fn memoized_export_equals_export_recomputed_from_scratch() {
         use proptest_mini::{
@@ -781,24 +694,22 @@ mod tests {
 
         let spec = triple(u64_range(0, 6), u64_range(0, 16), u64_range(0, 12));
         let queries = vec_of(vec_of(spec, 1, 4), 1, 7);
-        let absorbed_hits = Cell::new(0u64);
+        let store_hits = Cell::new(0u64);
         check(
             "memoized_export_equals_export_recomputed_from_scratch",
             &Config::with_cases(128),
-            &pair(queries, usize_range(0, 3)),
+            &pair(queries, usize_range(0, 2)),
             |(queries, mode)| {
                 // The origin session solves the first half; its export
-                // seeds the session under test (mode 1: worker, mode 2:
-                // store), which asks every query renamed.
+                // seeds the session under test (mode 1), which asks
+                // every query renamed.
                 let origin = SolverSession::new();
                 for specs in &queries[..queries.len() / 2] {
                     origin.check(&query(specs, 0));
                 }
                 let session = SolverSession::new();
-                match mode {
-                    1 => session.absorb(&origin.export_portable()),
-                    2 => session.absorb_from(origin.export_portable().iter(), AbsorbSource::Store),
-                    _ => {}
+                if *mode == 1 {
+                    session.absorb_from(origin.export_portable().iter());
                 }
                 let mut asked = Vec::new();
                 for specs in queries {
@@ -812,12 +723,12 @@ mod tests {
                         export_from_scratch(&asked).entries
                     );
                 }
-                absorbed_hits.set(absorbed_hits.get() + session.stats().absorbed_hits);
+                store_hits.set(store_hits.get() + session.stats().store_hits);
                 Ok(())
             },
         );
         assert!(
-            absorbed_hits.get() > 0,
+            store_hits.get() > 0,
             "the property must cover exports taken after absorbed hits"
         );
     }

@@ -2,12 +2,12 @@
 //!
 //! Every way of asking RES about a coredump — §3.1 bucketing, §3.2
 //! hardware filtering, plain suffix synthesis — used to have its own
-//! argument list (config clone here, store directory there, env var for
-//! workers). [`TriageRequest`] collapses them: a program, a dump, and
-//! the per-call overrides (relaxation, budget dimensions, deadline,
-//! workers, store, trace). [`TriageResponse`] is the single return
-//! shape: verdict, bucket key, suffix summaries, and the full
-//! [`KernelStats`]/store/parallel accounting.
+//! argument list (config clone here, store directory there).
+//! [`TriageRequest`] collapses them: a program, a dump, and the
+//! per-call overrides (relaxation, budget dimensions, deadline, store,
+//! trace). [`TriageResponse`] is the single return shape: verdict,
+//! bucket key, suffix summaries, and the full [`KernelStats`]/store
+//! accounting.
 //!
 //! Both types are mvm-json serializable end to end (program and dump
 //! included), which is what lets `res-serve` put this exact pair on the
@@ -58,8 +58,6 @@ pub struct TriageRequest {
     pub max_solver_assignments: Option<u64>,
     /// Wall-clock deadline for this call, in milliseconds.
     pub deadline_ms: Option<u64>,
-    /// Override the speculative worker count for this call.
-    pub workers: Option<usize>,
     /// Persistent-store path for this call (daemon-side requests leave
     /// this unset — the daemon routes them through its hot store).
     pub store: Option<String>,
@@ -80,7 +78,6 @@ json_struct!(TriageRequest {
     hyp_max_steps,
     max_solver_assignments,
     deadline_ms,
-    workers,
     store,
     trace,
     return_trace
@@ -97,7 +94,6 @@ impl TriageRequest {
             hyp_max_steps: None,
             max_solver_assignments: None,
             deadline_ms: None,
-            workers: None,
             store: None,
             trace: None,
             return_trace: false,
@@ -128,9 +124,10 @@ impl TriageRequest {
         self
     }
 
-    /// Overrides the worker count.
-    pub fn workers(mut self, n: usize) -> Self {
-        self.workers = Some(n);
+    /// Returns the request unchanged: the search runs on one thread.
+    /// Kept only because the benchmark (`perfbench/`) calls it; it
+    /// leaves when the benchmark is next revised.
+    pub fn workers(self, _n: usize) -> Self {
         self
     }
 
@@ -148,9 +145,6 @@ impl TriageRequest {
     /// partially-overridden dimensions).
     pub fn synth_options(&self, base: &ResConfig) -> SynthOptions {
         let mut opts = SynthOptions::new().relax(self.relax);
-        if let Some(w) = self.workers {
-            opts = opts.workers(w);
-        }
         if self.max_nodes.is_some()
             || self.hyp_max_steps.is_some()
             || self.max_solver_assignments.is_some()
@@ -196,9 +190,6 @@ impl TriageRequest {
         if let Some(ms) = self.deadline_ms {
             c.deadline = Some(Duration::from_millis(ms));
         }
-        if let Some(w) = self.workers {
-            c.workers = w;
-        }
         if let Some(p) = &self.store {
             c.cache_path = Some(PathBuf::from(p));
         }
@@ -212,6 +203,9 @@ impl TriageRequest {
 /// The wire-safe digest of one synthesized suffix: its exact bytes (as
 /// the canonical `Debug` rendering the determinism gates compare), its
 /// size, and whether the replayer reproduced the fault from it.
+///
+/// Its field set is fixed while the benchmark (`perfbench/`) builds
+/// summaries with struct literals.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SuffixSummary {
     /// The suffix's canonical `Debug` rendering — the byte-identity
@@ -233,6 +227,9 @@ json_struct!(SuffixSummary {
 });
 
 /// Everything a triage call returns, serializable end to end.
+///
+/// Its field set is fixed while the benchmark (`perfbench/`) builds
+/// responses with struct literals.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TriageResponse {
     /// The engine's verdict ([`Verdict::SuffixFound`] et al.).
@@ -244,9 +241,11 @@ pub struct TriageResponse {
     pub bucket_key: String,
     /// Synthesized suffixes, in discovery order.
     pub suffixes: Vec<SuffixSummary>,
-    /// Search statistics (for a sharded run: the authoritative replay).
+    /// Search statistics.
     pub stats: KernelStats,
-    /// Speculative fan-out accounting; `None` for single-worker runs.
+    /// Always `None`: the search runs on one thread. Kept only because
+    /// the benchmark (`perfbench/`) sets it; it leaves when the
+    /// benchmark is next revised.
     pub parallel: Option<ParallelReport>,
     /// Persistent-store accounting; `None` when no store was in play.
     pub store: Option<StoreReport>,
@@ -327,7 +326,7 @@ fn response_from(
         bucket_key,
         suffixes,
         stats: result.stats,
-        parallel: result.parallel,
+        parallel: None,
         store: result.store,
         trace,
         req_id: None,
@@ -423,8 +422,7 @@ mod tests {
         let req = TriageRequest::new(r.program, r.dump)
             .relax(Relax::Mem { addr: 0x1000 })
             .deadline_ms(250)
-            .max_nodes(77)
-            .workers(3);
+            .max_nodes(77);
         let back = TriageRequest::from_json(&req.to_json()).expect("round trip");
         assert_eq!(req, back);
     }

@@ -37,19 +37,6 @@ echo "==> benchmark build and self-test (perfbench/)"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "==> parallel determinism gate (golden suffix and triage fixtures at 1, 2, 4 workers)"
-# The sharded kernel's contract: any worker count synthesizes
-# byte-identical suffixes, and so triages to byte-identical answers
-# (bucket keys and `replayed` flags included). Run both golden fixture
-# tests under each worker count — the fixture files are the same, so
-# any divergence is a byte-for-byte diff failure.
-for workers in 1 2 4; do
-    echo "    RES_WORKERS=$workers"
-    RES_WORKERS=$workers cargo test -q --test suffix_golden \
-        default_dfs_suffixes_match_pre_refactor_fixture
-    RES_WORKERS=$workers cargo test -q --test triage_golden
-done
-
 echo "==> cross-run determinism gate (golden suffix and triage fixtures, cold then warm store)"
 # The persistent store's contract: a warm run absorbing a populated
 # store synthesizes byte-identical suffixes to a cold run. Run the
@@ -163,31 +150,32 @@ echo "$trace_out" | grep -q "synthesize" || { echo "journal missing synthesize s
 echo "$trace_out" | grep -q "kernel.nodes_expanded" || { echo "journal missing kernel counters"; exit 1; }
 
 echo "==> replay-trace gate (record / replay / verify)"
-# The portable-trace contract: `record` writes byte-identical files at
-# any worker count; `store-inspect` reads the trace back; `replay`
-# reproduces the recorded failure from the file alone; `verify` against
-# the repaired program FAILs with a point-of-first-divergence report.
-# All four claims are exercised through the shipped binaries.
+# The portable-trace contract: `record` writes the same bytes every
+# time, with or without a journal; `store-inspect` reads the trace back;
+# `replay` reproduces the recorded failure from the file alone; `verify`
+# against the repaired program FAILs with a point-of-first-divergence
+# report. All four claims are exercised through the shipped binaries.
 trace_dir="$scratch_dir/trace"
 cargo run --release -q --bin res-cli -- crash div-by-zero "$trace_dir" --emit-fixed > /dev/null
-echo "    record is byte-identical across worker counts"
-for workers in 1 4; do
-    cargo run --release -q --bin res-cli -- record "$trace_dir" \
-        --workers "$workers" --out "$trace_dir/w$workers.restrace" > /dev/null
-done
-cmp "$trace_dir/w1.restrace" "$trace_dir/w4.restrace" \
-    || { echo "traces differ across worker counts"; exit 1; }
+echo "    record is byte-identical run to run, traced or not"
+cargo run --release -q --bin res-cli -- record "$trace_dir" \
+    --out "$trace_dir/plain.restrace" > /dev/null
+cargo run --release -q --bin res-cli -- record "$trace_dir" \
+    --trace "$trace_dir/record.jsonl" --out "$trace_dir/traced.restrace" > /dev/null
+test -s "$trace_dir/record.jsonl" || { echo "record journal was never written"; exit 1; }
+cmp "$trace_dir/plain.restrace" "$trace_dir/traced.restrace" \
+    || { echo "tracing changed the recorded trace"; exit 1; }
 echo "    store-inspect reads the trace"
-inspect_out="$(cargo run --release -q --bin store-inspect -- "$trace_dir/w1.restrace")" \
+inspect_out="$(cargo run --release -q --bin store-inspect -- "$trace_dir/plain.restrace")" \
     || { echo "store-inspect failed on the trace"; exit 1; }
 grep -Eq '^  events: +[1-9]' <<< "$inspect_out" \
     || { echo "store-inspect reports no trace events"; exit 1; }
 echo "    replay reproduces from the file alone"
-cargo run --release -q --bin res-cli -- replay "$trace_dir" "$trace_dir/w1.restrace" \
+cargo run --release -q --bin res-cli -- replay "$trace_dir" "$trace_dir/plain.restrace" \
     | grep -q "REPRODUCED" || { echo "trace did not reproduce"; exit 1; }
 echo "    verify FAILs on the repaired program with a divergence report"
 cp "$trace_dir/program.fixed.json" "$trace_dir/program.json"
-if out="$(cargo run --release -q --bin res-cli -- verify "$trace_dir" "$trace_dir/w1.restrace")"; then
+if out="$(cargo run --release -q --bin res-cli -- verify "$trace_dir" "$trace_dir/plain.restrace")"; then
     echo "trace verified PASS against the repaired program"; exit 1
 fi
 echo "$out" | grep -q "FAIL: first divergence at event" \
@@ -197,7 +185,7 @@ echo "==> corpus-scale smoke gate (seeded generator, E5c/E6c/E7c)"
 # The buggy-program generator + parallel corpus harness: a small
 # generated population (RES_GEN_SMOKE programs per experiment) must hold
 # the same shapes as the full sweep, at a fixed small thread count so CI
-# machines of any width exercise the sharded path identically. The full
+# machines of any width exercise the multi-threaded path identically. The full
 # >=200-program sweep stays out of the hot path — run it explicitly with
 #   cargo run --release -p res-bench --bin harness -- e5c e6c e7c
 RES_GEN_SMOKE=8 RES_HARNESS_THREADS=2 \

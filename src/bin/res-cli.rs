@@ -6,9 +6,9 @@
 //! res-cli crash <bug> <dir> [--emit-fixed]
 //!                             crash a workload; write program.json + dump.json
 //!                             (--emit-fixed also writes program.fixed.json)
-//! res-cli synthesize <dir> [--workers N] [--store FILE] [--trace PATH]
+//! res-cli synthesize <dir> [--store FILE] [--trace PATH]
 //!                             synthesize + replay + root-cause from those files
-//! res-cli record <dir> [--out FILE] [--workers N] [--store FILE] [--trace PATH]
+//! res-cli record <dir> [--out FILE] [--store FILE] [--trace PATH]
 //!                             synthesize, then save a portable replay trace
 //! res-cli replay <dir> <trace>
 //!                             re-run a recorded trace; exit 0 iff REPRODUCED
@@ -20,7 +20,7 @@
 //! res-cli serve [--addr A] [--workers N] [--queue-cap N] [--hot-cap N]
 //!               [--store DIR] [--trace PATH] [--slow-us N]
 //!                             run the triage daemon in the foreground
-//! res-cli submit <dir> [--addr A] [--max-nodes N] [--deadline-ms N] [--workers N]
+//! res-cli submit <dir> [--addr A] [--max-nodes N] [--deadline-ms N]
 //!               [--emit-trace FILE]
 //!                             send the dir's program+dump to a running daemon
 //! res-cli shutdown [--addr A] ask a running daemon to exit
@@ -129,20 +129,17 @@ fn journal_path(flags: &[(String, String)]) -> Option<String> {
         .or_else(|| std::env::var("RES_TRACE").ok())
 }
 
-/// Shared `--workers` / `--store` / `--trace` handling for the
-/// subcommands that run a synthesis ([`cmd_synthesize`], [`cmd_record`]).
-fn synth_opts(flags: &[(String, String)]) -> Result<SynthOptions, String> {
+/// Shared `--store` / `--trace` handling for the subcommands that run
+/// a synthesis ([`cmd_synthesize`], [`cmd_record`]).
+fn synth_opts(flags: &[(String, String)]) -> SynthOptions {
     let mut opts = SynthOptions::default();
-    if let Some(w) = parsed::<usize>(flags, "workers")? {
-        opts = opts.workers(w);
-    }
     if let Some(s) = flag(flags, "store") {
         opts = opts.cache_path(s);
     }
     if let Some(t) = journal_path(flags) {
         opts = opts.trace(t);
     }
-    Ok(opts)
+    opts
 }
 
 fn cmd_list() {
@@ -202,7 +199,7 @@ fn cmd_synthesize(dir: &Path, flags: &[(String, String)]) -> Result<(), String> 
         dump.fault_pc(),
         dump.faulting_tid
     );
-    let opts = synth_opts(flags)?;
+    let opts = synth_opts(flags);
     let engine = ResEngine::new(&program, ResConfig::default());
     let result = engine.synthesize_with(&dump, opts);
     println!(
@@ -235,7 +232,7 @@ fn cmd_synthesize(dir: &Path, flags: &[(String, String)]) -> Result<(), String> 
 
 fn cmd_record(dir: &Path, flags: &[(String, String)]) -> Result<(), String> {
     let (program, dump) = load(dir)?;
-    let opts = synth_opts(flags)?;
+    let opts = synth_opts(flags);
     let engine = ResEngine::new(&program, ResConfig::default());
     let result = engine.synthesize_with(&dump, opts);
     if result.suffixes.is_empty() {
@@ -404,9 +401,6 @@ fn cmd_submit(dir: &Path, flags: &[(String, String)]) -> Result<(), String> {
     }
     if let Some(ms) = parsed(flags, "deadline-ms")? {
         req = req.deadline_ms(ms);
-    }
-    if let Some(w) = parsed(flags, "workers")? {
-        req = req.workers(w);
     }
     let emit_trace = flag(flags, "emit-trace");
     if emit_trace.is_some() {
@@ -696,14 +690,14 @@ fn usage() -> ! {
   res-cli list
   res-cli demo <bug>
   res-cli crash <bug> <dir> [--emit-fixed]
-  res-cli synthesize <dir> [--workers N] [--store FILE] [--trace PATH]
-  res-cli record <dir> [--out FILE] [--workers N] [--store FILE] [--trace PATH]
+  res-cli synthesize <dir> [--store FILE] [--trace PATH]
+  res-cli record <dir> [--out FILE] [--store FILE] [--trace PATH]
   res-cli replay <dir> <trace-file>
   res-cli verify <dir> <trace-file>
   res-cli verdict <dir>
   res-cli trace <journal>
   res-cli serve [--addr A] [--workers N] [--queue-cap N] [--hot-cap N] [--store DIR] [--trace PATH] [--slow-us N]
-  res-cli submit <dir> [--addr A] [--max-nodes N] [--deadline-ms N] [--workers N] [--emit-trace FILE]
+  res-cli submit <dir> [--addr A] [--max-nodes N] [--deadline-ms N] [--emit-trace FILE]
   res-cli shutdown [--addr A]
   res-cli stats [--addr A] [--json] [--latency-json]
   res-cli top [--addr A] [--interval-ms N] [--count N]
@@ -741,14 +735,14 @@ fn main() {
             }
         }
         Some("synthesize") => {
-            let (pos, flags) = parse_flags(&args[1..], &["workers", "store", "trace"]);
+            let (pos, flags) = parse_flags(&args[1..], &["store", "trace"]);
             match pos.first() {
                 Some(dir) => cmd_synthesize(Path::new(dir), &flags),
                 None => usage(),
             }
         }
         Some("record") => {
-            let (pos, flags) = parse_flags(&args[1..], &["out", "workers", "store", "trace"]);
+            let (pos, flags) = parse_flags(&args[1..], &["out", "store", "trace"]);
             match pos.first() {
                 Some(dir) => cmd_record(Path::new(dir), &flags),
                 None => usage(),
@@ -791,7 +785,7 @@ fn main() {
         Some("submit") => {
             let (pos, flags) = parse_flags(
                 &args[1..],
-                &["addr", "max-nodes", "deadline-ms", "workers", "emit-trace"],
+                &["addr", "max-nodes", "deadline-ms", "emit-trace"],
             );
             match pos.first() {
                 Some(dir) => cmd_submit(Path::new(dir), &flags),

@@ -43,30 +43,6 @@ fn expired_deadline_is_a_reported_cut_with_a_well_formed_result() {
         "the cut must account for the abandoned frontier (at least the root)"
     );
     assert_eq!(result.stats.nodes_expanded, 0);
-    assert!(result.parallel.is_none(), "single-worker run");
-}
-
-#[test]
-fn expired_deadline_with_workers_still_reports_the_cut() {
-    let (program, dump) = crash();
-    let engine = ResEngine::new(
-        &program,
-        ResConfig::builder()
-            .deadline(Some(Duration::ZERO))
-            .workers(2)
-            .build(),
-    );
-    let result = engine.synthesize(&dump);
-    assert_eq!(result.verdict, Verdict::BudgetExhausted);
-    assert_eq!(result.stats.cut, Some(CutReason::Deadline));
-    assert!(result.suffixes.is_empty());
-    let report = result.parallel.expect("sharded run reports speculation");
-    assert_eq!(report.workers, 2);
-    assert_eq!(
-        report.speculative.cut,
-        Some(CutReason::Deadline),
-        "each speculative worker hits the same deadline"
-    );
 }
 
 #[test]

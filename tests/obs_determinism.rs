@@ -2,13 +2,13 @@
 //!
 //! Three claims, each load-bearing for the tracing subsystem:
 //!
-//! 1. **Passivity** — enabling tracing changes no synthesized byte, at
-//!    any worker count. The recorder is written to, never read.
+//! 1. **Passivity** — enabling tracing changes no synthesized byte. The
+//!    recorder is written to, never read.
 //! 2. **Fidelity** — the JSONL journal round-trips through `mvm-json`,
-//!    reconstructs the full phase timeline (absorb/speculate/replay/
-//!    commit spans, worker shards, solver and store events), and its
-//!    counter totals reconcile *exactly* against `KernelStats`,
-//!    `SessionStats`, and `StoreReport`.
+//!    reconstructs the full phase timeline (absorb/search/commit spans,
+//!    solver and store events), and its counter totals reconcile
+//!    *exactly* against `KernelStats`, `SessionStats`, and
+//!    `StoreReport`.
 //! 3. **Zero cost when off** — the disabled recorder allocates nothing
 //!    on the hot path (asserted with an allocation counter, not
 //!    timing).
@@ -83,9 +83,9 @@ fn tmp_dir() -> PathBuf {
     dir
 }
 
-fn synth(workers: usize, trace: Option<&Path>, cache: Option<&Path>) -> (String, SynthesisResult) {
+fn synth(trace: Option<&Path>, cache: Option<&Path>) -> (String, SynthesisResult) {
     let (program, dump) = crash();
-    let mut builder = ResConfig::builder().workers(workers);
+    let mut builder = ResConfig::builder();
     if let Some(t) = trace {
         builder = builder.trace(t);
     }
@@ -105,18 +105,15 @@ fn synth(workers: usize, trace: Option<&Path>, cache: Option<&Path>) -> (String,
 // ---------------------------------------------------------------------
 // Claim 1: passivity.
 
+/// The search runs on one thread, so this covers every value a caller
+/// can give the ignored `ResConfig::workers`.
 #[test]
 fn tracing_on_and_off_synthesize_identical_suffixes_at_any_worker_count() {
     let dir = tmp_dir();
-    for workers in [1usize, 2, 4] {
-        let (plain, _) = synth(workers, None, None);
-        let journal = dir.join(format!("passivity-w{workers}.jsonl"));
-        let (traced, _) = synth(workers, Some(&journal), None);
-        assert_eq!(
-            plain, traced,
-            "enabling tracing perturbed the search at workers = {workers}"
-        );
-    }
+    let (plain, _) = synth(None, None);
+    let journal = dir.join("passivity.jsonl");
+    let (traced, _) = synth(Some(&journal), None);
+    assert_eq!(plain, traced, "enabling tracing perturbed the search");
 }
 
 // ---------------------------------------------------------------------
@@ -149,8 +146,7 @@ fn mark_fields<'a>(events: &'a [EventKind], name: &str) -> Option<BTreeMap<&'a s
 fn journal_round_trips_and_reconciles_against_stats() {
     let dir = tmp_dir();
     let journal = dir.join("reconcile.jsonl");
-    let workers = 2usize;
-    let (_, result) = synth(workers, Some(&journal), None);
+    let (_, result) = synth(Some(&journal), None);
 
     let events = read_journal(&journal).expect("journal must parse");
     assert!(!events.is_empty());
@@ -162,22 +158,14 @@ fn journal_round_trips_and_reconciles_against_stats() {
         assert_eq!(&back, e, "event drifted through serialization");
     }
 
-    // Phase timeline: synthesize ⊃ {speculate, replay, commit}, with
-    // one shard span per worker under speculate, and every opened span
-    // closed.
+    // Phase timeline: synthesize ⊃ {search, commit}, and every opened
+    // span closed.
     let kinds: Vec<EventKind> = events.iter().map(|e| e.kind.clone()).collect();
     let (synth_id, synth_parent) = find_span(&kinds, "synthesize").expect("synthesize span");
     assert_eq!(synth_parent, None, "synthesize is a root span");
-    let (spec_id, spec_parent) = find_span(&kinds, "speculate").expect("speculate span");
-    assert_eq!(spec_parent, Some(synth_id));
-    for phase in ["replay", "commit"] {
+    for phase in ["search", "commit"] {
         let (_, parent) = find_span(&kinds, phase).unwrap_or_else(|| panic!("{phase} span"));
         assert_eq!(parent, Some(synth_id), "{phase} must nest under synthesize");
-    }
-    for w in 0..workers {
-        let (_, parent) = find_span(&kinds, &format!("speculate.w{w}.shard"))
-            .unwrap_or_else(|| panic!("worker {w} shard span"));
-        assert_eq!(parent, Some(spec_id), "shards nest under speculate");
     }
     let opened: Vec<u64> = kinds
         .iter()
@@ -206,25 +194,16 @@ fn journal_round_trips_and_reconciles_against_stats() {
     assert_eq!(get("solver.queries"), solver.queries);
     assert_eq!(get("solver.cache_hits"), solver.cache_hits);
     assert_eq!(get("solver.cache_misses"), solver.cache_misses);
-    assert_eq!(get("solver.absorbed_hits"), solver.absorbed_hits);
     assert_eq!(get("solver.store_hits"), solver.store_hits);
     assert_eq!(get("solver.assignments"), solver.assignments);
     assert_eq!(get("solver.sat"), solver.sat);
     assert_eq!(get("solver.unsat"), solver.unsat);
-    let parallel = result.parallel.expect("sharded run has a report");
-    for (w, &nodes) in parallel.per_worker_nodes.iter().enumerate() {
-        assert_eq!(
-            get(&format!("speculate.w{w}.kernel.nodes_expanded")),
-            nodes,
-            "worker {w} journal total != ParallelReport.per_worker_nodes"
-        );
-    }
 
     // The pretty-printer can explain the run from the journal alone.
     let report = render::render(&events);
     for needle in [
         "synthesize",
-        "replay",
+        "search",
         "kernel.nodes_expanded",
         "solver.queries",
     ] {
@@ -240,7 +219,7 @@ fn store_events_reconcile_against_store_report() {
 
     // Cold run: the journal's commit mark matches the appended count.
     let cold_journal = dir.join("store-cold.jsonl");
-    let (_, cold) = synth(1, Some(&cold_journal), Some(&store_path));
+    let (_, cold) = synth(Some(&cold_journal), Some(&store_path));
     let cold_report = cold.store.expect("store configured");
     let cold_kinds: Vec<EventKind> = read_journal(&cold_journal)
         .expect("cold journal parses")
@@ -259,7 +238,7 @@ fn store_events_reconcile_against_store_report() {
 
     // Warm run: loaded entries and store hits line up too.
     let warm_journal = dir.join("store-warm.jsonl");
-    let (_, warm) = synth(1, Some(&warm_journal), Some(&store_path));
+    let (_, warm) = synth(Some(&warm_journal), Some(&store_path));
     let warm_report = warm.store.expect("store configured");
     assert!(warm_report.loaded_entries > 0, "second run must start warm");
     let warm_events = read_journal(&warm_journal).expect("warm journal parses");
@@ -273,7 +252,7 @@ fn store_events_reconcile_against_store_report() {
         "journal store-hit total != StoreReport.store_hits"
     );
     let absorb = mark_fields(&warm_kinds, "solver.absorb").expect("solver.absorb mark");
-    assert_eq!(absorb["source"], "Store");
+    assert_eq!(absorb["entries"], warm_report.loaded_entries.to_string());
 }
 
 // ---------------------------------------------------------------------

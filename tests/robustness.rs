@@ -169,38 +169,91 @@ fn corpus_reports_are_self_consistent() {
     }
 }
 
-/// The malformed memory pages a decoder must refuse: a page shorter or
-/// longer than `PAGE_SIZE`, and a page at a base that is not
-/// page-aligned.
+/// The malformed dumps a decoder must refuse: a memory page shorter or
+/// longer than `PAGE_SIZE`, a page at a base that is not page-aligned,
+/// a `faulting_tid` that names no thread, and a thread with no frames.
 #[derive(Debug, Clone, Copy)]
-enum BadPage {
-    Short,
-    Long,
-    Misaligned,
+enum BadDump {
+    ShortPage,
+    LongPage,
+    MisalignedPage,
+    UnknownFaultingTid,
+    ThreadWithoutFrames,
 }
 
-/// Damages the first memory page inside `j` (a dump, or any value
-/// embedding one). Returns `false` when `j` holds no page.
-fn damage_page(j: &mut Json, how: BadPage) -> bool {
+impl BadDump {
+    const ALL: [BadDump; 5] = [
+        BadDump::ShortPage,
+        BadDump::LongPage,
+        BadDump::MisalignedPage,
+        BadDump::UnknownFaultingTid,
+        BadDump::ThreadWithoutFrames,
+    ];
+
+    /// The field a decode error must name.
+    fn field(self) -> &'static str {
+        match self {
+            BadDump::ShortPage | BadDump::LongPage | BadDump::MisalignedPage => "Memory.pages[",
+            BadDump::UnknownFaultingTid => "Coredump.faulting_tid",
+            BadDump::ThreadWithoutFrames => "Coredump.threads[0].frames",
+        }
+    }
+}
+
+/// Damages the first dump inside `j` (a dump, or any value embedding
+/// one): its first memory page, its `faulting_tid` or its first
+/// thread's frames. Returns `false` when `j` holds no dump.
+fn damage_dump(j: &mut Json, how: BadDump) -> bool {
     match j {
-        Json::Obj(fields) => fields.iter_mut().any(|(key, v)| {
-            if let (true, Json::Obj(pages)) = (key == "pages", &mut *v) {
-                if let Some((base, Json::Arr(bytes))) = pages.first_mut() {
-                    match how {
-                        BadPage::Short => bytes.truncate(10),
-                        BadPage::Long => bytes.push(Json::U64(0)),
-                        BadPage::Misaligned => {
-                            *base = (base.parse::<u64>().expect("page base") + 8).to_string()
-                        }
-                    }
-                    return true;
+        Json::Obj(fields) if fields.iter().any(|(k, _)| k == "faulting_tid") => fields
+            .iter_mut()
+            .any(|(key, v)| match (how, key.as_str(), v) {
+                (BadDump::UnknownFaultingTid, "faulting_tid", v) => {
+                    *v = Json::U64(99);
+                    true
                 }
-            }
-            damage_page(v, how)
-        }),
-        Json::Arr(items) => items.iter_mut().any(|v| damage_page(v, how)),
+                (BadDump::ThreadWithoutFrames, "threads", Json::Arr(threads)) => {
+                    let Some(Json::Obj(thread)) = threads.first_mut() else {
+                        return false;
+                    };
+                    thread.iter_mut().any(|(k, frames)| {
+                        let found = k == "frames";
+                        if found {
+                            *frames = Json::Arr(Vec::new());
+                        }
+                        found
+                    })
+                }
+                (BadDump::ShortPage | BadDump::LongPage | BadDump::MisalignedPage, "memory", v) => {
+                    damage_page(v, how)
+                }
+                _ => false,
+            }),
+        Json::Obj(fields) => fields.iter_mut().any(|(_, v)| damage_dump(v, how)),
+        Json::Arr(items) => items.iter_mut().any(|v| damage_dump(v, how)),
         _ => false,
     }
+}
+
+/// Damages the first page of a `Memory` value.
+fn damage_page(memory: &mut Json, how: BadDump) -> bool {
+    let Json::Obj(fields) = memory else {
+        return false;
+    };
+    fields.iter_mut().any(|(key, v)| {
+        let (true, Json::Obj(pages)) = (key == "pages", v) else {
+            return false;
+        };
+        let Some((base, Json::Arr(bytes))) = pages.first_mut() else {
+            return false;
+        };
+        match how {
+            BadDump::ShortPage => bytes.truncate(10),
+            BadDump::LongPage => bytes.push(Json::U64(0)),
+            _ => *base = (base.parse::<u64>().expect("page base") + 8).to_string(),
+        }
+        true
+    })
 }
 
 fn fixture(name: &str) -> String {
@@ -210,12 +263,14 @@ fn fixture(name: &str) -> String {
     std::fs::read_to_string(path).expect("read fixture")
 }
 
-/// A malformed memory page is a typed decode error at every entry point
-/// that decodes a dump: dump JSON, a daemon request frame and a trace
-/// file. Before pages were checked at decode, a short page decoded and
-/// then panicked the engine (`Memory::read_byte` indexes past it).
+/// A malformed dump is a typed decode error, naming the field, at every
+/// entry point that decodes one: dump JSON, a daemon request frame and
+/// a trace file. Before these checks, a short page decoded and then
+/// panicked the engine (`Memory::read_byte` indexes past it), and a
+/// `faulting_tid` naming no thread or a thread without frames decoded
+/// and then panicked every entry point that looks up the fault's pc.
 #[test]
-fn malformed_memory_pages_are_typed_errors_at_every_dump_entry_point() {
+fn malformed_dumps_are_typed_errors_at_every_dump_entry_point() {
     use res_debugger::serve::wire::{read_request, write_frame, REQUEST_TAG};
     use res_debugger::serve::WireRequest;
     use res_debugger::store::{decode_record, encode_record};
@@ -225,39 +280,39 @@ fn malformed_memory_pages_are_typed_errors_at_every_dump_entry_point() {
     let program: Program = mvm_json::from_str(&fixture("program.json")).expect("program");
     let dump: Coredump = mvm_json::from_str(&fixture("coredump.json")).expect("dump");
     let trace = fixture("trace_v1.restrace");
-    let names_the_page = |msg: &str| msg.contains("Memory.pages[");
-    for how in [BadPage::Short, BadPage::Long, BadPage::Misaligned] {
+    for how in BadDump::ALL {
+        let names_the_field = |msg: &str| msg.contains(how.field());
         // Dump JSON.
         let mut j = dump.to_json();
-        assert!(damage_page(&mut j, how));
+        assert!(damage_dump(&mut j, how));
         let err = mvm_json::from_str::<Coredump>(&j.to_string_compact())
-            .expect_err(&format!("{how:?} page decoded as a dump"));
-        assert!(names_the_page(&err.message), "{how:?}: {err}");
+            .expect_err(&format!("{how:?} decoded as a dump"));
+        assert!(names_the_field(&err.message), "{how:?}: {err}");
 
         // A daemon request frame.
         let req = WireRequest::Triage(TriageRequest::new(program.clone(), dump.clone()));
         let mut j = req.to_json();
-        assert!(damage_page(&mut j, how));
+        assert!(damage_dump(&mut j, how));
         let mut frame = Vec::new();
         write_frame(&mut frame, REQUEST_TAG, &j.to_string_compact()).expect("frame");
-        let err = read_request(&mut &frame[..]).expect_err(&format!("{how:?} page framed"));
+        let err = read_request(&mut &frame[..]).expect_err(&format!("{how:?} framed"));
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{how:?}");
-        assert!(names_the_page(&err.to_string()), "{how:?}: {err}");
+        assert!(names_the_field(&err.to_string()), "{how:?}: {err}");
 
-        // A trace file: every record re-framed, the dump's page damaged.
+        // A trace file: every record re-framed, the embedded dump damaged.
         let mut lines = trace.lines();
         let mut bytes = format!("{}\n", lines.next().expect("magic")).into_bytes();
         let mut damaged = false;
         for line in lines {
             let (tag, payload) = decode_record(line).expect("fixture record");
             let mut j = mvm_json::parse(payload).expect("record payload");
-            damaged |= !damaged && damage_page(&mut j, how);
+            damaged |= !damaged && damage_dump(&mut j, how);
             encode_record(tag, &j.to_string_compact(), &mut bytes);
         }
-        assert!(damaged, "the trace fixture embeds no page");
+        assert!(damaged, "the trace fixture embeds no dump");
         match TraceFile::from_text_bytes(&bytes) {
-            Err(TraceError::Json(msg)) => assert!(names_the_page(&msg), "{how:?}: {msg}"),
-            other => panic!("{how:?} page in a trace gave {other:?}"),
+            Err(TraceError::Json(msg)) => assert!(names_the_field(&msg), "{how:?}: {msg}"),
+            other => panic!("{how:?} in a trace gave {other:?}"),
         }
     }
 }

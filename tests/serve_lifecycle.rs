@@ -1,11 +1,15 @@
 //! Lifecycle tests for the `res-serve` triage daemon: hot-store LRU
 //! eviction/commit/reopen, concurrent-vs-sequential byte identity,
-//! bounded-queue backpressure, and containment of a panicking job.
+//! bounded-queue backpressure, budget admission, and containment of a
+//! panicking job.
 
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
+use res_debugger::isa::FuncId;
 use res_debugger::prelude::*;
+use res_debugger::res::Budget;
+use res_debugger::serve::wire::{read_response, write_frame, REQUEST_TAG};
 use res_debugger::serve::{serve, ServeConfig, TriageClient, WireRequest, WireResponse};
 use res_debugger::store::program_fingerprint;
 use res_debugger::triage::{triage, TriageRequest, TriageResponse};
@@ -32,8 +36,8 @@ fn request_for(r: &FailureReport) -> TriageRequest {
 /// The identity currency: verdict, bucket key, and the full byte
 /// rendering of every suffix. Kernel stats are excluded on purpose:
 /// the store contract preserves answers and search shape, but the
-/// solver's cache-provenance counters (`store_hits`, `absorbed_hits`)
-/// legitimately differ between a cold run and a warm one.
+/// solver's cache-provenance counter (`store_hits`) legitimately
+/// differs between a cold run and a warm one.
 fn identity(resp: &TriageResponse) -> String {
     format!(
         "{:?}|{}|{}|{:?}",
@@ -217,16 +221,19 @@ fn full_queue_rejects_with_backpressure_response() {
 /// A job that panics is answered with an error, and the daemon stays
 /// whole: its one worker keeps serving, the program's store lock that
 /// the panic poisoned is taken over, and `stop` still commits the hot
-/// store. The panicking input is a dump whose `faulting_tid` names no
-/// thread, which the engine does not validate.
+/// store. The panicking input is a dump whose faulting frame names a
+/// function the program lacks: it decodes (the check needs the
+/// program), and the engine does not validate it.
 #[test]
 fn panicking_job_is_answered_with_an_error_and_contained() {
     let dir = temp_dir("panic");
     let corpus = small_corpus(vec![BugKind::DivByZero], 1);
     let report = &corpus[0];
     let mut bad = request_for(report);
-    bad.dump.faulting_tid = 99;
-    assert!(bad.dump.threads.iter().all(|t| t.tid != 99));
+    let missing = FuncId(bad.program.funcs.len() as u32);
+    let tid = bad.dump.faulting_tid;
+    let faulting = bad.dump.threads.iter_mut().find(|t| t.tid == tid);
+    faulting.expect("faulting thread").top_mut().func = missing;
 
     let mut handle = serve(ServeConfig {
         workers: 1,
@@ -253,4 +260,124 @@ fn panicking_job_is_answered_with_an_error_and_contained() {
     drop(client);
     handle.stop();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Admission never clamps: a request whose budget exceeds the daemon's
+/// ceiling is answered `Rejected` with the item and the dimension, and
+/// no job is queued. A batch's items run one after another in one
+/// queue slot, so each item must fit an equal share of the ceiling,
+/// the deadline included.
+#[test]
+fn over_budget_requests_are_rejected_before_the_queue() {
+    let corpus = small_corpus(vec![BugKind::DivByZero], 1);
+    let req = |max_nodes: u64, deadline_ms: u64| {
+        request_for(&corpus[0])
+            .max_nodes(max_nodes)
+            .deadline_ms(deadline_ms)
+    };
+    let mut handle = serve(ServeConfig {
+        workers: 1,
+        ceiling: Some(Budget {
+            max_nodes: 100,
+            deadline: Some(Duration::from_millis(100)),
+            ..Budget::default()
+        }),
+        ..ServeConfig::default()
+    })
+    .expect("boot daemon");
+    let mut client = TriageClient::connect(handle.addr()).expect("connect");
+    let rejection = |resp: WireResponse| match resp {
+        WireResponse::Rejected { reason, .. } => reason,
+        other => panic!("expected a budget rejection, got {other:?}"),
+    };
+
+    // A single request over the ceiling.
+    let resp = client
+        .triage(req(101, 100))
+        .expect("io")
+        .expect_err("admitted");
+    assert_eq!(
+        rejection(resp),
+        "item 0: max_nodes 101 exceeds admitted ceiling 100"
+    );
+
+    // Each item fits the ceiling, but not its half of the node budget.
+    let resp = client
+        .bucket_batch(vec![req(50, 50), req(60, 50)])
+        .expect("io")
+        .expect_err("admitted");
+    assert_eq!(
+        rejection(resp),
+        "item 1: max_nodes 60 exceeds admitted ceiling 50"
+    );
+
+    // Each item's deadline fits the ceiling, but three of them would
+    // hold the worker for 110 ms: the last exceeds its third.
+    let resp = client
+        .hw_filter_batch(vec![req(30, 30), req(30, 30), req(30, 50)])
+        .expect("io")
+        .expect_err("admitted");
+    assert_eq!(
+        rejection(resp),
+        "item 2: deadline 50ms exceeds admitted ceiling 33ms"
+    );
+
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.rejected_budget, 3);
+    assert_eq!(stats.admitted, 0, "no rejected request may be queued");
+    assert_eq!(stats.queue_depth, 0);
+    assert_eq!(stats.completed, 0);
+
+    drop(client);
+    handle.stop();
+}
+
+/// A client built when `TriageRequest` still had a `workers` field
+/// sends `"workers":4`. The direct reader refuses the unknown key, and
+/// `from_str` falls back to the tree path, which ignores it: the
+/// request decodes as if the key were absent, and the daemon answers it
+/// exactly as the library answers the request without it.
+#[test]
+fn old_request_that_sets_workers_is_answered_like_the_library() {
+    use mvm_json::FromJson;
+
+    let corpus = small_corpus(vec![BugKind::UseAfterFree], 1);
+    let req = request_for(&corpus[0]);
+    let with_workers = |json: String| {
+        let old = json.replacen(
+            "\"deadline_ms\":null,",
+            "\"deadline_ms\":null,\"workers\":4,",
+            1,
+        );
+        assert_ne!(old, json, "the request has a deadline_ms key");
+        old
+    };
+    let old = with_workers(mvm_json::to_string(&req));
+    assert!(
+        TriageRequest::read_json(&mut mvm_json::Reader::new(&old)).is_none(),
+        "the direct reader refuses the unknown key"
+    );
+    assert_eq!(mvm_json::from_str::<TriageRequest>(&old), Ok(req.clone()));
+
+    let mut handle = serve(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    })
+    .expect("boot daemon");
+    let mut conn = std::net::TcpStream::connect(handle.addr()).expect("connect");
+    let frame = with_workers(mvm_json::to_string(&WireRequest::Triage(req.clone())));
+    write_frame(&mut conn, REQUEST_TAG, &frame).expect("send");
+    let resp = read_response(&mut std::io::BufReader::new(&conn))
+        .expect("io")
+        .expect("an answer");
+    let WireResponse::Triage(resp) = resp else {
+        panic!("expected a triage answer, got {resp:?}");
+    };
+    assert_eq!(
+        identity(&resp),
+        identity(&triage(&req, &ResConfig::default()))
+    );
+
+    drop(conn);
+    handle.stop();
 }

@@ -1,11 +1,10 @@
-//! Golden-fixture regression for the default exploration order.
+//! Golden-fixture regression for the search order.
 //!
-//! `FrontierKind::Dfs` (the default) must reproduce the engine's
+//! The kernel's depth-first stack must reproduce the engine's
 //! historical worklist order exactly: the fixture under
 //! `tests/fixtures/` was generated *before* the kernel refactor, so a
-//! byte-identical match proves the pluggable-frontier seam did not
-//! perturb which suffixes are found, in what order, or what they
-//! contain.
+//! byte-identical match proves the kernel did not perturb which
+//! suffixes are found, in what order, or what they contain.
 //!
 //! To regenerate after an *intentional* search-order change:
 //!
@@ -57,19 +56,15 @@ fn check_golden(name: &str, rendered: &str) {
     assert_eq!(
         golden.trim_end(),
         rendered,
-        "fixture {name} drifted: the default (Dfs) exploration order no \
+        "fixture {name} drifted: the depth-first search order no \
          longer matches the pre-refactor engine; if the change is \
          intentional, regenerate with RES_REGEN_FIXTURES=1"
     );
 }
 
-fn render(workers: usize) -> String {
-    render_with(workers, None)
-}
-
-fn render_with(workers: usize, cache_path: Option<&std::path::Path>) -> String {
+fn render(cache_path: Option<&std::path::Path>) -> String {
     let (program, dump) = crash();
-    let mut builder = ResConfig::builder().workers(workers);
+    let mut builder = ResConfig::builder();
     if let Some(p) = cache_path {
         builder = builder.cache_path(p);
     }
@@ -92,10 +87,6 @@ fn render_with(workers: usize, cache_path: Option<&std::path::Path>) -> String {
 /// The default config must synthesize byte-identical suffixes, in the
 /// same order, as the pre-refactor engine did.
 ///
-/// `RES_WORKERS=N` runs the same check through the sharded parallel
-/// path — the CI determinism gate loops this test over N ∈ {1, 2, 4}
-/// against the *same* fixture, proving the fan-out changes nothing.
-///
 /// `RES_CACHE_PATH=<file>` additionally routes the run through a
 /// persistent cross-run store at that path — the CI cross-run gate runs
 /// this test twice against one store file (cold, then warm) and both
@@ -109,15 +100,8 @@ fn render_with(workers: usize, cache_path: Option<&std::path::Path>) -> String {
 /// gate parses and sanity-checks.
 #[test]
 fn default_dfs_suffixes_match_pre_refactor_fixture() {
-    let workers = std::env::var("RES_WORKERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
     let cache_path = std::env::var_os("RES_CACHE_PATH").map(std::path::PathBuf::from);
-    check_golden(
-        "suffix_dfs.txt",
-        &render_with(workers, cache_path.as_deref()),
-    );
+    check_golden("suffix_dfs.txt", &render(cache_path.as_deref()));
 }
 
 /// A warm store must not perturb the result: cold run, warm run, and
@@ -129,25 +113,10 @@ fn warm_store_matches_cold_suffixes() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create store dir");
     let path = dir.join("suffix_golden.resstore");
-    let golden = render(1);
-    let cold = render_with(1, Some(&path));
-    let warm = render_with(1, Some(&path));
+    let golden = render(None);
+    let cold = render(Some(&path));
+    let warm = render(Some(&path));
     assert_eq!(cold, golden, "a cold store changed the synthesis");
     assert_eq!(warm, golden, "a warm store changed the synthesis");
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Sharded speculation must not perturb the result: any worker count
-/// yields byte-identical suffixes (the replay phase is the sequential
-/// algorithm; speculation only pre-warms the solver cache).
-#[test]
-fn sharded_workers_match_single_worker_suffixes() {
-    let golden = render(1);
-    for workers in [2usize, 4] {
-        assert_eq!(
-            render(workers),
-            golden,
-            "workers = {workers} diverged from the sequential search"
-        );
-    }
 }

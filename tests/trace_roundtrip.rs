@@ -50,11 +50,11 @@ fn crash() -> (Program, Coredump) {
     (program, dump)
 }
 
-/// Records the crash scenario's trace at the given worker count.
-fn record(workers: usize) -> TraceFile {
+/// Records the crash scenario's trace.
+fn record() -> TraceFile {
     let (program, dump) = crash();
     let engine = ResEngine::new(&program, ResConfig::default());
-    let result = engine.synthesize_with(&dump, SynthOptions::default().workers(workers));
+    let result = engine.synthesize(&dump);
     let bucket = bucket_key_for(&program, &dump, &result.suffixes);
     for sfx in &result.suffixes {
         if let Ok(t) = record_trace(
@@ -75,7 +75,7 @@ fn record(workers: usize) -> TraceFile {
 /// and re-encoding the decoded trace gives the same bytes.
 #[test]
 fn json_and_binary_encodings_round_trip_losslessly() {
-    let trace = record(1);
+    let trace = record();
     let bytes = trace.to_text_bytes();
     let back = TraceFile::from_text_bytes(&bytes).expect("decode own bytes");
     assert_eq!(back, trace, "byte round trip lost data");
@@ -86,7 +86,7 @@ fn json_and_binary_encodings_round_trip_losslessly() {
 /// `to_text_bytes` whatever the extension, and `read` gets the trace back.
 #[test]
 fn file_extension_selects_the_encoding() {
-    let trace = record(1);
+    let trace = record();
     let dir = temp_dir("ext");
     for name in ["t.restrace", "t.trace", "t"] {
         let path = dir.join(name);
@@ -105,22 +105,10 @@ fn file_extension_selects_the_encoding() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn traces_are_byte_identical_across_worker_counts() {
-    let baseline = record(1).to_text_bytes();
-    for workers in [2, 4] {
-        assert_eq!(
-            record(workers).to_text_bytes(),
-            baseline,
-            "{workers}-worker trace differs from sequential"
-        );
-    }
-}
-
 /// Byte-level golden fixture for format version 1.
 #[test]
 fn trace_v1_golden_fixtures_round_trip() {
-    let trace = record(1);
+    let trace = record();
     let written = trace.to_text_bytes();
     let fixture = fixture_path("trace_v1.restrace");
     if std::env::var_os("RES_REGEN_FIXTURES").is_some() {

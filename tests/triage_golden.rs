@@ -124,10 +124,10 @@ fn identity(r: &TriageResponse) -> String {
 }
 
 /// One line per dump: its label, then its identity.
-fn render(workers: usize, store_dir: Option<&Path>, trace: Option<&Path>) -> String {
+fn render(store_dir: Option<&Path>, trace: Option<&Path>) -> String {
     let mut out = String::new();
     for (label, program, dump) in population() {
-        let mut req = TriageRequest::new(program, dump).workers(workers);
+        let mut req = TriageRequest::new(program, dump);
         req.store = store_dir.map(|d| store_path_for(d, &req.program).display().to_string());
         req.trace = trace.map(|p| p.display().to_string());
         let resp = triage(&req, &ResConfig::default());
@@ -138,22 +138,17 @@ fn render(workers: usize, store_dir: Option<&Path>, trace: Option<&Path>) -> Str
 
 /// Every dump of the population must triage to its pinned answer.
 ///
-/// As in `tests/suffix_golden.rs`, `RES_WORKERS=N` runs every request
-/// at N workers, `RES_CACHE_PATH=<dir>` routes every request through a
-/// persistent store (one file per program in that directory, the
-/// corpus layout of `res_triage::store_path_for`), and
-/// `RES_TRACE=<file>` journals each request to that path. None of them
-/// may change a byte: the CI determinism loops run this test at 1/2/4
-/// workers, cold then warm against one store directory, and traced.
+/// As in `tests/suffix_golden.rs`, `RES_CACHE_PATH=<dir>` routes every
+/// request through a persistent store (one file per program in that
+/// directory, the corpus layout of `res_triage::store_path_for`), and
+/// `RES_TRACE=<file>` journals each request to that path. Neither may
+/// change a byte: the CI determinism loops run this test plain, cold
+/// then warm against one store directory, and traced.
 #[test]
 fn triage_answers_match_the_identity_fixture() {
-    let workers = std::env::var("RES_WORKERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
     let store_dir = std::env::var_os("RES_CACHE_PATH").map(PathBuf::from);
     let trace = std::env::var_os("RES_TRACE").map(PathBuf::from);
-    let rendered = render(workers, store_dir.as_deref(), trace.as_deref());
+    let rendered = render(store_dir.as_deref(), trace.as_deref());
     for class in GenClass::ALL {
         assert!(
             rendered.contains(&format!("{}#", class.name())),

@@ -7,7 +7,7 @@ use res_bench::micro::{bench_function, Group};
 
 use mvm_core::{Coredump, HwFlavor, Minidump};
 use res_baselines::{measure_recording, ForwardConfig, ForwardSynthesizer, RecorderKind};
-use res_core::{hardware_verdict, replay_suffix, ResConfig, ResEngine};
+use res_core::{hardware_verdict, replay_suffix, ExecutionSuffix, ResConfig, ResEngine};
 use res_serve::wire::{read_request, read_response, write_request, write_response};
 use res_serve::{WireRequest, WireResponse};
 use res_store::{program_fingerprint, SolverStore};
@@ -126,7 +126,10 @@ fn bench_a3_solver() {
 /// trip, and `hardware_verdict` with a warm store and with none. The
 /// input is one generated use-after-free program (the `hwfilter`
 /// shape) with its first four dumps, the second one hardware-corrupted;
-/// the store is warmed by running every dump through it first.
+/// the store is warmed by running every dump through it first. Then
+/// the identity text a triage answer carries per suffix, written by the
+/// derived `Debug` and by `identity_bytes`, over every suffix of the
+/// seed-1 `triage` population (`bench_suffix_identity`).
 fn bench_codec() {
     let g = Group::new("codec").sample_size(200);
     let spec = corpus_specs(&[GenClass::UseAfterFree], 1, 91, 1)[0];
@@ -180,6 +183,46 @@ fn bench_codec() {
         });
     }
     let _ = std::fs::remove_dir_all(&dir);
+    bench_suffix_identity(&g);
+}
+
+/// `codec/suffix_identity_{debug,direct}`: one pass over the suffixes
+/// of the seed-1 `triage` population (six programs per generator class,
+/// three dumps each, hang classes left out because triage answers them
+/// without a search). Each text is dropped before the next is written,
+/// as a triage answer's are between operations; holding all of them at
+/// once would add the heap's growth to both lines.
+fn bench_suffix_identity(g: &Group) {
+    let suffixes: Vec<ExecutionSuffix> =
+        corpus_specs(&GenClass::ALL, 6 * GenClass::ALL.len(), 1, 1)
+            .into_iter()
+            .filter(|spec| !matches!(spec.class, GenClass::Deadlock | GenClass::LockInversion))
+            .flat_map(|spec| {
+                let gp = generate(spec);
+                let engine = ResEngine::new(&gp.program, ResConfig::default());
+                collect_failures(&gp, 3)
+                    .iter()
+                    .flat_map(|f| engine.synthesize(&f.dump).suffixes)
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+    let debug = g.bench("suffix_identity_debug", || {
+        suffixes
+            .iter()
+            .map(|s| format!("{s:?}").len())
+            .sum::<usize>()
+    });
+    let direct = g.bench("suffix_identity_direct", || {
+        suffixes
+            .iter()
+            .map(|s| s.identity_bytes().len())
+            .sum::<usize>()
+    });
+    println!(
+        "codec/suffix_identity: {} suffixes per pass; direct {:.1}x faster than debug (medians)",
+        suffixes.len(),
+        debug.median.as_secs_f64() / direct.median.as_secs_f64()
+    );
 }
 
 fn main() {

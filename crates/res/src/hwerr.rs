@@ -12,6 +12,8 @@
 //! corrupted location has been found — the paper's memory-bit-flip and
 //! miscomputed-addition examples both fall out of this procedure.
 
+use std::time::Instant;
+
 use mvm_core::Coredump;
 use mvm_isa::{layout, Program, Reg, Width};
 use mvm_json::json_enum;
@@ -102,7 +104,7 @@ json_enum!(Relax {
 /// `proven: false` and a budget-cut search is [`HwVerdict::Inconclusive`]
 /// — a hardware accusation is never built on an undecided query.
 pub fn hardware_verdict(program: &Program, dump: &Coredump, config: &ResConfig) -> HwVerdict {
-    hardware_verdict_inner(program, dump, config, None)
+    hardware_verdict_inner(program, dump, config, None, Instant::now())
 }
 
 /// [`hardware_verdict`] with every solver query routed through a
@@ -118,29 +120,35 @@ pub fn hardware_verdict_in_store(
     config: &ResConfig,
     store: &mut SolverStore,
 ) -> HwVerdict {
-    hardware_verdict_inner(program, dump, config, Some(store))
+    hardware_verdict_inner(program, dump, config, Some(store), Instant::now())
 }
 
 fn run_relaxed(
     engine: &ResEngine,
     dump: &Coredump,
-    relax: Relax,
+    opts: SynthOptions,
     store: &mut Option<&mut SolverStore>,
 ) -> SynthesisResult {
     match store {
-        Some(s) => engine.synthesize_in_store(dump, SynthOptions::new().relax(relax), s),
-        None => engine.synthesize_relaxed(dump, relax),
+        Some(s) => engine.synthesize_in_store(dump, opts, s),
+        None => engine.synthesize_with(dump, opts),
     }
 }
 
+/// The sweep behind both entry points. The request's deadline bounds
+/// the whole sweep, measured from `started`: the base search runs under
+/// it as configured, each relaxed search gets the time that remains,
+/// and the sweep stops when none does. Node and solver-assignment caps
+/// stay per search, so without a deadline nothing here depends on time.
 fn hardware_verdict_inner(
     program: &Program,
     dump: &Coredump,
     config: &ResConfig,
     mut store: Option<&mut SolverStore>,
+    started: Instant,
 ) -> HwVerdict {
     let engine = ResEngine::new(program, config.clone());
-    let base = run_relaxed(&engine, dump, Relax::None, &mut store);
+    let base = run_relaxed(&engine, dump, SynthOptions::new(), &mut store);
     match base.verdict {
         Verdict::SuffixFound => return HwVerdict::SoftwareBug,
         Verdict::BudgetExhausted => return HwVerdict::Inconclusive,
@@ -163,13 +171,21 @@ fn hardware_verdict_inner(
             best = Some((depth, kind));
         }
     };
-    for r in 0..Reg::COUNT as u8 {
-        let res = run_relaxed(&engine, dump, Relax::Reg { reg: Reg(r) }, &mut store);
-        consider(HwKind::CpuError { reg: Reg(r) }, &res);
-    }
-    for addr in candidate_words(dump) {
-        let res = run_relaxed(&engine, dump, Relax::Mem { addr }, &mut store);
-        consider(HwKind::MemoryError { addr }, &res);
+    let regs = (0..Reg::COUNT as u8)
+        .map(|r| (HwKind::CpuError { reg: Reg(r) }, Relax::Reg { reg: Reg(r) }));
+    let words = candidate_words(dump)
+        .into_iter()
+        .map(|addr| (HwKind::MemoryError { addr }, Relax::Mem { addr }));
+    for (kind, relax) in regs.chain(words) {
+        let mut opts = SynthOptions::new().relax(relax);
+        if let Some(deadline) = config.deadline {
+            match deadline.checked_sub(started.elapsed()) {
+                Some(left) if !left.is_zero() => opts = opts.deadline(left),
+                _ => break,
+            }
+        }
+        let res = run_relaxed(&engine, dump, opts, &mut store);
+        consider(kind, &res);
     }
     HwVerdict::HardwareSuspected {
         kind: best.map(|(_, k)| k).unwrap_or(HwKind::Unlocalized),
@@ -197,4 +213,76 @@ fn candidate_words(dump: &Coredump) -> Vec<u64> {
         }
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use std::time::Duration;
+
+    use mvm_core::flip_memory_bit_at;
+    use res_obs::{read_journal, EventKind};
+    use res_workloads::{build, run_to_failure, BugKind, WorkloadParams};
+
+    use super::*;
+
+    /// Synthesis calls journaled to `path`.
+    fn searches(path: &std::path::Path) -> usize {
+        read_journal(path)
+            .expect("journal parses")
+            .iter()
+            .filter(|e| matches!(&e.kind, EventKind::Span { name, .. } if name == "synthesize"))
+            .count()
+    }
+
+    #[test]
+    fn the_sweep_shares_one_deadline() {
+        let program = build(BugKind::SemanticAssert, WorkloadParams::default());
+        let machine = (0..500)
+            .find_map(|s| run_to_failure(&program, s))
+            .expect("workload failure");
+        let mut dump = Coredump::capture(&machine);
+        // Flip the global the assertion depends on: no suffix explains it.
+        flip_memory_bit_at(&mut dump, layout::GLOBAL_BASE, 1);
+        let dir = std::env::temp_dir().join(format!("res-hwerr-clock-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("create the journal directory");
+        let deadline = Duration::from_secs(10);
+        let config = |journal: &str| {
+            let mut c = ResConfig::builder().deadline(Some(deadline)).build();
+            c.trace = Some(dir.join(journal));
+            c
+        };
+
+        // On a fresh clock the sweep relaxes locations and localizes.
+        let fresh = hardware_verdict_inner(
+            &program,
+            &dump,
+            &config("fresh.jsonl"),
+            None,
+            Instant::now(),
+        );
+        assert!(
+            matches!(fresh, HwVerdict::HardwareSuspected { ref kind, .. } if *kind != HwKind::Unlocalized),
+            "{fresh:?}"
+        );
+        assert!(searches(&dir.join("fresh.jsonl")) > 1);
+
+        // A sweep whose clock has already run out runs its base search
+        // and no relaxed one.
+        let started = Instant::now()
+            .checked_sub(deadline)
+            .expect("the host has been up longer than the deadline");
+        let late = hardware_verdict_inner(&program, &dump, &config("late.jsonl"), None, started);
+        assert!(
+            matches!(
+                late,
+                HwVerdict::HardwareSuspected {
+                    kind: HwKind::Unlocalized,
+                    ..
+                }
+            ),
+            "{late:?}"
+        );
+        assert_eq!(searches(&dir.join("late.jsonl")), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -4,9 +4,10 @@
 
 use std::collections::BTreeMap;
 
-use mvm_isa::{InputKind, Loc, Reg, Width};
+use mvm_isa::{BinOp, BlockId, FuncId, InputKind, Loc, Reg, UnOp, Width};
+use mvm_json::write_u64;
 use mvm_machine::ThreadId;
-use mvm_symbolic::{Model, SymId};
+use mvm_symbolic::{Expr, Model, SymId};
 
 use crate::blockexec::{EndPoint, Tag, Tagged, Transfer};
 
@@ -133,6 +134,280 @@ impl ExecutionSuffix {
                 _ => None,
             })
             .collect()
+    }
+
+    /// The suffix's identity text, the byte-identity currency of the
+    /// triage answer and every determinism gate: exactly the bytes
+    /// `format!("{self:?}")` produces, written without `fmt` into one
+    /// pre-sized string. The derived `Debug` stays the reference. Every
+    /// struct below is destructured in full and every enum matched
+    /// without a wildcard, so a new field or variant fails to compile
+    /// here instead of silently changing the identity.
+    pub fn identity_bytes(&self) -> String {
+        let ExecutionSuffix {
+            steps,
+            model,
+            initial_cells,
+            initial_regs,
+            start_positions,
+            inputs,
+            constraints,
+            approximate,
+        } = self;
+        // About 1.4 times the text of a `triage` suffix (12 steps, 20–28
+        // constraints, 1–3 threads), so the writer does not reallocate.
+        let mut out = String::with_capacity(
+            512 + 640 * steps.len() + 160 * constraints.len() + 320 * initial_regs.len(),
+        );
+        out.push_str("ExecutionSuffix { steps: [");
+        list(&mut out, steps, write_step);
+        // `Model`'s one field is private; its `Debug` is `Model { values:
+        // {..} }` over the same ordered map `iter` walks.
+        out.push_str("], model: Model { values: {");
+        list(&mut out, model.iter(), |out, (sym, v)| {
+            write_u64(u64::from(sym), out);
+            out.push_str(": ");
+            write_u64(v, out);
+        });
+        out.push_str("} }, initial_cells: [");
+        list(&mut out, initial_cells, |out, &(addr, width, v)| {
+            out.push('(');
+            write_u64(addr, out);
+            out.push_str(", ");
+            out.push_str(width_name(width));
+            out.push_str(", ");
+            write_u64(v, out);
+            out.push(')');
+        });
+        out.push_str("], initial_regs: {");
+        list(&mut out, initial_regs, |out, (&tid, (depth, regs))| {
+            write_u64(tid, out);
+            out.push_str(": (");
+            write_u64(*depth as u64, out);
+            out.push_str(", [");
+            list(out, regs, |out, &r| write_u64(r, out));
+            out.push_str("])");
+        });
+        out.push_str("}, start_positions: {");
+        list(&mut out, start_positions, |out, (&tid, &(depth, loc))| {
+            write_u64(tid, out);
+            out.push_str(": (");
+            write_u64(depth as u64, out);
+            out.push_str(", ");
+            write_loc(out, loc);
+            out.push(')');
+        });
+        out.push_str("}, inputs: {");
+        list(&mut out, inputs, |out, (&tid, values)| {
+            write_u64(tid, out);
+            out.push_str(": [");
+            list(out, values, |out, &v| write_u64(v, out));
+            out.push(']');
+        });
+        out.push_str("}, constraints: [");
+        list(&mut out, constraints, |out, Tagged { expr, tag }| {
+            out.push_str("Tagged { expr: ");
+            write_expr(out, expr);
+            out.push_str(", tag: ");
+            write_tag(out, *tag);
+            out.push_str(" }");
+        });
+        out.push_str("], approximate: ");
+        out.push_str(if *approximate { "true" } else { "false" });
+        out.push_str(" }");
+        out
+    }
+}
+
+/// Writes `items` separated by `", "`, the way `Debug` lists them.
+fn list<I: IntoIterator>(out: &mut String, items: I, mut each: impl FnMut(&mut String, I::Item)) {
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        each(out, item);
+    }
+}
+
+fn write_step(out: &mut String, step: &SuffixStep) {
+    let SuffixStep {
+        tid,
+        frame_depth,
+        start,
+        end,
+        transfers,
+        inputs,
+        input_kinds,
+        allocs,
+        frees,
+        reads,
+        writes,
+        steps,
+    } = step;
+    out.push_str("SuffixStep { tid: ");
+    write_u64(*tid, out);
+    out.push_str(", frame_depth: ");
+    write_u64(*frame_depth as u64, out);
+    out.push_str(", start: ");
+    write_loc(out, *start);
+    let EndPoint { depth_delta, loc } = *end;
+    out.push_str(", end: EndPoint { depth_delta: ");
+    if depth_delta < 0 {
+        out.push('-');
+    }
+    write_u64(u64::from(depth_delta.unsigned_abs()), out);
+    out.push_str(", loc: ");
+    write_loc(out, loc);
+    out.push_str(" }, transfers: [");
+    list(out, transfers, write_transfer);
+    out.push_str("], inputs: [");
+    list(out, inputs, |out, &sym| write_u64(u64::from(sym), out));
+    out.push_str("], input_kinds: [");
+    list(out, input_kinds, |out, &kind| {
+        out.push_str(match kind {
+            InputKind::Network => "Network",
+            InputKind::File => "File",
+            InputKind::Time => "Time",
+            InputKind::Random => "Random",
+            InputKind::Env => "Env",
+        })
+    });
+    out.push_str("], allocs: ");
+    write_u64(*allocs as u64, out);
+    out.push_str(", frees: [");
+    list(out, frees, |out, &base| write_u64(base, out));
+    out.push_str("], reads: [");
+    list(out, reads, write_access);
+    out.push_str("], writes: [");
+    list(out, writes, write_access);
+    out.push_str("], steps: ");
+    write_u64(*steps, out);
+    out.push_str(" }");
+}
+
+fn write_transfer(out: &mut String, transfer: &Transfer) {
+    let Transfer {
+        from,
+        to,
+        inferrable,
+    } = *transfer;
+    out.push_str("Transfer { from: ");
+    write_loc(out, from);
+    out.push_str(", to: ");
+    write_loc(out, to);
+    out.push_str(", inferrable: ");
+    out.push_str(if inferrable { "true" } else { "false" });
+    out.push_str(" }");
+}
+
+fn write_access(out: &mut String, &(addr, width): &(u64, Width)) {
+    out.push('(');
+    write_u64(addr, out);
+    out.push_str(", ");
+    out.push_str(width_name(width));
+    out.push(')');
+}
+
+fn write_loc(out: &mut String, loc: Loc) {
+    let Loc {
+        func: FuncId(func),
+        block: BlockId(block),
+        inst,
+    } = loc;
+    out.push_str("Loc { func: FuncId(");
+    write_u64(u64::from(func), out);
+    out.push_str("), block: BlockId(");
+    write_u64(u64::from(block), out);
+    out.push_str("), inst: ");
+    write_u64(u64::from(inst), out);
+    out.push_str(" }");
+}
+
+fn write_reg(out: &mut String, Reg(r): Reg) {
+    out.push_str("Reg(");
+    write_u64(u64::from(r), out);
+    out.push(')');
+}
+
+fn write_tag(out: &mut String, tag: Tag) {
+    match tag {
+        Tag::Path => out.push_str("Path"),
+        Tag::MemCompat { addr, width } => {
+            out.push_str("MemCompat { addr: ");
+            write_u64(addr, out);
+            out.push_str(", width: ");
+            out.push_str(width_name(width));
+            out.push_str(" }");
+        }
+        Tag::RegCompat { reg } => {
+            out.push_str("RegCompat { reg: ");
+            write_reg(out, reg);
+            out.push_str(" }");
+        }
+        Tag::CallBind { reg } => {
+            out.push_str("CallBind { reg: ");
+            write_reg(out, reg);
+            out.push_str(" }");
+        }
+        Tag::Pin => out.push_str("Pin"),
+    }
+}
+
+fn write_expr(out: &mut String, e: &Expr) {
+    match e {
+        Expr::Const(v) => {
+            out.push_str("Const(");
+            write_u64(*v, out);
+        }
+        Expr::Sym(s) => {
+            out.push_str("Sym(");
+            write_u64(u64::from(*s), out);
+        }
+        Expr::Bin(op, a, b) => {
+            out.push_str("Bin(");
+            out.push_str(match op {
+                BinOp::Add => "Add",
+                BinOp::Sub => "Sub",
+                BinOp::Mul => "Mul",
+                BinOp::DivU => "DivU",
+                BinOp::RemU => "RemU",
+                BinOp::And => "And",
+                BinOp::Or => "Or",
+                BinOp::Xor => "Xor",
+                BinOp::Shl => "Shl",
+                BinOp::Shr => "Shr",
+                BinOp::Sar => "Sar",
+                BinOp::Eq => "Eq",
+                BinOp::Ne => "Ne",
+                BinOp::LtU => "LtU",
+                BinOp::LeU => "LeU",
+                BinOp::LtS => "LtS",
+                BinOp::LeS => "LeS",
+            });
+            out.push_str(", ");
+            write_expr(out, a);
+            out.push_str(", ");
+            write_expr(out, b);
+        }
+        Expr::Un(op, a) => {
+            out.push_str("Un(");
+            out.push_str(match op {
+                UnOp::Not => "Not",
+                UnOp::Neg => "Neg",
+            });
+            out.push_str(", ");
+            write_expr(out, a);
+        }
+    }
+    out.push(')');
+}
+
+fn width_name(width: Width) -> &'static str {
+    match width {
+        Width::W1 => "W1",
+        Width::W2 => "W2",
+        Width::W4 => "W4",
+        Width::W8 => "W8",
     }
 }
 

@@ -85,7 +85,7 @@ mod value;
 
 pub use convert::{field, FromJson, JsonError, JsonKey, ToJson};
 pub use parse::{parse, ParseError, Reader};
-pub use value::Json;
+pub use value::{write_u64, Json};
 
 /// Serializes a value to compact JSON, through
 /// [`ToJson::write_json`].

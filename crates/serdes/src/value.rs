@@ -173,9 +173,11 @@ pub(crate) fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
 }
 
-/// Writes `n` in decimal from a stack buffer.
+/// Appends `n` in decimal, from a stack buffer and without `fmt`: the
+/// bytes `n.to_string()` would produce. JSON numbers and the suffix
+/// identity text (`res_core::ExecutionSuffix::identity_bytes`) share it.
 #[inline]
-pub(crate) fn write_u64(mut n: u64, out: &mut String) {
+pub fn write_u64(mut n: u64, out: &mut String) {
     if n < 10 {
         out.push(char::from(b'0' + n as u8));
         return;

@@ -185,6 +185,19 @@ struct State {
     bindings: BTreeMap<SymId, u64>,
     intervals: BTreeMap<SymId, Interval>,
     constraints: Vec<ExprRef>,
+    /// Interior `σ != v` constraints propagation took in without
+    /// enforcing them: a convex interval cannot hold the hole (see
+    /// [`Interval::refine_ne`]). Checked against the finished model.
+    holes: Vec<ExprRef>,
+}
+
+/// What [`Solver::extract`] made of one constraint.
+enum Extracted {
+    /// Turned into bindings or interval refinements.
+    Absorbed,
+    /// Left for enumeration: the constraint itself, or the comparison a
+    /// negated one was rewritten to.
+    Residual(ExprRef),
 }
 
 impl State {
@@ -209,6 +222,11 @@ impl State {
         let cur = self.intervals.get(&s).copied().unwrap_or_default();
         let next = f(cur);
         if next.is_empty() {
+            return Err(());
+        }
+        // A symbol bound earlier in the round keeps its value only if
+        // the narrowed interval still holds it.
+        if self.bindings.get(&s).is_some_and(|&v| !next.contains(v)) {
             return Err(());
         }
         if next == cur {
@@ -265,12 +283,13 @@ impl Solver {
             bindings: BTreeMap::new(),
             intervals: BTreeMap::new(),
             constraints: constraints.to_vec(),
+            holes: Vec::new(),
         };
         match self.propagate(&mut st) {
             Err(()) => return (SolveResult::Unsat, 0, true),
             Ok(()) => {}
         }
-        if st.constraints.is_empty() {
+        let (result, used, portable) = if st.constraints.is_empty() {
             let mut model = Model::new();
             for (&s, &v) in &st.bindings {
                 model.set(s, v);
@@ -281,9 +300,30 @@ impl Solver {
                     model.set(s, iv.lo);
                 }
             }
-            return (SolveResult::Sat(model), 0, true);
+            (SolveResult::Sat(model), 0, true)
+        } else {
+            self.enumerate(&st)
+        };
+        let model_fills_a_hole = result
+            .model()
+            .is_some_and(|m| st.holes.iter().any(|h| m.eval_total(h) == Some(0)));
+        if !model_fills_a_hole {
+            return (result, used, portable);
         }
-        self.enumerate(st)
+        // Search again with the holes enforced, as residual constraints
+        // under the propagated bindings. Only a wrong model gets here,
+        // so a sound answer never changes.
+        let bindings = &st.bindings;
+        for h in std::mem::take(&mut st.holes) {
+            let h = h.substitute(&|s| bindings.get(&s).map(|&v| Expr::konst(v)));
+            match h.as_const() {
+                Some(0) => return (SolveResult::Unsat, used, portable),
+                Some(_) => {}
+                None => st.constraints.push(h),
+            }
+        }
+        let (result, again, complete) = self.enumerate(&st);
+        (result, used + again, portable && complete)
     }
 
     /// Convenience: check and demand a model.
@@ -309,10 +349,9 @@ impl Solver {
                     }
                     None => {}
                 }
-                match self.extract(&c, st) {
-                    Err(()) => return Err(()),
-                    Ok(Some(())) => changed = true,
-                    Ok(None) => next.push(c),
+                match self.extract(c, st)? {
+                    Extracted::Absorbed => changed = true,
+                    Extracted::Residual(c) => next.push(c),
                 }
             }
             st.constraints = next;
@@ -336,14 +375,14 @@ impl Solver {
     }
 
     /// Tries to turn one constraint into bindings / interval
-    /// refinements. `Ok(Some(()))` means the constraint was fully
-    /// absorbed; `Ok(None)` keeps it.
-    fn extract(&self, c: &ExprRef, st: &mut State) -> Result<Option<()>, ()> {
-        match &**c {
+    /// refinements; a constraint it cannot absorb stays residual, and a
+    /// negated comparison stays as the comparison it was rewritten to.
+    fn extract(&self, c: ExprRef, st: &mut State) -> Result<Extracted, ()> {
+        match &*c {
             // A bare symbol as a constraint: σ != 0.
             Expr::Sym(s) => {
-                st.refine(*s, |iv| iv.refine_ne(0)).map_err(|_| ())?;
-                Ok(Some(()))
+                st.refine(*s, |iv| iv.refine_ne(0))?;
+                Ok(Extracted::Absorbed)
             }
             Expr::Bin(BinOp::Eq, a, b) => {
                 // `(cmp ...) == 0` → negated comparison.
@@ -355,22 +394,15 @@ impl Solver {
                             } else {
                                 (x.clone(), y.clone())
                             };
-                            let rewritten = Expr::bin(nop, x, y);
-                            return self.extract(&rewritten, st).map(|r| match r {
-                                Some(()) => Some(()),
-                                None => {
-                                    st.constraints.push(rewritten);
-                                    Some(())
-                                }
-                            });
+                            return self.extract(Expr::bin(nop, x, y), st);
                         }
                     }
                 }
                 if let Some(t) = b.as_const() {
                     match isolate(a, t) {
                         Isolated::Bind(s, v) => {
-                            st.bind(s, v).map_err(|_| ())?;
-                            return Ok(Some(()));
+                            st.bind(s, v)?;
+                            return Ok(Extracted::Absorbed);
                         }
                         Isolated::Contradiction => return Err(()),
                         Isolated::NoProgress => {}
@@ -379,51 +411,63 @@ impl Solver {
                 if let Some(t) = a.as_const() {
                     match isolate(b, t) {
                         Isolated::Bind(s, v) => {
-                            st.bind(s, v).map_err(|_| ())?;
-                            return Ok(Some(()));
+                            st.bind(s, v)?;
+                            return Ok(Extracted::Absorbed);
                         }
                         Isolated::Contradiction => return Err(()),
                         Isolated::NoProgress => {}
                     }
                 }
-                Ok(None)
+                Ok(Extracted::Residual(c))
             }
             Expr::Bin(BinOp::Ne, a, b) => {
                 if let (Some(s), Some(v)) = (a.as_sym(), b.as_const()) {
-                    st.refine(s, |iv| iv.refine_ne(v)).map_err(|_| ())?;
-                    return Ok(Some(()));
+                    let iv = st.intervals.get(&s).copied().unwrap_or_default();
+                    if iv.lo < v && v < iv.hi {
+                        st.holes.push(c.clone());
+                    }
+                    st.refine(s, |iv| iv.refine_ne(v))?;
+                    return Ok(Extracted::Absorbed);
                 }
-                Ok(None)
+                Ok(Extracted::Residual(c))
             }
             Expr::Bin(BinOp::LtU, a, b) => {
                 let mut used = false;
                 if let (Some(s), Some(v)) = (a.as_sym(), b.as_const()) {
-                    st.refine(s, |iv| iv.refine_lt(v)).map_err(|_| ())?;
+                    st.refine(s, |iv| iv.refine_lt(v))?;
                     used = true;
                 }
                 if let (Some(v), Some(s)) = (a.as_const(), b.as_sym()) {
-                    st.refine(s, |iv| iv.refine_gt(v)).map_err(|_| ())?;
+                    st.refine(s, |iv| iv.refine_gt(v))?;
                     used = true;
                 }
-                Ok(used.then_some(()))
+                Ok(if used {
+                    Extracted::Absorbed
+                } else {
+                    Extracted::Residual(c)
+                })
             }
             Expr::Bin(BinOp::LeU, a, b) => {
                 let mut used = false;
                 if let (Some(s), Some(v)) = (a.as_sym(), b.as_const()) {
-                    st.refine(s, |iv| iv.refine_le(v)).map_err(|_| ())?;
+                    st.refine(s, |iv| iv.refine_le(v))?;
                     used = true;
                 }
                 if let (Some(v), Some(s)) = (a.as_const(), b.as_sym()) {
-                    st.refine(s, |iv| iv.refine_ge(v)).map_err(|_| ())?;
+                    st.refine(s, |iv| iv.refine_ge(v))?;
                     used = true;
                 }
-                Ok(used.then_some(()))
+                Ok(if used {
+                    Extracted::Absorbed
+                } else {
+                    Extracted::Residual(c)
+                })
             }
-            _ => Ok(None),
+            _ => Ok(Extracted::Residual(c)),
         }
     }
 
-    fn enumerate(&self, st: State) -> (SolveResult, u64, bool) {
+    fn enumerate(&self, st: &State) -> (SolveResult, u64, bool) {
         // Free symbols of the residual constraints.
         let mut syms: BTreeSet<SymId> = BTreeSet::new();
         for c in &st.constraints {
@@ -491,6 +535,7 @@ impl Solver {
         let mut budget = self.config.max_assignments;
         let found = self.dfs(
             &st.constraints,
+            &st.intervals,
             &syms,
             &candidates,
             &order,
@@ -504,6 +549,14 @@ impl Solver {
                 let mut model = Model::new();
                 for (s, v) in model_map {
                     model.set(s, v);
+                }
+                // A symbol the model leaves out reads as 0. One whose
+                // interval excludes 0 takes its low point instead, as
+                // in a propagation-only model.
+                for (&s, iv) in &st.intervals {
+                    if iv.lo > 0 && model.get(s).is_none() {
+                        model.set(s, iv.lo);
+                    }
                 }
                 SolveResult::Sat(model)
             }
@@ -560,6 +613,7 @@ impl Solver {
     fn dfs(
         &self,
         constraints: &[ExprRef],
+        intervals: &BTreeMap<SymId, Interval>,
         syms: &[SymId],
         candidates: &[Vec<u64>],
         order: &[usize],
@@ -572,10 +626,14 @@ impl Solver {
         }
         if depth == order.len() {
             *budget -= 1;
+            // Candidates lie inside their symbol's interval, but a
+            // forced value need not.
             let ok = constraints.iter().all(|c| {
                 c.eval(&|s| assignment.get(&s).copied())
                     .is_some_and(|v| v != 0)
-            });
+            }) && syms
+                .iter()
+                .all(|s| intervals.get(s).is_none_or(|iv| iv.contains(assignment[s])));
             return ok.then(|| assignment.clone());
         }
         let idx = order[depth];
@@ -610,6 +668,7 @@ impl Solver {
             if viable {
                 if let Some(m) = self.dfs(
                     constraints,
+                    intervals,
                     syms,
                     candidates,
                     order,
@@ -813,6 +872,70 @@ mod tests {
         for c in &cs {
             assert_eq!(m.eval_total(c).map(|v| v != 0), Some(true), "violated: {c}");
         }
+    }
+
+    /// Checks `cs` and demands a model that satisfies every constraint.
+    fn witness(cs: &[ExprRef]) -> Model {
+        let m = Solver::new().solve(cs).expect("sat");
+        for c in cs {
+            assert_eq!(
+                m.eval_total(c).map(|v| v != 0),
+                Some(true),
+                "{m:?} violates {c}"
+            );
+        }
+        m
+    }
+
+    #[test]
+    fn negated_comparison_left_residual_is_enforced() {
+        // (σ0 <u σ1) == 0 rewrites to σ1 <=u σ0, which no interval holds.
+        let c1 = eq(Expr::bin(BinOp::LtU, s(0), s(1)), k(0));
+        let m = witness(&[c1, eq(s(1), k(5))]);
+        assert!(m.get_or_zero(0) >= 5);
+        // σ2 != σ3 with both pinned to 7.
+        let c1 = eq(eq(s(2), s(3)), k(0));
+        let pins = [
+            eq(s(2), k(7)),
+            Expr::bin(BinOp::LeU, s(3), k(7)),
+            Expr::bin(BinOp::LeU, k(7), s(3)),
+        ];
+        let cs: Vec<ExprRef> = std::iter::once(c1).chain(pins).collect();
+        assert!(Solver::new().check(&cs).is_unsat());
+    }
+
+    #[test]
+    fn interior_disequality_is_enforced() {
+        let ne = Expr::bin(BinOp::Ne, s(0), k(5));
+        assert!(Solver::new()
+            .check(&[ne.clone(), eq(s(0), k(5))])
+            .is_unsat());
+        let m = witness(&[ne, Expr::bin(BinOp::LeU, k(5), s(0))]);
+        assert_ne!(m.get(0), Some(5));
+    }
+
+    #[test]
+    fn refinement_after_a_binding_keeps_it_inside() {
+        // σ0 is bound before the bound that excludes its value is seen.
+        let cs = [eq(s(0), k(2)), Expr::bin(BinOp::LtU, s(0), k(2))];
+        assert!(Solver::new().check(&cs).is_unsat());
+    }
+
+    #[test]
+    fn enumerated_models_respect_absorbed_intervals() {
+        // σ0 ∈ [2, ∞) is absorbed; σ1 * σ0 == 1 forces σ0 = 1 once σ1 = 1.
+        let cs = [
+            eq(Expr::bin(BinOp::Mul, s(1), s(0)), k(1)),
+            Expr::bin(BinOp::LtU, s(1), k(2)),
+            Expr::bin(BinOp::LeU, k(2), s(0)),
+        ];
+        assert!(!Solver::new().check(&cs).is_sat());
+        // σ2 ∈ [1, ∞) appears in no residual constraint, yet must not
+        // read as 0.
+        witness(&[
+            Expr::bin(BinOp::Ne, s(2), k(0)),
+            eq(Expr::bin(BinOp::LtU, s(0), s(1)), k(0)),
+        ]);
     }
 
     #[test]

@@ -200,16 +200,19 @@ impl TriageRequest {
     }
 }
 
-/// The wire-safe digest of one synthesized suffix: its exact bytes (as
-/// the canonical `Debug` rendering the determinism gates compare), its
-/// size, and whether the replayer reproduced the fault from it.
+/// The wire-safe digest of one synthesized suffix: its exact bytes (the
+/// identity text the determinism gates compare), its size, and whether
+/// the replayer reproduced the fault from it.
 ///
 /// Its field set is fixed while the benchmark (`perfbench/`) builds
 /// summaries with struct literals.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SuffixSummary {
-    /// The suffix's canonical `Debug` rendering — the byte-identity
-    /// currency of every determinism gate in this repo.
+    /// The suffix's identity text — the byte-identity currency of every
+    /// determinism gate in this repo. It is written directly by
+    /// [`ExecutionSuffix::identity_bytes`](res_core::ExecutionSuffix::identity_bytes)
+    /// and equals the suffix's derived `Debug` rendering, which is its
+    /// reference (`tests/suffix_identity.rs`).
     pub bytes: String,
     /// Block-granular steps.
     pub steps: usize,
@@ -297,7 +300,7 @@ fn response_from(
                 replay_suffix(program, dump, s).reproduced
             };
             SuffixSummary {
-                bytes: format!("{s:?}"),
+                bytes: s.identity_bytes(),
                 steps: s.len(),
                 instructions: s.total_steps(),
                 replayed,

@@ -18,15 +18,20 @@ cargo build --workspace --release
 echo "==> cargo test"
 cargo test --workspace -q
 
-echo "==> codec and store-open properties under two more seeds"
-# The direct JSON reader must equal the tree path (value or error) on
-# every random case. Two more fixed seeds make each CI run check three
-# times as many cases against the reference.
+echo "==> codec, suffix identity, store-open and solver properties under two more seeds"
+# The direct JSON reader must equal the tree path (value or error), and
+# a suffix's direct identity text its derived `Debug`, on every random
+# case; every solver model must satisfy its constraints, and every
+# bounded Unsat survive brute force. Two more fixed seeds make each CI
+# run check three times as many cases against the reference.
 for seed in 1 2; do
     echo "    RES_PROP_SEED=$seed"
     RES_PROP_SEED=$seed cargo test -q --test codec_identity
+    RES_PROP_SEED=$seed cargo test -q --test suffix_identity \
+        arbitrary_suffixes_write_like_debug
     RES_PROP_SEED=$seed cargo test -q --test store_robustness \
         store_open_matches_the_tree_reference_under_mutation
+    RES_PROP_SEED=$seed cargo test -q --test properties solver_soundness
 done
 
 echo "==> benchmark build and self-test (perfbench/)"

@@ -12,7 +12,7 @@ use proptest_mini::{
 use res_debugger::isa::{BinOp, UnOp};
 use res_debugger::machine::{Machine, MachineConfig, Memory, Outcome, SchedPolicy};
 use res_debugger::prelude::*;
-use res_debugger::symbolic::{Expr, Interval, Model, SolveResult, Solver, SolverSession};
+use res_debugger::symbolic::{Expr, ExprRef, Interval, Model, SolveResult, Solver, SolverSession};
 
 /// The expression simplifier never changes semantics: evaluating the
 /// simplified tree equals evaluating the original operation.
@@ -105,6 +105,114 @@ fn solver_models_are_witnesses() {
             } else {
                 // x + addend == target is always solvable.
                 prop_assert!(false, "must be sat");
+            }
+            Ok(())
+        },
+    );
+}
+
+/// Symbols the soundness properties draw from.
+const SOUNDNESS_SYMS: u32 = 3;
+
+/// One constraint of a soundness case: `(template, (σa, σb), constant)`.
+type ConstraintSpec = (usize, (usize, usize), u64);
+
+/// Random constraint sets over [`SOUNDNESS_SYMS`] symbols and small
+/// constants, built through the smart constructors as the engine builds
+/// them. The templates cover what propagation absorbs (bindings,
+/// endpoint and interior `!=`, unsigned bounds, negated comparisons it
+/// rewrites) and what it leaves to enumeration.
+fn constraint_specs() -> proptest_mini::Gen<Vec<ConstraintSpec>> {
+    let sym = usize_range(0, SOUNDNESS_SYMS as usize);
+    vec_of(
+        triple(usize_range(0, 16), pair(sym.clone(), sym), u64_range(0, 12)),
+        1,
+        7,
+    )
+}
+
+fn spec_constraint(&(template, (a, b), c): &ConstraintSpec) -> ExprRef {
+    let (a, b) = (Expr::sym(a as u32), Expr::sym(b as u32));
+    // Mostly small constants, so holes, endpoints and bindings collide.
+    let k = Expr::konst(match c {
+        10 => u64::MAX,
+        11 => 1 << 63,
+        c => c,
+    });
+    let bin = Expr::bin;
+    let not = |e| bin(BinOp::Eq, e, Expr::konst(0));
+    match template {
+        0 => bin(BinOp::Eq, a, k),
+        1 => bin(BinOp::Ne, a, k),
+        2 => bin(BinOp::LtU, a, k),
+        3 => bin(BinOp::LtU, k, a),
+        4 => bin(BinOp::LeU, a, k),
+        5 => bin(BinOp::LeU, k, a),
+        6 => not(bin(BinOp::LtU, a, b)),
+        7 => not(bin(BinOp::Eq, a, b)),
+        8 => not(bin(BinOp::LtU, a, k)),
+        9 => not(bin(BinOp::LtS, a, b)),
+        10 => bin(BinOp::Eq, bin(BinOp::Add, a, b), k),
+        11 => bin(BinOp::LtU, a, b),
+        12 => bin(BinOp::Eq, bin(BinOp::Add, a, k), b),
+        13 => a,
+        14 => bin(BinOp::Eq, bin(BinOp::Mul, a, b), k),
+        _ => not(bin(BinOp::LeS, k, a)),
+    }
+}
+
+fn satisfies(cs: &[ExprRef], value: impl Fn(u32) -> u64) -> bool {
+    cs.iter()
+        .all(|c| c.eval(&|s| Some(value(s))).is_some_and(|v| v != 0))
+}
+
+/// Every `Sat` model satisfies every input constraint under
+/// `Model::eval_total`, including the negated comparisons propagation
+/// rewrites and the interior `!=` a convex interval cannot hold.
+#[test]
+fn solver_soundness_sat_models_satisfy_every_constraint() {
+    check(
+        "solver_soundness_sat_models_satisfy_every_constraint",
+        &Config::new(),
+        &constraint_specs(),
+        |specs| {
+            let cs: Vec<ExprRef> = specs.iter().map(spec_constraint).collect();
+            if let SolveResult::Sat(m) = Solver::new().check(&cs) {
+                for c in &cs {
+                    prop_assert!(
+                        m.eval_total(c).is_some_and(|v| v != 0),
+                        "model {m:?} violates {c} in {cs:?}"
+                    );
+                }
+            }
+            Ok(())
+        },
+    );
+}
+
+/// With every symbol bounded `<u 8`, an `Unsat` answer is a proof:
+/// brute force over all assignments finds no witness.
+#[test]
+fn solver_soundness_unsat_confirmed_by_brute_force() {
+    check(
+        "solver_soundness_unsat_confirmed_by_brute_force",
+        &Config::new(),
+        &constraint_specs(),
+        |specs| {
+            let mut cs: Vec<ExprRef> = specs.iter().map(spec_constraint).collect();
+            for s in 0..SOUNDNESS_SYMS {
+                cs.push(Expr::bin(BinOp::LtU, Expr::sym(s), Expr::konst(8)));
+            }
+            if Solver::new().check(&cs).is_unsat() {
+                let witness =
+                    (0..8u64.pow(SOUNDNESS_SYMS)).find(|&n| satisfies(&cs, |s| n >> (3 * s) & 7));
+                prop_assert!(
+                    witness.is_none(),
+                    "Unsat, but {:?} satisfies {cs:?}",
+                    witness.map(|n| (0..SOUNDNESS_SYMS)
+                        .map(|s| n >> (3 * s) & 7)
+                        .collect::<Vec<_>>())
+                );
             }
             Ok(())
         },

@@ -6,8 +6,9 @@
 use res_bench::micro::{bench_function, Group};
 
 use mvm_core::{Coredump, HwFlavor, Minidump};
+use mvm_symbolic::{canonical_key, ExprRef};
 use res_baselines::{measure_recording, ForwardConfig, ForwardSynthesizer, RecorderKind};
-use res_core::{hardware_verdict, replay_suffix, ExecutionSuffix, ResConfig, ResEngine};
+use res_core::{hardware_verdict, replay_suffix, ExecutionSuffix, HwVerdict, ResConfig, ResEngine};
 use res_serve::wire::{read_request, read_response, write_request, write_response};
 use res_serve::{WireRequest, WireResponse};
 use res_store::{program_fingerprint, SolverStore};
@@ -125,8 +126,11 @@ fn bench_a3_solver() {
 /// store open, program fingerprint, dump encode/decode, one wire round
 /// trip, and `hardware_verdict` with a warm store and with none. The
 /// input is one generated use-after-free program (the `hwfilter`
-/// shape) with its first four dumps, the second one hardware-corrupted;
-/// the store is warmed by running every dump through it first. Then
+/// shape) with its first four dumps, the second one with a corrupted
+/// register, which no suffix explains, so its verdict runs the whole
+/// §3.2 sweep (a bit flip in this program leaves a dump a suffix
+/// explains); the store is warmed by running every dump through it
+/// first. Then
 /// the identity text a triage answer carries per suffix, written by the
 /// derived `Debug` and by `identity_bytes`, over every suffix of the
 /// seed-1 `triage` population (`bench_suffix_identity`).
@@ -137,13 +141,20 @@ fn bench_codec() {
     let failures = collect_failures(&gp, 4);
     let program = &gp.program;
     let mut dumps: Vec<Coredump> = failures.iter().map(|f| f.dump.clone()).collect();
-    dumps[1] = hardware_variant(&gp, &failures[1], HwFlavor::BitFlip).0;
+    dumps[1] = hardware_variant(&gp, &failures[1], HwFlavor::RegCorrupt).0;
     let dump = &dumps[0];
 
     let dir = std::env::temp_dir().join(format!("res-bench-codec-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create the bench store directory");
     let warm = with_shared_store(&ResConfig::default(), &dir, program);
     let cold = ResConfig::default();
+    assert!(
+        matches!(
+            hardware_verdict(program, &dumps[1], &cold),
+            HwVerdict::HardwareSuspected { .. }
+        ),
+        "dump 1 must need the whole sweep"
+    );
     for d in &dumps {
         hardware_verdict(program, d, &warm);
     }
@@ -191,7 +202,9 @@ fn bench_codec() {
 /// three dumps each, hang classes left out because triage answers them
 /// without a search). Each text is dropped before the next is written,
 /// as a triage answer's are between operations; holding all of them at
-/// once would add the heap's growth to both lines.
+/// once would add the heap's growth to both lines. Then
+/// `codec/canonical_key`: the store key of every suffix's constraint
+/// list, one pass.
 fn bench_suffix_identity(g: &Group) {
     let suffixes: Vec<ExecutionSuffix> =
         corpus_specs(&GenClass::ALL, 6 * GenClass::ALL.len(), 1, 1)
@@ -222,6 +235,21 @@ fn bench_suffix_identity(g: &Group) {
         "codec/suffix_identity: {} suffixes per pass; direct {:.1}x faster than debug (medians)",
         suffixes.len(),
         debug.median.as_secs_f64() / direct.median.as_secs_f64()
+    );
+    let constraints: Vec<Vec<ExprRef>> = suffixes
+        .iter()
+        .map(|s| s.constraints.iter().map(|t| t.expr.clone()).collect())
+        .collect();
+    g.bench("canonical_key", || {
+        constraints
+            .iter()
+            .map(|c| canonical_key(c).1.len())
+            .sum::<usize>()
+    });
+    println!(
+        "codec/canonical_key: {} keys of {:.1} constraints each per pass",
+        constraints.len(),
+        constraints.iter().map(Vec::len).sum::<usize>() as f64 / constraints.len() as f64
     );
 }
 

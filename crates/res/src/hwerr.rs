@@ -123,23 +123,15 @@ pub fn hardware_verdict_in_store(
     hardware_verdict_inner(program, dump, config, Some(store), Instant::now())
 }
 
-fn run_relaxed(
-    engine: &ResEngine,
-    dump: &Coredump,
-    opts: SynthOptions,
-    store: &mut Option<&mut SolverStore>,
-) -> SynthesisResult {
-    match store {
-        Some(s) => engine.synthesize_in_store(dump, opts, s),
-        None => engine.synthesize_with(dump, opts),
-    }
-}
-
 /// The sweep behind both entry points. The request's deadline bounds
 /// the whole sweep, measured from `started`: the base search runs under
 /// it as configured, each relaxed search gets the time that remains,
 /// and the sweep stops when none does. Node and solver-assignment caps
 /// stay per search, so without a deadline nothing here depends on time.
+///
+/// What the searches share is paid once: every search starts from one
+/// root built from the dump, and a store is merged into only after a
+/// search that grew the session's memo.
 fn hardware_verdict_inner(
     program: &Program,
     dump: &Coredump,
@@ -148,7 +140,13 @@ fn hardware_verdict_inner(
     started: Instant,
 ) -> HwVerdict {
     let engine = ResEngine::new(program, config.clone());
-    let base = run_relaxed(&engine, dump, SynthOptions::new(), &mut store);
+    let root = engine.root(dump);
+    let mut mark = None;
+    let mut search = |opts: SynthOptions| {
+        let store = store.as_deref_mut().map(|s| (s, &mut mark));
+        engine.synthesize_from(&root, dump, opts, store)
+    };
+    let base = search(SynthOptions::new());
     match base.verdict {
         Verdict::SuffixFound => return HwVerdict::SoftwareBug,
         Verdict::BudgetExhausted => return HwVerdict::Inconclusive,
@@ -184,8 +182,7 @@ fn hardware_verdict_inner(
                 _ => break,
             }
         }
-        let res = run_relaxed(&engine, dump, opts, &mut store);
-        consider(kind, &res);
+        consider(kind, &search(opts));
     }
     HwVerdict::HardwareSuspected {
         kind: best.map(|(_, k)| k).unwrap_or(HwKind::Unlocalized),
@@ -232,6 +229,49 @@ mod tests {
             .iter()
             .filter(|e| matches!(&e.kind, EventKind::Span { name, .. } if name == "synthesize"))
             .count()
+    }
+
+    /// A sweep skips the merges into a caller-owned store that would
+    /// add nothing: it leaves the store exactly as merging after every
+    /// one of its searches does.
+    #[test]
+    fn the_sweep_merges_what_merging_every_search_would() {
+        let program = build(BugKind::SemanticAssert, WorkloadParams::default());
+        let machine = (0..500)
+            .find_map(|s| run_to_failure(&program, s))
+            .expect("workload failure");
+        let mut dump = Coredump::capture(&machine);
+        flip_memory_bit_at(&mut dump, layout::GLOBAL_BASE, 1);
+        let dir = std::env::temp_dir().join(format!("res-hwerr-merge-{}", std::process::id()));
+        let fp = res_store::program_fingerprint(&program);
+        let config = ResConfig::default();
+
+        let mut swept = SolverStore::open(dir.join("swept.resstore"), fp);
+        let verdict = hardware_verdict_in_store(&program, &dump, &config, &mut swept);
+        assert!(
+            matches!(verdict, HwVerdict::HardwareSuspected { .. }),
+            "{verdict:?}"
+        );
+
+        // The same searches in the same order, each merging.
+        let mut each = SolverStore::open(dir.join("each.resstore"), fp);
+        let engine = ResEngine::new(&program, config);
+        let relaxations = (0..Reg::COUNT as u8)
+            .map(|r| Relax::Reg { reg: Reg(r) })
+            .chain(
+                candidate_words(&dump)
+                    .into_iter()
+                    .map(|addr| Relax::Mem { addr }),
+            );
+        let mut appended = 0;
+        for relax in std::iter::once(Relax::None).chain(relaxations) {
+            let opts = SynthOptions::new().relax(relax);
+            let report = engine.synthesize_in_store(&dump, opts, &mut each).store;
+            appended += report.expect("a store report").appended_entries;
+        }
+        assert!(appended > 0, "the searches learned nothing");
+        assert_eq!(swept.to_portable().entries, each.to_portable().entries);
+        assert_eq!(swept.stats(), each.stats());
     }
 
     #[test]

@@ -428,6 +428,15 @@ struct ThreadPos {
     barrier: bool,
 }
 
+/// The session's memo size when it was last merged into a store
+/// (`None` before the first merge). Memo and store only grow, so while
+/// the memo has not grown past the mark, a merge into that store would
+/// add nothing and is skipped.
+pub(crate) type MergeMark = Option<usize>;
+
+/// The unrelaxed root of one dump's search (see [`ResEngine::root`]).
+pub(crate) struct Root(Node);
+
 #[derive(Clone)]
 struct Node {
     snap: Snapshot,
@@ -467,8 +476,9 @@ pub struct ResEngine<'p> {
     /// `synthesize*` call, so a corpus sweep over one engine shares a
     /// single load and appends incrementally. A commit writes only
     /// when the call learned new entries: a warm sweep that learns
-    /// nothing costs the store its open and absorb, and no write.
-    store: RefCell<Option<SolverStore>>,
+    /// nothing costs the store its open and absorb, and no write. The
+    /// store is kept with its [`MergeMark`].
+    store: RefCell<Option<(SolverStore, MergeMark)>>,
     /// The engine-level tracing recorder ([`ResConfig::trace`];
     /// disabled when unset). Strictly passive — the search never reads
     /// it, so tracing cannot perturb which suffixes are found.
@@ -495,7 +505,7 @@ impl<'p> ResEngine<'p> {
             let store =
                 SolverStore::open_with(p, program_fingerprint(program), recorder.scoped("store"));
             store.absorb_into(&session);
-            store
+            (store, None)
         });
         ResEngine {
             program,
@@ -540,7 +550,7 @@ impl<'p> ResEngine<'p> {
     /// thin wrapper over this one. It runs the backward search once,
     /// depth-first, under the effective budget of `opts`.
     pub fn synthesize_with(&self, dump: &Coredump, opts: SynthOptions) -> SynthesisResult {
-        self.run_synthesis(dump, &opts, None, true)
+        self.run_synthesis(dump, &opts, None, None, true)
     }
 
     /// [`synthesize_with`](ResEngine::synthesize_with) against a
@@ -560,14 +570,45 @@ impl<'p> ResEngine<'p> {
         store: &mut SolverStore,
     ) -> SynthesisResult {
         store.absorb_into(&self.session);
-        self.run_synthesis(dump, &opts, Some(store), false)
+        self.run_synthesis(dump, &opts, None, Some((store, &mut None)), false)
+    }
+
+    /// The unrelaxed search root of `dump`, for
+    /// [`synthesize_from`](ResEngine::synthesize_from): a §3.2 sweep
+    /// builds it once and starts every one of its searches from a clone.
+    pub(crate) fn root(&self, dump: &Coredump) -> Root {
+        Root(self.build_root(dump))
+    }
+
+    /// A search of `dump` from `root`, which [`root`](ResEngine::root)
+    /// built from the same dump: [`synthesize_with`](ResEngine::synthesize_with)
+    /// without a store, else
+    /// [`synthesize_in_store`](ResEngine::synthesize_in_store) with the
+    /// session's [`MergeMark`] for that store, which a caller keeps
+    /// across its calls on the same store to skip the merges that would
+    /// add nothing.
+    pub(crate) fn synthesize_from(
+        &self,
+        root: &Root,
+        dump: &Coredump,
+        opts: SynthOptions,
+        store: Option<(&mut SolverStore, &mut MergeMark)>,
+    ) -> SynthesisResult {
+        match store {
+            Some((store, mark)) => {
+                store.absorb_into(&self.session);
+                self.run_synthesis(dump, &opts, Some(root), Some((store, mark)), false)
+            }
+            None => self.run_synthesis(dump, &opts, Some(root), None, true),
+        }
     }
 
     fn run_synthesis(
         &self,
         dump: &Coredump,
         opts: &SynthOptions,
-        mut external: Option<&mut SolverStore>,
+        root: Option<&Root>,
+        mut external: Option<(&mut SolverStore, &mut MergeMark)>,
         commit: bool,
     ) -> SynthesisResult {
         let budget = opts.effective_budget(&self.config);
@@ -596,20 +637,21 @@ impl<'p> ResEngine<'p> {
                     recorder.scoped("store"),
                 );
                 store.absorb_into(&self.session);
-                store
+                (store, None)
             }),
         };
         let session_before = self.session.stats();
         let t_absorb = wall.elapsed();
         let mut result = {
             let _search = run.child("search");
-            self.search(dump, opts.relax, budget, &recorder)
+            self.search(dump, root, opts.relax, budget, &recorder)
         };
         let t_search = wall.elapsed() - t_absorb;
         result.store = {
             let _commit = run.child("commit");
+            let opened = call_store.as_mut().map(|(store, mark)| (store, mark));
             self.export_to_store(
-                external.take().or(call_store.as_mut()),
+                external.take().or(opened),
                 session_before.store_hits,
                 commit,
             )
@@ -647,22 +689,36 @@ impl<'p> ResEngine<'p> {
     /// the session's new renaming-equivariant results, and — unless
     /// `commit` is deferred to the caller (the `synthesize_in_store`
     /// hot path) — commit. The session keeps each memo entry's
-    /// canonical form, so the export re-canonicalizes nothing, and the
-    /// commit writes only when the merge added entries; the hit count
-    /// rides along with the next write.
+    /// canonical form, so the export re-canonicalizes nothing; the
+    /// merge is skipped while the memo has not grown since the last
+    /// merge into the same store (see [`MergeMark`]), and the commit
+    /// writes only when a merge added entries; the hit count rides
+    /// along with the next write.
     fn export_to_store(
         &self,
-        call_store: Option<&mut SolverStore>,
+        call_store: Option<(&mut SolverStore, &mut MergeMark)>,
         store_hits_before: u64,
         commit: bool,
     ) -> Option<StoreReport> {
         let mut engine_store = self.store.borrow_mut();
-        let store = call_store.or(engine_store.as_mut())?;
+        let (store, mark) = match call_store {
+            Some(target) => target,
+            None => {
+                let (store, mark) = engine_store.as_mut()?;
+                (store, mark)
+            }
+        };
         let store_hits = self.session.stats().store_hits - store_hits_before;
         let outcome = store.load_report().outcome;
         let loaded_entries = store.load_report().entries_loaded;
         store.note_hits(store_hits);
-        let appended_entries = store.merge(&self.session.export_portable());
+        let memo = self.session.cache_len();
+        let appended_entries = if *mark == Some(memo) {
+            0
+        } else {
+            *mark = Some(memo);
+            store.merge(&self.session.export_portable())
+        };
         let committed = commit && !store.read_only() && store.commit().is_ok();
         Some(StoreReport {
             outcome,
@@ -679,12 +735,17 @@ impl<'p> ResEngine<'p> {
     fn search(
         &self,
         dump: &Coredump,
+        root: Option<&Root>,
         relax: Relax,
         budget: Budget,
         recorder: &Recorder,
     ) -> SynthesisResult {
         let mut ctx = SymCtx::new();
-        let root = self.build_root(dump, relax, &mut ctx);
+        let root = match root {
+            Some(Root(node)) => node.clone(),
+            None => self.build_root(dump),
+        };
+        let root = Self::relax_root(root, dump, relax, &mut ctx);
         let session_before = self.session.stats();
         let mut driver = SearchDriver {
             engine: self,
@@ -727,9 +788,8 @@ impl<'p> ResEngine<'p> {
         }
     }
 
-    /// Builds the search root: the coredump's state with the configured
-    /// relaxation applied.
-    fn build_root(&self, dump: &Coredump, relax: Relax, ctx: &mut SymCtx) -> Node {
+    /// Builds the unrelaxed search root: the coredump's state.
+    fn build_root(&self, dump: &Coredump) -> Node {
         let mut snap = Snapshot::from_coredump(dump);
         if self.config.opaque_memory {
             snap.set_opaque_base(true);
@@ -756,23 +816,6 @@ impl<'p> ResEngine<'p> {
                 },
             );
         }
-        match relax {
-            Relax::None => {}
-            Relax::Mem { addr } => {
-                let sym = ctx.fresh(SymOrigin::HavocMem {
-                    addr,
-                    width: mvm_isa::Width::W8,
-                    depth: 0,
-                });
-                snap.write_mem(addr, mvm_isa::Width::W8, sym);
-            }
-            Relax::Reg { reg } => {
-                let tid = dump.faulting_tid;
-                let depth = positions[&tid].depth;
-                let sym = ctx.fresh(SymOrigin::HavocReg { tid, reg, depth: 0 });
-                snap.set_reg(tid, depth, reg, sym);
-            }
-        }
         Node {
             snap,
             constraints: Vec::new(),
@@ -785,6 +828,29 @@ impl<'p> ResEngine<'p> {
             unknown_used: false,
             depth: 0,
         }
+    }
+
+    /// Applies `relax` to a root of `dump`, minting the relaxed
+    /// location's symbol as the search's first.
+    fn relax_root(mut root: Node, dump: &Coredump, relax: Relax, ctx: &mut SymCtx) -> Node {
+        match relax {
+            Relax::None => {}
+            Relax::Mem { addr } => {
+                let sym = ctx.fresh(SymOrigin::HavocMem {
+                    addr,
+                    width: mvm_isa::Width::W8,
+                    depth: 0,
+                });
+                root.snap.write_mem(addr, mvm_isa::Width::W8, sym);
+            }
+            Relax::Reg { reg } => {
+                let tid = dump.faulting_tid;
+                let depth = root.positions[&tid].depth;
+                let sym = ctx.fresh(SymOrigin::HavocReg { tid, reg, depth: 0 });
+                root.snap.set_reg(tid, depth, reg, sym);
+            }
+        }
+        root
     }
 
     fn enumerate(&self, node: &Node, dump: &Coredump) -> Vec<Candidate> {

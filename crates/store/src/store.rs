@@ -6,7 +6,9 @@ use std::path::{Path, PathBuf};
 
 use mvm_isa::Program;
 use mvm_json::{json_enum, json_struct};
-use mvm_symbolic::{CanonFp, PortableCache, PortableResult, SolverSession};
+use mvm_symbolic::{
+    CanonFp, PortableCache, PortableResult, PortableVerdict, SolverSession, UnknownReason,
+};
 use res_obs::Recorder;
 
 use crate::format::{
@@ -146,6 +148,85 @@ struct EntryRecord {
 }
 
 json_struct!(EntryRecord { fp, result });
+
+/// Decodes an `E` payload that is byte for byte in the form
+/// [`EntryRecord`]'s writer produces, without the general JSON reader:
+/// `{"fp":{"hi":H,"lo":L},"result":{"verdict":V,"assignments":A}}`,
+/// with integers in shortest decimal and `V` one of `"Unsat"`,
+/// `{"Sat":[[rank,value],...]}` or `{"Unknown":"<reason>"}`. Any other
+/// text, including JSON that means the same record, returns `None`, and
+/// the loader decodes it with `mvm_json::from_str` instead, so on what
+/// it accepts the scanner only has to agree with that reader.
+fn scan_entry(payload: &str) -> Option<EntryRecord> {
+    let mut s = Scan(payload.as_bytes());
+    s.lit("{\"fp\":{\"hi\":")?;
+    let hi = s.u64()?;
+    s.lit(",\"lo\":")?;
+    let lo = s.u64()?;
+    s.lit("},\"result\":{\"verdict\":")?;
+    let verdict = if s.lit("\"Unsat\"").is_some() {
+        PortableVerdict::Unsat
+    } else if s.lit("{\"Unknown\":\"BudgetExhausted\"}").is_some() {
+        PortableVerdict::Unknown(UnknownReason::BudgetExhausted)
+    } else if s.lit("{\"Unknown\":\"Incomplete\"}").is_some() {
+        PortableVerdict::Unknown(UnknownReason::Incomplete)
+    } else {
+        s.lit("{\"Sat\":[")?;
+        let mut pairs = Vec::new();
+        if s.lit("]").is_none() {
+            loop {
+                s.lit("[")?;
+                let rank = u32::try_from(s.u64()?).ok()?;
+                s.lit(",")?;
+                pairs.push((rank, s.u64()?));
+                s.lit("]")?;
+                if s.lit(",").is_none() {
+                    s.lit("]")?;
+                    break;
+                }
+            }
+        }
+        s.lit("}")?;
+        PortableVerdict::Sat(pairs)
+    };
+    s.lit(",\"assignments\":")?;
+    let assignments = s.u64()?;
+    s.lit("}}")?;
+    s.0.is_empty().then_some(EntryRecord {
+        fp: CanonFp(((hi as u128) << 64) | lo as u128),
+        result: PortableResult {
+            verdict,
+            assignments,
+        },
+    })
+}
+
+/// The unread rest of a payload [`scan_entry`] reads.
+struct Scan<'a>(&'a [u8]);
+
+impl Scan<'_> {
+    /// Consumes `text` if the rest starts with it.
+    fn lit(&mut self, text: &str) -> Option<()> {
+        self.0 = self.0.strip_prefix(text.as_bytes())?;
+        Some(())
+    }
+
+    /// Reads an integer written as the writer writes a `u64`: decimal
+    /// digits with no leading zero, at most `u64::MAX`.
+    fn u64(&mut self) -> Option<u64> {
+        let len = self.0.iter().take_while(|b| b.is_ascii_digit()).count();
+        let (digits, rest) = self.0.split_at(len);
+        if len == 0 || (digits[0] == b'0' && len > 1) {
+            return None;
+        }
+        let mut n: u64 = 0;
+        for &d in digits {
+            n = n.checked_mul(10)?.checked_add(u64::from(d - b'0'))?;
+        }
+        self.0 = rest;
+        Some(n)
+    }
+}
 
 /// A persistent, append-only store of renaming-equivariant solver
 /// results for one program. See the crate docs for the format and the
@@ -319,7 +400,7 @@ impl SolverStore {
         while let Some((line, end)) = Self::next_line(text, off) {
             let parsed = decode_record(line).and_then(|(tag, payload)| match tag {
                 Tag::Entry => {
-                    let rec: EntryRecord = mvm_json::from_str(payload).ok()?;
+                    let rec = scan_entry(payload).or_else(|| mvm_json::from_str(payload).ok())?;
                     Some(Some(rec))
                 }
                 Tag::Stats => {
@@ -846,6 +927,29 @@ mod tests {
         let s3 = SolverStore::open(&path, 7);
         assert_eq!(s3.stats().absorbed_hits, 7);
         assert_eq!(s3.stats().commits, 2, "only writing commits count");
+    }
+
+    #[test]
+    fn the_scanner_reads_every_verdict_the_writer_writes() {
+        let verdicts = [
+            PortableVerdict::Sat(vec![(0, 0), (1, u64::MAX), (u32::MAX, 7)]),
+            PortableVerdict::Sat(Vec::new()),
+            PortableVerdict::Unsat,
+            PortableVerdict::Unknown(UnknownReason::BudgetExhausted),
+            PortableVerdict::Unknown(UnknownReason::Incomplete),
+        ];
+        for (i, verdict) in verdicts.into_iter().enumerate() {
+            let rec = EntryRecord {
+                fp: CanonFp(u128::MAX - i as u128),
+                result: PortableResult {
+                    verdict,
+                    assignments: [0, 9, u64::MAX][i % 3],
+                },
+            };
+            let text = mvm_json::to_string(&rec);
+            assert_eq!(scan_entry(&text), Some(rec), "{text}");
+            assert_eq!(scan_entry(&format!("{text} ")), None, "trailing text");
+        }
     }
 
     #[test]

@@ -169,12 +169,11 @@ impl Expr {
         out
     }
 
-    fn collect_symbols(&self, out: &mut BTreeSet<SymId>) {
+    /// Adds every symbol occurrence in the expression to `out`.
+    pub(crate) fn collect_symbols(&self, out: &mut impl Extend<SymId>) {
         match self {
             Expr::Const(_) => {}
-            Expr::Sym(s) => {
-                out.insert(*s);
-            }
+            Expr::Sym(s) => out.extend([*s]),
             Expr::Bin(_, a, b) => {
                 a.collect_symbols(out);
                 b.collect_symbols(out);

@@ -28,7 +28,7 @@
 //!
 //! `SymCtx` lives in `res-core`; the solver only sees the ids it mints.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use mvm_json::{field, json_enum, json_struct, FromJson, Json, JsonError, Reader, ToJson};
 
@@ -117,7 +117,9 @@ impl Fnv2 {
     }
 }
 
-fn hash_expr(e: &ExprRef, rank: &BTreeMap<SymId, u32>, h: &mut Fnv2) {
+/// Hashes `e` with every symbol replaced by its rank: its position in
+/// `sorted`, which holds every symbol of `e`.
+fn hash_expr(e: &ExprRef, sorted: &[SymId], h: &mut Fnv2) {
     match &**e {
         Expr::Const(v) => {
             h.byte(1);
@@ -125,18 +127,19 @@ fn hash_expr(e: &ExprRef, rank: &BTreeMap<SymId, u32>, h: &mut Fnv2) {
         }
         Expr::Sym(s) => {
             h.byte(2);
-            h.u64(rank[s] as u64);
+            let rank = sorted.binary_search(s).expect("every symbol is ranked");
+            h.u64(rank as u64);
         }
         Expr::Bin(op, a, b) => {
             h.byte(3);
             h.byte(*op as u8);
-            hash_expr(a, rank, h);
-            hash_expr(b, rank, h);
+            hash_expr(a, sorted, h);
+            hash_expr(b, sorted, h);
         }
         Expr::Un(op, a) => {
             h.byte(4);
             h.byte(*op as u8);
-            hash_expr(a, rank, h);
+            hash_expr(a, sorted, h);
         }
     }
 }
@@ -147,20 +150,16 @@ fn hash_expr(e: &ExprRef, rank: &BTreeMap<SymId, u32>, h: &mut Fnv2) {
 /// preserves every id-order-dependent choice the solver makes on
 /// complete domains.
 pub fn canonical_key(constraints: &[ExprRef]) -> (CanonFp, Vec<SymId>) {
-    let mut syms: BTreeSet<SymId> = BTreeSet::new();
+    let mut sorted = Vec::new();
     for c in constraints {
-        syms.extend(c.symbols());
+        c.collect_symbols(&mut sorted);
     }
-    let sorted: Vec<SymId> = syms.into_iter().collect();
-    let rank: BTreeMap<SymId, u32> = sorted
-        .iter()
-        .enumerate()
-        .map(|(i, &s)| (s, i as u32))
-        .collect();
+    sorted.sort_unstable();
+    sorted.dedup();
     let mut h = Fnv2::new();
     h.u64(constraints.len() as u64);
     for c in constraints {
-        hash_expr(c, &rank, &mut h);
+        hash_expr(c, &sorted, &mut h);
         h.byte(0xfe);
     }
     (CanonFp(h.finish()), sorted)

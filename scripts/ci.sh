@@ -18,12 +18,13 @@ cargo build --workspace --release
 echo "==> cargo test"
 cargo test --workspace -q
 
-echo "==> codec, suffix identity, store-open and solver properties under two more seeds"
-# The direct JSON reader must equal the tree path (value or error), and
-# a suffix's direct identity text its derived `Debug`, on every random
-# case; every solver model must satisfy its constraints, and every
-# bounded Unsat survive brute force. Two more fixed seeds make each CI
-# run check three times as many cases against the reference.
+echo "==> codec, suffix identity, store-open, store-key and solver properties under two more seeds"
+# The direct JSON reader must equal the tree path (value or error), a
+# suffix's direct identity text its derived `Debug`, and the store key
+# its reference implementation, on every random case; every solver
+# model must satisfy its constraints, and every bounded Unsat survive
+# brute force. Two more fixed seeds make each CI run check three times
+# as many cases against the reference.
 for seed in 1 2; do
     echo "    RES_PROP_SEED=$seed"
     RES_PROP_SEED=$seed cargo test -q --test codec_identity
@@ -31,6 +32,7 @@ for seed in 1 2; do
         arbitrary_suffixes_write_like_debug
     RES_PROP_SEED=$seed cargo test -q --test store_robustness \
         store_open_matches_the_tree_reference_under_mutation
+    RES_PROP_SEED=$seed cargo test -q --test canonical_key
     RES_PROP_SEED=$seed cargo test -q --test properties solver_soundness
 done
 
@@ -42,16 +44,16 @@ echo "==> benchmark build and self-test (perfbench/)"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "==> cross-run determinism gate (golden suffix and triage fixtures, cold then warm store)"
+echo "==> cross-run determinism gate (golden suffix, triage and hardware-verdict fixtures, cold then warm store)"
 # The persistent store's contract: a warm run absorbing a populated
 # store synthesizes byte-identical suffixes to a cold run. Run the
 # golden fixture test twice against one store file — the first run
 # populates it, the second answers solver queries from it; both must
-# match the very same cold golden fixture. The triage fixture spans
-# many programs, so its store is a directory with one file per
-# program. The warm run learns nothing new, so it must not write a
-# store either: the stores after the warm pass must equal copies taken
-# after the cold one.
+# match the very same cold golden fixture. The triage and
+# hardware-verdict fixtures span many programs, so each of their
+# stores is a directory with one file per program. The warm run learns
+# nothing new, so it must not write a store either: the stores after
+# the warm pass must equal copies taken after the cold one.
 scratch_dir="$(mktemp -d)"
 trap 'rm -rf "$scratch_dir"' EXIT
 for pass in cold warm; do
@@ -59,18 +61,24 @@ for pass in cold warm; do
     RES_CACHE_PATH="$scratch_dir/ci.resstore" cargo test -q --test suffix_golden \
         default_dfs_suffixes_match_pre_refactor_fixture
     RES_CACHE_PATH="$scratch_dir/triage-store" cargo test -q --test triage_golden
+    RES_CACHE_PATH="$scratch_dir/hw-store" cargo test -q --test hw_verdict_golden
     if [ "$pass" = cold ]; then
         test -s "$scratch_dir/ci.resstore" || { echo "store was never populated"; exit 1; }
         cp "$scratch_dir/ci.resstore" "$scratch_dir/ci.cold.resstore"
         test -n "$(ls -A "$scratch_dir/triage-store")" \
             || { echo "triage stores were never populated"; exit 1; }
         cp -r "$scratch_dir/triage-store" "$scratch_dir/triage-store.cold"
+        test -n "$(ls -A "$scratch_dir/hw-store/in-store")" \
+            || { echo "hardware-verdict stores were never populated"; exit 1; }
+        cp -r "$scratch_dir/hw-store" "$scratch_dir/hw-store.cold"
     fi
 done
 cmp "$scratch_dir/ci.resstore" "$scratch_dir/ci.cold.resstore" \
     || { echo "the warm pass rewrote the store"; exit 1; }
 diff -r "$scratch_dir/triage-store" "$scratch_dir/triage-store.cold" \
     || { echo "the warm pass rewrote a triage store"; exit 1; }
+diff -r "$scratch_dir/hw-store" "$scratch_dir/hw-store.cold" \
+    || { echo "the warm pass rewrote a hardware-verdict store"; exit 1; }
 
 echo "==> triage daemon gate (serve/submit round trip, batch byte-identity)"
 # Layer 1: the shipped binaries. Boot `res-serve` on an ephemeral port,
@@ -137,7 +145,7 @@ for needle in serve.queue.depth serve.hot.programs serve.hot.hit store.commit; d
         || { echo "daemon journal missing $needle"; exit 1; }
 done
 
-echo "==> traced determinism gate (golden suffix and triage fixtures with RES_TRACE on)"
+echo "==> traced determinism gate (golden suffix, triage and hardware-verdict fixtures with RES_TRACE on)"
 # The observability contract: the recorder is strictly passive. Run the
 # golden fixture tests with journaling enabled — the fixture files are
 # still the same, so tracing must not change a single synthesized byte
@@ -149,6 +157,8 @@ RES_TRACE="$scratch_dir/golden.jsonl" cargo test -q --test suffix_golden \
 test -s "$scratch_dir/golden.jsonl" || { echo "trace journal was never written"; exit 1; }
 RES_TRACE="$scratch_dir/triage.jsonl" cargo test -q --test triage_golden
 test -s "$scratch_dir/triage.jsonl" || { echo "triage trace journal was never written"; exit 1; }
+RES_TRACE="$scratch_dir/hw.jsonl" cargo test -q --test hw_verdict_golden
+test -s "$scratch_dir/hw.jsonl" || { echo "hardware-verdict trace journal was never written"; exit 1; }
 echo "    journal parses and reconstructs the run"
 trace_out="$(cargo run --release -q --bin res-cli -- trace "$scratch_dir/golden.jsonl")"
 echo "$trace_out" | grep -q "synthesize" || { echo "journal missing synthesize span"; exit 1; }

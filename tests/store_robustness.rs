@@ -654,12 +654,14 @@ fn mutate(raw: &[u8], kind: usize, rng: &mut mvm_prng::Xoshiro256StarStar) -> Ve
 /// loads (report, header, entries, stats, validated prefix, read-only
 /// flag) equals what the tree-path reference loads from the same bytes.
 /// The inputs are the version-1 fixture and a freshly populated
-/// multi-commit store. Reproduce with
-/// `RES_PROP_SEED=<seed> cargo test --test store_robustness`.
+/// multi-commit store. Then every entry record of both, edited once
+/// away from the form its writer produces, must open the same way too.
+/// Reproduce with `RES_PROP_SEED=<seed> cargo test --test
+/// store_robustness`.
 #[test]
 fn store_open_matches_the_tree_reference_under_mutation() {
     use proptest_mini::{any_u64, check, prop_assert_eq, triple, usize_range, Config};
-    use res_debugger::store::Header;
+    use res_debugger::store::{decode_record, encode_record, Header, Tag};
 
     let dir = temp_dir("mutate");
     let fixture = std::fs::read(fixture_path("store_v1.resstore")).expect("read the fixture");
@@ -705,5 +707,74 @@ fn store_open_matches_the_tree_reference_under_mutation() {
             Ok(())
         },
     );
+    // Every entry record, rewritten one edit away from the writer's
+    // form and re-checksummed: the loader's direct scanner must refuse
+    // each one and leave it to the general reader.
+    for (raw, fp) in &inputs {
+        let text = std::str::from_utf8(raw).expect("a UTF-8 store");
+        let lines: Vec<&str> = text.lines().collect();
+        for (victim, line) in lines.iter().enumerate() {
+            let Some((Tag::Entry, payload)) = decode_record(line) else {
+                continue;
+            };
+            for edited in one_edit_from_the_writer(payload) {
+                let mut bytes = Vec::new();
+                for (i, line) in lines.iter().enumerate() {
+                    if i == victim {
+                        encode_record(Tag::Entry, &edited, &mut bytes);
+                    } else {
+                        bytes.extend_from_slice(line.as_bytes());
+                        bytes.push(b'\n');
+                    }
+                }
+                std::fs::write(&path, &bytes).expect("write the edited store");
+                let store = SolverStore::open(&path, *fp);
+                let got = open_reference::Opened {
+                    report: *store.load_report(),
+                    header: store.header().clone(),
+                    entries: store.to_portable().entries,
+                    stats: *store.stats(),
+                    prefix: store.validated_prefix().to_vec(),
+                    read_only: store.read_only(),
+                };
+                assert_eq!(got, open_reference::open(&bytes, *fp), "{edited}");
+            }
+        }
+    }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An entry payload in the writer's form, rewritten by each single edit
+/// the store's direct scanner must refuse: a space after a colon, `hi`
+/// and `lo` swapped, `verdict` and `assignments` swapped, a leading
+/// zero, a rank of 2³², a value past `u64::MAX`, an empty `Sat` and an
+/// `Unknown` reason no build defines.
+fn one_edit_from_the_writer(payload: &str) -> Vec<String> {
+    let e: open_reference::Entry = open_reference::tree(payload).expect("an entry");
+    let (hi, lo) = (
+        ((e.fp.0 >> 64) as u64).to_string(),
+        (e.fp.0 as u64).to_string(),
+    );
+    let verdict = mvm_json::to_string(&e.result.verdict);
+    let assignments = e.result.assignments.to_string();
+    let writer = |hi: &str, lo: &str, verdict: &str, assignments: &str| {
+        format!(
+            r#"{{"fp":{{"hi":{hi},"lo":{lo}}},"result":{{"verdict":{verdict},"assignments":{assignments}}}}}"#
+        )
+    };
+    assert_eq!(writer(&hi, &lo, &verdict, &assignments), payload);
+    vec![
+        payload.replacen(':', ": ", 1),
+        format!(
+            r#"{{"fp":{{"lo":{lo},"hi":{hi}}},"result":{{"verdict":{verdict},"assignments":{assignments}}}}}"#
+        ),
+        format!(
+            r#"{{"fp":{{"hi":{hi},"lo":{lo}}},"result":{{"assignments":{assignments},"verdict":{verdict}}}}}"#
+        ),
+        writer(&hi, &lo, &verdict, &format!("0{assignments}")),
+        writer(&hi, &lo, r#"{"Sat":[[4294967296,1]]}"#, &assignments),
+        writer(&hi, &lo, &verdict, "18446744073709551616"),
+        writer(&hi, &lo, r#"{"Sat":[]}"#, &assignments),
+        writer(&hi, &lo, r#"{"Unknown":"Overheated"}"#, &assignments),
+    ]
 }

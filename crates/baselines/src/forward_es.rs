@@ -12,8 +12,8 @@
 //! The searcher is driven by the same exploration kernel as the RES
 //! engine (`res_core::kernel`): candidates form a linear chain of
 //! nodes walked by [`explore`], resource limits are one shared
-//! [`Budget`], the minidump-match check goes through the
-//! [`CompatCheck`] seam backed by a memoizing [`SolverSession`], and
+//! [`Budget`], the minidump-match check asks a memoizing
+//! [`SolverSession`] as the RES engine's compatibility check does, and
 //! costs come back as [`KernelStats`]. E3 therefore compares the two
 //! *algorithms* under identical accounting, not two bespoke harnesses.
 
@@ -26,10 +26,10 @@ use mvm_machine::{
     Outcome,
     SchedPolicy, //
 };
-use mvm_symbolic::{Expr, ExprRef, SolverConfig, SolverSession};
+use mvm_symbolic::{Expr, ExprRef, SolveResult, SolverConfig, SolverSession};
 use res_core::kernel::{
-    explore, Budget, CompatCheck, CompatVerdict, CutReason, ExploreConfig, Finalize, HypothesisGen,
-    KernelStats, NodeScore, Recorder, SessionCompat, StateTransform,
+    explore, Budget, CutReason, ExploreConfig, Finalize, HypothesisGen, KernelStats, NodeScore,
+    Recorder, StateTransform,
 };
 
 /// Forward-search configuration, expressed in the kernel's shared
@@ -143,12 +143,9 @@ impl ForwardDriver<'_> {
             .zip(self.goal_prints.iter())
             .map(|(&obs, &goal)| Expr::bin(mvm_isa::BinOp::Eq, Expr::konst(obs), Expr::konst(goal)))
             .collect();
-        match SessionCompat::new(&self.session).compatible(&constraints) {
-            CompatVerdict::Compatible => true,
-            // Concrete constraints always decide; treat a (theoretical)
-            // Undecided conservatively as a mismatch.
-            CompatVerdict::Incompatible | CompatVerdict::Undecided(_) => false,
-        }
+        // Concrete constraints always decide; a (theoretical) Unknown
+        // counts conservatively as a mismatch.
+        matches!(self.session.check(&constraints), SolveResult::Sat(_))
     }
 }
 

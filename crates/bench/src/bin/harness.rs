@@ -52,10 +52,6 @@ fn run(id: &str) -> Option<Experiment> {
         "e11" => ex::e11_replay_determinism(),
         "e12" => ex::e12_deadline(),
         "e13" => ex::e13_store_warm(),
-        // Not in ALL_IDS: CI runs the daemon-throughput extract on its
-        // own (it boots a server, shards clients, and emits the
-        // BENCH_serve_throughput.json artifact via RES_BENCH_OUT).
-        "srv" => ex::srv_serve_throughput(),
         "a1" => ex::a1_overapprox_ablation(),
         "a2" => ex::a2_dump_vs_minidump(),
         "a3" => ex::a3_solver_budget(),
@@ -67,7 +63,7 @@ fn run(id: &str) -> Option<Experiment> {
 /// while they run: timing-shape experiments and the internally-parallel
 /// corpus-scale trio.
 fn sequential_only(id: &str) -> bool {
-    matches!(id, "e3" | "e8" | "e5c" | "e6c" | "e7c" | "srv")
+    matches!(id, "e3" | "e8" | "e5c" | "e6c" | "e7c")
 }
 
 fn print_experiment(e: &Experiment) {

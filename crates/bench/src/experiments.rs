@@ -1077,294 +1077,3 @@ pub fn e7c_hardware_corpus() -> Experiment {
         shape_holds: shape,
     }
 }
-
-/// One pass of the SRV daemon-throughput measurement.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServePassRow {
-    /// `cold` (empty hot set and empty store files) or `warm`.
-    pub pass: String,
-    /// Reports triaged.
-    pub reports: u64,
-    /// Batch wall-clock, milliseconds.
-    pub wall_ms: f64,
-    /// Reports per second.
-    pub rps: f64,
-    /// Hot-store hits accumulated by the end of the pass.
-    pub hot_hits: u64,
-    /// Hot-store misses accumulated by the end of the pass.
-    pub hot_misses: u64,
-    /// Hot-store evictions accumulated by the end of the pass.
-    pub hot_evictions: u64,
-    /// Every response was byte-identical to the sequential direct
-    /// library run on the same report.
-    pub identical: bool,
-}
-
-mvm_json::json_struct!(ServePassRow {
-    pass,
-    reports,
-    wall_ms,
-    rps,
-    hot_hits,
-    hot_misses,
-    hot_evictions,
-    identical
-});
-
-/// The `BENCH_serve_throughput.json` artifact payload.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeThroughputArtifact {
-    /// Artifact id (`serve_throughput`).
-    pub experiment: String,
-    /// Corpus description.
-    pub workload: String,
-    /// Daemon worker threads.
-    pub daemon_workers: u64,
-    /// Concurrent client connections per pass.
-    pub clients: u64,
-    /// Hot-store capacity (programs kept warm).
-    pub hot_cap: u64,
-    /// Cold then warm pass.
-    pub passes: Vec<ServePassRow>,
-    /// `store.commit` marks in the daemon journal (commits that wrote).
-    pub commits: u64,
-    /// The acceptance shape (see [`srv_serve_throughput`]).
-    pub shape_holds: bool,
-}
-
-mvm_json::json_struct!(ServeThroughputArtifact {
-    experiment,
-    workload,
-    daemon_workers,
-    clients,
-    hot_cap,
-    passes,
-    commits,
-    shape_holds
-});
-
-/// The byte-identity currency for a daemon answer: verdict, deadlock
-/// flag, bucket key, and the full rendering of every suffix. Kernel
-/// stats are excluded — the solver's cache-provenance counters
-/// legitimately differ between cold and warm stores.
-fn srv_identity(resp: &res_triage::TriageResponse) -> String {
-    format!(
-        "{:?}|{}|{}|{:?}",
-        resp.verdict, resp.deadlock, resp.bucket_key, resp.suffixes
-    )
-}
-
-/// SRV — batch throughput through the `res-serve` daemon: a ≥50-dump
-/// corpus over a handful of programs is submitted concurrently twice
-/// (cold, then warm hot-store) and compared byte-for-byte against
-/// sequential direct library runs.
-///
-/// The daemon runs with a hot-store capacity *below* the number of
-/// distinct programs, so the pass exercises the store lifecycle:
-/// open → absorb → evict → commit → re-open. The shape holds when
-/// every response (both passes) is byte-identical to its sequential
-/// golden, the warm pass serves a nonzero hot hit rate, and the journal
-/// shows at least one store commit, every one of which appended
-/// entries: a store that learned nothing is never rewritten.
-pub fn srv_serve_throughput() -> Experiment {
-    use res_serve::{serve, ServeConfig, TriageClient};
-    use res_triage::TriageRequest;
-
-    let spec = CorpusSpec {
-        kinds: vec![
-            BugKind::DivByZero,
-            BugKind::UseAfterFree,
-            BugKind::DoubleFree,
-            BugKind::SemanticAssert,
-        ],
-        per_kind: 13,
-        ..CorpusSpec::default()
-    };
-    let corpus = generate_corpus(&spec);
-    assert!(corpus.len() >= 50, "corpus too small: {}", corpus.len());
-    let programs = spec.kinds.len();
-
-    // Sequential ground truth: the plain library, no daemon, no store.
-    let base = ResConfig::default();
-    let golden: Vec<String> = corpus
-        .iter()
-        .map(|r| {
-            let req = TriageRequest::new(r.program.clone(), r.dump.clone());
-            srv_identity(&res_triage::triage(&req, &base))
-        })
-        .collect();
-
-    let scratch = std::env::temp_dir().join(format!("res-srv-bench-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&scratch);
-    std::fs::create_dir_all(&scratch).expect("create bench scratch dir");
-    let bench_out = std::env::var_os("RES_BENCH_OUT").map(std::path::PathBuf::from);
-    // The journal survives in RES_BENCH_OUT (CI greps it for the
-    // serve.* gauges and the store.commit marks).
-    let journal = bench_out
-        .as_deref()
-        .unwrap_or(&scratch)
-        .join("BENCH_serve_journal.jsonl");
-
-    const DAEMON_WORKERS: usize = 4;
-    const CLIENTS: usize = 4;
-    const HOT_CAP: usize = 2; // below `programs`: force eviction churn
-    let mut handle = serve(ServeConfig {
-        workers: DAEMON_WORKERS,
-        hot_cap: HOT_CAP,
-        store_dir: Some(scratch.join("hot")),
-        trace: Some(journal.clone()),
-        ..ServeConfig::default()
-    })
-    .expect("boot daemon");
-    let addr = handle.addr().to_string();
-
-    // One timed concurrent batch: the corpus sharded across CLIENTS
-    // connections, each submitting its shard in order.
-    let run_pass = |pass: &str| -> ServePassRow {
-        let t0 = Instant::now();
-        let answers: Vec<Vec<(usize, String)>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..CLIENTS)
-                .map(|c| {
-                    let addr = &addr;
-                    let corpus = &corpus;
-                    s.spawn(move || {
-                        let mut client = TriageClient::connect(addr).expect("connect");
-                        corpus
-                            .iter()
-                            .enumerate()
-                            .skip(c)
-                            .step_by(CLIENTS)
-                            .map(|(i, r)| {
-                                let req = TriageRequest::new(r.program.clone(), r.dump.clone());
-                                let resp = client.triage(req).expect("io").expect("admitted");
-                                (i, srv_identity(&resp))
-                            })
-                            .collect()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("join"))
-                .collect()
-        });
-        let wall_ms = t0.elapsed().as_secs_f64() * 1000.0;
-        let identical = answers.iter().flatten().all(|(i, got)| got == &golden[*i]);
-        let stats = handle.stats();
-        ServePassRow {
-            pass: pass.to_string(),
-            reports: corpus.len() as u64,
-            wall_ms,
-            rps: corpus.len() as f64 / (wall_ms / 1000.0).max(1e-9),
-            hot_hits: stats.hot_hits,
-            hot_misses: stats.hot_misses,
-            hot_evictions: stats.hot_evictions,
-            identical,
-        }
-    };
-    let cold = run_pass("cold");
-    let warm = run_pass("warm");
-    handle.stop(); // flushes the hot stores and the journal
-
-    let events = res_obs::read_journal(&journal).unwrap_or_default();
-    let marks = |name: &'static str| {
-        events.iter().filter_map(move |e| match &e.kind {
-            res_obs::EventKind::Mark { name: n, fields } if n == name => Some(fields),
-            _ => None,
-        })
-    };
-    let appended: Vec<u64> = marks("store.commit")
-        .map(|fields| {
-            fields
-                .iter()
-                .find(|(k, _)| k == "appended")
-                .and_then(|(_, v)| v.parse().ok())
-                .unwrap_or(0)
-        })
-        .collect();
-    let commits = appended.len() as u64;
-    let empty_commits = appended.iter().filter(|&&n| n == 0).count();
-    let warm_hits = warm.hot_hits - cold.hot_hits;
-    let shape_holds =
-        cold.identical && warm.identical && warm_hits > 0 && commits > 0 && empty_commits == 0;
-
-    let mut table = String::from(
-        "pass | reports | wall     | reports/s | hot hits/misses/evictions | identical\n\
-         -----+---------+----------+-----------+---------------------------+----------\n",
-    );
-    for row in [&cold, &warm] {
-        let _ = writeln!(
-            table,
-            "{:<4} | {:>7} | {:>6.1}ms | {:>9.1} | {:>25} | {}",
-            row.pass,
-            row.reports,
-            row.wall_ms,
-            row.rps,
-            format!("{}/{}/{}", row.hot_hits, row.hot_misses, row.hot_evictions),
-            if row.identical { "yes" } else { "NO" }
-        );
-    }
-    let _ = writeln!(
-        table,
-        "store commits: {commits} ({} entries appended, {empty_commits} empty), \
-         warm-pass hot hits: {warm_hits}",
-        appended.iter().sum::<u64>()
-    );
-
-    if let Some(dir) = &bench_out {
-        let artifact = ServeThroughputArtifact {
-            experiment: "serve_throughput".to_string(),
-            workload: format!(
-                "{} reports over {programs} programs ({} per kind), default budgets",
-                corpus.len(),
-                spec.per_kind
-            ),
-            daemon_workers: DAEMON_WORKERS as u64,
-            clients: CLIENTS as u64,
-            hot_cap: HOT_CAP as u64,
-            passes: vec![cold, warm],
-            commits,
-            shape_holds,
-        };
-        let _ = std::fs::create_dir_all(dir);
-        let path = dir.join("BENCH_serve_throughput.json");
-        if let Err(err) = std::fs::write(&path, mvm_json::to_string_pretty(&artifact)) {
-            eprintln!("cannot write {}: {err}", path.display());
-        }
-    }
-    let _ = std::fs::remove_dir_all(&scratch);
-
-    Experiment {
-        id: "SRV",
-        claim: "the triage daemon serves concurrent batches byte-identical to \
-                sequential library runs, with a warm hot store that is written \
-                only when it learns",
-        table,
-        shape_holds,
-    }
-}
-
-/// Runs every experiment in order.
-pub fn run_all() -> Vec<Experiment> {
-    vec![
-        e1_hotos_eval(),
-        e2_figure1(),
-        e3_length_sweep(),
-        e4_breadcrumbs(),
-        e5_triage(),
-        e5c_triage_corpus(),
-        e6_exploitability(),
-        e6c_exploitability_corpus(),
-        e7_hardware(),
-        e7c_hardware_corpus(),
-        e8_recording_overhead(),
-        e9_suffix_budget(),
-        e10_hard_constructs(),
-        e11_replay_determinism(),
-        e12_deadline(),
-        e13_store_warm(),
-        a1_overapprox_ablation(),
-        a2_dump_vs_minidump(),
-        a3_solver_budget(),
-    ]
-}

@@ -116,17 +116,6 @@ impl ProgramBuilder {
         &mut self.funcs[id.0 as usize]
     }
 
-    /// Looks up a declared function id by name.
-    pub fn func_id(&self, name: &str) -> Option<FuncId> {
-        self.func_ids.get(name).copied()
-    }
-
-    /// Overrides the entry function (defaults to the function named
-    /// `main`).
-    pub fn set_entry(&mut self, id: FuncId) {
-        self.entry = Some(id);
-    }
-
     /// Finalizes the program: assigns global addresses and validates.
     ///
     /// # Errors

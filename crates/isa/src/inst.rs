@@ -506,16 +506,6 @@ impl Inst {
                 | Inst::Unlock { .. }
         )
     }
-
-    /// Returns `true` if this instruction is a synchronization operation
-    /// (a point where the scheduler may need to be consulted during
-    /// schedule reconstruction).
-    pub fn is_sync(&self) -> bool {
-        matches!(
-            self,
-            Inst::Lock { .. } | Inst::Unlock { .. } | Inst::Spawn { .. } | Inst::Join { .. }
-        )
-    }
 }
 
 /// A basic-block terminator: the only instructions that transfer control.

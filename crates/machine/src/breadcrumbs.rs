@@ -88,11 +88,6 @@ impl LbrRing {
     pub fn capacity(&self) -> usize {
         self.capacity
     }
-
-    /// Returns `true` if filtering of inferrable branches is enabled.
-    pub fn filters_inferrable(&self) -> bool {
-        self.filter_inferrable
-    }
 }
 
 /// One error-log record: a coarse execution breadcrumb (paper §2.4).

@@ -284,19 +284,6 @@ impl Machine {
         self.threads.insert(t.tid, t);
     }
 
-    /// Overrides the input source (replay bootstrap).
-    pub fn set_input(&mut self, input: InputSource) {
-        self.input = input;
-    }
-
-    /// Marks a mutex as held by a thread (replay bootstrap for suffixes
-    /// that begin inside a critical section). Ownership lives in the
-    /// mutex's memory word: 0 is free, `tid + 1` is held.
-    pub fn force_lock_owner(&mut self, mutex: u64, owner: Option<ThreadId>) {
-        let word = owner.map_or(0, |t| t + 1);
-        self.memory.write(mutex, word, Width::W8);
-    }
-
     /// Runs until halt, fault, or the step limit.
     pub fn run(&mut self) -> Outcome {
         loop {

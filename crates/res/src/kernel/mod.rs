@@ -15,8 +15,9 @@
 //!   runs, the harness); each search runs on one thread.
 //! * the trait seams below — hypothesis generation
 //!   ([`HypothesisGen`]), state transformation ([`StateTransform`]:
-//!   havoc + forward exec), artifact completion ([`Finalize`]), and the
-//!   `S' ⊇ Spost` compatibility check ([`CompatCheck`]).
+//!   havoc + forward exec, whose `S' ⊇ Spost` compatibility check asks
+//!   the search's [`mvm_symbolic::SolverSession`]), and artifact
+//!   completion ([`Finalize`]).
 //!
 //! [`explore`] is the loop itself, a depth-first search generic over a
 //! driver implementing the seams.
@@ -31,8 +32,6 @@ pub use stats::{AbandonedSpace, KernelStats, ParallelReport};
 // Re-exported so kernel drivers in other crates can call [`explore`]
 // without a manifest dependency on the tracing crate.
 pub use res_obs::{Recorder, Span};
-
-use mvm_symbolic::{ExprRef, SolveResult, SolverSession, UnknownReason};
 
 /// How promising a surviving child is: [`explore`] expands the lowest
 /// `priority` first.
@@ -90,49 +89,6 @@ pub trait Finalize: HypothesisGen {
     /// Completes `node` into an artifact, or rejects it late (counting
     /// the failure in `stats`).
     fn finalize(&mut self, node: &Self::Node, stats: &mut KernelStats) -> Option<Self::Artifact>;
-}
-
-/// Verdict of a compatibility check.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CompatVerdict {
-    /// A witness exists: the hypothesized earlier state can produce the
-    /// observed later state (`S' ⊇ Spost` holds).
-    Compatible,
-    /// Proven incompatible.
-    Incompatible,
-    /// The solver could not decide; RES keeps the hypothesis but flags
-    /// the suffix approximate.
-    Undecided(UnknownReason),
-}
-
-/// The `S' ⊇ Spost` compatibility check (paper §2.4) as a seam: given
-/// the accumulated constraint set, is the hypothesized execution
-/// consistent with everything reconstructed after it?
-pub trait CompatCheck {
-    /// Checks the conjunction of `constraints`.
-    fn compatible(&self, constraints: &[ExprRef]) -> CompatVerdict;
-}
-
-/// The standard implementation: ask the (memoizing) solver session.
-pub struct SessionCompat<'s> {
-    session: &'s SolverSession,
-}
-
-impl<'s> SessionCompat<'s> {
-    /// Wraps a session.
-    pub fn new(session: &'s SolverSession) -> Self {
-        SessionCompat { session }
-    }
-}
-
-impl CompatCheck for SessionCompat<'_> {
-    fn compatible(&self, constraints: &[ExprRef]) -> CompatVerdict {
-        match self.session.check(constraints) {
-            SolveResult::Sat(_) => CompatVerdict::Compatible,
-            SolveResult::Unsat => CompatVerdict::Incompatible,
-            SolveResult::Unknown(reason) => CompatVerdict::Undecided(reason),
-        }
-    }
 }
 
 /// Limits for one [`explore`] run.

@@ -148,53 +148,93 @@ pub fn replay_with_trace(
     suffix: &ExecutionSuffix,
     trace: TraceLevel,
 ) -> (ReplayReport, Machine) {
+    drive(program, dump, suffix, trace, None)
+}
+
+/// The one replay loop: runs the schedule, settles each thread whose
+/// suffix work is done, takes the final faulting step and compares the
+/// end state with the dump. An `observer` (which needs a
+/// [`TraceLevel::Full`] machine to see writes) also collects every event
+/// and stops the replay at the first [`Divergence`].
+fn drive(
+    program: &Program,
+    dump: &Coredump,
+    suffix: &ExecutionSuffix,
+    trace: TraceLevel,
+    mut observer: Option<&mut Observer<'_>>,
+) -> (ReplayReport, Machine) {
     let mut m = instantiate(program, dump, suffix, trace);
     let mut steps_executed = 0u64;
+    let schedule = suffix.schedule();
     // Remaining scheduled steps per thread, to detect when a thread's
     // suffix work is done and its dump-final status (halted/blocked)
     // should be settled.
     let mut remaining: HashMap<ThreadId, u64> = HashMap::new();
-    for (tid, n) in suffix.schedule() {
+    for &(tid, n) in &schedule {
         *remaining.entry(tid).or_default() += n;
     }
-    let fail = |m: &Machine, fault: Option<Fault>, steps: u64| ReplayReport {
-        reproduced: false,
-        fault_matches: false,
-        diff: diff_dumps(&Coredump::capture_anyway(m), dump, 64),
-        replay_fault: fault,
-        steps_executed: steps,
+    let fail = |m: Machine, fault: Option<Fault>, steps: u64| {
+        let diff = diff_dumps(&Coredump::capture_anyway(&m), dump, 64);
+        let report = ReplayReport {
+            reproduced: false,
+            fault_matches: false,
+            diff,
+            replay_fault: fault,
+            steps_executed: steps,
+        };
+        (report, m)
     };
 
-    for (tid, n) in suffix.schedule() {
-        for _ in 0..n {
+    for (i, &(tid, n)) in schedule.iter().enumerate() {
+        if observer
+            .as_deref_mut()
+            .is_some_and(|obs| !obs.begin(i, tid, &m))
+        {
+            return fail(m, None, steps_executed);
+        }
+        let mut executed = 0u64;
+        let mut premature = None;
+        while executed < n && premature.is_none() {
             match m.step_thread(tid) {
-                Ok(_) => steps_executed += 1,
-                Err(fault) => {
-                    // Premature fault: the suffix is wrong.
-                    return (fail(&m, Some(fault), steps_executed), m);
-                }
+                Ok(_) => executed += 1,
+                Err(fault) => premature = Some(fault),
             }
+        }
+        steps_executed += executed;
+        let diverged = observer
+            .as_deref_mut()
+            .is_some_and(|obs| !obs.end(i, tid, n, executed, premature.as_ref(), &m));
+        // A premature fault means the suffix is wrong.
+        if diverged || premature.is_some() {
+            return fail(m, premature, steps_executed);
         }
         let rem = remaining.get_mut(&tid).expect("scheduled thread");
         *rem -= n;
-        if *rem == 0 {
-            // Settle the thread's dump-final status so joins and
-            // deadlock detection behave (its halt/block step is not part
-            // of the synthesized range).
-            if let Some(dt) = dump.thread(tid) {
-                let runnable = m.threads()[&tid].status == ThreadStatus::Runnable;
-                let needs_settle = matches!(
+        // Settle the thread's dump-final status so joins and deadlock
+        // detection behave (its halt/block step is not part of the
+        // synthesized range).
+        let settles = *rem == 0
+            && tid != dump.faulting_tid
+            && dump.thread(tid).is_some_and(|dt| {
+                matches!(
                     dt.status,
                     ThreadStatus::Halted | ThreadStatus::BlockedOnLock(_)
-                ) && runnable
-                    && tid != dump.faulting_tid;
-                if needs_settle {
-                    if let Err(fault) = m.step_thread(tid) {
-                        return (fail(&m, Some(fault), steps_executed), m);
-                    }
-                    steps_executed += 1;
+                )
+            })
+            && m.threads()[&tid].status == ThreadStatus::Runnable;
+        if settles {
+            if let Err(fault) = m.step_thread(tid) {
+                if let Some(obs) = observer {
+                    let kind = DivergenceKind::PrematureFault {
+                        expected_steps: n,
+                        executed: n,
+                        fault: fault.clone(),
+                    };
+                    obs.diverge(i, tid, kind);
                 }
+                return fail(m, Some(fault), steps_executed);
             }
+            steps_executed += 1;
         }
     }
 
@@ -203,48 +243,51 @@ pub fn replay_with_trace(
         // Drive the faulting thread into its blocking lock, then let the
         // machine detect the global deadlock.
         let _ = m.step_thread(dump.faulting_tid);
-        steps_executed += 1;
         match m.run() {
             mvm_machine::Outcome::Faulted { fault, .. } => Some(fault),
             _ => None,
         }
     } else {
-        match m.step_thread(dump.faulting_tid) {
-            Err(fault) => {
-                steps_executed += 1;
-                Some(fault)
-            }
-            Ok(_) => {
-                steps_executed += 1;
-                None
-            }
-        }
+        m.step_thread(dump.faulting_tid).err()
     };
+    steps_executed += 1;
 
-    let fault_matches = match (&replay_fault, &dump.fault) {
-        (Some(a), b) => match (a, *b == *a) {
-            // Deadlock participant sets may be enumerated in any order.
-            (Fault::Deadlock { .. }, _) => matches!(dump.fault, Fault::Deadlock { .. }),
-            (_, eq) => eq,
-        },
-        (None, _) => false,
+    let fault_matches = match &replay_fault {
+        // Deadlock participant sets may be enumerated in any order.
+        Some(Fault::Deadlock { .. }) => matches!(dump.fault, Fault::Deadlock { .. }),
+        Some(fault) => *fault == dump.fault,
+        None => false,
     };
-    let replay_dump = Coredump::capture_anyway(&m);
-    let diff = diff_dumps(&replay_dump, dump, 64);
+    let diff = diff_dumps(&Coredump::capture_anyway(&m), dump, 64);
     let state_matches = diff.memory_bytes.is_empty()
         && diff.pcs.is_empty()
         && diff.registers.is_empty()
         && diff.thread_set.is_empty();
-    (
-        ReplayReport {
-            reproduced: fault_matches && state_matches,
-            fault_matches,
-            diff,
-            replay_fault,
-            steps_executed,
-        },
-        m,
-    )
+    if let Some(obs) = observer.filter(|obs| obs.expected.is_some()) {
+        if !fault_matches {
+            let kind = DivergenceKind::Fault {
+                expected: dump.fault.clone(),
+                got: replay_fault.clone(),
+            };
+            obs.diverge(schedule.len(), dump.faulting_tid, kind);
+        } else if !state_matches {
+            let kind = DivergenceKind::FinalState {
+                memory_bytes: diff.memory_bytes.len(),
+                registers: diff.registers.len(),
+                pcs: diff.pcs.len(),
+                threads: diff.thread_set.len(),
+            };
+            obs.diverge(schedule.len(), dump.faulting_tid, kind);
+        }
+    }
+    let report = ReplayReport {
+        reproduced: fault_matches && state_matches,
+        fault_matches,
+        diff,
+        replay_fault,
+        steps_executed,
+    };
+    (report, m)
 }
 
 /// One block-granular schedule event as concretely executed: where the
@@ -444,64 +487,71 @@ impl fmt::Display for Divergence {
 /// previous recording captured) the replay stops at the first event
 /// that deviates — different start pc, premature fault, differing
 /// write, different end pc, missing or different final fault, or a
-/// final-state mismatch — and reports it as a [`Divergence`].
+/// final-state mismatch — and reports it as a [`Divergence`]. A
+/// premature fault is reported as a divergence either way.
 ///
-/// The driving loop mirrors [`replay_with_trace`] exactly (including
-/// the settle steps for halted/blocked threads and the deadlock path)
-/// so an unmodified program re-observes exactly what it recorded.
+/// It runs the same loop as [`replay_suffix`], so its report is the
+/// one a plain replay gives, and an unmodified program re-observes
+/// exactly what it recorded.
 pub fn replay_observed(
     program: &Program,
     dump: &Coredump,
     suffix: &ExecutionSuffix,
     expected: Option<&[ObservedEvent]>,
 ) -> (ReplayReport, Vec<ObservedEvent>, Option<Divergence>) {
-    let mut m = instantiate(program, dump, suffix, TraceLevel::Full);
-    let mut steps_executed = 0u64;
-    let mut observed: Vec<ObservedEvent> = Vec::new();
-    let mut remaining: HashMap<ThreadId, u64> = HashMap::new();
-    for (tid, n) in suffix.schedule() {
-        *remaining.entry(tid).or_default() += n;
-    }
-    let fail = |m: &Machine, fault: Option<Fault>, steps: u64| ReplayReport {
-        reproduced: false,
-        fault_matches: false,
-        diff: diff_dumps(&Coredump::capture_anyway(m), dump, 64),
-        replay_fault: fault,
-        steps_executed: steps,
+    let mut observer = Observer {
+        expected,
+        events: Vec::new(),
+        divergence: None,
+        at: None,
     };
-    let schedule = suffix.schedule();
+    let (report, _) = drive(program, dump, suffix, TraceLevel::Full, Some(&mut observer));
+    (report, observer.events, observer.divergence)
+}
 
-    for (i, &(tid, n)) in schedule.iter().enumerate() {
-        let exp = expected.and_then(|e| e.get(i));
+/// What `record` and `verify` watch a replay with: the events seen so
+/// far, compared against `expected` when there is one.
+struct Observer<'a> {
+    expected: Option<&'a [ObservedEvent]>,
+    events: Vec<ObservedEvent>,
+    divergence: Option<Divergence>,
+    /// The running event's start pc and the length of the machine's
+    /// trace when it started.
+    at: Option<(Loc, usize)>,
+}
+
+impl Observer<'_> {
+    /// Event `i` of thread `tid` is about to run: returns `false` when
+    /// the recording started it elsewhere.
+    fn begin(&mut self, i: usize, tid: ThreadId, m: &Machine) -> bool {
         let start = m.threads()[&tid].pc();
-        if let Some(e) = exp {
-            if start != e.start {
-                let div = Divergence {
-                    event: i,
-                    tid,
-                    kind: DivergenceKind::StartLoc {
-                        expected: e.start,
-                        got: start,
-                    },
+        self.at = Some((start, m.tracer().events().len()));
+        match self.expected.and_then(|e| e.get(i)) {
+            Some(e) if e.start != start => {
+                let kind = DivergenceKind::StartLoc {
+                    expected: e.start,
+                    got: start,
                 };
-                return (fail(&m, None, steps_executed), observed, Some(div));
+                self.diverge(i, tid, kind);
+                false
             }
+            _ => true,
         }
-        let mark = m.tracer().events().len();
-        let mut executed = 0u64;
-        let mut premature: Option<Fault> = None;
-        for _ in 0..n {
-            match m.step_thread(tid) {
-                Ok(_) => {
-                    steps_executed += 1;
-                    executed += 1;
-                }
-                Err(fault) => {
-                    premature = Some(fault);
-                    break;
-                }
-            }
-        }
+    }
+
+    /// Event `i` ran `executed` of its `n` instructions, stopping early
+    /// at `fault` if one hit: records it and returns `false` when it
+    /// diverged.
+    fn end(
+        &mut self,
+        i: usize,
+        tid: ThreadId,
+        n: u64,
+        executed: u64,
+        fault: Option<&Fault>,
+        m: &Machine,
+    ) -> bool {
+        let (start, mark) = self.at.take().expect("a begun event");
         let writes: Vec<(u64, Width, u64)> = m.tracer().events()[mark..]
             .iter()
             .filter_map(|e| match e {
@@ -516,171 +566,48 @@ pub fn replay_observed(
             })
             .collect();
         let end = m.threads()[&tid].pc();
-        if let Some(fault) = premature {
-            observed.push(ObservedEvent {
-                tid,
-                start,
-                end,
-                steps: executed,
-                writes,
-            });
-            let div = Divergence {
-                event: i,
-                tid,
-                kind: DivergenceKind::PrematureFault {
-                    expected_steps: n,
-                    executed,
-                    fault: fault.clone(),
-                },
-            };
-            return (fail(&m, Some(fault), steps_executed), observed, Some(div));
-        }
-        if let Some(e) = exp {
-            if writes != e.writes {
-                let idx = writes
+        let expected = self.expected.and_then(|e| e.get(i));
+        let kind = match (fault, expected) {
+            (Some(fault), _) => Some(DivergenceKind::PrematureFault {
+                expected_steps: n,
+                executed,
+                fault: fault.clone(),
+            }),
+            (None, Some(e)) if writes != e.writes => {
+                let index = writes
                     .iter()
-                    .zip(e.writes.iter())
+                    .zip(&e.writes)
                     .position(|(a, b)| a != b)
                     .unwrap_or(writes.len().min(e.writes.len()));
-                let div = Divergence {
-                    event: i,
-                    tid,
-                    kind: DivergenceKind::Write {
-                        index: idx,
-                        expected: e.writes.get(idx).copied(),
-                        got: writes.get(idx).copied(),
-                    },
-                };
-                observed.push(ObservedEvent {
-                    tid,
-                    start,
-                    end,
-                    steps: n,
-                    writes,
-                });
-                return (fail(&m, None, steps_executed), observed, Some(div));
+                Some(DivergenceKind::Write {
+                    index,
+                    expected: e.writes.get(index).copied(),
+                    got: writes.get(index).copied(),
+                })
             }
-            if end != e.end {
-                let div = Divergence {
-                    event: i,
-                    tid,
-                    kind: DivergenceKind::EndLoc {
-                        expected: e.end,
-                        got: end,
-                    },
-                };
-                observed.push(ObservedEvent {
-                    tid,
-                    start,
-                    end,
-                    steps: n,
-                    writes,
-                });
-                return (fail(&m, None, steps_executed), observed, Some(div));
-            }
-        }
-        observed.push(ObservedEvent {
+            (None, Some(e)) if end != e.end => Some(DivergenceKind::EndLoc {
+                expected: e.end,
+                got: end,
+            }),
+            _ => None,
+        };
+        self.events.push(ObservedEvent {
             tid,
             start,
             end,
-            steps: n,
+            steps: executed,
             writes,
         });
-        let rem = remaining.get_mut(&tid).expect("scheduled thread");
-        *rem -= n;
-        if *rem == 0 {
-            if let Some(dt) = dump.thread(tid) {
-                let runnable = m.threads()[&tid].status == ThreadStatus::Runnable;
-                let needs_settle = matches!(
-                    dt.status,
-                    ThreadStatus::Halted | ThreadStatus::BlockedOnLock(_)
-                ) && runnable
-                    && tid != dump.faulting_tid;
-                if needs_settle {
-                    if let Err(fault) = m.step_thread(tid) {
-                        let div = Divergence {
-                            event: i,
-                            tid,
-                            kind: DivergenceKind::PrematureFault {
-                                expected_steps: n,
-                                executed: n,
-                                fault: fault.clone(),
-                            },
-                        };
-                        return (fail(&m, Some(fault), steps_executed), observed, Some(div));
-                    }
-                    steps_executed += 1;
-                }
+        match kind {
+            Some(kind) => {
+                self.diverge(i, tid, kind);
+                false
             }
+            None => true,
         }
     }
 
-    // The final faulting step.
-    let replay_fault = if matches!(dump.fault, Fault::Deadlock { .. }) {
-        let _ = m.step_thread(dump.faulting_tid);
-        steps_executed += 1;
-        match m.run() {
-            mvm_machine::Outcome::Faulted { fault, .. } => Some(fault),
-            _ => None,
-        }
-    } else {
-        match m.step_thread(dump.faulting_tid) {
-            Err(fault) => {
-                steps_executed += 1;
-                Some(fault)
-            }
-            Ok(_) => {
-                steps_executed += 1;
-                None
-            }
-        }
-    };
-
-    let fault_matches = match (&replay_fault, &dump.fault) {
-        (Some(a), b) => match (a, *b == *a) {
-            (Fault::Deadlock { .. }, _) => matches!(dump.fault, Fault::Deadlock { .. }),
-            (_, eq) => eq,
-        },
-        (None, _) => false,
-    };
-    let replay_dump = Coredump::capture_anyway(&m);
-    let diff = diff_dumps(&replay_dump, dump, 64);
-    let state_matches = diff.memory_bytes.is_empty()
-        && diff.pcs.is_empty()
-        && diff.registers.is_empty()
-        && diff.thread_set.is_empty();
-    let divergence = if expected.is_some() && !fault_matches {
-        Some(Divergence {
-            event: schedule.len(),
-            tid: dump.faulting_tid,
-            kind: DivergenceKind::Fault {
-                expected: dump.fault.clone(),
-                got: replay_fault.clone(),
-            },
-        })
-    } else if expected.is_some() && !state_matches {
-        Some(Divergence {
-            event: schedule.len(),
-            tid: dump.faulting_tid,
-            kind: DivergenceKind::FinalState {
-                memory_bytes: diff.memory_bytes.len(),
-                registers: diff.registers.len(),
-                pcs: diff.pcs.len(),
-                threads: diff.thread_set.len(),
-            },
-        })
-    } else {
-        None
-    };
-    (
-        ReplayReport {
-            reproduced: fault_matches && state_matches,
-            fault_matches,
-            diff,
-            replay_fault,
-            steps_executed,
-        },
-        observed,
-        divergence,
-    )
+    fn diverge(&mut self, event: usize, tid: ThreadId, kind: DivergenceKind) {
+        self.divergence = Some(Divergence { event, tid, kind });
+    }
 }

@@ -37,8 +37,8 @@ use res_store::{program_fingerprint, LoadOutcome, SolverStore};
 use crate::blockexec::{run_hypothesis, EndPoint, HypSpec, Infeasible, Tagged};
 use crate::hwerr::Relax;
 use crate::kernel::{
-    explore, Budget, CompatCheck, CompatVerdict, ExploreConfig, Finalize, HypothesisGen,
-    KernelStats, NodeScore, ParallelReport, SessionCompat, StateTransform,
+    explore, Budget, ExploreConfig, Finalize, HypothesisGen, KernelStats, NodeScore,
+    ParallelReport, StateTransform,
 };
 use crate::snapshot::Snapshot;
 use crate::suffix::{ExecutionSuffix, SuffixStep};
@@ -1142,13 +1142,13 @@ impl<'p> ResEngine<'p> {
         all.extend(outcome.constraints.iter().map(|t| t.expr.clone()));
         all.extend(log_constraints.iter().map(|t| t.expr.clone()));
         let mut unknown = outcome.unknown_used;
-        match SessionCompat::new(&self.session).compatible(&all) {
-            CompatVerdict::Compatible => {}
-            CompatVerdict::Incompatible => {
+        match self.session.check(&all) {
+            SolveResult::Sat(_) => {}
+            SolveResult::Unsat => {
                 stats.rejected_solver += 1;
                 return None;
             }
-            CompatVerdict::Undecided(reason) => {
+            SolveResult::Unknown(reason) => {
                 unknown = true;
                 stats.unknown_accepted += 1;
                 match reason {

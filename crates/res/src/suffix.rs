@@ -125,17 +125,6 @@ impl ExecutionSuffix {
             .any(|k| k.attacker_controlled())
     }
 
-    /// Registers pinned by call-binding constraints (diagnostics).
-    pub fn call_bound_regs(&self) -> Vec<Reg> {
-        self.constraints
-            .iter()
-            .filter_map(|t| match t.tag {
-                Tag::CallBind { reg } => Some(reg),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// The suffix's identity text, the byte-identity currency of the
     /// triage answer and every determinism gate: exactly the bytes
     /// `format!("{self:?}")` produces, written without `fmt` into one

@@ -488,14 +488,17 @@ fn replay_is_deterministic() {
 }
 
 /// `replay_and_diagnose` reads `reproduced` off a traced replay where
-/// triage used to run a plain one, so tracing must not change what a
+/// triage used to run a plain one, and `record`/`verify` read it off an
+/// observed one, so neither tracing nor observing may change what a
 /// replay reports: on the golden DivByZero crash and on one dump of
-/// every generated bug class, a `TraceLevel::Full` replay of every
-/// synthesized suffix reports exactly what a plain replay does.
+/// every generated bug class, a `TraceLevel::Full` replay and an
+/// observed replay of every synthesized suffix report exactly what a
+/// plain replay does, and verifying a suffix against its own observed
+/// events finds no divergence.
 #[test]
 fn traced_replay_reports_what_a_plain_replay_does() {
     use mvm_machine::TraceLevel;
-    use res_core::replay::replay_with_trace;
+    use res_core::replay::{replay_observed, replay_with_trace};
     use res_workloads::gen::{collect_failures, corpus_specs, generate, GenClass};
     use res_workloads::{build as build_workload, run_to_failure, BugKind, WorkloadParams};
 
@@ -522,12 +525,17 @@ fn traced_replay_reports_what_a_plain_replay_does() {
         for (i, sfx) in result.suffixes.iter().enumerate() {
             let plain = replay_suffix(p, d, sfx);
             let (traced, _) = replay_with_trace(p, d, sfx, TraceLevel::Full);
-            let at = format!("{name}, suffix {i}");
-            assert_eq!(traced.reproduced, plain.reproduced, "{at}");
-            assert_eq!(traced.fault_matches, plain.fault_matches, "{at}");
-            assert_eq!(traced.diff, plain.diff, "{at}");
-            assert_eq!(traced.replay_fault, plain.replay_fault, "{at}");
-            assert_eq!(traced.steps_executed, plain.steps_executed, "{at}");
+            let (observed, events, _) = replay_observed(p, d, sfx, None);
+            for (how, rep) in [("traced", &traced), ("observed", &observed)] {
+                let at = format!("{name}, suffix {i}, {how}");
+                assert_eq!(rep.reproduced, plain.reproduced, "{at}");
+                assert_eq!(rep.fault_matches, plain.fault_matches, "{at}");
+                assert_eq!(rep.diff, plain.diff, "{at}");
+                assert_eq!(rep.replay_fault, plain.replay_fault, "{at}");
+                assert_eq!(rep.steps_executed, plain.steps_executed, "{at}");
+            }
+            let (_, _, divergence) = replay_observed(p, d, sfx, Some(&events));
+            assert_eq!(divergence, None, "{name}, suffix {i}, verified");
             compared += 1;
         }
     }

@@ -24,8 +24,10 @@
 //! * **Bounded ingest + admission control** ([`server`]). A full queue
 //!   or an over-ceiling budget is answered with
 //!   [`WireResponse::Rejected`] immediately — never clamped, since a
-//!   clamped budget would silently change results. A job that panics
-//!   is answered with [`WireResponse::Error`]; its worker and the
+//!   clamped budget would silently change results. A request that
+//!   names a file (`store` or `trace`) is answered with
+//!   [`WireResponse::Error`] before admission. A job that panics is
+//!   answered with [`WireResponse::Error`]; its worker and the
 //!   program's store stay in service.
 //! * **Observability.** Queue depth, hot-set size, per-fingerprint hit
 //!   counters, admission rejections all land in the daemon's `res-obs`

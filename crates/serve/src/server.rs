@@ -18,6 +18,11 @@
 //! drain the queue, route every store access through the shared
 //! [`HotStore`], and answer through a per-job reply channel.
 //!
+//! A request or batch item that sets `store` or `trace` is answered
+//! with [`WireResponse::Error`] before admission: those fields name
+//! files on the daemon's host, which the library would replace, and
+//! the daemon writes only its own store and journal.
+//!
 //! Admission control never *clamps* a budget — a clamped budget would
 //! change which suffixes a request finds, silently breaking the
 //! byte-identity contract. A request either runs with exactly the
@@ -225,7 +230,7 @@ impl ServerHandle {
 
     /// Blocks until a client asks the daemon to shut down
     /// ([`WireRequest::Shutdown`]), then tears it down — the
-    /// foreground `res-cli serve` path.
+    /// foreground `res-serve` path.
     pub fn wait(&mut self) {
         if let Some(h) = self.accept.take() {
             let _ = h.join();
@@ -492,6 +497,9 @@ fn dispatch(
     if shared.shutdown.load(Ordering::SeqCst) {
         return (WireResponse::ShuttingDown, Phases::default());
     }
+    if let Err(reason) = refuse_paths(&req) {
+        return (WireResponse::Error(reason), Phases::default());
+    }
     let admission = shared.serve_rec.span_under("req.admission", parent);
     let admitted = admit(&req, shared);
     drop(admission);
@@ -571,6 +579,33 @@ fn slice(ceiling: &Budget, items: usize) -> Budget {
     }
 }
 
+/// The triage requests a wire request carries: one, a batch's items,
+/// or none.
+fn items(req: &WireRequest) -> &[TriageRequest] {
+    match req {
+        WireRequest::Triage(r) => std::slice::from_ref(r),
+        WireRequest::BucketBatch(rs) | WireRequest::HwFilterBatch(rs) => rs,
+        WireRequest::StatsQuery(_) | WireRequest::Shutdown => &[],
+    }
+}
+
+/// Refuses a request whose `store` or `trace` names a file. The
+/// library would open that path on the daemon's host, and a journal or
+/// store commit replaces the file it names; the daemon keeps its own
+/// store and journal.
+fn refuse_paths(req: &WireRequest) -> Result<(), String> {
+    for (i, r) in items(req).iter().enumerate() {
+        for (field, path) in [("store", &r.store), ("trace", &r.trace)] {
+            if path.is_some() {
+                return Err(format!(
+                    "item {i}: {field} names a file on the daemon's host; requests may not set it"
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Checks a work request against the daemon's budget ceiling. Batches
 /// share one queue slot, so each item must fit its [`slice`] of the
 /// ceiling.
@@ -578,11 +613,7 @@ fn admit(req: &WireRequest, shared: &Shared) -> Result<(), String> {
     let Some(ceiling) = shared.ceiling else {
         return Ok(());
     };
-    let items: Vec<&TriageRequest> = match req {
-        WireRequest::Triage(r) => vec![r],
-        WireRequest::BucketBatch(rs) | WireRequest::HwFilterBatch(rs) => rs.iter().collect(),
-        WireRequest::StatsQuery(_) | WireRequest::Shutdown => return Ok(()),
-    };
+    let items = items(req);
     let cap = slice(&ceiling, items.len());
     for (i, r) in items.iter().enumerate() {
         let b = r

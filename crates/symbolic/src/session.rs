@@ -85,15 +85,6 @@ impl SessionStats {
             assignments: self.assignments - earlier.assignments,
         }
     }
-
-    /// Cache hit rate in `[0, 1]`; 0 when no queries ran.
-    pub fn hit_rate(&self) -> f64 {
-        if self.queries == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / self.queries as f64
-        }
-    }
 }
 
 /// A [`Solver`] wrapped with a constraint-set memo cache and cumulative
@@ -228,14 +219,6 @@ impl SolverSession {
     pub fn with_config(config: SolverConfig) -> Self {
         SolverSession {
             solver: Solver::with_config(config),
-            ..Self::default()
-        }
-    }
-
-    /// Session around an existing solver.
-    pub fn from_solver(solver: Solver) -> Self {
-        SolverSession {
-            solver,
             ..Self::default()
         }
     }

@@ -58,10 +58,11 @@ pub struct TriageRequest {
     pub max_solver_assignments: Option<u64>,
     /// Wall-clock deadline for this call, in milliseconds.
     pub deadline_ms: Option<u64>,
-    /// Persistent-store path for this call (daemon-side requests leave
-    /// this unset — the daemon routes them through its hot store).
+    /// Persistent-store path for this call. A daemon refuses a request
+    /// that sets it: it routes every request through its hot store.
     pub store: Option<String>,
-    /// JSONL trace path for this call.
+    /// JSONL trace path for this call. A daemon refuses a request that
+    /// sets it: it journals into its own trace.
     pub trace: Option<String>,
     /// Return a portable replay-trace artifact (the bytes of a
     /// `.restrace` file) in [`TriageResponse::trace`] when a reproduced

@@ -80,7 +80,7 @@ diff -r "$scratch_dir/triage-store" "$scratch_dir/triage-store.cold" \
 diff -r "$scratch_dir/hw-store" "$scratch_dir/hw-store.cold" \
     || { echo "the warm pass rewrote a hardware-verdict store"; exit 1; }
 
-echo "==> triage daemon gate (serve/submit round trip, batch byte-identity)"
+echo "==> triage daemon gate (serve/submit round trip, stats, journal)"
 # Layer 1: the shipped binaries. Boot `res-serve` on an ephemeral port,
 # round-trip one coredump through `res-cli submit`, and shut it down
 # over the wire.
@@ -100,22 +100,12 @@ test -n "$serve_addr" || { echo "daemon never printed its address"; exit 1; }
 cargo run --release -q --bin res-cli -- submit "$serve_dir/dump" --addr "$serve_addr" \
     | grep -q "REPRODUCED" || { echo "submitted dump did not reproduce"; exit 1; }
 # The live telemetry endpoint: the stats round trip must report the
-# requests served so far and a populated triage latency histogram, and
-# the per-endpoint quantile extract is a CI artifact.
+# requests served so far and a populated triage latency histogram.
 stats_out="$(cargo run --release -q --bin res-cli -- stats --addr "$serve_addr")"
 echo "$stats_out" | grep -Eq 'serve\.requests +[1-9]' \
     || { echo "stats endpoint reports no served requests"; exit 1; }
 echo "$stats_out" | grep -Eq 'serve\.rtt\.triage_us +n=[1-9]' \
     || { echo "stats endpoint carries no triage latency samples"; exit 1; }
-cargo run --release -q --bin res-cli -- stats --addr "$serve_addr" --latency-json \
-    > "$repo_root/BENCH_serve_latency.json"
-test -s "$repo_root/BENCH_serve_latency.json" \
-    || { echo "latency artifact was never written"; exit 1; }
-if grep -q '"triage":{"count":0,' "$repo_root/BENCH_serve_latency.json"; then
-    echo "latency artifact has an empty triage histogram"; exit 1
-fi
-grep -q '"triage":{"count":' "$repo_root/BENCH_serve_latency.json" \
-    || { echo "latency artifact missing the triage endpoint"; exit 1; }
 cargo run --release -q --bin res-cli -- shutdown --addr "$serve_addr" > /dev/null
 wait "$serve_pid"
 grep -q "serve.completed" "$serve_dir/serve.jsonl" \
@@ -129,21 +119,6 @@ journal_out="$(cargo run --release -q --bin res-cli -- journal "$serve_dir/serve
     || { echo "journal requests did not reconcile"; exit 1; }
 echo "$journal_out" | grep -Eq 'c[0-9]+\.[0-9]+ +triage +[0-9]+ +ok' \
     || { echo "journal carries no reconciled triage request"; exit 1; }
-# Layer 2: the SRV throughput extract. Boots the daemon in-process,
-# shards a >=50-dump generated corpus across concurrent client
-# connections twice (cold, then warm hot store), and exits non-zero
-# unless every answer is byte-identical to the sequential direct
-# library run, the warm pass serves a nonzero hot-store hit rate, and
-# the journal shows store commits, each of which appended entries.
-# Emits BENCH_serve_throughput.json plus the daemon's own journal.
-RES_BENCH_OUT="$repo_root" \
-    cargo run --release -q -p res-bench --bin harness -- srv | tail -n 1
-test -s "$repo_root/BENCH_serve_throughput.json" \
-    || { echo "serve bench artifact was never written"; exit 1; }
-for needle in serve.queue.depth serve.hot.programs serve.hot.hit store.commit; do
-    grep -q "$needle" "$repo_root/BENCH_serve_journal.jsonl" \
-        || { echo "daemon journal missing $needle"; exit 1; }
-done
 
 echo "==> traced determinism gate (golden suffix, triage and hardware-verdict fixtures with RES_TRACE on)"
 # The observability contract: the recorder is strictly passive. Run the

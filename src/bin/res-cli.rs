@@ -17,14 +17,11 @@
 //!                             PASS, or FAIL with the first divergence
 //! res-cli verdict <dir>       hardware-vs-software verdict for the dump
 //! res-cli trace <journal>     pretty-print a res-obs JSONL trace journal
-//! res-cli serve [--addr A] [--workers N] [--queue-cap N] [--hot-cap N]
-//!               [--store DIR] [--trace PATH] [--slow-us N]
-//!                             run the triage daemon in the foreground
 //! res-cli submit <dir> [--addr A] [--max-nodes N] [--deadline-ms N]
 //!               [--emit-trace FILE]
 //!                             send the dir's program+dump to a running daemon
 //! res-cli shutdown [--addr A] ask a running daemon to exit
-//! res-cli stats [--addr A] [--json] [--latency-json]
+//! res-cli stats [--addr A] [--json]
 //!                             one-shot telemetry snapshot from a daemon
 //! res-cli top [--addr A] [--interval-ms N] [--count N]
 //!                             polling live view of a daemon's telemetry
@@ -36,14 +33,15 @@
 //!
 //! Programs and coredumps are exchanged as JSON, so dumps can be
 //! inspected, archived, or corrupted (for §3.2 experiments) with
-//! ordinary tools. `serve`/`submit` speak the typed
+//! ordinary tools. `submit`, `shutdown`, `stats` and `top` talk to a
+//! `res-serve` daemon in the typed
 //! [`res_debugger::triage::TriageRequest`] wire protocol over loopback
 //! TCP or (with `--addr unix:/path`) a unix socket.
 //!
 //! # Observability journal precedence
 //!
 //! Every subcommand that journals res-obs events (`synthesize`,
-//! `record`, `serve`) resolves the journal path the same way: an
+//! `record`) resolves the journal path the same way: an
 //! explicit `--trace PATH` flag always wins; otherwise the `RES_TRACE`
 //! environment variable is the fallback; otherwise no journal is
 //! written. This is the single authoritative statement of that
@@ -55,7 +53,7 @@ use std::path::Path;
 
 use res_debugger::obs::{query, read_journal_full, Event, EventKind};
 use res_debugger::prelude::*;
-use res_debugger::serve::{serve, ServeConfig, StatsRequest, StatsResponse, TriageClient};
+use res_debugger::serve::{StatsRequest, StatsResponse, TriageClient};
 use res_debugger::triage::{bucket_key_for, TriageRequest};
 use res_debugger::workloads::{build_fixed, run_to_failure};
 
@@ -364,35 +362,6 @@ fn cmd_demo(kind: BugKind) -> Result<(), String> {
     Err("no suffix replayed".into())
 }
 
-fn cmd_serve(flags: &[(String, String)]) -> Result<(), String> {
-    let mut cfg = ServeConfig::default();
-    if let Some(a) = flag(flags, "addr") {
-        cfg.addr = a.to_string();
-    }
-    if let Some(w) = parsed(flags, "workers")? {
-        cfg.workers = w;
-    }
-    if let Some(q) = parsed(flags, "queue-cap")? {
-        cfg.queue_cap = q;
-    }
-    if let Some(h) = parsed(flags, "hot-cap")? {
-        cfg.hot_cap = h;
-    }
-    if let Some(s) = flag(flags, "store") {
-        cfg.store_dir = Some(s.into());
-    }
-    if let Some(t) = flag(flags, "trace") {
-        cfg.trace = Some(t.into());
-    }
-    if let Some(s) = parsed(flags, "slow-us")? {
-        cfg.slow_us = Some(s);
-    }
-    let mut handle = serve(cfg).map_err(|e| format!("starting daemon: {e}"))?;
-    println!("addr: {}", handle.addr());
-    handle.wait();
-    Ok(())
-}
-
 fn cmd_submit(dir: &Path, flags: &[(String, String)]) -> Result<(), String> {
     let (program, dump) = load(dir)?;
     let mut req = TriageRequest::new(program, dump);
@@ -510,33 +479,6 @@ fn stats_events(resp: &StatsResponse) -> Vec<Event> {
         .collect()
 }
 
-/// The `BENCH_serve_latency.json` payload: per-endpoint count and
-/// p50/p95/p99, keyed by the endpoint name (from the
-/// `serve.rtt.<endpoint>_us` histogram naming convention).
-fn latency_json(resp: &StatsResponse) -> String {
-    let mut out = String::from("{");
-    let mut first = true;
-    for h in &resp.histograms {
-        let Some(endpoint) = h
-            .name
-            .strip_prefix("serve.rtt.")
-            .and_then(|n| n.strip_suffix("_us"))
-        else {
-            continue;
-        };
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&format!(
-            "\"{endpoint}\":{{\"count\":{},\"p50_us\":{},\"p95_us\":{},\"p99_us\":{}}}",
-            h.count, h.p50, h.p95, h.p99
-        ));
-    }
-    out.push('}');
-    out
-}
-
 fn fetch_stats(addr: &str) -> Result<StatsResponse, String> {
     let mut client =
         TriageClient::connect(addr).map_err(|e| format!("connecting to {addr}: {e}"))?;
@@ -545,13 +487,9 @@ fn fetch_stats(addr: &str) -> Result<StatsResponse, String> {
         .map_err(|e| format!("querying stats: {e}"))
 }
 
-fn cmd_stats(flags: &[(String, String)], json: bool, latency: bool) -> Result<(), String> {
+fn cmd_stats(flags: &[(String, String)], json: bool) -> Result<(), String> {
     let addr = flag(flags, "addr").unwrap_or(DEFAULT_ADDR);
     let resp = fetch_stats(addr)?;
-    if latency {
-        println!("{}", latency_json(&resp));
-        return Ok(());
-    }
     if json {
         println!("{}", mvm_json::to_string_pretty(&resp));
         return Ok(());
@@ -696,10 +634,9 @@ fn usage() -> ! {
   res-cli verify <dir> <trace-file>
   res-cli verdict <dir>
   res-cli trace <journal>
-  res-cli serve [--addr A] [--workers N] [--queue-cap N] [--hot-cap N] [--store DIR] [--trace PATH] [--slow-us N]
   res-cli submit <dir> [--addr A] [--max-nodes N] [--deadline-ms N] [--emit-trace FILE]
   res-cli shutdown [--addr A]
-  res-cli stats [--addr A] [--json] [--latency-json]
+  res-cli stats [--addr A] [--json]
   res-cli top [--addr A] [--interval-ms N] [--count N]
   res-cli journal <file> [--span PREFIX] [--counters GLOB] [--req ID] [--requests] [--quantiles]
 
@@ -764,24 +701,6 @@ fn main() {
             Some(journal) => cmd_trace(Path::new(journal)),
             None => usage(),
         },
-        Some("serve") => {
-            let (pos, flags) = parse_flags(
-                &args[1..],
-                &[
-                    "addr",
-                    "workers",
-                    "queue-cap",
-                    "hot-cap",
-                    "store",
-                    "trace",
-                    "slow-us",
-                ],
-            );
-            if !pos.is_empty() {
-                usage();
-            }
-            cmd_serve(&flags)
-        }
         Some("submit") => {
             let (pos, flags) = parse_flags(
                 &args[1..],
@@ -809,12 +728,11 @@ fn main() {
                 None => false,
             };
             let json = bool_flag("--json");
-            let latency = bool_flag("--latency-json");
             let (pos, flags) = parse_flags(&rest, &["addr"]);
             if !pos.is_empty() {
                 usage();
             }
-            cmd_stats(&flags, json, latency)
+            cmd_stats(&flags, json)
         }
         Some("top") => {
             let (pos, flags) = parse_flags(&args[1..], &["addr", "interval-ms", "count"]);

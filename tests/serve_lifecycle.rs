@@ -1,12 +1,13 @@
 //! Lifecycle tests for the `res-serve` triage daemon: hot-store LRU
 //! eviction/commit/reopen, concurrent-vs-sequential byte identity,
-//! bounded-queue backpressure, budget admission, and containment of a
-//! panicking job.
+//! bounded-queue backpressure, budget admission, refusal of requests
+//! that name files, and containment of a panicking job.
 
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use res_debugger::isa::FuncId;
+use res_debugger::obs::EventKind;
 use res_debugger::prelude::*;
 use res_debugger::res::Budget;
 use res_debugger::serve::wire::{read_response, write_frame, REQUEST_TAG};
@@ -45,9 +46,14 @@ fn identity(resp: &TriageResponse) -> String {
     )
 }
 
+/// The daemon's journal shows the lifecycle too: the queue and hot-set
+/// gauges, the warm hit, and at least one store commit, every one of
+/// which appended entries (a store that learned nothing is never
+/// rewritten).
 #[test]
 fn lru_eviction_commits_the_store_and_reopens_warm() {
     let dir = temp_dir("lru");
+    let journal = dir.with_extension("jsonl");
     let corpus = small_corpus(vec![BugKind::DivByZero, BugKind::UseAfterFree], 1);
     assert_eq!(corpus.len(), 2);
     let (a, b) = (&corpus[0], &corpus[1]);
@@ -56,6 +62,7 @@ fn lru_eviction_commits_the_store_and_reopens_warm() {
         workers: 1,
         hot_cap: 1, // every program switch evicts
         store_dir: Some(dir.clone()),
+        trace: Some(journal.clone()),
         ..ServeConfig::default()
     })
     .expect("boot daemon");
@@ -97,7 +104,41 @@ fn lru_eviction_commits_the_store_and_reopens_warm() {
 
     drop(client);
     let mut handle = handle;
-    handle.stop();
+    handle.stop(); // commits the hot stores and flushes the journal
+    let events = read_journal(&journal).expect("the daemon journal");
+    let _ = std::fs::remove_file(&journal);
+    let gauge = |name: &str| {
+        events
+            .iter()
+            .any(|e| matches!(&e.kind, EventKind::Gauge { name: n, .. } if n == name))
+    };
+    assert!(
+        gauge("serve.queue.depth"),
+        "journal lacks serve.queue.depth"
+    );
+    assert!(
+        gauge("serve.hot.programs"),
+        "journal lacks serve.hot.programs"
+    );
+    let hot_hits = events.iter().any(|e| {
+        matches!(&e.kind, EventKind::Count { name, total } if name == "serve.hot.hits" && *total >= 1)
+    });
+    assert!(hot_hits, "journal lacks the warm serve.hot.hits");
+    let appended: Vec<u64> = events
+        .iter()
+        .filter_map(|e| match &e.kind {
+            EventKind::Mark { name, fields } if name == "store.commit" => fields
+                .iter()
+                .find(|(k, _)| k == "appended")
+                .and_then(|(_, v)| v.parse().ok()),
+            _ => None,
+        })
+        .collect();
+    assert!(!appended.is_empty(), "evictions must commit stores");
+    assert!(
+        appended.iter().all(|&n| n >= 1),
+        "a commit appended nothing: {appended:?}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -330,6 +371,62 @@ fn over_budget_requests_are_rejected_before_the_queue() {
 
     drop(client);
     handle.stop();
+}
+
+/// A request's `store` and `trace` name files on the daemon's host:
+/// the library journals into the one and commits a store over the
+/// other, replacing what is there. The daemon refuses any request or
+/// batch item that sets either, before admission and whether or not it
+/// has a store directory of its own, and both files stay as they were.
+#[test]
+fn requests_that_name_a_file_are_refused_and_the_file_is_untouched() {
+    let corpus = small_corpus(vec![BugKind::DivByZero, BugKind::UseAfterFree], 1);
+    let files = temp_dir("paths");
+    std::fs::create_dir_all(&files).expect("create dir");
+    let (notes, data) = (files.join("notes.txt"), files.join("data.bin"));
+    for store_dir in [None, Some(files.join("hot"))] {
+        std::fs::write(&notes, b"notes the daemon must keep\n").expect("write");
+        std::fs::write(&data, b"data the daemon must keep\n").expect("write");
+        let mut handle = serve(ServeConfig {
+            workers: 1,
+            store_dir: store_dir.clone(),
+            ..ServeConfig::default()
+        })
+        .expect("boot daemon");
+        let mut client = TriageClient::connect(handle.addr()).expect("connect");
+        let refusal = |resp: WireResponse| match resp {
+            WireResponse::Error(msg) => msg,
+            other => panic!("expected a refusal with {store_dir:?}, got {other:?}"),
+        };
+
+        let mut traced = request_for(&corpus[0]);
+        traced.trace = Some(notes.display().to_string());
+        let resp = client.call(&WireRequest::Triage(traced)).expect("io");
+        assert_eq!(
+            refusal(resp),
+            "item 0: trace names a file on the daemon's host; requests may not set it"
+        );
+
+        let mut stored = request_for(&corpus[1]);
+        stored.store = Some(data.display().to_string());
+        let batch = vec![request_for(&corpus[0]), stored];
+        let resp = client.call(&WireRequest::HwFilterBatch(batch)).expect("io");
+        assert_eq!(
+            refusal(resp),
+            "item 1: store names a file on the daemon's host; requests may not set it"
+        );
+
+        let stats = client.stats().expect("stats");
+        assert_eq!(stats.admitted, 0, "a refused request is never queued");
+        assert_eq!(stats.rejected_budget + stats.rejected_queue, 0);
+        drop(client);
+        handle.stop();
+        let notes_now = std::fs::read(&notes).expect("read");
+        assert_eq!(notes_now, b"notes the daemon must keep\n", "{store_dir:?}");
+        let data_now = std::fs::read(&data).expect("read");
+        assert_eq!(data_now, b"data the daemon must keep\n", "{store_dir:?}");
+    }
+    let _ = std::fs::remove_dir_all(&files);
 }
 
 /// A client built when `TriageRequest` still had a `workers` field

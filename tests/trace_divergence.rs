@@ -14,9 +14,23 @@
 //!   tracks the recording all the way to the final step and reports a
 //!   **fault** divergence with `got: None`: the recorded failure no
 //!   longer happens at all.
+//!
+//! The other kinds are pinned on edited recordings of the DivByZero
+//! crash: a recorded start pc or end pc changed (**start-pc** and
+//! **end-pc** divergences), one extra recorded write (a **write**
+//! divergence with `got: None`), a program variant whose first range
+//! asserts after one instruction (**premature fault**), and a dump
+//! register the replay no longer reaches (**final state**). Each case
+//! checks the whole [`ReplayReport`] too, against a machine stepped by
+//! hand to the point where verification stops.
 
+use res_debugger::coredump::{diff_dumps, DumpDiff};
+use res_debugger::isa::{Inst, Loc, Operand};
+use res_debugger::machine::{Fault, TraceLevel};
 use res_debugger::prelude::*;
-use res_debugger::res::{Divergence, DivergenceKind};
+use res_debugger::res::replay::instantiate;
+use res_debugger::res::{Divergence, DivergenceKind, ReplayReport};
+use res_debugger::trace::VerifyOutcome;
 use res_debugger::triage::bucket_key_for;
 use res_debugger::workloads::{build_fixed, run_to_failure};
 
@@ -143,4 +157,230 @@ fn fixed_semantic_assert_no_longer_faults() {
 #[test]
 fn bugs_without_a_fixed_variant_decline() {
     assert!(build_fixed(BugKind::UseAfterFree, PARAMS).is_none());
+}
+
+/// `verify` of `trace` against `program`, which must fail with exactly
+/// `expected` and the report `want`.
+fn assert_diverges(
+    program: &Program,
+    trace: &TraceFile,
+    expected: Divergence,
+    want: &ReplayReport,
+) -> VerifyOutcome {
+    let outcome = verify_trace(program, trace, &Recorder::disabled());
+    assert!(!outcome.pass);
+    assert_eq!(outcome.divergence, Some(expected));
+    let got = &outcome.report;
+    assert_eq!(got.reproduced, want.reproduced);
+    assert_eq!(got.fault_matches, want.fault_matches);
+    assert_eq!(got.diff, want.diff);
+    assert_eq!(got.replay_fault, want.replay_fault);
+    assert_eq!(got.steps_executed, want.steps_executed);
+    outcome
+}
+
+/// The report of a replay stopped after `steps` instructions of the
+/// recorded schedule, stepped by hand; the stop either hit `fault` or
+/// was a divergence.
+fn stopped_after(
+    program: &Program,
+    trace: &TraceFile,
+    steps: u64,
+    fault: Option<Fault>,
+) -> ReplayReport {
+    let mut m = instantiate(program, &trace.dump, &trace.to_suffix(), TraceLevel::Off);
+    let mut schedule = trace
+        .steps
+        .iter()
+        .flat_map(|s| (0..s.steps).map(move |_| s.tid));
+    for tid in schedule.by_ref().take(steps as usize) {
+        m.step_thread(tid).expect("a recorded instruction");
+    }
+    if let Some(fault) = &fault {
+        let tid = schedule.next().expect("the faulting instruction");
+        assert_eq!(m.step_thread(tid).err().as_ref(), Some(fault));
+    }
+    ReplayReport {
+        reproduced: false,
+        fault_matches: false,
+        diff: diff_dumps(&Coredump::capture_anyway(&m), &trace.dump, 64),
+        replay_fault: fault,
+        steps_executed: steps,
+    }
+}
+
+/// Instructions in the first `events` recorded events.
+fn steps_in(trace: &TraceFile, events: usize) -> u64 {
+    trace.steps[..events].iter().map(|s| s.steps).sum()
+}
+
+fn shifted(loc: Loc) -> Loc {
+    Loc {
+        inst: loc.inst + 1,
+        ..loc
+    }
+}
+
+#[test]
+fn an_edited_start_pc_diverges_before_the_event_runs() {
+    let (program, mut trace) = recorded(BugKind::DivByZero);
+    let last = trace.steps.len() - 1;
+    let tid = trace.steps[last].tid;
+    let got = trace.steps[last].start;
+    trace.steps[last].start = shifted(got);
+    let want = stopped_after(&program, &trace, steps_in(&trace, last), None);
+    assert_diverges(
+        &program,
+        &trace,
+        Divergence {
+            event: last,
+            tid,
+            kind: DivergenceKind::StartLoc {
+                expected: shifted(got),
+                got,
+            },
+        },
+        &want,
+    );
+}
+
+#[test]
+fn an_edited_end_pc_diverges_after_the_event_runs() {
+    let (program, mut trace) = recorded(BugKind::DivByZero);
+    let last = trace.steps.len() - 1;
+    let tid = trace.steps[last].tid;
+    let got = trace.steps[last].end;
+    trace.steps[last].end = shifted(got);
+    let want = stopped_after(&program, &trace, steps_in(&trace, last + 1), None);
+    assert_diverges(
+        &program,
+        &trace,
+        Divergence {
+            event: last,
+            tid,
+            kind: DivergenceKind::EndLoc {
+                expected: shifted(got),
+                got,
+            },
+        },
+        &want,
+    );
+}
+
+#[test]
+fn an_extra_recorded_write_is_one_the_replay_never_makes() {
+    let (program, mut trace) = recorded(BugKind::DivByZero);
+    let last = trace.steps.len() - 1;
+    let tid = trace.steps[last].tid;
+    let index = trace.steps[last].writes.len();
+    let (addr, width, value) = *trace
+        .steps
+        .iter()
+        .flat_map(|s| &s.writes)
+        .next()
+        .expect("the recording writes");
+    let extra = (addr, width, value.wrapping_add(1));
+    trace.steps[last].writes.push(extra);
+    let want = stopped_after(&program, &trace, steps_in(&trace, last + 1), None);
+    assert_diverges(
+        &program,
+        &trace,
+        Divergence {
+            event: last,
+            tid,
+            kind: DivergenceKind::Write {
+                index,
+                expected: Some(extra),
+                got: None,
+            },
+        },
+        &want,
+    );
+}
+
+#[test]
+fn a_variant_that_asserts_early_faults_prematurely() {
+    let (mut program, trace) = recorded(BugKind::DivByZero);
+    let first = &trace.steps[0];
+    let at = first.start;
+    let block = &mut program.funcs[at.func.0 as usize].blocks[at.block.0 as usize];
+    assert!(
+        first.steps >= 2 && (at.inst as usize) + 1 < block.insts.len(),
+        "the first range runs two straight-line instructions"
+    );
+    block.insts[at.inst as usize + 1] = Inst::Assert {
+        cond: Operand::Imm(0),
+        msg: "premature".to_string(),
+    };
+    let fault = Fault::AssertFailed {
+        msg: "premature".to_string(),
+    };
+    let want = stopped_after(&program, &trace, 1, Some(fault.clone()));
+    let outcome = assert_diverges(
+        &program,
+        &trace,
+        Divergence {
+            event: 0,
+            tid: first.tid,
+            kind: DivergenceKind::PrematureFault {
+                expected_steps: first.steps,
+                executed: 1,
+                fault,
+            },
+        },
+        &want,
+    );
+    assert!(
+        !outcome.fingerprint_matches,
+        "the variant is another program"
+    );
+}
+
+/// The dump a trace carries is both where the replay starts and what
+/// its end state must equal. The faulting thread's innermost frame is
+/// rebuilt from the recorded image, so a register changed there in the
+/// dump is one the replay no longer reaches: every event and the fault
+/// reproduce, and only the end state differs.
+#[test]
+fn a_dump_register_the_replay_no_longer_reaches_is_a_final_state_divergence() {
+    let (program, mut trace) = recorded(BugKind::DivByZero);
+    let tid = trace.expected.faulting_tid;
+    let thread = trace
+        .dump
+        .threads
+        .iter_mut()
+        .find(|t| t.tid == tid)
+        .expect("the faulting thread");
+    assert_eq!(
+        trace.image.start_positions[&tid].0,
+        thread.frames.len() - 1,
+        "the suffix starts in the innermost frame"
+    );
+    let regs = &mut thread.top_mut().regs;
+    regs[0] = regs[0].wrapping_add(1);
+    let want = ReplayReport {
+        reproduced: false,
+        fault_matches: true,
+        diff: DumpDiff {
+            registers: vec![(tid, 0)],
+            ..DumpDiff::default()
+        },
+        replay_fault: Some(trace.expected.fault.clone()),
+        steps_executed: trace.expected.total_steps + 1,
+    };
+    assert_diverges(
+        &program,
+        &trace,
+        Divergence {
+            event: trace.steps.len(),
+            tid,
+            kind: DivergenceKind::FinalState {
+                memory_bytes: 0,
+                registers: 1,
+                pcs: 0,
+                threads: 0,
+            },
+        },
+        &want,
+    );
 }

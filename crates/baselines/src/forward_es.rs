@@ -268,6 +268,7 @@ impl ForwardSynthesizer {
             },
             max_depth: usize::MAX,
             max_artifacts: 1,
+            settle_depth: usize::MAX,
         };
         let mut stats = KernelStats::default();
         let root = FwdNode {

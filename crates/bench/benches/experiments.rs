@@ -127,10 +127,9 @@ fn bench_a3_solver() {
 /// trip, and `hardware_verdict` with a warm store and with none. The
 /// input is one generated use-after-free program (the `hwfilter`
 /// shape) with its first four dumps, the second one with a corrupted
-/// register, which no suffix explains, so its verdict runs the whole
-/// §3.2 sweep (a bit flip in this program leaves a dump a suffix
-/// explains); the store is warmed by running every dump through it
-/// first. Then
+/// register, which no suffix explains, so its verdict runs the §3.2
+/// sweep; the store is warmed by running every dump through it first.
+/// Then
 /// the identity text a triage answer carries per suffix, written by the
 /// derived `Debug` and by `identity_bytes`, over every suffix of the
 /// seed-1 `triage` population (`bench_suffix_identity`).
@@ -153,7 +152,7 @@ fn bench_codec() {
             hardware_verdict(program, &dumps[1], &cold),
             HwVerdict::HardwareSuspected { .. }
         ),
-        "dump 1 must need the whole sweep"
+        "dump 1 must need the sweep"
     );
     for d in &dumps {
         hardware_verdict(program, d, &warm);

@@ -54,32 +54,6 @@ fn xorshift(state: &mut u64) -> u64 {
     XorShift64Star::step(state)
 }
 
-/// Flips one bit of a mapped memory byte, chosen by `seed`.
-///
-/// Returns `None` if the dump has no mapped memory. Zero bytes are
-/// preferred targets only in the sense that any mapped byte qualifies;
-/// the flip is made visibly (before ≠ after) by construction.
-pub fn flip_memory_bit(dump: &mut Coredump, seed: u64) -> Option<InjectionReport> {
-    let pages: Vec<u64> = dump.memory.iter_pages().map(|(b, _)| b).collect();
-    if pages.is_empty() {
-        return None;
-    }
-    let mut s = seed;
-    let page = pages[(xorshift(&mut s) % pages.len() as u64) as usize];
-    let offset = xorshift(&mut s) % 4096;
-    let bit = (xorshift(&mut s) % 8) as u8;
-    let addr = page + offset;
-    let before = dump.memory.read_byte(addr).unwrap_or(0);
-    let after = before ^ (1 << bit);
-    dump.memory.write_byte(addr, after);
-    Some(InjectionReport::MemoryBitFlip {
-        addr,
-        bit,
-        before,
-        after,
-    })
-}
-
 /// Flips one bit of the byte at a *specific* address.
 pub fn flip_memory_bit_at(dump: &mut Coredump, addr: u64, bit: u8) -> InjectionReport {
     let before = dump.memory.read_byte(addr).unwrap_or(0);
@@ -173,7 +147,9 @@ impl HwFlavor {
 /// corrupt state involved in the failure (the miscomputed addition's
 /// result, the value the program just wrote). Returns registers defined
 /// and global addresses stored by the faulting block's already-executed
-/// portion.
+/// portion. When no rule names a memory site, the words that portion
+/// loaded or stored are named instead, where the dump's registers still
+/// hold their addresses.
 pub fn consequential_sites(program: &Program, dump: &Coredump) -> (Vec<Reg>, Vec<u64>) {
     let pc = dump.fault_pc();
     let scan = |func: mvm_isa::FuncId, block: mvm_isa::BlockId, upto: usize| {
@@ -254,12 +230,57 @@ pub fn consequential_sites(program: &Program, dump: &Coredump) -> (Vec<Reg>, Vec
             }
         }
     }
+    if out_mems.is_empty() {
+        out_mems = accessed_words(program, dump);
+    }
     (out_regs, out_mems)
 }
 
+/// The mapped words the faulting block's executed portion loaded or
+/// stored through a register, in program order. A base register that no
+/// later instruction of the portion (nor the access itself) redefines
+/// still holds, in the dump, the address it had at the access.
+fn accessed_words(program: &Program, dump: &Coredump) -> Vec<u64> {
+    let pc = dump.fault_pc();
+    let Some(frame) = dump.faulting_thread().frames.last() else {
+        return Vec::new();
+    };
+    let insts = &program.func(pc.func).block(pc.block).insts;
+    let executed = &insts[..(pc.inst as usize).min(insts.len())];
+    let mut out = Vec::new();
+    for (i, inst) in executed.iter().enumerate() {
+        let (base, offset) = match inst {
+            Inst::Load {
+                addr: Operand::Reg(base),
+                offset,
+                ..
+            }
+            | Inst::Store {
+                addr: Operand::Reg(base),
+                offset,
+                ..
+            } => (*base, *offset),
+            _ => continue,
+        };
+        if executed[i..]
+            .iter()
+            .any(|later| later.def_reg() == Some(base))
+        {
+            continue;
+        }
+        let addr = frame.reg(base).wrapping_add(offset as u64);
+        if dump.memory.read_byte(addr).is_some() && !out.contains(&addr) {
+            out.push(addr);
+        }
+    }
+    out
+}
+
 /// Corrupts `dump` at a consequential site (preferring state the
-/// failing code actually computed), falling back to a random site when
-/// no consequential one is resolvable. Deterministic in `seed`.
+/// failing code actually computed). A bit flip with no consequential
+/// memory site leaves the dump untouched and returns `None`; a register
+/// corruption with no consequential register falls back to a random
+/// register of the faulting frame. Deterministic in `seed`.
 pub fn corrupt_consequential(
     program: &Program,
     dump: &mut Coredump,
@@ -268,10 +289,9 @@ pub fn corrupt_consequential(
 ) -> Option<InjectionReport> {
     let (regs, mems) = consequential_sites(program, dump);
     match flavor {
-        HwFlavor::BitFlip => match mems.first() {
-            Some(&addr) => Some(flip_memory_bit_at(dump, addr, (seed % 8) as u8)),
-            None => flip_memory_bit(dump, seed ^ 0xf11b),
-        },
+        HwFlavor::BitFlip => mems
+            .first()
+            .map(|&addr| flip_memory_bit_at(dump, addr, (seed % 8) as u8)),
         HwFlavor::RegCorrupt => match regs.last() {
             Some(&reg) => Some(corrupt_register_at(dump, 0, reg, seed | 0x10)),
             None => Some(corrupt_register(dump, seed ^ 0xc0de)),
@@ -296,33 +316,6 @@ mod tests {
     }
 
     #[test]
-    fn bit_flip_changes_exactly_one_bit() {
-        let mut d = dump();
-        let orig = d.clone();
-        let r = flip_memory_bit(&mut d, 1234).unwrap();
-        let InjectionReport::MemoryBitFlip {
-            addr,
-            before,
-            after,
-            ..
-        } = r
-        else {
-            panic!("wrong report kind")
-        };
-        assert_eq!((before ^ after).count_ones(), 1);
-        assert_eq!(d.memory.read_byte(addr).unwrap_or(0), after);
-        assert_eq!(orig.memory.diff(&d.memory, 10), vec![addr]);
-    }
-
-    #[test]
-    fn bit_flip_is_seed_deterministic() {
-        let mut a = dump();
-        let mut b = dump();
-        assert_eq!(flip_memory_bit(&mut a, 7), flip_memory_bit(&mut b, 7));
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn targeted_flip_hits_requested_address() {
         let mut d = dump();
         let g_addr = mvm_isa::layout::GLOBAL_BASE;
@@ -333,6 +326,23 @@ mod tests {
         assert_eq!(before, 5);
         assert_eq!(after, 4);
         assert_eq!(d.memory.read_byte(g_addr), Some(4));
+    }
+
+    /// A bit flip with no consequential memory site is no corruption:
+    /// the dump stays as it was.
+    #[test]
+    fn bit_flip_without_a_consequential_site_is_none() {
+        let p = assemble("func main() {\nentry:\n  assert 0, \"x\"\n  halt\n}").unwrap();
+        let mut m = Machine::new(p.clone(), MachineConfig::default());
+        m.run();
+        let mut d = Coredump::capture(&m);
+        let orig = d.clone();
+        assert_eq!(consequential_sites(&p, &d).1, Vec::<u64>::new());
+        assert_eq!(
+            corrupt_consequential(&p, &mut d, 3, HwFlavor::BitFlip),
+            None
+        );
+        assert_eq!(d, orig);
     }
 
     #[test]

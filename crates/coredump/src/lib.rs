@@ -26,6 +26,6 @@ pub use diff::{diff_dumps, DumpDiff};
 pub use dump::{Coredump, StackSignature};
 pub use inject::{
     consequential_sites, corrupt_consequential, corrupt_register, corrupt_register_at,
-    flip_memory_bit, flip_memory_bit_at, HwFlavor, InjectionReport,
+    flip_memory_bit_at, HwFlavor, InjectionReport,
 };
 pub use minidump::Minidump;

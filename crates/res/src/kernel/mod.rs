@@ -101,16 +101,22 @@ pub struct ExploreConfig {
     pub max_depth: usize,
     /// Stop after this many artifacts.
     pub max_artifacts: usize,
+    /// Stop after the first artifact at least this deep: a caller that
+    /// reads only whether an artifact exists sets 0, one that reads
+    /// only the deepest artifact's depth sets `max_depth`, and every
+    /// other caller sets `usize::MAX`, which no artifact reaches.
+    pub settle_depth: usize,
 }
 
 /// The exploration loop: a depth-first search over a stack.
 ///
 /// Replicates the historical engine's order of operations exactly (the
-/// golden suffix fixture depends on it): pop; stop if enough artifacts;
-/// admit against the budget (recording the cut and the abandoned stack
-/// on failure); count the expansion; finalize at the depth horizon;
-/// generate hypotheses (finalizing childless nodes); transform each;
-/// finalize cul-de-sacs of nonzero depth; push surviving children.
+/// golden suffix fixture depends on it): pop; stop if enough artifacts,
+/// or one deep enough to settle the search; admit against the budget
+/// (recording the cut and the abandoned stack on failure); count the
+/// expansion; finalize at the depth horizon; generate hypotheses
+/// (finalizing childless nodes); transform each; finalize cul-de-sacs
+/// of nonzero depth; push surviving children.
 ///
 /// `recorder` is a strictly passive observer (pass an already-scoped
 /// handle, e.g. `rec.scoped("kernel")`, or [`Recorder::disabled`]):
@@ -129,10 +135,11 @@ where
     let meter = BudgetMeter::start();
     let mut artifacts = Vec::new();
     let mut stack = vec![root];
+    let mut settled = false;
     recorder.counter("frontier_push", 1);
     while let Some(node) = stack.pop() {
         recorder.counter("frontier_pop", 1);
-        if artifacts.len() >= config.max_artifacts {
+        if artifacts.len() >= config.max_artifacts || settled {
             break;
         }
         if let Some(cut) = config
@@ -162,6 +169,7 @@ where
             if let Some(a) = driver.finalize(&node, stats) {
                 artifacts.push(a);
                 recorder.counter("artifacts", 1);
+                settled = depth >= config.settle_depth;
             }
             continue;
         }
@@ -170,6 +178,7 @@ where
             if let Some(a) = driver.finalize(&node, stats) {
                 artifacts.push(a);
                 recorder.counter("artifacts", 1);
+                settled = depth >= config.settle_depth;
             }
             continue;
         }
@@ -188,6 +197,7 @@ where
                 if let Some(a) = driver.finalize(&node, stats) {
                     artifacts.push(a);
                     recorder.counter("artifacts", 1);
+                    settled = depth >= config.settle_depth;
                 }
             }
             continue;
@@ -313,6 +323,7 @@ mod tests {
             budget: Budget::default(),
             max_depth: 2,
             max_artifacts: 1,
+            settle_depth: usize::MAX,
         };
         let (artifacts, stats) = run(&mut d, 1, &cfg);
         // Even children score priority 0, so DFS dives 1 → 2 → 4.
@@ -334,6 +345,7 @@ mod tests {
             budget: Budget::default(),
             max_depth: 1,
             max_artifacts: 64,
+            settle_depth: usize::MAX,
         };
         let (artifacts, _) = run(&mut d, 0, &cfg);
         assert_eq!(artifacts, vec![3, 2, 4, 1]);
@@ -349,6 +361,7 @@ mod tests {
             },
             max_depth: 8,
             max_artifacts: 64,
+            settle_depth: usize::MAX,
         };
         let (artifacts, stats) = run(&mut d, 1, &cfg);
         assert!(artifacts.is_empty());
@@ -367,6 +380,7 @@ mod tests {
             budget: Budget::default(),
             max_depth: 3,
             max_artifacts: 64,
+            settle_depth: usize::MAX,
         };
         let (artifacts, stats) = run(&mut d, 1, &cfg);
         // Only even children survive: the single chain 1→2→4→8 (node 8
@@ -382,9 +396,31 @@ mod tests {
             budget: Budget::default(),
             max_depth: 3,
             max_artifacts: 2,
+            settle_depth: usize::MAX,
         };
         let (artifacts, stats) = run(&mut d, 1, &cfg);
         assert_eq!(artifacts, vec![8, 9]);
         assert_eq!(stats.cut, None, "artifact cap is not a budget cut");
+    }
+
+    /// The first artifact as deep as `settle_depth` ends the search; a
+    /// shallower one does not.
+    #[test]
+    fn a_deep_enough_artifact_settles_the_search() {
+        let mut d = TreeDriver { reject_odd: false };
+        let settle = |settle_depth| ExploreConfig {
+            budget: Budget::default(),
+            max_depth: 3,
+            max_artifacts: 64,
+            settle_depth,
+        };
+        let (all, _) = run(&mut d, 1, &settle(usize::MAX));
+        assert_eq!(all, vec![8, 9, 10, 11, 12, 13, 14, 15]);
+        let (first, stats) = run(&mut d, 1, &settle(3));
+        assert_eq!(first, vec![8]);
+        assert_eq!(stats.nodes_expanded, 4, "the root, 2, 4 and 8");
+        // Every artifact here is 3 deep, so none settles a search that
+        // waits for a deeper one.
+        assert_eq!(run(&mut d, 1, &settle(4)).0, all);
     }
 }

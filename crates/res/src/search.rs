@@ -550,7 +550,7 @@ impl<'p> ResEngine<'p> {
     /// thin wrapper over this one. It runs the backward search once,
     /// depth-first, under the effective budget of `opts`.
     pub fn synthesize_with(&self, dump: &Coredump, opts: SynthOptions) -> SynthesisResult {
-        self.run_synthesis(dump, &opts, None, None, true)
+        self.run_synthesis(dump, &opts, None, usize::MAX, None, true)
     }
 
     /// [`synthesize_with`](ResEngine::synthesize_with) against a
@@ -570,7 +570,14 @@ impl<'p> ResEngine<'p> {
         store: &mut SolverStore,
     ) -> SynthesisResult {
         store.absorb_into(&self.session);
-        self.run_synthesis(dump, &opts, None, Some((store, &mut None)), false)
+        self.run_synthesis(
+            dump,
+            &opts,
+            None,
+            usize::MAX,
+            Some((store, &mut None)),
+            false,
+        )
     }
 
     /// The unrelaxed search root of `dump`, for
@@ -586,20 +593,23 @@ impl<'p> ResEngine<'p> {
     /// [`synthesize_in_store`](ResEngine::synthesize_in_store) with the
     /// session's [`MergeMark`] for that store, which a caller keeps
     /// across its calls on the same store to skip the merges that would
-    /// add nothing.
+    /// add nothing. The search stops at its first suffix of at least
+    /// `settle_depth` steps (see [`ExploreConfig::settle_depth`]).
     pub(crate) fn synthesize_from(
         &self,
         root: &Root,
         dump: &Coredump,
         opts: SynthOptions,
         store: Option<(&mut SolverStore, &mut MergeMark)>,
+        settle_depth: usize,
     ) -> SynthesisResult {
         match store {
             Some((store, mark)) => {
                 store.absorb_into(&self.session);
-                self.run_synthesis(dump, &opts, Some(root), Some((store, mark)), false)
+                let store = Some((store, mark));
+                self.run_synthesis(dump, &opts, Some(root), settle_depth, store, false)
             }
-            None => self.run_synthesis(dump, &opts, Some(root), None, true),
+            None => self.run_synthesis(dump, &opts, Some(root), settle_depth, None, true),
         }
     }
 
@@ -608,6 +618,7 @@ impl<'p> ResEngine<'p> {
         dump: &Coredump,
         opts: &SynthOptions,
         root: Option<&Root>,
+        settle_depth: usize,
         mut external: Option<(&mut SolverStore, &mut MergeMark)>,
         commit: bool,
     ) -> SynthesisResult {
@@ -644,7 +655,7 @@ impl<'p> ResEngine<'p> {
         let t_absorb = wall.elapsed();
         let mut result = {
             let _search = run.child("search");
-            self.search(dump, root, opts.relax, budget, &recorder)
+            self.search(dump, root, opts.relax, budget, settle_depth, &recorder)
         };
         let t_search = wall.elapsed() - t_absorb;
         result.store = {
@@ -738,6 +749,7 @@ impl<'p> ResEngine<'p> {
         root: Option<&Root>,
         relax: Relax,
         budget: Budget,
+        settle_depth: usize,
         recorder: &Recorder,
     ) -> SynthesisResult {
         let mut ctx = SymCtx::new();
@@ -758,6 +770,7 @@ impl<'p> ResEngine<'p> {
             budget,
             max_depth: self.config.max_depth,
             max_artifacts: self.config.max_suffixes,
+            settle_depth,
         };
         let mut stats = KernelStats::default();
         let suffixes = explore(

@@ -191,6 +191,15 @@ pub enum TraceError {
     Missing(&'static str),
     /// A payload decoded but its JSON shape is wrong.
     Json(String),
+    /// A section names a thread the dump lacks, so replay would start
+    /// or schedule a thread it has no state for.
+    UnknownThread {
+        /// The section naming it: `start_positions` or `initial_regs`
+        /// of the image, or `step`.
+        section: &'static str,
+        /// The thread.
+        tid: ThreadId,
+    },
     /// The program's fingerprint does not match the trace header
     /// (strict replay refuses; `verify` proceeds and reports).
     Fingerprint {
@@ -215,6 +224,12 @@ impl fmt::Display for TraceError {
             }
             TraceError::Missing(section) => write!(f, "trace is missing its {section} section"),
             TraceError::Json(e) => write!(f, "trace payload malformed: {e}"),
+            TraceError::UnknownThread { section, tid } => {
+                write!(
+                    f,
+                    "trace {section} names thread {tid}, which its dump lacks"
+                )
+            }
             TraceError::Fingerprint { expected, got } => write!(
                 f,
                 "program fingerprint {got:016x} does not match the trace's {expected:016x}"
@@ -413,7 +428,8 @@ impl TraceFile {
 
     /// Parses file bytes. Anything that does not start with this
     /// build's magic line, including the binary traces older builds
-    /// wrote, is [`TraceError::NotATrace`].
+    /// wrote, is [`TraceError::NotATrace`]; a trace whose sections name
+    /// a thread its dump lacks is [`TraceError::UnknownThread`].
     pub fn from_text_bytes(bytes: &[u8]) -> Result<TraceFile, TraceError> {
         let text = std::str::from_utf8(bytes).map_err(|_| TraceError::NotATrace)?;
         let mut lines = text.lines();
@@ -454,14 +470,33 @@ impl TraceFile {
         if header.format_version != FORMAT_VERSION {
             return Err(TraceError::Version(header.format_version));
         }
-        Ok(TraceFile {
+        let trace = TraceFile {
             header,
             dump: dump.ok_or(TraceError::Missing("dump"))?,
             image: image.ok_or(TraceError::Missing("image"))?,
             inputs: inputs.ok_or(TraceError::Missing("inputs"))?.inputs,
             steps,
             expected: expected.ok_or(TraceError::Missing("expected-outcome"))?,
-        })
+        };
+        trace.check_threads()?;
+        Ok(trace)
+    }
+
+    /// Refuses a trace whose image or steps name a thread its dump
+    /// lacks, in file order.
+    fn check_threads(&self) -> Result<(), TraceError> {
+        let starts = self.image.start_positions.keys();
+        let regs = self.image.initial_regs.keys();
+        let named = starts
+            .map(|&tid| ("start_positions", tid))
+            .chain(regs.map(|&tid| ("initial_regs", tid)))
+            .chain(self.steps.iter().map(|s| ("step", s.tid)));
+        for (section, tid) in named {
+            if self.dump.thread(tid).is_none() {
+                return Err(TraceError::UnknownThread { section, tid });
+            }
+        }
+        Ok(())
     }
 
     /// Writes the trace to `path` atomically

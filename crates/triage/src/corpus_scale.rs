@@ -341,6 +341,8 @@ pub struct HwScaleReport {
 /// Runs E7 at corpus scale: for every program, even-indexed failures
 /// pass through untouched and odd-indexed ones get a consequential-site
 /// hardware corruption (alternating flavors) before the §3.2 verdict.
+/// An odd-indexed failure with no consequential site for its flavor
+/// stays genuine and is scored as genuine.
 pub fn hardware_scale(
     spec: &CorpusScaleSpec,
     config: &ResConfig,
@@ -359,16 +361,16 @@ pub fn hardware_scale(
             .iter()
             .enumerate()
             .map(|(i, f)| {
-                let corrupt = i % 2 == 1;
-                let dump = if corrupt {
+                let (dump, corrupt) = if i % 2 == 1 {
                     let flavor = if i % 4 == 1 {
                         HwFlavor::BitFlip
                     } else {
                         HwFlavor::RegCorrupt
                     };
-                    hardware_variant(&gp, f, flavor).0
+                    let (dump, injected) = hardware_variant(&gp, f, flavor);
+                    (dump, injected.is_some())
                 } else {
-                    f.dump.clone()
+                    (f.dump.clone(), false)
                 };
                 let verdict = hardware_verdict(&gp.program, &dump, &cfg);
                 let flagged = matches!(verdict, HwVerdict::HardwareSuspected { .. });

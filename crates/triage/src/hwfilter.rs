@@ -66,8 +66,9 @@ impl HwFilterStudy {
 }
 
 /// Corrupts every other report in the corpus (alternating memory flips
-/// and register corruption at consequential sites, falling back to
-/// random sites), runs the filter, and scores it.
+/// and register corruption at consequential sites; a report with no
+/// consequential memory site for its flip stays genuine), runs the
+/// filter, and scores it.
 ///
 /// When `store_dir` is given, the sweep is backed by a shared
 /// persistent-store directory — the same directory the §3.1 bucketing
@@ -81,18 +82,14 @@ pub fn filter_corpus(
 ) -> HwFilterStudy {
     let mut study = HwFilterStudy::default();
     for (i, r) in corpus.iter().enumerate() {
-        let corrupt = i % 2 == 1;
-        let dump: Coredump = if corrupt {
-            let mut d = r.dump.clone();
+        let mut dump: Coredump = r.dump.clone();
+        let corrupt = i % 2 == 1 && {
             let flavor = if i % 4 == 1 {
                 HwFlavor::BitFlip
             } else {
                 HwFlavor::RegCorrupt
             };
-            let _ = corrupt_consequential(&r.program, &mut d, r.seed, flavor);
-            d
-        } else {
-            r.dump.clone()
+            corrupt_consequential(&r.program, &mut dump, r.seed, flavor).is_some()
         };
         let verdict = match store_dir {
             Some(dir) => {

@@ -815,6 +815,41 @@ mod tests {
         assert_ne!(mvm_json::to_string(&hw_dump), mvm_json::to_string(&f.dump));
     }
 
+    /// Every memory word a consequential corruption flips in an E7c
+    /// failure is one `consequential_sites` names, and every register it
+    /// corrupts is one it names: the injector never reports a random
+    /// site as a consequential one.
+    #[test]
+    fn consequential_corruptions_land_on_consequential_sites() {
+        let classes = [
+            GenClass::DataRace,
+            GenClass::DivByZero,
+            GenClass::LocalOverflow,
+            GenClass::UseAfterFree,
+        ];
+        for spec in corpus_specs(&classes, 3 * classes.len(), 19, 1) {
+            let gp = generate(spec);
+            for f in collect_failures(&gp, 2) {
+                let (regs, mems) = mvm_core::consequential_sites(&gp.program, &f.dump);
+                for flavor in [HwFlavor::BitFlip, HwFlavor::RegCorrupt] {
+                    match hardware_variant(&gp, &f, flavor).1 {
+                        Some(InjectionReport::MemoryBitFlip { addr, .. }) => assert!(
+                            mems.contains(&addr),
+                            "{spec:?} {}: flipped {addr:#x}, sites {mems:x?}",
+                            flavor.name()
+                        ),
+                        Some(InjectionReport::RegisterCorrupt { reg, .. }) => assert!(
+                            regs.contains(&mvm_isa::Reg(reg)),
+                            "{spec:?} {}: corrupted r{reg}, sites {regs:?}",
+                            flavor.name()
+                        ),
+                        None => {}
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn corpus_specs_round_robin_and_decorrelate() {
         let specs = corpus_specs(&[GenClass::DivByZero, GenClass::DoubleFree], 6, 9, 0);

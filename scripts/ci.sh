@@ -18,13 +18,15 @@ cargo build --workspace --release
 echo "==> cargo test"
 cargo test --workspace -q
 
-echo "==> codec, suffix identity, store-open, store-key and solver properties under two more seeds"
+echo "==> codec, suffix identity, store-open, store-key, solver and hardware-sweep properties under two more seeds"
 # The direct JSON reader must equal the tree path (value or error), a
 # suffix's direct identity text its derived `Debug`, and the store key
 # its reference implementation, on every random case; every solver
 # model must satisfy its constraints, and every bounded Unsat survive
-# brute force. Two more fixed seeds make each CI run check three times
-# as many cases against the reference.
+# brute force; every §3.2 verdict, with its searches stopped once
+# settled, must equal the sweep that runs every search to the end. Two
+# more fixed seeds make each CI run check three times as many cases
+# against the reference.
 for seed in 1 2; do
     echo "    RES_PROP_SEED=$seed"
     RES_PROP_SEED=$seed cargo test -q --test codec_identity
@@ -34,6 +36,8 @@ for seed in 1 2; do
         store_open_matches_the_tree_reference_under_mutation
     RES_PROP_SEED=$seed cargo test -q --test canonical_key
     RES_PROP_SEED=$seed cargo test -q --test properties solver_soundness
+    RES_PROP_SEED=$seed cargo test -q -p res-core --lib \
+        hwerr::tests::settled_sweeps_give_the_reference_verdicts
 done
 
 echo "==> benchmark build and self-test (perfbench/)"

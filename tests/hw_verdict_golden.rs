@@ -7,9 +7,10 @@
 //! small seeded E7c one (the generator classes whose genuine dumps the
 //! engine fully explains): each program's genuine dumps, then one
 //! `BitFlip` and one `RegCorrupt` `hardware_variant` of its first dump.
-//! A corrupted dump runs the whole localization sweep (a base search
-//! plus one relaxed search per register and candidate memory word), so
-//! its line pins where the sweep localized the fault.
+//! A corrupted dump runs the localization sweep (a base search, then one
+//! relaxed search per register and candidate memory word until one
+//! reaches the depth horizon), so its line pins where the sweep
+//! localized the fault.
 //!
 //! To regenerate after an *intentional* change to hardware verdicts:
 //!

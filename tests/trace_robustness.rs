@@ -176,6 +176,39 @@ fn replay_refuses_a_foreign_program_by_fingerprint() {
     }
 }
 
+/// A trace whose sections disagree with its dump about threads is
+/// refused with the section and the thread, from bytes and from a file
+/// alike: replay and verify would otherwise start or schedule a thread
+/// the dump has no state for.
+#[test]
+fn a_section_naming_a_thread_the_dump_lacks_is_refused_by_name() {
+    let (_, trace) = recorded();
+    assert!(trace.dump.thread(9).is_none());
+    let mut step = trace.clone();
+    step.steps[0].tid = 9;
+    let mut start = trace.clone();
+    let first = *start.image.start_positions.values().next().unwrap();
+    start.image.start_positions.insert(9, first);
+    let mut regs = trace.clone();
+    let first = regs.image.initial_regs.values().next().unwrap().clone();
+    regs.image.initial_regs.insert(9, first);
+    let dir = std::env::temp_dir().join(format!("res-trace-threads-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (edited, section) in [
+        (step, "step"),
+        (start, "start_positions"),
+        (regs, "initial_regs"),
+    ] {
+        let want = TraceError::UnknownThread { section, tid: 9 };
+        let bytes = edited.to_text_bytes();
+        assert_eq!(TraceFile::from_text_bytes(&bytes).unwrap_err(), want);
+        let path = dir.join(format!("{section}.restrace"));
+        edited.write(&path).unwrap();
+        assert_eq!(TraceFile::read(&path).unwrap_err(), want);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Damage must also be typed end to end: a torn file on disk surfaces
 /// through [`TraceFile::read`] the same way as through
 /// `from_text_bytes`.

@@ -29,7 +29,7 @@ use mvm_machine::{
 use mvm_symbolic::{Expr, ExprRef, SolveResult, SolverConfig, SolverSession};
 use res_core::kernel::{
     explore, Budget, CutReason, ExploreConfig, Finalize, HypothesisGen, KernelStats, NodeScore,
-    Recorder, StateTransform,
+    StateTransform,
 };
 
 /// Forward-search configuration, expressed in the kernel's shared
@@ -275,13 +275,7 @@ impl ForwardSynthesizer {
             index: 0,
             witness: None,
         };
-        let artifacts = explore(
-            &mut driver,
-            root,
-            &explore_cfg,
-            &mut stats,
-            &Recorder::disabled(),
-        );
+        let artifacts = explore(&mut driver, root, &explore_cfg, &mut stats);
         stats.solver = driver.session.stats();
         let witness_seed = artifacts.first().copied();
         if witness_seed.is_none() && stats.cut.is_none() {

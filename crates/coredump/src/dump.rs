@@ -2,7 +2,7 @@
 
 use mvm_json::{json_struct, JsonError};
 
-use mvm_isa::Loc;
+use mvm_isa::{Loc, Reg};
 use mvm_machine::{
     AllocMeta,
     Fault,
@@ -173,19 +173,29 @@ json_struct!(Coredump {
 } check check_threads);
 
 /// Refuses a dump no execution ends in: every thread must have a frame
-/// (a halted thread keeps its bottom frame, so every capture does), and
-/// `faulting_tid` must name one of the threads.
+/// (a halted thread keeps its bottom frame, so every capture does),
+/// every frame a full register file, and `faulting_tid` must name one
+/// of the threads.
 fn check_threads(dump: &Coredump) -> Result<(), JsonError> {
-    if let Some((i, t)) = dump
-        .threads
-        .iter()
-        .enumerate()
-        .find(|(_, t)| t.frames.is_empty())
-    {
-        return Err(JsonError::msg(format!(
-            "Coredump.threads[{i}].frames: thread {} has no frames",
-            t.tid
-        )));
+    for (i, t) in dump.threads.iter().enumerate() {
+        if t.frames.is_empty() {
+            return Err(JsonError::msg(format!(
+                "Coredump.threads[{i}].frames: thread {} has no frames",
+                t.tid
+            )));
+        }
+        if let Some((j, f)) = t
+            .frames
+            .iter()
+            .enumerate()
+            .find(|(_, f)| f.regs.len() != Reg::COUNT)
+        {
+            return Err(JsonError::msg(format!(
+                "Coredump.threads[{i}].frames[{j}].regs: {} registers, not {}",
+                f.regs.len(),
+                Reg::COUNT
+            )));
+        }
     }
     if dump.thread(dump.faulting_tid).is_none() {
         return Err(JsonError::msg(format!(

@@ -7,6 +7,12 @@
 //! and friends) say *how much* happened; this crate records *when*, as
 //! a replayable execution timeline.
 //!
+//! The stat structs own their counts. Nothing counts an event a second
+//! time into a recorder: the engine journals a search's `KernelStats`
+//! and solver-session delta once, when the search ends, and the daemon
+//! publishes its `ServerStats` as gauges after each request. Journal
+//! totals therefore equal the structs' by construction.
+//!
 //! Three primitives, one handle:
 //!
 //! * **Spans** — hierarchical, monotonically timed intervals

@@ -37,10 +37,13 @@ pub fn glob_match(pattern: &str, name: &str) -> bool {
     inner(pattern.as_bytes(), name.as_bytes())
 }
 
-/// The final counter totals whose names match the glob `pattern`, in
-/// name order.
+/// The final counter totals and gauge values whose names match the
+/// glob `pattern`, in name order. Gauges count too: the daemon
+/// journals its running counts as gauges.
 pub fn counters_matching(events: &[Event], pattern: &str) -> Vec<(String, u64)> {
-    crate::render::counter_totals(events)
+    let mut values = crate::render::counter_totals(events);
+    values.extend(crate::render::gauge_values(events));
+    values
         .into_iter()
         .filter(|(name, _)| glob_match(pattern, name))
         .collect()
@@ -259,12 +262,14 @@ mod tests {
         rec.counter("serve.admitted", 5);
         rec.counter("serve.rejected.queue", 2);
         rec.counter("kernel.nodes", 100);
+        rec.gauge("serve.hot.hits", 3);
         rec.finish();
         let got = counters_matching(&rec.snapshot(), "serve.*");
         assert_eq!(
             got,
             vec![
                 ("serve.admitted".to_string(), 5),
+                ("serve.hot.hits".to_string(), 3),
                 ("serve.rejected.queue".to_string(), 2)
             ]
         );

@@ -23,13 +23,13 @@ pub const JOURNAL_VERSION: u64 = 1;
 /// journal file or an in-memory event buffer) or **disabled** (the
 /// default): a `None` that makes every call an allocation-free no-op.
 /// Clones share the sink, the clock, and the metric totals, so one
-/// recorder can be handed to the solver session, the store, the kernel
-/// loop, and N worker threads at once.
+/// recorder can be handed to the engine, the store, and N worker
+/// threads at once.
 ///
 /// [`scoped`](Recorder::scoped) derives a handle that prefixes every
-/// metric name (`rec.scoped("replay")` turns `nodes_expanded` into
-/// `replay.nodes_expanded`), which is how per-phase and per-worker
-/// counters stay reconcilable against the engine's stat structs.
+/// metric, span and mark name (`rec.scoped("store")` turns `open` into
+/// `store.open`), so a component names its events without knowing
+/// where it is journaled.
 #[derive(Debug, Clone, Default)]
 pub struct Recorder {
     inner: Option<Arc<Inner>>,

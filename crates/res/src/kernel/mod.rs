@@ -29,9 +29,6 @@ pub mod stats;
 pub use budget::{Budget, BudgetMeter, CutReason};
 pub use par::{auto_workers, parallel_map};
 pub use stats::{AbandonedSpace, KernelStats, ParallelReport};
-// Re-exported so kernel drivers in other crates can call [`explore`]
-// without a manifest dependency on the tracing crate.
-pub use res_obs::{Recorder, Span};
 
 /// How promising a surviving child is: [`explore`] expands the lowest
 /// `priority` first.
@@ -116,18 +113,13 @@ pub struct ExploreConfig {
 /// (recording the cut and the abandoned stack on failure); count the
 /// expansion; finalize at the depth horizon; generate hypotheses
 /// (finalizing childless nodes); transform each; finalize cul-de-sacs
-/// of nonzero depth; push surviving children.
-///
-/// `recorder` is a strictly passive observer (pass an already-scoped
-/// handle, e.g. `rec.scoped("kernel")`, or [`Recorder::disabled`]):
-/// the loop never reads it, so enabling tracing cannot perturb the
-/// search order.
+/// of nonzero depth; push surviving children. Everything the loop
+/// counts goes to `stats`.
 pub fn explore<D>(
     driver: &mut D,
     root: D::Node,
     config: &ExploreConfig,
     stats: &mut KernelStats,
-    recorder: &Recorder,
 ) -> Vec<D::Artifact>
 where
     D: StateTransform + Finalize,
@@ -136,9 +128,7 @@ where
     let mut artifacts = Vec::new();
     let mut stack = vec![root];
     let mut settled = false;
-    recorder.counter("frontier_push", 1);
     while let Some(node) = stack.pop() {
-        recorder.counter("frontier_pop", 1);
         if artifacts.len() >= config.max_artifacts || settled {
             break;
         }
@@ -151,24 +141,15 @@ where
             for n in &stack {
                 stats.abandoned.record(driver.depth(n));
             }
-            let abandoned = stats.abandoned.nodes;
-            recorder.event_with("cut", || {
-                vec![
-                    ("reason".into(), format!("{cut:?}")),
-                    ("abandoned".into(), abandoned.to_string()),
-                ]
-            });
             break;
         }
         stats.nodes_expanded += 1;
-        recorder.counter("nodes_expanded", 1);
         let depth = driver.depth(&node);
         stats.deepest = stats.deepest.max(depth);
 
         if depth >= config.max_depth {
             if let Some(a) = driver.finalize(&node, stats) {
                 artifacts.push(a);
-                recorder.counter("artifacts", 1);
                 settled = depth >= config.settle_depth;
             }
             continue;
@@ -177,12 +158,10 @@ where
         if candidates.is_empty() {
             if let Some(a) = driver.finalize(&node, stats) {
                 artifacts.push(a);
-                recorder.counter("artifacts", 1);
                 settled = depth >= config.settle_depth;
             }
             continue;
         }
-        recorder.counter("hypotheses", candidates.len() as u64);
         let mut children = Vec::new();
         for cand in candidates {
             stats.hypotheses += 1;
@@ -196,13 +175,11 @@ where
             if depth > 0 {
                 if let Some(a) = driver.finalize(&node, stats) {
                     artifacts.push(a);
-                    recorder.counter("artifacts", 1);
                     settled = depth >= config.settle_depth;
                 }
             }
             continue;
         }
-        recorder.counter("frontier_push", children.len() as u64);
         // Stable sort by *descending* priority value, then push in
         // order: the best (lowest value) lands on top of the stack, and
         // among equal priorities the later-enumerated child pops first.
@@ -312,7 +289,7 @@ mod tests {
         config: &ExploreConfig,
     ) -> (Vec<D::Artifact>, KernelStats) {
         let mut stats = KernelStats::default();
-        let artifacts = explore(driver, root, config, &mut stats, &Recorder::disabled());
+        let artifacts = explore(driver, root, config, &mut stats);
         (artifacts, stats)
     }
 

@@ -498,13 +498,12 @@ impl<'p> ResEngine<'p> {
             .as_ref()
             .map(Recorder::journal)
             .unwrap_or_default();
-        let session =
-            SolverSession::with_config(config.solver).with_recorder(recorder.scoped("solver"));
+        let session = SolverSession::with_config(config.solver);
         let store = config.cache_path.as_ref().map(|p| {
             let _absorb = recorder.span("absorb");
             let store =
                 SolverStore::open_with(p, program_fingerprint(program), recorder.scoped("store"));
-            store.absorb_into(&session);
+            absorb(&session, &store, &recorder);
             (store, None)
         });
         ResEngine {
@@ -569,7 +568,6 @@ impl<'p> ResEngine<'p> {
         opts: SynthOptions,
         store: &mut SolverStore,
     ) -> SynthesisResult {
-        store.absorb_into(&self.session);
         self.run_synthesis(
             dump,
             &opts,
@@ -603,14 +601,8 @@ impl<'p> ResEngine<'p> {
         store: Option<(&mut SolverStore, &mut MergeMark)>,
         settle_depth: usize,
     ) -> SynthesisResult {
-        match store {
-            Some((store, mark)) => {
-                store.absorb_into(&self.session);
-                let store = Some((store, mark));
-                self.run_synthesis(dump, &opts, Some(root), settle_depth, store, false)
-            }
-            None => self.run_synthesis(dump, &opts, Some(root), settle_depth, None, true),
-        }
+        let commit = store.is_none();
+        self.run_synthesis(dump, &opts, Some(root), settle_depth, store, commit)
     }
 
     fn run_synthesis(
@@ -624,22 +616,22 @@ impl<'p> ResEngine<'p> {
     ) -> SynthesisResult {
         let budget = opts.effective_budget(&self.config);
         // A per-call trace overrides the engine-level recorder for this
-        // call only — including the session's counters, which are
-        // swapped and restored around the call.
-        let call_recorder = opts.trace.as_ref().map(Recorder::journal);
-        let recorder = call_recorder
-            .clone()
-            .unwrap_or_else(|| self.recorder.clone());
-        let prev_session_rec = call_recorder
-            .as_ref()
-            .map(|r| self.session.set_recorder(r.scoped("solver")));
+        // call only.
+        let recorder = match &opts.trace {
+            Some(path) => Recorder::journal(path),
+            None => self.recorder.clone(),
+        };
         let wall = std::time::Instant::now();
         let run = recorder.span("synthesize");
         // A per-call store overrides the engine-level one for this call.
-        // An external (caller-owned) store takes precedence over both
-        // and was already absorbed by `synthesize_in_store`.
-        let mut call_store = match external {
-            Some(_) => None,
+        // An external (caller-owned) store takes precedence over both.
+        // Either is absorbed here, so its mark lands in this call's
+        // journal.
+        let mut call_store = match &external {
+            Some((store, _)) => {
+                absorb(&self.session, store, &recorder);
+                None
+            }
             None => opts.cache_path.as_ref().map(|p| {
                 let _absorb = run.child("absorb");
                 let store = SolverStore::open_with(
@@ -647,11 +639,10 @@ impl<'p> ResEngine<'p> {
                     program_fingerprint(self.program),
                     recorder.scoped("store"),
                 );
-                store.absorb_into(&self.session);
+                absorb(&self.session, &store, &recorder);
                 (store, None)
             }),
         };
-        let session_before = self.session.stats();
         let t_absorb = wall.elapsed();
         let mut result = {
             let _search = run.child("search");
@@ -663,22 +654,19 @@ impl<'p> ResEngine<'p> {
             let opened = call_store.as_mut().map(|(store, mark)| (store, mark));
             self.export_to_store(
                 external.take().or(opened),
-                session_before.store_hits,
+                result.stats.solver.store_hits,
                 commit,
             )
         };
         let t_commit = wall.elapsed() - t_search - t_absorb;
         drop(run);
         recorder.finish();
-        if let Some(prev) = prev_session_rec {
-            self.session.set_recorder(prev);
-        }
         if recorder.enabled() {
             // The common case should not need journal post-processing:
             // one line with the headline numbers. Hit attribution is
-            // the session's delta — memo (exact in-session) or store
-            // (cross-run).
-            let s = self.session.stats().delta_since(&session_before);
+            // the search's solver delta — memo (exact in-session) or
+            // store (cross-run).
+            let s = &result.stats.solver;
             eprintln!(
                 "res-trace: nodes={} suffixes={} verdict={:?} \
                  hits memo={} store={} \
@@ -696,7 +684,8 @@ impl<'p> ResEngine<'p> {
         result
     }
 
-    /// After a search: feed hit counts back to the active store, merge
+    /// After a search that `store_hits` of its queries answered from
+    /// store entries: feed that count back to the active store, merge
     /// the session's new renaming-equivariant results, and — unless
     /// `commit` is deferred to the caller (the `synthesize_in_store`
     /// hot path) — commit. The session keeps each memo entry's
@@ -708,7 +697,7 @@ impl<'p> ResEngine<'p> {
     fn export_to_store(
         &self,
         call_store: Option<(&mut SolverStore, &mut MergeMark)>,
-        store_hits_before: u64,
+        store_hits: u64,
         commit: bool,
     ) -> Option<StoreReport> {
         let mut engine_store = self.store.borrow_mut();
@@ -719,7 +708,6 @@ impl<'p> ResEngine<'p> {
                 (store, mark)
             }
         };
-        let store_hits = self.session.stats().store_hits - store_hits_before;
         let outcome = store.load_report().outcome;
         let loaded_entries = store.load_report().entries_loaded;
         store.note_hits(store_hits);
@@ -742,7 +730,8 @@ impl<'p> ResEngine<'p> {
 
     /// The backward search itself: the kernel exploration from `dump`'s
     /// root node under `budget`, with the session's solver work since
-    /// the start attributed to its stats, and its verdict.
+    /// the start attributed to its stats, and its verdict. The stats are
+    /// journaled to `recorder` once, at the end.
     fn search(
         &self,
         dump: &Coredump,
@@ -773,14 +762,9 @@ impl<'p> ResEngine<'p> {
             settle_depth,
         };
         let mut stats = KernelStats::default();
-        let suffixes = explore(
-            &mut driver,
-            root,
-            &explore_config,
-            &mut stats,
-            &recorder.scoped("kernel"),
-        );
+        let suffixes = explore(&mut driver, root, &explore_config, &mut stats);
         stats.solver = self.session.stats().delta_since(&session_before);
+        journal_search(recorder, &stats, suffixes.len());
         let verdict = if !suffixes.is_empty() {
             Verdict::SuffixFound
         } else if stats.cut.is_some() {
@@ -1308,6 +1292,61 @@ impl<'p> ResEngine<'p> {
             constraints: node.constraints.clone(),
             approximate,
         })
+    }
+}
+
+/// Absorbs `store` into `session` and, when the store holds entries,
+/// journals a `solver.absorb` mark with their count and how many of
+/// them the session did not hold yet.
+fn absorb(session: &SolverSession, store: &SolverStore, recorder: &Recorder) {
+    let new = store.absorb_into(session);
+    if !store.is_empty() {
+        recorder.event_with("solver.absorb", || {
+            vec![
+                ("entries".into(), store.len().to_string()),
+                ("new".into(), new.to_string()),
+            ]
+        });
+    }
+}
+
+/// Journals one search's counts, which its [`KernelStats`] own, as
+/// `kernel.*` and `solver.*` counters, and a `kernel.cut` mark when a
+/// budget cut the search. A name is journaled once something was
+/// counted under it: `solver.assignments` with every cache miss and
+/// store hit, whatever their cost.
+fn journal_search(recorder: &Recorder, stats: &KernelStats, artifacts: usize) {
+    if !recorder.enabled() {
+        return;
+    }
+    let s = &stats.solver;
+    for (name, n) in [
+        ("kernel.nodes_expanded", stats.nodes_expanded),
+        ("kernel.hypotheses", stats.hypotheses),
+        ("kernel.artifacts", artifacts as u64),
+        ("solver.queries", s.queries),
+        ("solver.cache_hits", s.cache_hits),
+        ("solver.cache_misses", s.cache_misses),
+        ("solver.store_hits", s.store_hits),
+        ("solver.sat", s.sat),
+        ("solver.unsat", s.unsat),
+        ("solver.unknown_budget", s.unknown_budget),
+        ("solver.unknown_incomplete", s.unknown_incomplete),
+    ] {
+        if n > 0 {
+            recorder.counter(name, n);
+        }
+    }
+    if s.cache_misses + s.store_hits > 0 {
+        recorder.counter("solver.assignments", s.assignments);
+    }
+    if let Some(cut) = stats.cut {
+        recorder.event_with("kernel.cut", || {
+            vec![
+                ("reason".into(), format!("{cut:?}")),
+                ("abandoned".into(), stats.abandoned.nodes.to_string()),
+            ]
+        });
     }
 }
 

@@ -53,7 +53,8 @@ struct Inner {
 pub struct HotStore {
     dir: PathBuf,
     cap: usize,
-    /// `serve.hot.*` metrics.
+    /// `serve.hot.evict` marks. The daemon journals the hit, miss and
+    /// eviction counts from [`counters`](HotStore::counters).
     rec: Recorder,
     /// Handed to each opened store, so store events (`store.open`,
     /// `store.commit`) land in the daemon's journal under the same
@@ -100,13 +101,9 @@ impl HotStore {
             slot.last_used = tick;
             let store = Arc::clone(&slot.store);
             inner.hits += 1;
-            self.rec.counter("hits", 1);
-            self.rec.counter(&format!("hit.{fp:016x}"), 1);
             return store;
         }
         inner.misses += 1;
-        self.rec.counter("misses", 1);
-        self.rec.counter(&format!("miss.{fp:016x}"), 1);
         while inner.slots.len() >= self.cap {
             let victim = inner
                 .slots
@@ -121,7 +118,6 @@ impl HotStore {
             // remaining life — the store is a cache, never ground truth.
             let _ = lock_store(&slot.store).commit();
             inner.evictions += 1;
-            self.rec.counter("evictions", 1);
             self.rec
                 .event_with("evict", || vec![("fp".into(), format!("{victim:016x}"))]);
         }
@@ -139,7 +135,6 @@ impl HotStore {
                 last_used: tick,
             },
         );
-        self.rec.gauge("programs", inner.slots.len() as u64);
         store
     }
 

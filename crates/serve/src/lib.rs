@@ -29,9 +29,10 @@
 //!   [`WireResponse::Error`] before admission. A job that panics is
 //!   answered with [`WireResponse::Error`]; its worker and the
 //!   program's store stay in service.
-//! * **Observability.** Queue depth, hot-set size, per-fingerprint hit
-//!   counters, admission rejections all land in the daemon's `res-obs`
-//!   journal under `serve.*`.
+//! * **Observability.** Every [`ServerStats`] counter (queue depth,
+//!   hot-set size, hot-store hits/misses/evictions, admissions,
+//!   rejections, completions) lands in the daemon's `res-obs` journal
+//!   as a `serve.*` gauge after each request.
 
 //! * **Live telemetry** ([`telemetry`]). Every request gets a
 //!   deterministic id (`c<conn>.<seq>`) echoed in its answer and a

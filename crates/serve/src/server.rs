@@ -151,16 +151,20 @@ impl Shared {
         }
     }
 
-    /// Flushes the counters as `serve.*` gauges (queue depth, hot-set
-    /// size, admissions, rejections) and journals a sample of each —
-    /// called per request completion, so the journal carries a **time
-    /// series** of queue depth and hot-set size, not just a final
-    /// total (the shutdown [`Recorder::finish`] still writes the last
-    /// word).
+    /// Journals every [`ServerStats`] counter as a `serve.*` gauge
+    /// (queue depth, hot-set size and traffic, admissions, rejections,
+    /// completions) — called per request completion, so the journal
+    /// carries a **time series** of each, not just a final total (the
+    /// shutdown [`Recorder::finish`] still writes the last word). The
+    /// atomics and the hot store own these counts; the journal only
+    /// copies them.
     fn publish_gauges(&self) {
         let s = self.stats();
         self.serve_rec.gauge("queue.depth", s.queue_depth);
         self.serve_rec.gauge("hot.programs", s.hot_programs);
+        self.serve_rec.gauge("hot.hits", s.hot_hits);
+        self.serve_rec.gauge("hot.misses", s.hot_misses);
+        self.serve_rec.gauge("hot.evictions", s.hot_evictions);
         self.serve_rec.gauge("admitted", s.admitted);
         self.serve_rec.gauge("rejected.queue", s.rejected_queue);
         self.serve_rec.gauge("rejected.budget", s.rejected_budget);
@@ -508,7 +512,6 @@ fn dispatch(
             .counters
             .rejected_budget
             .fetch_add(1, Ordering::SeqCst);
-        shared.serve_rec.counter("rejected.budget", 1);
         return (
             WireResponse::Rejected {
                 reason,
@@ -526,12 +529,10 @@ fn dispatch(
     };
     // Count the job before handing it over: a worker may dequeue (and
     // decrement) the instant try_send returns.
-    let depth = shared.counters.depth.fetch_add(1, Ordering::SeqCst) + 1;
+    shared.counters.depth.fetch_add(1, Ordering::SeqCst);
     match tx.try_send(job) {
         Ok(()) => {
             shared.counters.admitted.fetch_add(1, Ordering::SeqCst);
-            shared.serve_rec.counter("admitted", 1);
-            shared.serve_rec.gauge("queue.depth", depth);
         }
         Err(TrySendError::Full(_)) => {
             let depth = shared.counters.depth.fetch_sub(1, Ordering::SeqCst) - 1;
@@ -539,7 +540,6 @@ fn dispatch(
                 .counters
                 .rejected_queue
                 .fetch_add(1, Ordering::SeqCst);
-            shared.serve_rec.counter("rejected.queue", 1);
             return (
                 WireResponse::Rejected {
                     reason: "queue full".into(),
@@ -674,8 +674,7 @@ fn worker_loop(shared: &Shared, rx: &Arc<Mutex<Receiver<Job>>>) {
             rx.recv()
         };
         let Ok(job) = job else { break };
-        let depth = shared.counters.depth.fetch_sub(1, Ordering::SeqCst) - 1;
-        shared.serve_rec.gauge("queue.depth", depth);
+        shared.counters.depth.fetch_sub(1, Ordering::SeqCst);
         let queue_wait_us = job.enqueued.elapsed().as_micros() as u64;
         shared.telem.queue_wait.record(queue_wait_us);
         // The worker's phases parent under the connection thread's
@@ -706,7 +705,6 @@ fn worker_loop(shared: &Shared, rx: &Arc<Mutex<Receiver<Job>>>) {
             .latency
             .record(started.elapsed().as_micros() as u64);
         shared.counters.completed.fetch_add(1, Ordering::SeqCst);
-        shared.serve_rec.counter("completed", 1);
         shared.publish_gauges();
         // The conn thread may have given up (client gone) — fine.
         let _ = job.reply.send((resp, phases));

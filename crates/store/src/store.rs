@@ -501,13 +501,15 @@ impl SolverStore {
 
     /// Absorbs every entry into `session`'s cross-session cache with
     /// store provenance, so the hits they serve are reported as
-    /// cross-run ([`mvm_symbolic::SessionStats::store_hits`]). Entries
-    /// are lent, not copied: the session clones only fingerprints it
-    /// does not hold yet, so re-absorbing between calls is cheap.
-    pub fn absorb_into(&self, session: &SolverSession) {
-        if !self.entries.is_empty() {
-            session.absorb_from(&self.entries);
+    /// cross-run ([`mvm_symbolic::SessionStats::store_hits`]), and
+    /// returns how many the session did not hold yet. Entries are lent,
+    /// not copied: the session clones only those new ones, so
+    /// re-absorbing between calls is cheap.
+    pub fn absorb_into(&self, session: &SolverSession) -> usize {
+        if self.entries.is_empty() {
+            return 0;
         }
+        session.absorb_from(&self.entries)
     }
 
     /// Merges a session's portable export, keeping only fingerprints

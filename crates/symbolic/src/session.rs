@@ -22,7 +22,6 @@ use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 use mvm_json::json_struct;
-use res_obs::Recorder;
 
 use crate::expr::{ExprRef, SymId};
 use crate::fingerprint::{canonical_key, CanonFp, PortableCache, PortableResult};
@@ -103,12 +102,6 @@ pub struct SolverSession {
     /// misses.
     absorbed: RefCell<HashMap<CanonFp, PortableResult>>,
     stats: RefCell<SessionStats>,
-    /// Passive observer mirroring the stats counters into a journal
-    /// (disabled by default: every call is then an allocation-free
-    /// no-op). Nothing in the session ever reads it back. The caller
-    /// hands in an already-scoped recorder (the engine uses
-    /// `rec.scoped("solver")`), so counter names here stay bare.
-    recorder: RefCell<Recorder>,
 }
 
 /// An exact-memo key: a constraint sequence and its hash, computed once
@@ -223,21 +216,6 @@ impl SolverSession {
         }
     }
 
-    /// Attaches a tracing recorder at construction time. Pass an
-    /// already-scoped handle (e.g. `rec.scoped("solver")`); the session
-    /// emits bare counter names like `queries` and `store_hits`.
-    pub fn with_recorder(self, recorder: Recorder) -> Self {
-        self.recorder.replace(recorder);
-        self
-    }
-
-    /// Swaps the tracing recorder, returning the previous one — used by
-    /// callers that override tracing for a single run and restore it
-    /// after.
-    pub fn set_recorder(&self, recorder: Recorder) -> Recorder {
-        self.recorder.replace(recorder)
-    }
-
     /// Memoized [`Solver::check`]: the conjunction of `constraints`,
     /// each truthy when non-zero.
     ///
@@ -245,15 +223,12 @@ impl SolverSession {
     /// a different order miss; callers with a canonical build order (as
     /// the search engine has) get exact reuse anyway.
     pub fn check(&self, constraints: &[ExprRef]) -> SolveResult {
-        let rec = self.recorder.borrow();
         let mut stats = self.stats.borrow_mut();
         stats.queries += 1;
-        rec.counter("queries", 1);
         let key = MemoKey::new(constraints);
         if let Some((hit, _)) = self.cache.borrow().get(&key) {
             stats.cache_hits += 1;
-            rec.counter("cache_hits", 1);
-            Self::tally(&mut stats, &rec, hit);
+            Self::tally(&mut stats, hit);
             return hit.clone();
         }
         // Absorbed (α-canonical) lookup. The guard keeps the common
@@ -271,15 +246,12 @@ impl SolverSession {
             if let Some((result, cost)) = instantiated {
                 stats.cache_hits += 1;
                 stats.store_hits += 1;
-                rec.counter("cache_hits", 1);
-                rec.counter("store_hits", 1);
                 // Charge the original enumeration cost so solver-budget
                 // enforcement matches a session that solved this query
                 // itself; repeats then hit the exact memo for free,
                 // exactly like a locally-solved query.
                 stats.assignments += cost;
-                rec.counter("assignments", cost);
-                Self::tally(&mut stats, &rec, &result);
+                Self::tally(&mut stats, &result);
                 let canon = Canon::known(fp, &result, cost, &sorted_syms);
                 self.cache.borrow_mut().insert(key, (result.clone(), canon));
                 return result;
@@ -287,13 +259,11 @@ impl SolverSession {
             canonical = Some((fp, sorted_syms));
         }
         stats.cache_misses += 1;
-        rec.counter("cache_misses", 1);
         drop(stats);
         let (result, used, portable) = self.solver.check_classified(constraints);
         let mut stats = self.stats.borrow_mut();
         stats.assignments += used;
-        rec.counter("assignments", used);
-        Self::tally(&mut stats, &rec, &result);
+        Self::tally(&mut stats, &result);
         let canon = match canonical {
             _ if !portable => Canon::Private,
             Some((fp, sorted_syms)) => Canon::known(fp, &result, used, &sorted_syms),
@@ -326,32 +296,27 @@ impl SolverSession {
     }
 
     /// Merges a persistent store's borrowed `(fingerprint, result)`
-    /// entries into the absorbed cache; the hits they serve are counted
-    /// in [`SessionStats::store_hits`]. Only fingerprints this session
-    /// does not hold yet are cloned, so re-absorbing a large store
-    /// between calls costs one lookup per entry. On fingerprint
-    /// collision the first entry wins; by equivariance the entries are
-    /// identical anyway (modulo the ~2⁻¹²⁸ hash-collision risk, which
+    /// entries into the absorbed cache and returns how many were new;
+    /// the hits they serve are counted in [`SessionStats::store_hits`].
+    /// Only fingerprints this session does not hold yet are cloned, so
+    /// re-absorbing a large store between calls costs one lookup per
+    /// entry. On fingerprint collision the first entry wins; by
+    /// equivariance the entries are identical anyway (modulo the
+    /// ~2⁻¹²⁸ hash-collision risk, which
     /// [`PortableResult::instantiate`]'s rank guard partially covers).
     pub fn absorb_from<'a>(
         &self,
         entries: impl IntoIterator<Item = (&'a CanonFp, &'a PortableResult)>,
-    ) {
+    ) -> usize {
         let mut absorbed = self.absorbed.borrow_mut();
-        let (mut seen, mut new) = (0usize, 0usize);
+        let mut new = 0;
         for (fp, p) in entries {
-            seen += 1;
             if let Entry::Vacant(slot) = absorbed.entry(*fp) {
                 slot.insert(p.clone());
                 new += 1;
             }
         }
-        self.recorder.borrow().event_with("absorb", || {
-            vec![
-                ("entries".into(), seen.to_string()),
-                ("new".into(), new.to_string()),
-            ]
-        });
+        new
     }
 
     /// Memoized [`Solver::solve`]: check and demand a model.
@@ -362,24 +327,12 @@ impl SolverSession {
         }
     }
 
-    fn tally(stats: &mut SessionStats, rec: &Recorder, result: &SolveResult) {
+    fn tally(stats: &mut SessionStats, result: &SolveResult) {
         match result {
-            SolveResult::Sat(_) => {
-                stats.sat += 1;
-                rec.counter("sat", 1);
-            }
-            SolveResult::Unsat => {
-                stats.unsat += 1;
-                rec.counter("unsat", 1);
-            }
-            SolveResult::Unknown(UnknownReason::BudgetExhausted) => {
-                stats.unknown_budget += 1;
-                rec.counter("unknown_budget", 1);
-            }
-            SolveResult::Unknown(UnknownReason::Incomplete) => {
-                stats.unknown_incomplete += 1;
-                rec.counter("unknown_incomplete", 1);
-            }
+            SolveResult::Sat(_) => stats.sat += 1,
+            SolveResult::Unsat => stats.unsat += 1,
+            SolveResult::Unknown(UnknownReason::BudgetExhausted) => stats.unknown_budget += 1,
+            SolveResult::Unknown(UnknownReason::Incomplete) => stats.unknown_incomplete += 1,
         }
     }
 

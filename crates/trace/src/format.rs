@@ -6,7 +6,7 @@ use std::io;
 use std::path::Path;
 
 use mvm_core::Coredump;
-use mvm_isa::{InputKind, Loc, Width};
+use mvm_isa::{InputKind, Loc, Reg, Width};
 use mvm_json::{json_struct, FromJson};
 use mvm_machine::{Fault, ThreadId};
 use mvm_symbolic::Model;
@@ -200,6 +200,16 @@ pub enum TraceError {
         /// The thread.
         tid: ThreadId,
     },
+    /// The image names a start position for a dump thread that replay
+    /// cannot build: the thread has no register file, its start depth
+    /// lies past the dump thread's frames, or its register file sits at
+    /// another depth or is not [`Reg::COUNT`] long.
+    BadStart {
+        /// The thread.
+        tid: ThreadId,
+        /// What is wrong with its start.
+        defect: &'static str,
+    },
     /// The program's fingerprint does not match the trace header
     /// (strict replay refuses; `verify` proceeds and reports).
     Fingerprint {
@@ -229,6 +239,9 @@ impl fmt::Display for TraceError {
                     f,
                     "trace {section} names thread {tid}, which its dump lacks"
                 )
+            }
+            TraceError::BadStart { tid, defect } => {
+                write!(f, "trace image cannot start thread {tid}: {defect}")
             }
             TraceError::Fingerprint { expected, got } => write!(
                 f,
@@ -429,7 +442,8 @@ impl TraceFile {
     /// Parses file bytes. Anything that does not start with this
     /// build's magic line, including the binary traces older builds
     /// wrote, is [`TraceError::NotATrace`]; a trace whose sections name
-    /// a thread its dump lacks is [`TraceError::UnknownThread`].
+    /// a thread its dump lacks is [`TraceError::UnknownThread`], and one
+    /// whose image cannot start a thread is [`TraceError::BadStart`].
     pub fn from_text_bytes(bytes: &[u8]) -> Result<TraceFile, TraceError> {
         let text = std::str::from_utf8(bytes).map_err(|_| TraceError::NotATrace)?;
         let mut lines = text.lines();
@@ -483,7 +497,10 @@ impl TraceFile {
     }
 
     /// Refuses a trace whose image or steps name a thread its dump
-    /// lacks, in file order.
+    /// lacks, in file order, and then one whose image cannot start a
+    /// thread: replay builds each start frame from the image's register
+    /// file at the start depth, on top of the dump thread's frames below
+    /// that depth.
     fn check_threads(&self) -> Result<(), TraceError> {
         let starts = self.image.start_positions.keys();
         let regs = self.image.initial_regs.keys();
@@ -495,6 +512,19 @@ impl TraceFile {
             if self.dump.thread(tid).is_none() {
                 return Err(TraceError::UnknownThread { section, tid });
             }
+        }
+        for (&tid, &(depth, _)) in &self.image.start_positions {
+            let frames = self.dump.thread(tid).map_or(0, |t| t.frames.len());
+            let defect = match self.image.initial_regs.get(&tid) {
+                None => "start_positions names it, initial_regs does not",
+                Some(_) if depth >= frames => "its start depth lies past the dump thread's frames",
+                Some((at, _)) if *at != depth => "its initial_regs depth is not its start depth",
+                Some((_, regs)) if regs.len() != Reg::COUNT => {
+                    "its initial_regs register file is not Reg::COUNT long"
+                }
+                Some(_) => continue,
+            };
+            return Err(TraceError::BadStart { tid, defect });
         }
         Ok(())
     }

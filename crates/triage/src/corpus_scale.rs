@@ -17,9 +17,9 @@
 //! program fingerprint) is therefore never touched by two threads.
 //! [`parallel_map`] returns results positionally, so every report —
 //! tables, rates, shard distributions — is byte-identical at any thread
-//! count (pinned by `tests/corpus_determinism.rs`). Observability goes
-//! through a thread-safe [`Recorder`] using *counters*, whose totals
-//! are order-independent.
+//! count (pinned by `tests/corpus_determinism.rs`). Each experiment
+//! journals its report's counts once, as [`Recorder`] counters, after
+//! its workers have joined.
 //!
 //! # Labels and keys
 //!
@@ -201,9 +201,7 @@ pub fn triage_scale(
                 "{fp:016x}|{}",
                 res_bucket_key(&gp.program, &f.dump, &cfg)
             ));
-            rec.counter("corpus.triage.reports", 1);
         }
-        rec.counter("corpus.triage.programs", 1);
         out
     });
 
@@ -231,6 +229,11 @@ pub fn triage_scale(
         wer_total: pool(false, 0..per_program.len()),
         res_total: pool(true, 0..per_program.len()),
     };
+    journal(
+        rec,
+        "triage",
+        &[("programs", report.programs), ("reports", report.reports)],
+    );
     span.end();
     report
 }
@@ -269,33 +272,30 @@ pub fn exploit_scale(
         let fails = collect_failures(&gp, spec.reports_per_program);
         let truth = gs.class == GenClass::TaintedOverflow;
         let cfg = with_shared_store(config, store_dir, &gp.program);
-        rec.counter("corpus.exploit.programs", 1);
         fails
             .iter()
             .map(|f| {
                 let heur = classify_heuristic(&f.minidump) == Exploitability::Exploitable;
                 let res =
                     classify_with_res(&gp.program, &f.dump, &cfg) == Exploitability::Exploitable;
-                rec.counter("corpus.exploit.reports", 1);
-                if heur != truth {
-                    rec.counter("corpus.exploit.heur_errors", 1);
-                }
-                if res != truth {
-                    rec.counter("corpus.exploit.res_errors", 1);
-                }
                 (heur != truth, res != truth)
             })
             .collect()
     });
 
-    // Error rate over a program range (`use_res` picks the RES column).
-    let rate = |use_res: bool, range: std::ops::Range<usize>| {
+    // Errors in a program range (`use_res` picks the RES column), and
+    // the reports they are out of.
+    let errors = |use_res: bool, range: std::ops::Range<usize>| {
         let mut wrong = 0usize;
         let mut total = 0usize;
         for p in &per_program[range] {
             total += p.len();
             wrong += p.iter().filter(|e| if use_res { e.1 } else { e.0 }).count();
         }
+        (wrong, total)
+    };
+    let rate = |use_res: bool, range: std::ops::Range<usize>| {
+        let (wrong, total) = errors(use_res, range);
         if total == 0 {
             0.0
         } else {
@@ -314,6 +314,16 @@ pub fn exploit_scale(
         heur_total: rate(false, 0..per_program.len()),
         res_total: rate(true, 0..per_program.len()),
     };
+    journal(
+        rec,
+        "exploit",
+        &[
+            ("programs", report.programs),
+            ("reports", report.reports),
+            ("heur_errors", errors(false, 0..per_program.len()).0),
+            ("res_errors", errors(true, 0..per_program.len()).0),
+        ],
+    );
     span.end();
     report
 }
@@ -356,7 +366,6 @@ pub fn hardware_scale(
         let gp = generate(*gs);
         let fails = collect_failures(&gp, spec.reports_per_program);
         let cfg = with_shared_store(config, store_dir, &gp.program);
-        rec.counter("corpus.hwfilter.programs", 1);
         fails
             .iter()
             .enumerate()
@@ -374,13 +383,6 @@ pub fn hardware_scale(
                 };
                 let verdict = hardware_verdict(&gp.program, &dump, &cfg);
                 let flagged = matches!(verdict, HwVerdict::HardwareSuspected { .. });
-                rec.counter("corpus.hwfilter.reports", 1);
-                if corrupt && flagged {
-                    rec.counter("corpus.hwfilter.true_positives", 1);
-                }
-                if !corrupt && flagged {
-                    rec.counter("corpus.hwfilter.false_positives", 1);
-                }
                 (corrupt, flagged)
             })
             .collect()
@@ -408,12 +410,13 @@ pub fn hardware_scale(
         } else {
             tp as f64 / (tp + fneg) as f64
         };
-        (precision, recall, fp)
+        (precision, recall, tp, fp)
     };
 
     let ranges = spec.shard_ranges(per_program.len());
-    let shard_scores: Vec<(f64, f64, usize)> = ranges.iter().map(|r| score(r.clone())).collect();
-    let (p_total, r_total, fp_total) = score(0..per_program.len());
+    let shard_scores: Vec<(f64, f64, usize, usize)> =
+        ranges.iter().map(|r| score(r.clone())).collect();
+    let (p_total, r_total, tp_total, fp_total) = score(0..per_program.len());
     let report = HwScaleReport {
         programs: per_program.len(),
         reports: per_program.iter().map(Vec::len).sum(),
@@ -423,8 +426,28 @@ pub fn hardware_scale(
         recall_total: r_total,
         false_positives: fp_total,
     };
+    journal(
+        rec,
+        "hwfilter",
+        &[
+            ("programs", report.programs),
+            ("reports", report.reports),
+            ("true_positives", tp_total),
+            ("false_positives", report.false_positives),
+        ],
+    );
     span.end();
     report
+}
+
+/// Journals an experiment's counts as `corpus.<experiment>.<name>`
+/// counters, each once something was counted under it.
+fn journal(rec: &Recorder, experiment: &str, counts: &[(&str, usize)]) {
+    for &(name, n) in counts {
+        if n > 0 {
+            rec.counter(&format!("corpus.{experiment}.{name}"), n as u64);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -114,6 +114,10 @@ cargo run --release -q --bin res-cli -- shutdown --addr "$serve_addr" > /dev/nul
 wait "$serve_pid"
 grep -q "serve.completed" "$serve_dir/serve.jsonl" \
     || { echo "daemon journal missing serve gauges"; exit 1; }
+# The hot store's traffic is journaled as gauges read from the store
+# itself; the first submit opened the store, so it missed.
+grep -q '"Gauge":{"name":"serve.hot.misses","value":[1-9]' "$serve_dir/serve.jsonl" \
+    || { echo "daemon journal missing the serve.hot.misses gauge"; exit 1; }
 # The journal reconciliation gate: every request in the daemon's
 # journal must reconstruct as a fully-closed span tree rooted at its
 # `serve.req` span (`res-cli journal --requests` exits non-zero on any
@@ -142,6 +146,7 @@ echo "    journal parses and reconstructs the run"
 trace_out="$(cargo run --release -q --bin res-cli -- trace "$scratch_dir/golden.jsonl")"
 echo "$trace_out" | grep -q "synthesize" || { echo "journal missing synthesize span"; exit 1; }
 echo "$trace_out" | grep -q "kernel.nodes_expanded" || { echo "journal missing kernel counters"; exit 1; }
+echo "$trace_out" | grep -q "solver.queries" || { echo "journal missing solver counters"; exit 1; }
 
 echo "==> replay-trace gate (record / replay / verify)"
 # The portable-trace contract: `record` writes the same bytes every

@@ -18,10 +18,13 @@ use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
+use res_debugger::isa::Reg;
 use res_debugger::obs::{read_journal, render, EventKind, Recorder, Registry};
 use res_debugger::prelude::*;
 use res_debugger::res::search::SynthesisResult;
+use res_debugger::res::Relax;
 use res_debugger::serve::{serve, ServeConfig, StatsRequest, StatsResponse, TriageClient};
+use res_debugger::store::program_fingerprint;
 use res_debugger::triage::TriageRequest;
 use res_debugger::workloads::run_to_failure;
 
@@ -209,6 +212,124 @@ fn journal_round_trips_and_reconciles_against_stats() {
     ] {
         assert!(report.contains(needle), "render missing {needle:?}");
     }
+}
+
+/// The `kernel.*` and `solver.*` totals the stat structs of `results`
+/// add up to, by journal name.
+fn totals_of(results: &[&SynthesisResult]) -> BTreeMap<&'static str, u64> {
+    let mut totals = BTreeMap::new();
+    for r in results {
+        let (k, s) = (&r.stats, &r.stats.solver);
+        for (name, n) in [
+            ("kernel.nodes_expanded", k.nodes_expanded),
+            ("kernel.hypotheses", k.hypotheses),
+            ("kernel.artifacts", r.suffixes.len() as u64),
+            ("solver.queries", s.queries),
+            ("solver.cache_hits", s.cache_hits),
+            ("solver.cache_misses", s.cache_misses),
+            ("solver.store_hits", s.store_hits),
+            ("solver.sat", s.sat),
+            ("solver.unsat", s.unsat),
+            ("solver.unknown_budget", s.unknown_budget),
+            ("solver.unknown_incomplete", s.unknown_incomplete),
+            ("solver.assignments", s.assignments),
+        ] {
+            *totals.entry(name).or_insert(0) += n;
+        }
+    }
+    totals
+}
+
+/// A journal's totals reconcile across calls on one engine: the
+/// engine's journal holds the sum of the calls it traced, and a call
+/// with its own journal lands there alone.
+#[test]
+fn journals_reconcile_across_calls_on_one_engine() {
+    let dir = tmp_dir();
+    let (program, dump) = crash();
+    let engine_journal = dir.join("calls-engine.jsonl");
+    let call_journal = dir.join("calls-own.jsonl");
+    let engine = ResEngine::new(
+        &program,
+        ResConfig::builder().trace(&engine_journal).build(),
+    );
+    let first = engine.synthesize(&dump);
+    let second = engine.synthesize_with(&dump, SynthOptions::new().trace(&call_journal));
+    let third = engine.synthesize_relaxed(&dump, Relax::Reg { reg: Reg(1) });
+    assert!(
+        third.stats.solver.cache_misses > 0,
+        "the relaxed call must ask the solver something new"
+    );
+    for (journal, results) in [
+        (&engine_journal, vec![&first, &third]),
+        (&call_journal, vec![&second]),
+    ] {
+        let events = read_journal(journal).expect("journal parses");
+        let totals = render::counter_totals(&events);
+        for (name, want) in totals_of(&results) {
+            let got = totals.get(name).copied().unwrap_or(0);
+            assert_eq!(got, want, "{name} in {}", journal.display());
+        }
+    }
+}
+
+/// A budget cut is journaled as one `kernel.cut` mark carrying the
+/// stats' cut reason and abandoned count.
+#[test]
+fn a_budget_cut_is_marked_with_the_stats_reason() {
+    let dir = tmp_dir();
+    let (program, dump) = crash();
+    let journal = dir.join("cut.jsonl");
+    let config = ResConfig::builder().max_nodes(2).trace(&journal).build();
+    let result = ResEngine::new(&program, config).synthesize(&dump);
+    let cut = result
+        .stats
+        .cut
+        .expect("two nodes cannot finish this search");
+    let kinds: Vec<EventKind> = read_journal(&journal)
+        .expect("journal parses")
+        .into_iter()
+        .map(|e| e.kind)
+        .collect();
+    let mark = mark_fields(&kinds, "kernel.cut").expect("kernel.cut mark");
+    assert_eq!(mark["reason"], format!("{cut:?}"));
+    assert_eq!(mark["abandoned"], result.stats.abandoned.nodes.to_string());
+    let marks = kinds
+        .iter()
+        .filter(|k| matches!(k, EventKind::Mark { name, .. } if name == "kernel.cut"))
+        .count();
+    assert_eq!(marks, 1);
+}
+
+/// A call with its own journal marks the absorb of the caller-owned
+/// store it searches in, and counts the hits that store served.
+#[test]
+fn a_call_journal_marks_the_absorb_of_a_caller_owned_store() {
+    let dir = tmp_dir();
+    let (program, dump) = crash();
+    let path = dir.join("owned.resstore");
+    let _ = std::fs::remove_file(&path);
+    let mut store = SolverStore::open(&path, program_fingerprint(&program));
+    ResEngine::new(&program, ResConfig::default()).synthesize_in_store(
+        &dump,
+        SynthOptions::new(),
+        &mut store,
+    );
+    assert!(!store.is_empty(), "the first call must teach the store");
+    let journal = dir.join("owned.jsonl");
+    let warm = ResEngine::new(&program, ResConfig::default()).synthesize_in_store(
+        &dump,
+        SynthOptions::new().trace(&journal),
+        &mut store,
+    );
+    let events = read_journal(&journal).expect("journal parses");
+    let kinds: Vec<EventKind> = events.iter().map(|e| e.kind.clone()).collect();
+    let absorb = mark_fields(&kinds, "solver.absorb").expect("solver.absorb mark");
+    assert_eq!(absorb["entries"], store.len().to_string());
+    assert_eq!(absorb["new"], store.len().to_string());
+    let totals = render::counter_totals(&events);
+    assert_eq!(totals["solver.store_hits"], warm.stats.solver.store_hits);
+    assert!(warm.stats.solver.store_hits > 0);
 }
 
 #[test]

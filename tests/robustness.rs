@@ -171,7 +171,8 @@ fn corpus_reports_are_self_consistent() {
 
 /// The malformed dumps a decoder must refuse: a memory page shorter or
 /// longer than `PAGE_SIZE`, a page at a base that is not page-aligned,
-/// a `faulting_tid` that names no thread, and a thread with no frames.
+/// a `faulting_tid` that names no thread, a thread with no frames, and
+/// a frame whose register file is not `Reg::COUNT` long.
 #[derive(Debug, Clone, Copy)]
 enum BadDump {
     ShortPage,
@@ -179,15 +180,17 @@ enum BadDump {
     MisalignedPage,
     UnknownFaultingTid,
     ThreadWithoutFrames,
+    ShortRegisterFile,
 }
 
 impl BadDump {
-    const ALL: [BadDump; 5] = [
+    const ALL: [BadDump; 6] = [
         BadDump::ShortPage,
         BadDump::LongPage,
         BadDump::MisalignedPage,
         BadDump::UnknownFaultingTid,
         BadDump::ThreadWithoutFrames,
+        BadDump::ShortRegisterFile,
     ];
 
     /// The field a decode error must name.
@@ -196,13 +199,15 @@ impl BadDump {
             BadDump::ShortPage | BadDump::LongPage | BadDump::MisalignedPage => "Memory.pages[",
             BadDump::UnknownFaultingTid => "Coredump.faulting_tid",
             BadDump::ThreadWithoutFrames => "Coredump.threads[0].frames",
+            BadDump::ShortRegisterFile => "Coredump.threads[0].frames[0].regs",
         }
     }
 }
 
 /// Damages the first dump inside `j` (a dump, or any value embedding
-/// one): its first memory page, its `faulting_tid` or its first
-/// thread's frames. Returns `false` when `j` holds no dump.
+/// one): its first memory page, its `faulting_tid`, its first thread's
+/// frames or that thread's first register file. Returns `false` when
+/// `j` holds no dump.
 fn damage_dump(j: &mut Json, how: BadDump) -> bool {
     match j {
         Json::Obj(fields) if fields.iter().any(|(k, _)| k == "faulting_tid") => fields
@@ -212,17 +217,33 @@ fn damage_dump(j: &mut Json, how: BadDump) -> bool {
                     *v = Json::U64(99);
                     true
                 }
-                (BadDump::ThreadWithoutFrames, "threads", Json::Arr(threads)) => {
+                (
+                    BadDump::ThreadWithoutFrames | BadDump::ShortRegisterFile,
+                    "threads",
+                    Json::Arr(threads),
+                ) => {
                     let Some(Json::Obj(thread)) = threads.first_mut() else {
                         return false;
                     };
-                    thread.iter_mut().any(|(k, frames)| {
-                        let found = k == "frames";
-                        if found {
-                            *frames = Json::Arr(Vec::new());
+                    let Some((_, Json::Arr(frames))) =
+                        thread.iter_mut().find(|(k, _)| k == "frames")
+                    else {
+                        return false;
+                    };
+                    if matches!(how, BadDump::ThreadWithoutFrames) {
+                        frames.clear();
+                        return true;
+                    }
+                    let Some(Json::Obj(frame)) = frames.first_mut() else {
+                        return false;
+                    };
+                    match frame.iter_mut().find(|(k, _)| k == "regs") {
+                        Some((_, Json::Arr(regs))) => {
+                            regs.truncate(10);
+                            true
                         }
-                        found
-                    })
+                        _ => false,
+                    }
                 }
                 (BadDump::ShortPage | BadDump::LongPage | BadDump::MisalignedPage, "memory", v) => {
                     damage_page(v, how)
@@ -265,10 +286,12 @@ fn fixture(name: &str) -> String {
 
 /// A malformed dump is a typed decode error, naming the field, at every
 /// entry point that decodes one: dump JSON, a daemon request frame and
-/// a trace file. Before these checks, a short page decoded and then
-/// panicked the engine (`Memory::read_byte` indexes past it), and a
-/// `faulting_tid` naming no thread or a thread without frames decoded
-/// and then panicked every entry point that looks up the fault's pc.
+/// a trace file, as bytes and on disk. Before these checks, a short
+/// page decoded and then panicked the engine (`Memory::read_byte`
+/// indexes past it), a `faulting_tid` naming no thread or a thread
+/// without frames decoded and then panicked every entry point that
+/// looks up the fault's pc, and a short register file decoded and then
+/// panicked the search's forward execution.
 #[test]
 fn malformed_dumps_are_typed_errors_at_every_dump_entry_point() {
     use res_debugger::serve::wire::{read_request, write_frame, REQUEST_TAG};
@@ -280,6 +303,8 @@ fn malformed_dumps_are_typed_errors_at_every_dump_entry_point() {
     let program: Program = mvm_json::from_str(&fixture("program.json")).expect("program");
     let dump: Coredump = mvm_json::from_str(&fixture("coredump.json")).expect("dump");
     let trace = fixture("trace_v1.restrace");
+    let dir = std::env::temp_dir().join(format!("res-bad-dumps-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
     for how in BadDump::ALL {
         let names_the_field = |msg: &str| msg.contains(how.field());
         // Dump JSON.
@@ -314,5 +339,14 @@ fn malformed_dumps_are_typed_errors_at_every_dump_entry_point() {
             Err(TraceError::Json(msg)) => assert!(names_the_field(&msg), "{how:?}: {msg}"),
             other => panic!("{how:?} in a trace gave {other:?}"),
         }
+
+        // The same trace read from a file.
+        let path = dir.join(format!("{how:?}.restrace"));
+        std::fs::write(&path, &bytes).expect("write trace");
+        match TraceFile::read(&path) {
+            Err(TraceError::Json(msg)) => assert!(names_the_field(&msg), "{how:?}: {msg}"),
+            other => panic!("{how:?} in a trace file gave {other:?}"),
+        }
     }
+    let _ = std::fs::remove_dir_all(&dir);
 }

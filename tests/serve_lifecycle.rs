@@ -121,7 +121,7 @@ fn lru_eviction_commits_the_store_and_reopens_warm() {
         "journal lacks serve.hot.programs"
     );
     let hot_hits = events.iter().any(|e| {
-        matches!(&e.kind, EventKind::Count { name, total } if name == "serve.hot.hits" && *total >= 1)
+        matches!(&e.kind, EventKind::Gauge { name, value } if name == "serve.hot.hits" && *value >= 1)
     });
     assert!(hot_hits, "journal lacks the warm serve.hot.hits");
     let appended: Vec<u64> = events

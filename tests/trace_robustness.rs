@@ -209,6 +209,57 @@ fn a_section_naming_a_thread_the_dump_lacks_is_refused_by_name() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A trace whose image cannot start one of its dump's threads is
+/// refused with the thread, from bytes and from a file alike: a start
+/// thread with no register file, a start depth past the dump thread's
+/// frames, a register file at another depth, and a register file
+/// shorter than `Reg::COUNT` each decoded and then panicked replay and
+/// verify.
+#[test]
+fn an_image_that_cannot_start_a_thread_is_refused() {
+    let (program, trace) = recorded();
+    let (&tid, &(depth, loc)) = trace.image.start_positions.iter().next().unwrap();
+    let mut no_regs = trace.clone();
+    no_regs.image.initial_regs.remove(&tid);
+    let mut past_frames = trace.clone();
+    past_frames.image.start_positions.insert(tid, (99, loc));
+    past_frames.image.initial_regs.get_mut(&tid).unwrap().0 = 99;
+    let mut regs_depth = trace.clone();
+    regs_depth.image.initial_regs.get_mut(&tid).unwrap().0 = depth + 1;
+    let mut short_regs = trace.clone();
+    short_regs
+        .image
+        .initial_regs
+        .get_mut(&tid)
+        .unwrap()
+        .1
+        .truncate(10);
+    let dir = std::env::temp_dir().join(format!("res-trace-start-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (edited, name, defect) in [
+        (no_regs, "no-regs", "initial_regs does not"),
+        (past_frames, "past-frames", "past the dump thread's frames"),
+        (regs_depth, "regs-depth", "initial_regs depth"),
+        (short_regs, "short-regs", "Reg::COUNT"),
+    ] {
+        let is_bad_start = |err: &TraceError| matches!(err, TraceError::BadStart { tid: t, defect: d } if *t == tid && d.contains(defect));
+        let bytes = edited.to_text_bytes();
+        let err = TraceFile::from_text_bytes(&bytes).expect_err(name);
+        assert!(is_bad_start(&err), "{name}: {err:?}");
+        let path = dir.join(format!("{name}.restrace"));
+        edited.write(&path).unwrap();
+        let err = TraceFile::read(&path).expect_err(name);
+        assert!(is_bad_start(&err), "{name}: {err:?}");
+    }
+    // The unedited trace still replays.
+    assert!(
+        replay_trace(&program, &trace, &Recorder::disabled())
+            .unwrap()
+            .reproduced
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Damage must also be typed end to end: a torn file on disk surfaces
 /// through [`TraceFile::read`] the same way as through
 /// `from_text_bytes`.

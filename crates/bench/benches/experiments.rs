@@ -252,8 +252,29 @@ fn bench_suffix_identity(g: &Group) {
     );
 }
 
+/// The backward search itself: `synthesize` on a fresh engine at the
+/// default config (the `triage` shape) and at `max_depth(48)`, over the
+/// first genuine dump of one seeded program per generator class. At
+/// depth 48 a node's global check carries dozens of steps of
+/// constraints; each check starts from its parent's solver fixpoint,
+/// so a node costs what its step adds.
+fn bench_search() {
+    let g = Group::new("search").sample_size(50);
+    let deep = ResConfig::builder().max_depth(48).build();
+    for class in GenClass::ALL {
+        let gp = generate(corpus_specs(&[class], 1, 23, 1)[0]);
+        let dump = &collect_failures(&gp, 1)[0].dump;
+        for (shape, config) in [("default", ResConfig::default()), ("depth48", deep.clone())] {
+            g.bench(&format!("{shape}/{}", class.name()), || {
+                ResEngine::new(&gp.program, config.clone()).synthesize(dump)
+            });
+        }
+    }
+}
+
 fn main() {
     bench_codec();
+    bench_search();
     bench_e1_synthesis();
     bench_e2_figure1();
     bench_e3_length_sweep();

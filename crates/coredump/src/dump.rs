@@ -2,7 +2,8 @@
 
 use mvm_json::{json_struct, JsonError};
 
-use mvm_isa::{Loc, Reg};
+use mvm_isa::validate::{validate, ValidateError};
+use mvm_isa::{Loc, Program, Reg};
 use mvm_machine::{
     AllocMeta,
     Fault,
@@ -148,7 +149,64 @@ impl Coredump {
         let mem: u64 = self.memory.iter_pages().map(|(_, p)| p.len() as u64).sum();
         mem + (self.threads.len() as u64) * 512
     }
+
+    /// Checks that this dump can come from `program`: the program is
+    /// well formed ([`validate`]), and every frame of every thread names
+    /// a function, block and instruction the program has (an index one
+    /// past the last instruction addresses the terminator). The engines
+    /// index the program by these locations, so an entry point that
+    /// pairs a program and a dump read from outside checks them first.
+    pub fn check_program(&self, program: &Program) -> Result<(), ProgramMismatch> {
+        validate(program).map_err(ProgramMismatch::Invalid)?;
+        for t in &self.threads {
+            for (frame, f) in t.frames.iter().enumerate() {
+                let exists = program
+                    .funcs
+                    .get(f.func.0 as usize)
+                    .and_then(|func| func.blocks.get(f.block.0 as usize))
+                    .is_some_and(|block| f.inst as usize <= block.insts.len());
+                if !exists {
+                    return Err(ProgramMismatch::MissingCode {
+                        tid: t.tid,
+                        frame,
+                        loc: f.loc(),
+                    });
+                }
+            }
+        }
+        Ok(())
+    }
 }
+
+/// Why a dump cannot come from a program ([`Coredump::check_program`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ProgramMismatch {
+    /// The program itself is malformed.
+    Invalid(ValidateError),
+    /// A frame names a function, block or instruction the program lacks.
+    MissingCode {
+        /// The frame's thread.
+        tid: ThreadId,
+        /// The frame's index in the thread's stack, outermost first.
+        frame: usize,
+        /// The location the program lacks.
+        loc: Loc,
+    },
+}
+
+impl std::fmt::Display for ProgramMismatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ProgramMismatch::Invalid(e) => write!(f, "invalid program: {e}"),
+            ProgramMismatch::MissingCode { tid, frame, loc } => write!(
+                f,
+                "thread {tid} frame {frame} is at {loc}, which the program lacks"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ProgramMismatch {}
 
 /// The naive triaging key: coarse signal + top-of-stack locations.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]

@@ -23,7 +23,7 @@ pub mod inject;
 pub mod minidump;
 
 pub use diff::{diff_dumps, DumpDiff};
-pub use dump::{Coredump, StackSignature};
+pub use dump::{Coredump, ProgramMismatch, StackSignature};
 pub use inject::{
     consequential_sites, corrupt_consequential, corrupt_register, corrupt_register_at,
     flip_memory_bit_at, HwFlavor, InjectionReport,

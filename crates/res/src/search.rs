@@ -17,6 +17,7 @@
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
+use std::rc::Rc;
 
 use mvm_core::Coredump;
 use mvm_isa::{
@@ -30,11 +31,13 @@ use mvm_isa::{
 };
 use mvm_json::{json_enum, json_struct};
 use mvm_machine::ThreadId;
-use mvm_symbolic::{ExprRef, Model, SolveResult, SolverConfig, SolverSession, UnknownReason};
+use mvm_symbolic::{
+    ExprRef, Fixpoint, Model, SolveResult, SolverConfig, SolverSession, UnknownReason,
+};
 use res_obs::Recorder;
 use res_store::{program_fingerprint, LoadOutcome, SolverStore};
 
-use crate::blockexec::{run_hypothesis, EndPoint, HypSpec, Infeasible, Tagged};
+use crate::blockexec::{run_hypothesis, EndPoint, HypSpec, Infeasible, Tag, Tagged};
 use crate::hwerr::Relax;
 use crate::kernel::{
     explore, Budget, ExploreConfig, Finalize, HypothesisGen, KernelStats, NodeScore,
@@ -440,8 +443,14 @@ pub(crate) struct Root(Node);
 #[derive(Clone)]
 struct Node {
     snap: Snapshot,
-    constraints: Vec<Tagged>,
-    steps_rev: Vec<SuffixStep>,
+    /// The accumulated constraints, the first step's first: exactly the
+    /// list this node's global check asked.
+    constraints: Vec<ExprRef>,
+    /// The solver fixpoint of `constraints`, which each child's global
+    /// check starts from.
+    fixpoint: Fixpoint,
+    /// The accepted steps, newest first, shared with every descendant.
+    steps: Option<Rc<StepLink>>,
     positions: BTreeMap<ThreadId, ThreadPos>,
     suffix_allocs: usize,
     lbr_rem: usize,
@@ -449,6 +458,21 @@ struct Node {
     read_addrs: BTreeSet<u64>,
     unknown_used: bool,
     depth: usize,
+}
+
+/// One accepted step, with the tags of the constraints it added to the
+/// node's list, linked to the steps accepted before it.
+struct StepLink {
+    step: SuffixStep,
+    tags: Vec<Tag>,
+    prev: Option<Rc<StepLink>>,
+}
+
+impl Node {
+    /// The accepted steps, newest first: the suffix's forward order.
+    fn steps(&self) -> impl Iterator<Item = &StepLink> {
+        std::iter::successors(self.steps.as_deref(), |link| link.prev.as_deref())
+    }
 }
 
 struct Candidate {
@@ -816,7 +840,8 @@ impl<'p> ResEngine<'p> {
         Node {
             snap,
             constraints: Vec::new(),
-            steps_rev: Vec::new(),
+            fixpoint: Fixpoint::default(),
+            steps: None,
             positions,
             suffix_allocs: 0,
             lbr_rem: dump.lbr.len(),
@@ -862,7 +887,7 @@ impl<'p> ResEngine<'p> {
                 return out;
             }
         }
-        let last_tid = node.steps_rev.last().map(|s| s.tid);
+        let last_tid = node.steps.as_ref().map(|link| link.step.tid);
         for (&tid, pos) in &node.positions {
             if pos.barrier {
                 continue;
@@ -1043,7 +1068,6 @@ impl<'p> ResEngine<'p> {
         hyp_max_steps: u64,
         stats: &mut KernelStats,
     ) -> Option<Node> {
-        let base: Vec<ExprRef> = node.constraints.iter().map(|t| t.expr.clone()).collect();
         let spost_regs = node
             .snap
             .thread(cand.tid)
@@ -1062,7 +1086,7 @@ impl<'p> ResEngine<'p> {
             callee_ret_reg: cand.callee_ret_reg,
             dump_allocs: &dump.heap_allocs,
             later_allocs: node.suffix_allocs,
-            base_constraints: &base,
+            base_constraints: &node.constraints,
             max_steps: hyp_max_steps,
             skip_compat: self.config.skip_compat_check,
         };
@@ -1134,12 +1158,15 @@ impl<'p> ResEngine<'p> {
         }
 
         // Global satisfiability check (the paper's S' ⊇ Spost test over
-        // the whole accumulated constraint set).
-        let mut all = base;
-        all.extend(outcome.constraints.iter().map(|t| t.expr.clone()));
-        all.extend(log_constraints.iter().map(|t| t.expr.clone()));
+        // the whole accumulated constraint set), from the parent's
+        // solver fixpoint. The list it asks becomes the child's.
+        let added = outcome.constraints.iter().chain(&log_constraints);
+        let mut constraints = node.constraints.clone();
+        constraints.extend(added.clone().map(|t| t.expr.clone()));
+        let tags = added.map(|t| t.tag).collect();
         let mut unknown = outcome.unknown_used;
-        match self.session.check(&all) {
+        let (verdict, fixpoint) = self.session.check_after(&constraints, &node.fixpoint);
+        match verdict {
             SolveResult::Sat(_) => {}
             SolveResult::Unsat => {
                 stats.rejected_solver += 1;
@@ -1168,9 +1195,6 @@ impl<'p> ResEngine<'p> {
         for (addr, width, sym) in &outcome.spre_cells {
             snap.write_mem(*addr, *width, sym.clone());
         }
-        let mut constraints = node.constraints.clone();
-        constraints.extend(outcome.constraints.iter().cloned());
-        constraints.extend(log_constraints);
         let mut positions = node.positions.clone();
         positions.insert(
             cand.tid,
@@ -1207,8 +1231,7 @@ impl<'p> ResEngine<'p> {
                 _ => mvm_isa::InputKind::Env,
             })
             .collect();
-        let mut steps_rev = node.steps_rev.clone();
-        steps_rev.push(SuffixStep {
+        let step = SuffixStep {
             tid: cand.tid,
             frame_depth: cand.frame_depth,
             start: cand.start,
@@ -1221,11 +1244,16 @@ impl<'p> ResEngine<'p> {
             reads: outcome.reads.clone(),
             writes: outcome.writes.clone(),
             steps: outcome.steps,
-        });
+        };
         Some(Node {
             snap,
             constraints,
-            steps_rev,
+            fixpoint,
+            steps: Some(Rc::new(StepLink {
+                step,
+                tags,
+                prev: node.steps.clone(),
+            })),
             positions,
             suffix_allocs: node.suffix_allocs + outcome.allocs,
             lbr_rem,
@@ -1242,11 +1270,10 @@ impl<'p> ResEngine<'p> {
         ctx: &SymCtx,
         stats: &mut KernelStats,
     ) -> Option<ExecutionSuffix> {
-        if node.steps_rev.is_empty() {
-            return None;
-        }
-        let exprs: Vec<ExprRef> = node.constraints.iter().map(|t| t.expr.clone()).collect();
-        let (model, approximate) = match self.session.check(&exprs) {
+        node.steps.as_ref()?;
+        // The node's own fixpoint: the memo key reuses its hash.
+        let (verdict, _) = self.session.check_after(&node.constraints, &node.fixpoint);
+        let (model, approximate) = match verdict {
             SolveResult::Sat(m) => (m, node.unknown_used),
             SolveResult::Unknown(_) => (Model::new(), true),
             SolveResult::Unsat => {
@@ -1254,7 +1281,19 @@ impl<'p> ResEngine<'p> {
                 return None;
             }
         };
-        let steps: Vec<SuffixStep> = node.steps_rev.iter().rev().cloned().collect();
+        let steps: Vec<SuffixStep> = node.steps().map(|link| link.step.clone()).collect();
+        let chunks: Vec<&[Tag]> = node.steps().map(|link| link.tags.as_slice()).collect();
+        let tags = chunks.into_iter().rev().flatten();
+        let constraints: Vec<Tagged> = node
+            .constraints
+            .iter()
+            .zip(tags)
+            .map(|(expr, &tag)| Tagged {
+                expr: expr.clone(),
+                tag,
+            })
+            .collect();
+        debug_assert_eq!(constraints.len(), node.constraints.len());
         // Concretize the suffix-start snapshot.
         let mut initial_cells = Vec::new();
         for (addr, cell) in node.snap.cells() {
@@ -1289,7 +1328,7 @@ impl<'p> ResEngine<'p> {
             initial_regs,
             start_positions,
             inputs,
-            constraints: node.constraints.clone(),
+            constraints,
             approximate,
         })
     }

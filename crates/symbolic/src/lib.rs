@@ -35,4 +35,4 @@ pub use fingerprint::{canonical_key, CanonFp, PortableCache, PortableResult, Por
 pub use interval::Interval;
 pub use model::Model;
 pub use session::{SessionStats, SolverSession};
-pub use solver::{SolveResult, Solver, SolverConfig, UnknownReason};
+pub use solver::{Fixpoint, SolveResult, Solver, SolverConfig, UnknownReason};

@@ -7,8 +7,9 @@
 //! Because the memo compares [`ExprRef`]s structurally and the solver is
 //! a deterministic function of its input, a `(constraint set → result)`
 //! memo is exact: a cache hit returns precisely what a fresh
-//! [`Solver::check`] would. Each key carries its hash, computed once
-//! per query with a word-at-a-time hasher.
+//! [`Solver::check`] would. Each key carries its hash, a word-at-a-time
+//! fold over the sequence, so a query that extends an earlier one
+//! ([`SolverSession::check_after`]) hashes only what it adds.
 //!
 //! [`SolverSession`] wraps a [`Solver`] with that memo plus cumulative
 //! accounting — queries, hit/miss counts, sat/unsat/unknown tallies
@@ -25,7 +26,7 @@ use mvm_json::json_struct;
 
 use crate::expr::{ExprRef, SymId};
 use crate::fingerprint::{canonical_key, CanonFp, PortableCache, PortableResult};
-use crate::solver::{SolveResult, Solver, SolverConfig, UnknownReason};
+use crate::solver::{Fixpoint, SolveResult, Solver, SolverConfig, UnknownReason, WeakFixpoint};
 
 /// Cumulative counters for one [`SolverSession`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -95,8 +96,9 @@ impl SessionStats {
 #[derive(Debug, Default)]
 pub struct SolverSession {
     solver: Solver,
-    /// Exact memo: constraint sequence → (result, its α-canonical form).
-    cache: RefCell<HashMap<MemoKey, (SolveResult, Canon), BuildHasherDefault<WordHasher>>>,
+    /// Exact memo: each constraint sequence's memo-key hash → the
+    /// entries of the sequences with that hash (almost always one).
+    cache: RefCell<HashMap<u64, Vec<MemoEntry>, BuildHasherDefault<WordHasher>>>,
     /// Cross-session cache absorbed from a persistent store, keyed by
     /// α-canonical fingerprint. Consulted only after the exact memo
     /// misses.
@@ -104,39 +106,28 @@ pub struct SolverSession {
     stats: RefCell<SessionStats>,
 }
 
-/// An exact-memo key: a constraint sequence and its hash, computed once
-/// per [`SolverSession::check`] and reused by the insert. Equality still
-/// compares the expressions, so two sequences share an entry only when
+/// One memo entry: the constraint sequence, its answer, the answer's
+/// α-canonical form, and the fixpoint a query extending it starts
+/// from, held weakly so that the memo does not keep every node's
+/// propagation state alive. Two sequences share an entry only when
 /// they are structurally equal.
 #[derive(Debug)]
-struct MemoKey {
-    hash: u64,
+struct MemoEntry {
     exprs: Vec<ExprRef>,
+    result: SolveResult,
+    canon: Canon,
+    fixpoint: WeakFixpoint,
 }
 
-impl MemoKey {
-    fn new(constraints: &[ExprRef]) -> MemoKey {
-        let mut h = WordHasher::default();
-        constraints.hash(&mut h);
-        MemoKey {
-            hash: h.finish(),
-            exprs: constraints.to_vec(),
-        }
+/// Continues the memo-key hash `hash` over `exprs`. The key hash of a
+/// sequence is this fold from 0, with no length prefix, so the hash of
+/// `all` continues the hash of `all[..k]`.
+fn fold(hash: u64, exprs: &[ExprRef]) -> u64 {
+    let mut h = WordHasher(hash);
+    for e in exprs {
+        e.hash(&mut h);
     }
-}
-
-impl PartialEq for MemoKey {
-    fn eq(&self, other: &MemoKey) -> bool {
-        self.hash == other.hash && self.exprs == other.exprs
-    }
-}
-
-impl Eq for MemoKey {}
-
-impl Hash for MemoKey {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(self.hash);
-    }
+    h.finish()
 }
 
 /// A word-at-a-time multiplicative hasher (the Fx step: rotate, xor,
@@ -223,21 +214,49 @@ impl SolverSession {
     /// a different order miss; callers with a canonical build order (as
     /// the search engine has) get exact reuse anyway.
     pub fn check(&self, constraints: &[ExprRef]) -> SolveResult {
+        self.check_after(constraints, &Fixpoint::default()).0
+    }
+
+    /// [`check`](SolverSession::check) of `all`, given `parent`: the
+    /// [`Fixpoint`] an earlier `check_after` of `all[..k]` returned on
+    /// this session (the default one stands for the empty prefix).
+    /// Returns the answer with the fixpoint of `all`, for the check of
+    /// a list that extends it.
+    ///
+    /// The memo key's hash continues from the parent's, and a miss
+    /// propagates only `all[k..]` when the parent's fixpoint allows it
+    /// ([`Solver::check_after`]); answers and counts are exactly those
+    /// of `check(all)`. A memo hit returns the fixpoint the entry's
+    /// solve recorded while some caller still holds it (else an
+    /// unsettled one); a hit on an absorbed store entry returns an
+    /// unsettled one. A query extending an unsettled fixpoint solves
+    /// from scratch.
+    pub fn check_after(&self, all: &[ExprRef], parent: &Fixpoint) -> (SolveResult, Fixpoint) {
         let mut stats = self.stats.borrow_mut();
         stats.queries += 1;
-        let key = MemoKey::new(constraints);
-        if let Some((hit, _)) = self.cache.borrow().get(&key) {
+        debug_assert_eq!(
+            fold(0, &all[..parent.len]),
+            parent.hash,
+            "the parent fixpoint covers a prefix of the query"
+        );
+        let hash = fold(parent.hash, &all[parent.len..]);
+        let cache = self.cache.borrow();
+        if let Some(hit) = cache
+            .get(&hash)
+            .and_then(|b| b.iter().find(|e| e.exprs == all))
+        {
             stats.cache_hits += 1;
-            Self::tally(&mut stats, hit);
-            return hit.clone();
+            Self::tally(&mut stats, &hit.result);
+            return (hit.result.clone(), hit.fixpoint.upgrade());
         }
+        drop(cache);
         // Absorbed (α-canonical) lookup. The guard keeps the common
         // single-session path free of canonicalization overhead; when
         // it runs, the canonical form is kept for the memo entry so no
         // export has to canonicalize this query again.
         let mut canonical = None;
         if !self.absorbed.borrow().is_empty() {
-            let (fp, sorted_syms) = canonical_key(constraints);
+            let (fp, sorted_syms) = canonical_key(all);
             let instantiated = self
                 .absorbed
                 .borrow()
@@ -253,14 +272,15 @@ impl SolverSession {
                 stats.assignments += cost;
                 Self::tally(&mut stats, &result);
                 let canon = Canon::known(fp, &result, cost, &sorted_syms);
-                self.cache.borrow_mut().insert(key, (result.clone(), canon));
-                return result;
+                let unsettled = Fixpoint::unsettled(all.len(), hash);
+                self.insert(all, &result, canon, &unsettled);
+                return (result, unsettled);
             }
             canonical = Some((fp, sorted_syms));
         }
         stats.cache_misses += 1;
         drop(stats);
-        let (result, used, portable) = self.solver.check_classified(constraints);
+        let (result, used, portable, mut fixpoint) = self.solver.check_after(all, parent);
         let mut stats = self.stats.borrow_mut();
         stats.assignments += used;
         Self::tally(&mut stats, &result);
@@ -269,8 +289,20 @@ impl SolverSession {
             Some((fp, sorted_syms)) => Canon::known(fp, &result, used, &sorted_syms),
             None => Canon::Lazy(used),
         };
-        self.cache.borrow_mut().insert(key, (result.clone(), canon));
-        result
+        fixpoint.hash = hash;
+        self.insert(all, &result, canon, &fixpoint);
+        (result, fixpoint)
+    }
+
+    fn insert(&self, all: &[ExprRef], result: &SolveResult, canon: Canon, fixpoint: &Fixpoint) {
+        let entry = MemoEntry {
+            exprs: all.to_vec(),
+            result: result.clone(),
+            canon,
+            fixpoint: fixpoint.downgrade(),
+        };
+        let mut cache = self.cache.borrow_mut();
+        cache.entry(fixpoint.hash).or_default().push(entry);
     }
 
     /// Exports every renaming-equivariant cached result as an
@@ -281,9 +313,16 @@ impl SolverSession {
     /// exports cost a walk of the memo, not a re-canonicalization.
     pub fn export_portable(&self) -> PortableCache {
         let mut by_fp: BTreeMap<CanonFp, PortableResult> = BTreeMap::new();
-        for (key, (result, canon)) in self.cache.borrow_mut().iter_mut() {
+        let mut cache = self.cache.borrow_mut();
+        for MemoEntry {
+            exprs,
+            result,
+            canon,
+            ..
+        } in cache.values_mut().flatten()
+        {
             if let Canon::Lazy(cost) = *canon {
-                let (fp, sorted_syms) = canonical_key(&key.exprs);
+                let (fp, sorted_syms) = canonical_key(exprs);
                 *canon = Canon::known(fp, result, cost, &sorted_syms);
             }
             if let Canon::Known(known) = canon {
@@ -348,7 +387,7 @@ impl SolverSession {
 
     /// Number of distinct constraint sets memoized.
     pub fn cache_len(&self) -> usize {
-        self.cache.borrow().len()
+        self.cache.borrow().values().map(Vec::len).sum()
     }
 
     /// The wrapped solver, for callers that need an uncached check.

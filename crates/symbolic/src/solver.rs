@@ -18,6 +18,7 @@
 //! yields [`SolveResult::Unknown`], which RES treats conservatively.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::rc::{Rc, Weak};
 
 use mvm_isa::{BinOp, UnOp};
 use mvm_json::json_enum;
@@ -167,6 +168,24 @@ fn isolate(e: &ExprRef, target: u64) -> Isolated {
     }
 }
 
+/// `true` when `c` can reach [`Solver::extract`] as a `!=` once some of
+/// its symbols are bound: it holds a `!=` anywhere, or an `==` below its
+/// root, which a negated comparison `(a == b) == 0` rewrites to `!=`.
+/// Binding a symbol can lift either to the root (`x + σ` becomes `x`
+/// when σ is 0), so the test is on the whole tree.
+fn may_hold_disequality(c: &Expr) -> bool {
+    fn has(e: &Expr, root: bool) -> bool {
+        match e {
+            Expr::Const(_) | Expr::Sym(_) => false,
+            Expr::Bin(BinOp::Ne, ..) => true,
+            Expr::Bin(BinOp::Eq, ..) if !root => true,
+            Expr::Bin(_, a, b) => has(a, false) || has(b, false),
+            Expr::Un(_, a) => has(a, false),
+        }
+    }
+    has(c, true)
+}
+
 /// Negates a comparison operator (`(a op b) == 0` rewriting).
 fn negate_cmp(op: BinOp) -> Option<(BinOp, bool)> {
     // Returns (new_op, swap_operands).
@@ -181,6 +200,88 @@ fn negate_cmp(op: BinOp) -> Option<(BinOp, bool)> {
     })
 }
 
+/// What a check hands the check of a longer list that starts with its
+/// constraints: the propagation fixpoint its run settled in, when that
+/// run is one a later run may start from (see
+/// [`Solver::check_after`]). Opaque to callers, who only carry it from
+/// one check to the next; the default is the empty list's.
+#[derive(Debug, Clone, Default)]
+pub struct Fixpoint {
+    /// How many constraints it covers: the prefix of the next query.
+    pub(crate) len: usize,
+    /// The session's memo-key hash of those constraints, which the
+    /// next query's hash continues (see `SolverSession::check_after`).
+    pub(crate) hash: u64,
+    /// The settled state; `None` when no exact start was recorded, so
+    /// the next query solves from scratch.
+    settled: Option<Rc<Settled>>,
+}
+
+/// The end state of a propagation run that absorbed every constraint,
+/// recorded no hole, met no `!=` whose effect depends on constraint
+/// order, and stopped before its round cap.
+#[derive(Debug)]
+struct Settled {
+    bindings: BTreeMap<SymId, u64>,
+    intervals: BTreeMap<SymId, Interval>,
+    /// A bound on the rounds a from-scratch propagation of the covered
+    /// constraints takes.
+    rounds: usize,
+}
+
+impl Fixpoint {
+    /// A fixpoint of `len` constraints hashing to `hash` that records no
+    /// state: a query extending it solves from scratch.
+    pub(crate) fn unsettled(len: usize, hash: u64) -> Fixpoint {
+        Fixpoint {
+            len,
+            hash,
+            settled: None,
+        }
+    }
+
+    /// `true` when a query extending this one may start from its state.
+    #[cfg(test)]
+    fn is_settled(&self) -> bool {
+        self.settled.is_some()
+    }
+
+    /// A handle to this fixpoint that does not keep its state alive.
+    pub(crate) fn downgrade(&self) -> WeakFixpoint {
+        WeakFixpoint {
+            len: self.len,
+            hash: self.hash,
+            settled: self.settled.as_ref().map(Rc::downgrade),
+        }
+    }
+}
+
+/// A [`Fixpoint`] whose state lives only as long as some [`Fixpoint`]
+/// still holds it. A session's memo keeps these: the state of a list a
+/// live search node still carries is there for a repeat of that list,
+/// and a discarded subtree's states are freed with it.
+#[derive(Debug)]
+pub(crate) struct WeakFixpoint {
+    len: usize,
+    hash: u64,
+    settled: Option<Weak<Settled>>,
+}
+
+impl WeakFixpoint {
+    /// The fixpoint, settled only while its state is alive.
+    pub(crate) fn upgrade(&self) -> Fixpoint {
+        Fixpoint {
+            len: self.len,
+            hash: self.hash,
+            settled: self.settled.as_ref().and_then(Weak::upgrade),
+        }
+    }
+}
+
+/// A check's answer, assignment cost and portable flag, with the state
+/// a query extending it may start from.
+type Answer = (SolveResult, u64, bool, Option<Rc<Settled>>);
+
 struct State {
     bindings: BTreeMap<SymId, u64>,
     intervals: BTreeMap<SymId, Interval>,
@@ -189,6 +290,18 @@ struct State {
     /// enforcing them: a convex interval cannot hold the hole (see
     /// [`Interval::refine_ne`]). Checked against the finished model.
     holes: Vec<ExprRef>,
+    /// Some `!=` acted in a way that depends on constraint order: an
+    /// absorbed `σ != v` had `0 < v < u64::MAX`, so whether it cut an
+    /// interval endpoint or left a hole depended on the interval when
+    /// it arrived; or a constraint that can turn into a `!=`
+    /// ([`may_hold_disequality`]) folded to false, which a run that
+    /// met it before its symbols were bound would have taken as a hole.
+    ordered_ne: bool,
+    /// Propagation rounds started.
+    rounds: usize,
+    /// The run ran out of rounds instead of reaching a round that
+    /// changed nothing.
+    capped: bool,
 }
 
 /// What [`Solver::extract`] made of one constraint.
@@ -201,6 +314,56 @@ enum Extracted {
 }
 
 impl State {
+    fn new(
+        bindings: BTreeMap<SymId, u64>,
+        intervals: BTreeMap<SymId, Interval>,
+        constraints: Vec<ExprRef>,
+    ) -> State {
+        State {
+            bindings,
+            intervals,
+            constraints,
+            holes: Vec::new(),
+            ordered_ne: false,
+            rounds: 0,
+            capped: false,
+        }
+    }
+
+    /// `true` when the run so far is one a later run may start from,
+    /// or take the answer of: no hole, no order-dependent `!=`, no cap.
+    fn exact(&self) -> bool {
+        self.holes.is_empty() && !self.ordered_ne && !self.capped
+    }
+
+    /// The model of a run that absorbed every constraint: the bindings,
+    /// and each other refined symbol at its interval's low point.
+    fn model(&self) -> Model {
+        let mut model = Model::new();
+        for (&s, &v) in &self.bindings {
+            model.set(s, v);
+        }
+        for (&s, iv) in &self.intervals {
+            if model.get(s).is_none() {
+                model.set(s, iv.lo);
+            }
+        }
+        model
+    }
+
+    /// The Sat answer of a run that absorbed every constraint exactly,
+    /// with its state for a later run to start from; a from-scratch run
+    /// of the same list takes at most `rounds` rounds.
+    fn settle(self, rounds: usize) -> Answer {
+        let model = self.model();
+        let settled = Settled {
+            bindings: self.bindings,
+            intervals: self.intervals,
+            rounds,
+        };
+        (SolveResult::Sat(model), 0, true, Some(Rc::new(settled)))
+    }
+
     fn bind(&mut self, s: SymId, v: u64) -> Result<bool, ()> {
         if let Some(&old) = self.bindings.get(&s) {
             return if old == v { Ok(false) } else { Err(()) };
@@ -279,28 +442,83 @@ impl Solver {
     /// [`SymId`]s. Portable results may be shared across
     /// differently-numbered sessions (see `crate::fingerprint`).
     pub fn check_classified(&self, constraints: &[ExprRef]) -> (SolveResult, u64, bool) {
-        let mut st = State {
-            bindings: BTreeMap::new(),
-            intervals: BTreeMap::new(),
-            constraints: constraints.to_vec(),
-            holes: Vec::new(),
+        let (result, used, portable, _) = self.check_after(constraints, &Fixpoint::default());
+        (result, used, portable)
+    }
+
+    /// [`check_classified`](Solver::check_classified) of `all`, given
+    /// `parent`, the [`Fixpoint`] a check of `all[..k]` returned, plus
+    /// the fixpoint of `all` for the check of a longer list.
+    ///
+    /// When `parent` is settled, only `all[k..]` is propagated, from the
+    /// parent's bindings and intervals. That run's answer is taken when
+    /// it is exact: no hole, no `!=` whose effect depends on constraint
+    /// order, for a Sat answer every new constraint absorbed, and the
+    /// parent's round bound plus the run's rounds, less the one round
+    /// both count, within `max_rounds`. Otherwise, or when `parent` is
+    /// not settled, `all` is solved from scratch. Either way the answer
+    /// is exactly `check_classified(all)`; DESIGN §4 ("Exploration
+    /// kernel") gives the argument.
+    pub fn check_after(
+        &self,
+        all: &[ExprRef],
+        parent: &Fixpoint,
+    ) -> (SolveResult, u64, bool, Fixpoint) {
+        debug_assert!(parent.len <= all.len(), "a fixpoint covers a prefix");
+        let extended = parent
+            .settled
+            .as_ref()
+            .and_then(|from| self.extend(from, &all[parent.len..]));
+        let (result, used, portable, settled) =
+            extended.unwrap_or_else(|| self.solve_from_scratch(all));
+        let fixpoint = Fixpoint {
+            len: all.len(),
+            hash: 0,
+            settled,
         };
-        match self.propagate(&mut st) {
-            Err(()) => return (SolveResult::Unsat, 0, true),
-            Ok(()) => {}
+        (result, used, portable, fixpoint)
+    }
+
+    /// Propagates the constraints `added` to the list `from` settled;
+    /// `None` when the run is not exact and the whole list must be
+    /// solved from scratch.
+    fn extend(&self, from: &Settled, added: &[ExprRef]) -> Option<Answer> {
+        // A from-scratch run of the whole list takes at most the
+        // parent's rounds plus this run's, less one: each count ends
+        // with a round that changed nothing.
+        let rounds_left = (self.config.max_rounds + 1).saturating_sub(from.rounds);
+        let mut st = State::new(
+            from.bindings.clone(),
+            from.intervals.clone(),
+            added.to_vec(),
+        );
+        let propagated = self.propagate(&mut st, rounds_left);
+        if !st.exact() {
+            return None;
+        }
+        match propagated {
+            Err(()) => Some((SolveResult::Unsat, 0, true, None)),
+            Ok(()) if st.constraints.is_empty() => {
+                let rounds = from.rounds + st.rounds - 1;
+                Some(st.settle(rounds))
+            }
+            Ok(()) => None,
+        }
+    }
+
+    /// Solves `constraints` from scratch; the fixpoint is settled when
+    /// propagation alone decided a Sat answer exactly.
+    fn solve_from_scratch(&self, constraints: &[ExprRef]) -> Answer {
+        let mut st = State::new(BTreeMap::new(), BTreeMap::new(), constraints.to_vec());
+        if self.propagate(&mut st, self.config.max_rounds).is_err() {
+            return (SolveResult::Unsat, 0, true, None);
+        }
+        if st.constraints.is_empty() && st.exact() {
+            let rounds = st.rounds;
+            return st.settle(rounds);
         }
         let (result, used, portable) = if st.constraints.is_empty() {
-            let mut model = Model::new();
-            for (&s, &v) in &st.bindings {
-                model.set(s, v);
-            }
-            // Unconstrained symbols take their interval's low point.
-            for (&s, iv) in &st.intervals {
-                if model.get(s).is_none() {
-                    model.set(s, iv.lo);
-                }
-            }
-            (SolveResult::Sat(model), 0, true)
+            (SolveResult::Sat(st.model()), 0, true)
         } else {
             self.enumerate(&st)
         };
@@ -308,7 +526,7 @@ impl Solver {
             .model()
             .is_some_and(|m| st.holes.iter().any(|h| m.eval_total(h) == Some(0)));
         if !model_fills_a_hole {
-            return (result, used, portable);
+            return (result, used, portable, None);
         }
         // Search again with the holes enforced, as residual constraints
         // under the propagated bindings. Only a wrong model gets here,
@@ -317,13 +535,13 @@ impl Solver {
         for h in std::mem::take(&mut st.holes) {
             let h = h.substitute(&|s| bindings.get(&s).map(|&v| Expr::konst(v)));
             match h.as_const() {
-                Some(0) => return (SolveResult::Unsat, used, portable),
+                Some(0) => return (SolveResult::Unsat, used, portable, None),
                 Some(_) => {}
                 None => st.constraints.push(h),
             }
         }
         let (result, again, complete) = self.enumerate(&st);
-        (result, used + again, portable && complete)
+        (result, used + again, portable && complete, None)
     }
 
     /// Convenience: check and demand a model.
@@ -334,31 +552,41 @@ impl Solver {
         }
     }
 
-    fn propagate(&self, st: &mut State) -> Result<(), ()> {
-        for _ in 0..self.config.max_rounds {
+    /// Propagates `st.constraints` into its bindings and intervals for
+    /// at most `max_rounds` rounds, leaving the residual constraints.
+    /// `Err` proves the constraints unsatisfiable.
+    fn propagate(&self, st: &mut State, max_rounds: usize) -> Result<(), ()> {
+        let mut settled = false;
+        for _ in 0..max_rounds {
+            st.rounds += 1;
             let mut changed = false;
             let mut next: Vec<ExprRef> = Vec::with_capacity(st.constraints.len());
             let bindings = st.bindings.clone();
             for c in std::mem::take(&mut st.constraints) {
-                let c = c.substitute(&|s| bindings.get(&s).map(|&v| Expr::konst(v)));
-                match c.as_const() {
-                    Some(0) => return Err(()),
+                let substituted = c.substitute(&|s| bindings.get(&s).map(|&v| Expr::konst(v)));
+                match substituted.as_const() {
+                    Some(0) => {
+                        st.ordered_ne |= may_hold_disequality(&c);
+                        return Err(());
+                    }
                     Some(_) => {
                         changed = true;
                         continue;
                     }
                     None => {}
                 }
-                match self.extract(c, st)? {
+                match self.extract(substituted, st)? {
                     Extracted::Absorbed => changed = true,
                     Extracted::Residual(c) => next.push(c),
                 }
             }
             st.constraints = next;
             if !changed {
+                settled = true;
                 break;
             }
         }
+        st.capped = !settled;
         // Final substitution + tautology sweep.
         let bindings = st.bindings.clone();
         let mut out = Vec::new();
@@ -422,6 +650,7 @@ impl Solver {
             }
             Expr::Bin(BinOp::Ne, a, b) => {
                 if let (Some(s), Some(v)) = (a.as_sym(), b.as_const()) {
+                    st.ordered_ne |= 0 < v && v < u64::MAX;
                     let iv = st.intervals.get(&s).copied().unwrap_or_default();
                     if iv.lo < v && v < iv.hi {
                         st.holes.push(c.clone());
@@ -936,6 +1165,94 @@ mod tests {
             Expr::bin(BinOp::Ne, s(2), k(0)),
             eq(Expr::bin(BinOp::LtU, s(0), s(1)), k(0)),
         ]);
+    }
+
+    /// Checks `steps` as a chain, each list extending the last, from
+    /// the previous check's fixpoint; returns each step's answer and
+    /// whether its fixpoint was settled, after comparing the answer
+    /// with a from-scratch check.
+    fn chain(steps: &[Vec<ExprRef>]) -> Vec<bool> {
+        let solver = Solver::new();
+        let mut all = Vec::new();
+        let mut parent = Fixpoint::default();
+        let mut settled = Vec::new();
+        for step in steps {
+            all.extend(step.iter().cloned());
+            let (result, used, portable, fixpoint) = solver.check_after(&all, &parent);
+            assert_eq!((result, used, portable), solver.check_classified(&all));
+            settled.push(fixpoint.is_settled());
+            parent = fixpoint;
+        }
+        settled
+    }
+
+    #[test]
+    fn a_mid_range_disequality_keeps_no_fixpoint() {
+        // `σ1 != σ2` arrives when 5 is σ1's interval endpoint and cuts
+        // it; after `σ2 == 5` it arrives while 5 is interior, as a hole,
+        // and the answer costs 2 assignments and is not portable.
+        let ne = Expr::bin(BinOp::Ne, s(1), s(2));
+        let p = vec![
+            ne,
+            Expr::bin(BinOp::LeU, s(3), s(1)),
+            eq(s(2), s(4)),
+            eq(s(4), k(5)),
+            eq(s(3), k(5)),
+        ];
+        let solver = Solver::new();
+        let (result, used, portable) = solver.check_classified(&p);
+        assert_eq!(
+            (result.model().and_then(|m| m.get(1)), used, portable),
+            (Some(6), 0, true)
+        );
+        let mut child = p.clone();
+        child.push(eq(s(2), k(5)));
+        let (result, used, portable) = solver.check_classified(&child);
+        assert_eq!(
+            (result.model().and_then(|m| m.get(1)), used, portable),
+            (Some(6), 2, false)
+        );
+        assert_eq!(chain(&[p, vec![eq(s(2), k(5))]]), [false, false]);
+    }
+
+    #[test]
+    fn a_disequality_folded_to_false_answers_from_scratch() {
+        // From the parent's bindings `σ3 != 7` folds to false; from
+        // scratch it arrives before σ3 is bound, as a hole, and the
+        // residual `σ1 != σ0` is enumerated first: 2 assignments.
+        let steps = [
+            vec![eq(Expr::bin(BinOp::Add, s(3), k(u64::MAX - 1)), k(5))],
+            vec![
+                Expr::bin(BinOp::Ne, s(1), s(0)),
+                Expr::bin(BinOp::Ne, s(3), k(7)),
+            ],
+        ];
+        let all: Vec<ExprRef> = steps.concat();
+        assert_eq!(
+            Solver::new().check_classified(&all),
+            (SolveResult::Unsat, 2, false)
+        );
+        assert_eq!(chain(&steps), [true, false]);
+    }
+
+    #[test]
+    fn the_round_bound_accumulates_along_a_chain() {
+        // σ(i+1) == σi, newest link first, binds one link per round.
+        // The anchored first 10 links settle in 12 rounds and each
+        // further 10 in 11 from the parent's fixpoint, one of which is
+        // the final round both counts hold: three steps take exactly the
+        // cap of 32, and a fourth would take 42, so it is solved from
+        // scratch, where it reaches the cap and settles nothing.
+        let links = |from: u32| -> Vec<ExprRef> {
+            (from..from + 10)
+                .rev()
+                .map(|i| eq(s(i + 1), s(i)))
+                .collect()
+        };
+        let mut first = links(0);
+        first.push(eq(s(0), k(7)));
+        let settled = chain(&[first, links(10), links(20), links(30)]);
+        assert_eq!(settled, [true, true, true, false]);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use std::fmt;
 use std::io;
 use std::path::Path;
 
-use mvm_core::Coredump;
+use mvm_core::{Coredump, ProgramMismatch};
 use mvm_isa::{InputKind, Loc, Reg, Width};
 use mvm_json::{json_struct, FromJson};
 use mvm_machine::{Fault, ThreadId};
@@ -210,6 +210,9 @@ pub enum TraceError {
         /// What is wrong with its start.
         defect: &'static str,
     },
+    /// The trace's dump names code the program lacks, or the program
+    /// is malformed, so no replay can run it.
+    Program(ProgramMismatch),
     /// The program's fingerprint does not match the trace header
     /// (strict replay refuses; `verify` proceeds and reports).
     Fingerprint {
@@ -243,6 +246,7 @@ impl fmt::Display for TraceError {
             TraceError::BadStart { tid, defect } => {
                 write!(f, "trace image cannot start thread {tid}: {defect}")
             }
+            TraceError::Program(e) => write!(f, "trace does not fit the program: {e}"),
             TraceError::Fingerprint { expected, got } => write!(
                 f,
                 "program fingerprint {got:016x} does not match the trace's {expected:016x}"

@@ -76,7 +76,8 @@ pub fn record_trace(
 /// Replays a trace against the program it was recorded from and
 /// verifies reproduction. Strict: a program whose fingerprint differs
 /// from the header is refused (use [`verify_trace`] to ask whether a
-/// *modified* program still reproduces).
+/// *modified* program still reproduces), and so is a trace whose dump
+/// names code the program lacks ([`TraceError::Program`]).
 pub fn replay_trace(
     program: &Program,
     trace: &TraceFile,
@@ -89,6 +90,10 @@ pub fn replay_trace(
             got,
         });
     }
+    trace
+        .dump
+        .check_program(program)
+        .map_err(TraceError::Program)?;
     let span = rec.span("trace.replay");
     let report = replay_suffix(program, &trace.dump, &trace.to_suffix());
     rec.counter("trace.replayed", 1);
@@ -117,8 +122,17 @@ pub struct VerifyOutcome {
 /// execution is indistinguishable from the recorded one; otherwise the
 /// [`Divergence`] names the first event (index, thread, expected vs
 /// got) where behaviour changed — the wasm-rr "did the fix work?"
-/// verdict.
-pub fn verify_trace(program: &Program, trace: &TraceFile, rec: &Recorder) -> VerifyOutcome {
+/// verdict. A trace whose dump names code the program lacks cannot be
+/// replayed on it and is refused ([`TraceError::Program`]).
+pub fn verify_trace(
+    program: &Program,
+    trace: &TraceFile,
+    rec: &Recorder,
+) -> Result<VerifyOutcome, TraceError> {
+    trace
+        .dump
+        .check_program(program)
+        .map_err(TraceError::Program)?;
     let span = rec.span("trace.verify");
     let fingerprint_matches = program_fingerprint(program) == trace.header.program_fp;
     let expected = trace.expected_events();
@@ -136,10 +150,10 @@ pub fn verify_trace(program: &Program, trace: &TraceFile, rec: &Recorder) -> Ver
         });
     }
     span.end();
-    VerifyOutcome {
+    Ok(VerifyOutcome {
         pass,
         fingerprint_matches,
         divergence,
         report,
-    }
+    })
 }

@@ -23,10 +23,11 @@ echo "==> codec, suffix identity, store-open, store-key, solver and hardware-swe
 # suffix's direct identity text its derived `Debug`, and the store key
 # its reference implementation, on every random case; every solver
 # model must satisfy its constraints, and every bounded Unsat survive
-# brute force; every §3.2 verdict, with its searches stopped once
-# settled, must equal the sweep that runs every search to the end. Two
-# more fixed seeds make each CI run check three times as many cases
-# against the reference.
+# brute force; a check that starts from its parent's solver fixpoint
+# must answer and count exactly as a from-scratch check; every §3.2
+# verdict, with its searches stopped once settled, must equal the
+# sweep that runs every search to the end. Two more fixed seeds make
+# each CI run check three times as many cases against the reference.
 for seed in 1 2; do
     echo "    RES_PROP_SEED=$seed"
     RES_PROP_SEED=$seed cargo test -q --test codec_identity
@@ -36,6 +37,7 @@ for seed in 1 2; do
         store_open_matches_the_tree_reference_under_mutation
     RES_PROP_SEED=$seed cargo test -q --test canonical_key
     RES_PROP_SEED=$seed cargo test -q --test properties solver_soundness
+    RES_PROP_SEED=$seed cargo test -q --test properties solver_fixpoint
     RES_PROP_SEED=$seed cargo test -q -p res-core --lib \
         hwerr::tests::settled_sweeps_give_the_reference_verdicts
 done
@@ -48,12 +50,12 @@ echo "==> benchmark build and self-test (perfbench/)"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "==> cross-run determinism gate (golden suffix, triage and hardware-verdict fixtures, cold then warm store)"
+echo "==> cross-run determinism gate (golden suffix, triage, depth-48 and hardware-verdict fixtures, cold then warm store)"
 # The persistent store's contract: a warm run absorbing a populated
 # store synthesizes byte-identical suffixes to a cold run. Run the
 # golden fixture test twice against one store file — the first run
 # populates it, the second answers solver queries from it; both must
-# match the very same cold golden fixture. The triage and
+# match the very same cold golden fixture. The triage, depth-48 and
 # hardware-verdict fixtures span many programs, so each of their
 # stores is a directory with one file per program. The warm run learns
 # nothing new, so it must not write a store either: the stores after
@@ -65,6 +67,7 @@ for pass in cold warm; do
     RES_CACHE_PATH="$scratch_dir/ci.resstore" cargo test -q --test suffix_golden \
         default_dfs_suffixes_match_pre_refactor_fixture
     RES_CACHE_PATH="$scratch_dir/triage-store" cargo test -q --test triage_golden
+    RES_CACHE_PATH="$scratch_dir/deep-store" cargo test -q --test deep_golden
     RES_CACHE_PATH="$scratch_dir/hw-store" cargo test -q --test hw_verdict_golden
     if [ "$pass" = cold ]; then
         test -s "$scratch_dir/ci.resstore" || { echo "store was never populated"; exit 1; }
@@ -72,6 +75,9 @@ for pass in cold warm; do
         test -n "$(ls -A "$scratch_dir/triage-store")" \
             || { echo "triage stores were never populated"; exit 1; }
         cp -r "$scratch_dir/triage-store" "$scratch_dir/triage-store.cold"
+        test -n "$(ls -A "$scratch_dir/deep-store")" \
+            || { echo "depth-48 stores were never populated"; exit 1; }
+        cp -r "$scratch_dir/deep-store" "$scratch_dir/deep-store.cold"
         test -n "$(ls -A "$scratch_dir/hw-store/in-store")" \
             || { echo "hardware-verdict stores were never populated"; exit 1; }
         cp -r "$scratch_dir/hw-store" "$scratch_dir/hw-store.cold"
@@ -81,6 +87,8 @@ cmp "$scratch_dir/ci.resstore" "$scratch_dir/ci.cold.resstore" \
     || { echo "the warm pass rewrote the store"; exit 1; }
 diff -r "$scratch_dir/triage-store" "$scratch_dir/triage-store.cold" \
     || { echo "the warm pass rewrote a triage store"; exit 1; }
+diff -r "$scratch_dir/deep-store" "$scratch_dir/deep-store.cold" \
+    || { echo "the warm pass rewrote a depth-48 store"; exit 1; }
 diff -r "$scratch_dir/hw-store" "$scratch_dir/hw-store.cold" \
     || { echo "the warm pass rewrote a hardware-verdict store"; exit 1; }
 
@@ -128,7 +136,7 @@ journal_out="$(cargo run --release -q --bin res-cli -- journal "$serve_dir/serve
 echo "$journal_out" | grep -Eq 'c[0-9]+\.[0-9]+ +triage +[0-9]+ +ok' \
     || { echo "journal carries no reconciled triage request"; exit 1; }
 
-echo "==> traced determinism gate (golden suffix, triage and hardware-verdict fixtures with RES_TRACE on)"
+echo "==> traced determinism gate (golden suffix, triage, depth-48 and hardware-verdict fixtures with RES_TRACE on)"
 # The observability contract: the recorder is strictly passive. Run the
 # golden fixture tests with journaling enabled — the fixture files are
 # still the same, so tracing must not change a single synthesized byte
@@ -140,6 +148,8 @@ RES_TRACE="$scratch_dir/golden.jsonl" cargo test -q --test suffix_golden \
 test -s "$scratch_dir/golden.jsonl" || { echo "trace journal was never written"; exit 1; }
 RES_TRACE="$scratch_dir/triage.jsonl" cargo test -q --test triage_golden
 test -s "$scratch_dir/triage.jsonl" || { echo "triage trace journal was never written"; exit 1; }
+RES_TRACE="$scratch_dir/deep.jsonl" cargo test -q --test deep_golden
+test -s "$scratch_dir/deep.jsonl" || { echo "depth-48 trace journal was never written"; exit 1; }
 RES_TRACE="$scratch_dir/hw.jsonl" cargo test -q --test hw_verdict_golden
 test -s "$scratch_dir/hw.jsonl" || { echo "hardware-verdict trace journal was never written"; exit 1; }
 echo "    journal parses and reconstructs the run"
@@ -179,6 +189,19 @@ if out="$(cargo run --release -q --bin res-cli -- verify "$trace_dir" "$trace_di
 fi
 echo "$out" | grep -q "FAIL: first divergence at event" \
     || { echo "FAIL report carries no divergence point"; exit 1; }
+
+echo "==> foreign-dump gate (a dump naming code the program lacks)"
+# A dump whose frame names a function the program lacks must be a typed
+# error (exit 1), not a panic (exit 101) in the engine.
+foreign_dir="$scratch_dir/foreign"
+cargo run --release -q --bin res-cli -- crash div-by-zero "$foreign_dir" > /dev/null
+sed -i '0,/"func": [0-9]*/s//"func": 99/' "$foreign_dir/dump.json"
+set +e
+cargo run --release -q --bin res-cli -- synthesize "$foreign_dir" > /dev/null 2>&1
+foreign_status=$?
+set -e
+test "$foreign_status" -eq 1 \
+    || { echo "a foreign dump exited $foreign_status, not 1"; exit 1; }
 
 echo "==> corpus-scale smoke gate (seeded generator, E5c/E6c/E7c)"
 # The buggy-program generator + parallel corpus harness: a small

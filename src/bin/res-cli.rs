@@ -116,6 +116,8 @@ fn load(dir: &Path) -> Result<(Program, Coredump), String> {
     let d = std::fs::read_to_string(dir.join("dump.json"))
         .map_err(|e| format!("reading dump.json: {e}"))?;
     let dump: Coredump = mvm_json::from_str(&d).map_err(|e| format!("parsing dump.json: {e}"))?;
+    dump.check_program(&program)
+        .map_err(|e| format!("dump.json does not fit program.json: {e}"))?;
     Ok((program, dump))
 }
 
@@ -293,7 +295,7 @@ fn cmd_replay(dir: &Path, trace_path: &Path) -> Result<(), String> {
 fn cmd_verify(dir: &Path, trace_path: &Path) -> Result<(), String> {
     let program = load_program(dir)?;
     let trace = TraceFile::read(trace_path).map_err(|e| e.to_string())?;
-    let out = verify_trace(&program, &trace, &Recorder::disabled());
+    let out = verify_trace(&program, &trace, &Recorder::disabled()).map_err(|e| e.to_string())?;
     if !out.fingerprint_matches {
         println!(
             "note: program differs from the recording (recorded {:016x})",

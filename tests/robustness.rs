@@ -350,3 +350,100 @@ fn malformed_dumps_are_typed_errors_at_every_dump_entry_point() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A dump whose frames name code the program lacks decodes, but no
+/// engine can run it: each entry point that pairs a program with a dump
+/// from outside refuses it with a typed error instead of panicking in
+/// `Program::func` or `Function::block`. Covered: the library check, a
+/// trace's `replay_trace` and `verify_trace`, and `res-cli`'s
+/// `synthesize`, `record`, `verdict` and `submit`, which exit 1 with
+/// the error.
+#[test]
+fn dumps_naming_code_the_program_lacks_are_typed_errors() {
+    use res_debugger::coredump::ProgramMismatch;
+    use res_debugger::isa::{BlockId, FuncId, Loc};
+    use res_debugger::trace::TraceError;
+
+    let program: Program = mvm_json::from_str(&fixture("program.json")).expect("program");
+    let dump: Coredump = mvm_json::from_str(&fixture("coredump.json")).expect("dump");
+    let trace = TraceFile::from_text_bytes(fixture("trace_v1.restrace").as_bytes()).expect("trace");
+    assert_eq!(dump.check_program(&program), Ok(()));
+    assert_eq!(trace.dump.check_program(&program), Ok(()));
+    let top = dump.faulting_thread().frames.len() - 1;
+    let at = dump.fault_pc();
+    let len = program.func(at.func).block(at.block).insts.len() as u32;
+    let missing = [
+        Loc {
+            func: FuncId(99),
+            ..at
+        },
+        Loc {
+            block: BlockId(99),
+            ..at
+        },
+        Loc {
+            inst: len + 1,
+            ..at
+        },
+    ];
+    let dir = std::env::temp_dir().join(format!("res-missing-code-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    std::fs::write(dir.join("program.json"), fixture("program.json")).expect("program.json");
+    for loc in missing {
+        let doctor = |dump: &mut Coredump| {
+            let tid = dump.faulting_tid;
+            let t = dump
+                .threads
+                .iter_mut()
+                .find(|t| t.tid == tid)
+                .expect("thread");
+            let f = t.frames.last_mut().expect("frame");
+            (f.func, f.block, f.inst) = (loc.func, loc.block, loc.inst);
+        };
+        let want = ProgramMismatch::MissingCode {
+            tid: dump.faulting_tid,
+            frame: top,
+            loc,
+        };
+        let mut bad = dump.clone();
+        doctor(&mut bad);
+        assert_eq!(bad.check_program(&program), Err(want.clone()), "{loc}");
+
+        let mut bad_trace = trace.clone();
+        doctor(&mut bad_trace.dump);
+        let refused = TraceError::Program(want.clone());
+        let replayed = replay_trace(&program, &bad_trace, &Recorder::disabled());
+        assert_eq!(replayed.map(|_| ()), Err(refused.clone()), "replay {loc}");
+        let verified = verify_trace(&program, &bad_trace, &Recorder::disabled());
+        assert_eq!(verified.map(|_| ()), Err(refused), "verify {loc}");
+
+        std::fs::write(dir.join("dump.json"), mvm_json::to_string_pretty(&bad)).expect("dump");
+        for args in [
+            &["synthesize"][..],
+            &["record"],
+            &["verdict"],
+            &["submit", "--addr", "127.0.0.1:9"],
+        ] {
+            let out = std::process::Command::new(env!("CARGO_BIN_EXE_res-cli"))
+                .args(&args[..1])
+                .arg(&dir)
+                .args(&args[1..])
+                .output()
+                .expect("run res-cli");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{args:?} {loc}: {stderr}");
+            assert!(
+                stderr.contains(&format!("does not fit program.json: {want}")),
+                "{args:?} {loc}: {stderr}"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let mut invalid = program.clone();
+    invalid.entry = FuncId(99);
+    assert!(matches!(
+        dump.check_program(&invalid),
+        Err(ProgramMismatch::Invalid(_))
+    ));
+}

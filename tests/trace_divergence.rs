@@ -68,7 +68,8 @@ fn recorded(kind: BugKind) -> (Program, TraceFile) {
 
 /// Sanity for every scenario: the unmodified program verifies PASS.
 fn assert_passes(program: &Program, trace: &TraceFile) {
-    let outcome = verify_trace(program, trace, &Recorder::disabled());
+    let outcome =
+        verify_trace(program, trace, &Recorder::disabled()).expect("the dump fits the program");
     assert!(outcome.fingerprint_matches);
     assert!(
         outcome.pass,
@@ -84,7 +85,8 @@ fn fixed_div_by_zero_diverges_at_the_repaired_write() {
     assert_passes(&program, &trace);
 
     let fixed = build_fixed(BugKind::DivByZero, PARAMS).expect("DivByZero has a fixed variant");
-    let outcome = verify_trace(&fixed, &trace, &Recorder::disabled());
+    let outcome = verify_trace(&fixed, &trace, &Recorder::disabled())
+        .expect("the dump fits the fixed program");
     assert!(!outcome.pass);
     assert!(!outcome.fingerprint_matches, "the fix changes the program");
     let d = outcome.divergence.expect("a fixed program must diverge");
@@ -133,7 +135,8 @@ fn fixed_semantic_assert_no_longer_faults() {
 
     let fixed =
         build_fixed(BugKind::SemanticAssert, PARAMS).expect("SemanticAssert has a fixed variant");
-    let outcome = verify_trace(&fixed, &trace, &Recorder::disabled());
+    let outcome = verify_trace(&fixed, &trace, &Recorder::disabled())
+        .expect("the dump fits the fixed program");
     assert!(!outcome.pass);
     let d = outcome.divergence.expect("a fixed program must diverge");
 
@@ -167,7 +170,8 @@ fn assert_diverges(
     expected: Divergence,
     want: &ReplayReport,
 ) -> VerifyOutcome {
-    let outcome = verify_trace(program, trace, &Recorder::disabled());
+    let outcome =
+        verify_trace(program, trace, &Recorder::disabled()).expect("the dump fits the program");
     assert!(!outcome.pass);
     assert_eq!(outcome.divergence, Some(expected));
     let got = &outcome.report;

@@ -130,7 +130,8 @@ fn trace_v1_golden_fixtures_round_trip() {
     let back = TraceFile::read(&fixture).expect("read fixture");
     assert_eq!(back, trace);
     let (program, _) = crash();
-    let outcome = verify_trace(&program, &back, &Recorder::disabled());
+    let outcome =
+        verify_trace(&program, &back, &Recorder::disabled()).expect("the dump fits the program");
     assert!(outcome.pass, "committed fixture no longer verifies");
     assert!(outcome.fingerprint_matches);
 }

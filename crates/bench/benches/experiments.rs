@@ -3,6 +3,7 @@
 //! criterion). One group per experiment family; parameter sweeps mirror
 //! the harness tables (smaller sizes, so `cargo bench` stays fast).
 
+use res_bench::alloc_count::{count_allocations, CountingAlloc};
 use res_bench::micro::{bench_function, Group};
 
 use mvm_core::{Coredump, HwFlavor, Minidump};
@@ -15,6 +16,10 @@ use res_store::{program_fingerprint, SolverStore};
 use res_triage::{with_shared_store, TriageRequest};
 use res_workloads::gen::{collect_failures, corpus_specs, generate, hardware_variant, GenClass};
 use res_workloads::{build, run_to_failure, BugKind, WorkloadParams};
+
+/// Counts the `search` group's allocations per call.
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
 
 fn dump_for(kind: BugKind, prefix: u64) -> (mvm_isa::Program, Coredump) {
     let p = build(
@@ -257,7 +262,9 @@ fn bench_suffix_identity(g: &Group) {
 /// first genuine dump of one seeded program per generator class. At
 /// depth 48 a node's global check carries dozens of steps of
 /// constraints; each check starts from its parent's solver fixpoint,
-/// so a node costs what its step adds.
+/// so a node costs what its step adds. Each case's timing line is
+/// followed by its heap allocations per call, the count
+/// `tests/alloc_budget.rs` gates (there in the debug profile).
 fn bench_search() {
     let g = Group::new("search").sample_size(50);
     let deep = ResConfig::builder().max_depth(48).build();
@@ -265,9 +272,14 @@ fn bench_search() {
         let gp = generate(corpus_specs(&[class], 1, 23, 1)[0]);
         let dump = &collect_failures(&gp, 1)[0].dump;
         for (shape, config) in [("default", ResConfig::default()), ("depth48", deep.clone())] {
-            g.bench(&format!("{shape}/{}", class.name()), || {
-                ResEngine::new(&gp.program, config.clone()).synthesize(dump)
-            });
+            let synthesize = || ResEngine::new(&gp.program, config.clone()).synthesize(dump);
+            let id = format!("{shape}/{}", class.name());
+            g.bench(&id, synthesize);
+            let (_, allocations) = count_allocations(synthesize);
+            println!(
+                "{:<44} {allocations} allocations per call",
+                format!("search/{id}")
+            );
         }
     }
 }

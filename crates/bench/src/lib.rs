@@ -6,6 +6,7 @@
 //! The micro-benches in `benches/` (run on the in-repo [`micro`] runner)
 //! measure the latency of the same operations.
 
+pub mod alloc_count;
 pub mod experiments;
 pub mod micro;
 

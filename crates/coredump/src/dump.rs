@@ -160,12 +160,7 @@ impl Coredump {
         validate(program).map_err(ProgramMismatch::Invalid)?;
         for t in &self.threads {
             for (frame, f) in t.frames.iter().enumerate() {
-                let exists = program
-                    .funcs
-                    .get(f.func.0 as usize)
-                    .and_then(|func| func.blocks.get(f.block.0 as usize))
-                    .is_some_and(|block| f.inst as usize <= block.insts.len());
-                if !exists {
+                if !program.has_loc(f.loc()) {
                     return Err(ProgramMismatch::MissingCode {
                         tid: t.tid,
                         frame,

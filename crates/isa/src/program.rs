@@ -197,6 +197,16 @@ impl Program {
         self.func(loc.func).block(loc.block)
     }
 
+    /// `true` when the program has the code location: its function,
+    /// its block, and an instruction index no further than the block's
+    /// terminator.
+    pub fn has_loc(&self, loc: Loc) -> bool {
+        self.funcs
+            .get(loc.func.0 as usize)
+            .and_then(|func| func.blocks.get(loc.block.0 as usize))
+            .is_some_and(|block| loc.inst as usize <= block.insts.len())
+    }
+
     /// Assigns addresses to globals in declaration order, 8-byte aligned,
     /// starting at [`layout::GLOBAL_BASE`].
     ///

@@ -138,7 +138,7 @@ pub struct HypSpec<'a> {
     pub end: EndPoint,
     /// Register state of the executed frame at `Spost` (the values the
     /// range must reproduce).
-    pub spost_regs: Vec<ExprRef>,
+    pub spost_regs: &'a [ExprRef],
     /// For `depth_delta == +1`: the callee frame's entry register state
     /// in the snapshot, to be matched against the call's arguments.
     pub callee_entry_regs: Option<Vec<ExprRef>>,
@@ -206,15 +206,16 @@ struct Attempt<'a, 'b> {
     ctx: &'b mut SymCtx,
     solver: &'b SolverSession,
     depth: usize,
-    // Top-frame register discipline.
+    // Top-frame register discipline. The havoc sets are the restart
+    // loop's, which only it grows.
     regs: Vec<ExprRef>,
-    reg_written: Vec<bool>,
-    reg_read_pre: Vec<bool>,
-    reg_havoc: Vec<Option<ExprRef>>,
+    reg_written: [bool; Reg::COUNT],
+    reg_read_pre: [bool; Reg::COUNT],
+    reg_havoc: &'b [Option<ExprRef>],
     // Memory journal.
     mem_written: BTreeMap<u64, (Width, ExprRef)>,
     mem_read_pre: BTreeMap<u64, Width>,
-    mem_havoc: BTreeMap<u64, (Width, ExprRef)>,
+    mem_havoc: &'b BTreeMap<u64, (Width, ExprRef)>,
     // Allocator replay.
     assumed_allocs: usize,
     local_allocs: usize,
@@ -262,7 +263,7 @@ pub fn run_hypothesis(
     solver: &SolverSession,
     depth: usize,
 ) -> Result<HypOutcome, Infeasible> {
-    let mut reg_havoc: Vec<Option<ExprRef>> = vec![None; Reg::COUNT];
+    let mut reg_havoc: [Option<ExprRef>; Reg::COUNT] = std::array::from_fn(|_| None);
     let mut mem_havoc: BTreeMap<u64, (Width, ExprRef)> = BTreeMap::new();
     let mut assumed_allocs = 0usize;
     for _ in 0..8 {
@@ -272,13 +273,13 @@ pub fn run_hypothesis(
             ctx,
             solver,
             depth,
-            regs: spec.spost_regs.clone(),
-            reg_written: vec![false; Reg::COUNT],
-            reg_read_pre: vec![false; Reg::COUNT],
-            reg_havoc: reg_havoc.clone(),
+            regs: spec.spost_regs.to_vec(),
+            reg_written: [false; Reg::COUNT],
+            reg_read_pre: [false; Reg::COUNT],
+            reg_havoc: &reg_havoc,
             mem_written: BTreeMap::new(),
             mem_read_pre: BTreeMap::new(),
-            mem_havoc: mem_havoc.clone(),
+            mem_havoc: &mem_havoc,
             assumed_allocs,
             local_allocs: 0,
             frees: Vec::new(),
@@ -861,12 +862,11 @@ impl<'a, 'b> Attempt<'a, 'b> {
         ret: Option<Reg>,
         cont: mvm_isa::BlockId,
     ) -> StepResult<HypOutcome> {
-        let entry_regs = self
-            .spec
+        let spec = self.spec;
+        let entry_regs = spec
             .callee_entry_regs
             .as_ref()
-            .expect("call-into requires callee entry regs")
-            .clone();
+            .expect("call-into requires callee entry regs");
         // Structural checks: same return register and continuation as
         // the dump's frames record.
         if ret != self.spec.callee_ret_reg {
@@ -984,7 +984,7 @@ impl<'a, 'b> Attempt<'a, 'b> {
         }
         // Compatibility: every register the range wrote must match
         // Spost; Spre gets its havoc symbol.
-        let mut spre_regs = self.spec.spost_regs.clone();
+        let mut spre_regs = self.spec.spost_regs.to_vec();
         for r in 0..Reg::COUNT {
             if self.reg_written[r] {
                 let c = Expr::bin(

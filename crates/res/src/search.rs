@@ -444,8 +444,9 @@ pub(crate) struct Root(Node);
 struct Node {
     snap: Snapshot,
     /// The accumulated constraints, the first step's first: exactly the
-    /// list this node's global check asked.
-    constraints: Vec<ExprRef>,
+    /// list this node's global check asked, shared with that check's
+    /// memo entry.
+    constraints: Rc<[ExprRef]>,
     /// The solver fixpoint of `constraints`, which each child's global
     /// check starts from.
     fixpoint: Fixpoint,
@@ -839,7 +840,7 @@ impl<'p> ResEngine<'p> {
         }
         Node {
             snap,
-            constraints: Vec::new(),
+            constraints: Rc::new([]),
             fixpoint: Fixpoint::default(),
             steps: None,
             positions,
@@ -1068,13 +1069,12 @@ impl<'p> ResEngine<'p> {
         hyp_max_steps: u64,
         stats: &mut KernelStats,
     ) -> Option<Node> {
-        let spost_regs = node
+        let spost_regs = &node
             .snap
             .thread(cand.tid)
             .expect("thread in snapshot")
             .frames[cand.frame_depth]
-            .regs
-            .clone();
+            .regs;
         let spec = HypSpec {
             program: self.program,
             tid: cand.tid,
@@ -1161,8 +1161,12 @@ impl<'p> ResEngine<'p> {
         // the whole accumulated constraint set), from the parent's
         // solver fixpoint. The list it asks becomes the child's.
         let added = outcome.constraints.iter().chain(&log_constraints);
-        let mut constraints = node.constraints.clone();
-        constraints.extend(added.clone().map(|t| t.expr.clone()));
+        let constraints: Rc<[ExprRef]> = node
+            .constraints
+            .iter()
+            .chain(added.clone().map(|t| &t.expr))
+            .cloned()
+            .collect();
         let tags = added.map(|t| t.tag).collect();
         let mut unknown = outcome.unknown_used;
         let (verdict, fixpoint) = self.session.check_after(&constraints, &node.fixpoint);
@@ -1183,14 +1187,15 @@ impl<'p> ResEngine<'p> {
         }
         stats.accepted += 1;
 
-        // Build the child node.
+        // Build the child node: it shares what the step left alone with
+        // its parent, and takes what the hypothesis produced.
         let mut snap = node.snap.clone();
         if cand.pops_frame {
             snap.pop_frame(cand.tid);
         }
         {
             let t = snap.thread_mut(cand.tid).expect("thread in snapshot");
-            t.frames[cand.frame_depth].regs = outcome.spre_regs.clone();
+            t.frames[cand.frame_depth].regs = outcome.spre_regs;
         }
         for (addr, width, sym) in &outcome.spre_cells {
             snap.write_mem(*addr, *width, sym.clone());
@@ -1236,13 +1241,13 @@ impl<'p> ResEngine<'p> {
             frame_depth: cand.frame_depth,
             start: cand.start,
             end: cand.end,
-            transfers: outcome.transfers.clone(),
-            inputs: outcome.inputs.clone(),
+            transfers: outcome.transfers,
+            inputs: outcome.inputs,
             input_kinds,
             allocs: outcome.allocs,
-            frees: outcome.frees.clone(),
-            reads: outcome.reads.clone(),
-            writes: outcome.writes.clone(),
+            frees: outcome.frees,
+            reads: outcome.reads,
+            writes: outcome.writes,
             steps: outcome.steps,
         };
         Some(Node {

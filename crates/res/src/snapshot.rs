@@ -78,11 +78,14 @@ pub enum MemRead {
 }
 
 /// A symbolic program-state snapshot over a coredump backing.
+///
+/// A clone shares every thread's frames with the original; writing a
+/// thread's registers or popping its frame copies that thread alone.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     base: Rc<Memory>,
     cells: BTreeMap<u64, Cell>,
-    threads: BTreeMap<ThreadId, ThreadSnap>,
+    threads: BTreeMap<ThreadId, Rc<ThreadSnap>>,
     /// When set, base memory is *unknown* rather than concrete — the
     /// A2 "minidump mode" (stack and registers only, no memory image).
     opaque_base: bool,
@@ -96,7 +99,7 @@ impl Snapshot {
         for t in &dump.threads {
             threads.insert(
                 t.tid,
-                ThreadSnap {
+                Rc::new(ThreadSnap {
                     tid: t.tid,
                     frames: t
                         .frames
@@ -109,7 +112,7 @@ impl Snapshot {
                             ret_reg: f.ret_reg,
                         })
                         .collect(),
-                },
+                }),
             );
         }
         Snapshot {
@@ -145,17 +148,18 @@ impl Snapshot {
 
     /// All thread snapshots.
     pub fn threads(&self) -> impl Iterator<Item = &ThreadSnap> {
-        self.threads.values()
+        self.threads.values().map(|t| &**t)
     }
 
     /// One thread's snapshot.
     pub fn thread(&self, tid: ThreadId) -> Option<&ThreadSnap> {
-        self.threads.get(&tid)
+        self.threads.get(&tid).map(|t| &**t)
     }
 
-    /// Mutable thread access.
+    /// Mutable thread access; copies the thread first while a clone of
+    /// this snapshot shares it.
     pub fn thread_mut(&mut self, tid: ThreadId) -> Option<&mut ThreadSnap> {
-        self.threads.get_mut(&tid)
+        self.threads.get_mut(&tid).map(Rc::make_mut)
     }
 
     /// Reads register `r` of the frame at `depth` of thread `tid`.
@@ -174,7 +178,7 @@ impl Snapshot {
     ///
     /// Panics if the thread or frame does not exist.
     pub fn set_reg(&mut self, tid: ThreadId, depth: usize, r: Reg, e: ExprRef) {
-        self.threads.get_mut(&tid).unwrap().frames[depth].regs[r.index()] = e;
+        self.thread_mut(tid).unwrap().frames[depth].regs[r.index()] = e;
     }
 
     /// Overlay cells overlapping `[addr, addr+width)`.
@@ -257,8 +261,7 @@ impl Snapshot {
     ///
     /// Panics if the thread does not exist or has no frames.
     pub fn pop_frame(&mut self, tid: ThreadId) -> FrameSnap {
-        self.threads
-            .get_mut(&tid)
+        self.thread_mut(tid)
             .unwrap()
             .frames
             .pop()
@@ -388,5 +391,24 @@ mod tests {
         s.set_reg(0, 0, Reg(5), Expr::sym(9));
         assert_eq!(s.reg(0, 0, Reg(5)).as_sym(), Some(9));
         assert!(s.reg(0, 0, Reg(6)).as_const().is_some());
+    }
+
+    #[test]
+    fn a_child_register_write_leaves_parent_and_sibling() {
+        let d = dump();
+        let parent = Snapshot::from_coredump(&d);
+        let before = parent.reg(0, 0, Reg(5));
+        let (mut child, sibling) = (parent.clone(), parent.clone());
+        child.set_reg(0, 0, Reg(5), Expr::sym(9));
+        child.thread_mut(0).unwrap().frames[0].regs[6] = Expr::sym(10);
+        assert_eq!(child.reg(0, 0, Reg(5)).as_sym(), Some(9));
+        assert_eq!(child.reg(0, 0, Reg(6)).as_sym(), Some(10));
+        for other in [&parent, &sibling] {
+            assert_eq!(other.reg(0, 0, Reg(5)), before);
+            assert!(other.reg(0, 0, Reg(6)).as_const().is_some());
+        }
+        // The untouched sibling still shares the parent's thread.
+        assert!(Rc::ptr_eq(&parent.threads[&0], &sibling.threads[&0]));
+        assert!(!Rc::ptr_eq(&parent.threads[&0], &child.threads[&0]));
     }
 }

@@ -53,7 +53,7 @@ fn hypothesis_executor_handles_read_then_write() {
             depth_delta: 0,
             loc: pc,
         },
-        spost_regs: snap.thread(0).unwrap().frames[0].regs.clone(),
+        spost_regs: &snap.thread(0).unwrap().frames[0].regs,
         callee_entry_regs: None,
         callee_ret_reg: None,
         dump_allocs: &d.heap_allocs,
@@ -116,7 +116,7 @@ fn hypothesis_executor_rejects_unreachable_end() {
             depth_delta: 0,
             loc: Loc::block_start(main, b),
         },
-        spost_regs: snap.thread(0).unwrap().frames[0].regs.clone(),
+        spost_regs: &snap.thread(0).unwrap().frames[0].regs,
         callee_entry_regs: None,
         callee_ret_reg: None,
         dump_allocs: &d.heap_allocs,

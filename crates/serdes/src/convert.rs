@@ -14,6 +14,7 @@
 //! override them.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::rc::Rc;
 
 use crate::parse::Reader;
 use crate::value::{write_compact, write_escaped, write_i64, write_u64, Json};
@@ -337,6 +338,25 @@ impl<T: ToJson> ToJson for &T {
     }
     fn write_json(&self, out: &mut String) {
         (*self).write_json(out);
+    }
+}
+
+/// A shared value is written and read as the value itself.
+impl<T: ToJson> ToJson for Rc<T> {
+    fn to_json(&self) -> Json {
+        (**self).to_json()
+    }
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
+    }
+}
+
+impl<T: FromJson> FromJson for Rc<T> {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        T::from_json(v).map(Rc::new)
+    }
+    fn read_json(r: &mut Reader<'_>) -> Option<Self> {
+        T::read_json(r).map(Rc::new)
     }
 }
 

@@ -31,9 +31,24 @@ pub enum Expr {
     Un(UnOp, ExprRef),
 }
 
+/// Constants below this are shared nodes: [`Expr::konst`] hands out a
+/// clone of one per-thread node instead of allocating.
+const SHARED_CONSTS: u64 = 256;
+
+thread_local! {
+    static SMALL_CONSTS: Vec<ExprRef> =
+        (0..SHARED_CONSTS).map(|v| Rc::new(Expr::Const(v))).collect();
+}
+
 impl Expr {
-    /// A constant expression.
+    /// A constant expression. Small constants are shared, so two of
+    /// them may be the same node; nothing reads that but
+    /// [`substitute`](Expr::substitute)'s unchanged-subtree shortcut and
+    /// `Rc`'s pointer-first equality, which both fall back to structure.
     pub fn konst(v: u64) -> ExprRef {
+        if v < SHARED_CONSTS {
+            return SMALL_CONSTS.with(|small| small[v as usize].clone());
+        }
         Rc::new(Expr::Const(v))
     }
 
@@ -266,6 +281,21 @@ impl std::fmt::Display for Expr {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn small_constants_are_shared_nodes() {
+        assert!(Rc::ptr_eq(&Expr::konst(0), &Expr::konst(0)));
+        assert!(Rc::ptr_eq(&Expr::konst(255), &Expr::konst(255)));
+        assert!(!Rc::ptr_eq(&Expr::konst(256), &Expr::konst(256)));
+        for v in [0, 1, 255, 256, u64::MAX] {
+            assert_eq!(Expr::konst(v).as_const(), Some(v));
+        }
+        // A shared constant is a leaf like any other to substitution.
+        let e = Expr::bin(BinOp::Add, Expr::sym(0), Expr::konst(3));
+        let bound = e.substitute(&|_| Some(Expr::konst(4)));
+        assert_eq!(bound.as_const(), Some(7));
+        assert!(Rc::ptr_eq(&e.substitute(&|_| None), &e));
+    }
 
     #[test]
     fn constant_folding() {

@@ -23,6 +23,8 @@
 //! value enumeration seeded with the constants that appear in the
 //! constraints themselves.
 
+#[cfg(test)]
+mod chains;
 pub mod expr;
 pub mod fingerprint;
 pub mod interval;

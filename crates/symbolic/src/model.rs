@@ -1,6 +1,7 @@
 //! Satisfying assignments.
 
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use mvm_json::json_struct;
 
@@ -11,9 +12,13 @@ use crate::expr::{ExprRef, SymId};
 /// The RES engine turns a model into the concrete inputs and the
 /// concrete partial memory image `Mi` of a synthesized suffix
 /// (paper §2.1).
+///
+/// Clones share one map, and [`set`](Model::set) copies it only while
+/// it is shared, so a solver session hands out the model of a memoized
+/// answer without copying it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Model {
-    values: BTreeMap<SymId, u64>,
+    values: Rc<BTreeMap<SymId, u64>>,
 }
 
 json_struct!(Model { values });
@@ -26,7 +31,7 @@ impl Model {
 
     /// Binds a symbol.
     pub fn set(&mut self, sym: SymId, value: u64) {
-        self.values.insert(sym, value);
+        Rc::make_mut(&mut self.values).insert(sym, value);
     }
 
     /// Looks up a symbol.
@@ -94,6 +99,36 @@ mod tests {
         assert_eq!(m.eval_partial(&e), None);
         m.set(1, 2);
         assert_eq!(m.eval_partial(&e), Some(42));
+    }
+
+    #[test]
+    fn setting_a_clone_leaves_the_original() {
+        let mut original = Model::new();
+        original.set(1, 10);
+        let mut copy = original.clone();
+        copy.set(1, 11);
+        copy.set(2, 20);
+        assert_eq!((original.get(1), original.get(2)), (Some(10), None));
+        assert_eq!((copy.get(1), copy.get(2)), (Some(11), Some(20)));
+        assert_ne!(original, copy);
+    }
+
+    /// The text and JSON forms as they were when the map was unshared.
+    #[test]
+    fn debug_and_json_forms_are_pinned() {
+        let mut m = Model::new();
+        m.set(5, 1);
+        m.set(2, u64::MAX);
+        m.set(40, 0);
+        assert_eq!(
+            format!("{m:?}"),
+            "Model { values: {2: 18446744073709551615, 5: 1, 40: 0} }"
+        );
+        let json = r#"{"values":{"2":18446744073709551615,"5":1,"40":0}}"#;
+        assert_eq!(mvm_json::to_string(&m), json);
+        assert_eq!(mvm_json::from_str::<Model>(json), Ok(m));
+        assert_eq!(format!("{:?}", Model::new()), "Model { values: {} }");
+        assert_eq!(mvm_json::to_string(&Model::new()), r#"{"values":{}}"#);
     }
 
     #[test]

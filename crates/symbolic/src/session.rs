@@ -21,6 +21,7 @@ use std::cell::RefCell;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::rc::Rc;
 
 use mvm_json::json_struct;
 
@@ -110,10 +111,12 @@ pub struct SolverSession {
 /// α-canonical form, and the fixpoint a query extending it starts
 /// from, held weakly so that the memo does not keep every node's
 /// propagation state alive. Two sequences share an entry only when
-/// they are structurally equal.
+/// they are structurally equal. The sequence is the caller's list when
+/// it was shared ([`SolverSession::check_after`]), so a search node and
+/// its memo entry hold one list.
 #[derive(Debug)]
 struct MemoEntry {
-    exprs: Vec<ExprRef>,
+    exprs: Rc<[ExprRef]>,
     result: SolveResult,
     canon: Canon,
     fixpoint: WeakFixpoint,
@@ -214,7 +217,8 @@ impl SolverSession {
     /// a different order miss; callers with a canonical build order (as
     /// the search engine has) get exact reuse anyway.
     pub fn check(&self, constraints: &[ExprRef]) -> SolveResult {
-        self.check_after(constraints, &Fixpoint::default()).0
+        self.lookup_or_solve(constraints, || constraints.into(), &Fixpoint::default())
+            .0
     }
 
     /// [`check`](SolverSession::check) of `all`, given `parent`: the
@@ -230,8 +234,19 @@ impl SolverSession {
     /// solve recorded while some caller still holds it (else an
     /// unsettled one); a hit on an absorbed store entry returns an
     /// unsettled one. A query extending an unsettled fixpoint solves
-    /// from scratch.
-    pub fn check_after(&self, all: &[ExprRef], parent: &Fixpoint) -> (SolveResult, Fixpoint) {
+    /// from scratch. A miss memoizes `all` itself, not a copy.
+    pub fn check_after(&self, all: &Rc<[ExprRef]>, parent: &Fixpoint) -> (SolveResult, Fixpoint) {
+        self.lookup_or_solve(all, || all.clone(), parent)
+    }
+
+    /// [`check_after`](SolverSession::check_after) of `all`; a miss
+    /// memoizes the list `shared` returns, which equals `all`.
+    fn lookup_or_solve(
+        &self,
+        all: &[ExprRef],
+        shared: impl FnOnce() -> Rc<[ExprRef]>,
+        parent: &Fixpoint,
+    ) -> (SolveResult, Fixpoint) {
         let mut stats = self.stats.borrow_mut();
         stats.queries += 1;
         debug_assert_eq!(
@@ -243,7 +258,7 @@ impl SolverSession {
         let cache = self.cache.borrow();
         if let Some(hit) = cache
             .get(&hash)
-            .and_then(|b| b.iter().find(|e| e.exprs == all))
+            .and_then(|b| b.iter().find(|e| *e.exprs == *all))
         {
             stats.cache_hits += 1;
             Self::tally(&mut stats, &hit.result);
@@ -273,7 +288,7 @@ impl SolverSession {
                 Self::tally(&mut stats, &result);
                 let canon = Canon::known(fp, &result, cost, &sorted_syms);
                 let unsettled = Fixpoint::unsettled(all.len(), hash);
-                self.insert(all, &result, canon, &unsettled);
+                self.insert(shared(), &result, canon, &unsettled);
                 return (result, unsettled);
             }
             canonical = Some((fp, sorted_syms));
@@ -290,13 +305,19 @@ impl SolverSession {
             None => Canon::Lazy(used),
         };
         fixpoint.hash = hash;
-        self.insert(all, &result, canon, &fixpoint);
+        self.insert(shared(), &result, canon, &fixpoint);
         (result, fixpoint)
     }
 
-    fn insert(&self, all: &[ExprRef], result: &SolveResult, canon: Canon, fixpoint: &Fixpoint) {
+    fn insert(
+        &self,
+        exprs: Rc<[ExprRef]>,
+        result: &SolveResult,
+        canon: Canon,
+        fixpoint: &Fixpoint,
+    ) {
         let entry = MemoEntry {
-            exprs: all.to_vec(),
+            exprs,
             result: result.clone(),
             canon,
             fixpoint: fixpoint.downgrade(),

@@ -302,6 +302,8 @@ struct State {
     /// The run ran out of rounds instead of reaching a round that
     /// changed nothing.
     capped: bool,
+    /// The symbols bound since the current propagation round began.
+    fresh: Vec<SymId>,
 }
 
 /// What [`Solver::extract`] made of one constraint.
@@ -327,6 +329,7 @@ impl State {
             ordered_ne: false,
             rounds: 0,
             capped: false,
+            fresh: Vec::new(),
         }
     }
 
@@ -378,6 +381,7 @@ impl State {
             return Err(());
         }
         self.bindings.insert(s, v);
+        self.fresh.push(s);
         Ok(true)
     }
 
@@ -555,7 +559,66 @@ impl Solver {
     /// Propagates `st.constraints` into its bindings and intervals for
     /// at most `max_rounds` rounds, leaving the residual constraints.
     /// `Err` proves the constraints unsatisfiable.
+    ///
+    /// A round substitutes the bindings as they stood when it began.
+    /// `bind` never rebinds a symbol, so those are the bindings less
+    /// the symbols bound during the round, which `st.fresh` lists: no
+    /// round copies the map.
     fn propagate(&self, st: &mut State, max_rounds: usize) -> Result<(), ()> {
+        let mut settled = false;
+        for _ in 0..max_rounds {
+            st.rounds += 1;
+            st.fresh.clear();
+            let mut changed = false;
+            let mut next: Vec<ExprRef> = Vec::with_capacity(st.constraints.len());
+            for c in std::mem::take(&mut st.constraints) {
+                let substituted = c.substitute(&|s| match st.bindings.get(&s) {
+                    Some(&v) if !st.fresh.contains(&s) => Some(Expr::konst(v)),
+                    _ => None,
+                });
+                match substituted.as_const() {
+                    Some(0) => {
+                        st.ordered_ne |= may_hold_disequality(&c);
+                        return Err(());
+                    }
+                    Some(_) => {
+                        changed = true;
+                        continue;
+                    }
+                    None => {}
+                }
+                match self.extract(substituted, st)? {
+                    Extracted::Absorbed => changed = true,
+                    Extracted::Residual(c) => next.push(c),
+                }
+            }
+            st.constraints = next;
+            if !changed {
+                settled = true;
+                break;
+            }
+        }
+        st.capped = !settled;
+        // Final substitution + tautology sweep.
+        let mut out = Vec::new();
+        for c in std::mem::take(&mut st.constraints) {
+            let c = c.substitute(&|s| st.bindings.get(&s).map(|&v| Expr::konst(v)));
+            match c.as_const() {
+                Some(0) => return Err(()),
+                Some(_) => {}
+                None => out.push(c),
+            }
+        }
+        st.constraints = out;
+        Ok(())
+    }
+
+    /// The reference for [`propagate`](Solver::propagate): each round
+    /// substitutes a copy of the bindings taken when it began. The
+    /// property `propagate_matches_the_reference` holds `propagate` to
+    /// the state this leaves after every run.
+    #[cfg(test)]
+    fn propagate_reference(&self, st: &mut State, max_rounds: usize) -> Result<(), ()> {
         let mut settled = false;
         for _ in 0..max_rounds {
             st.rounds += 1;
@@ -1260,5 +1323,83 @@ mod tests {
         for a in [1u64, 3, 5, 7, 0xdead_beef | 1, u64::MAX] {
             assert_eq!(a.wrapping_mul(odd_inverse(a)), 1, "inv({a})");
         }
+    }
+
+    type Propagate = fn(&Solver, &mut State, usize) -> Result<(), ()>;
+
+    /// What a propagation run leaves.
+    #[derive(Debug, PartialEq)]
+    struct Left {
+        result: Result<(), ()>,
+        bindings: BTreeMap<SymId, u64>,
+        intervals: BTreeMap<SymId, Interval>,
+        /// The residual constraints, in order.
+        constraints: Vec<ExprRef>,
+        holes: Vec<ExprRef>,
+        ordered_ne: bool,
+        rounds: usize,
+        capped: bool,
+    }
+
+    /// Runs `propagate` on `constraints` from `bindings` and
+    /// `intervals` for at most `max_rounds` rounds.
+    fn run(
+        propagate: Propagate,
+        (bindings, intervals): (&BTreeMap<SymId, u64>, &BTreeMap<SymId, Interval>),
+        constraints: &[ExprRef],
+        max_rounds: usize,
+    ) -> Left {
+        let mut st = State::new(bindings.clone(), intervals.clone(), constraints.to_vec());
+        let result = propagate(&Solver::new(), &mut st, max_rounds);
+        Left {
+            result,
+            bindings: st.bindings,
+            intervals: st.intervals,
+            constraints: st.constraints,
+            holes: st.holes,
+            ordered_ne: st.ordered_ne,
+            rounds: st.rounds,
+            capped: st.capped,
+        }
+    }
+
+    /// Rounds that hide the symbols bound since they began, instead of
+    /// substituting a copy of the bindings, leave exactly the state the
+    /// copying rounds left. Every list of a generated chain is run from
+    /// scratch, and as an increment from the state its parent list's run
+    /// left under the round bound `Solver::check_after` gives it; the
+    /// chains' 40-link equality chain reaches the round cap both ways.
+    #[test]
+    fn propagate_matches_the_reference() {
+        use crate::chains::{chain_lists, fixpoint_chains};
+        use proptest_mini::{check, prop_assert, Config};
+
+        check(
+            "propagate_matches_the_reference",
+            &Config::new(),
+            &fixpoint_chains(),
+            |chain| {
+                let max_rounds = SolverConfig::default().max_rounds;
+                let empty = (&BTreeMap::new(), &BTreeMap::new());
+                let mut parent: Option<(Left, usize)> = None;
+                for all in chain_lists(chain) {
+                    let got = run(Solver::propagate, empty, &all, max_rounds);
+                    let want = run(Solver::propagate_reference, empty, &all, max_rounds);
+                    prop_assert!(got == want, "from scratch: {got:?} != {want:?} on {all:?}");
+                    if let Some((from, len)) =
+                        parent.as_ref().filter(|(from, _)| from.result.is_ok())
+                    {
+                        let start = (&from.bindings, &from.intervals);
+                        let rounds_left = (max_rounds + 1).saturating_sub(from.rounds);
+                        let added = &all[*len..];
+                        let got = run(Solver::propagate, start, added, rounds_left);
+                        let want = run(Solver::propagate_reference, start, added, rounds_left);
+                        prop_assert!(got == want, "increment: {got:?} != {want:?} on {all:?}");
+                    }
+                    parent = Some((want, all.len()));
+                }
+                Ok(())
+            },
+        );
     }
 }

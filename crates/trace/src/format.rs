@@ -213,6 +213,17 @@ pub enum TraceError {
     /// The trace's dump names code the program lacks, or the program
     /// is malformed, so no replay can run it.
     Program(ProgramMismatch),
+    /// The image starts a thread, or a step starts or ends, at code
+    /// the program lacks.
+    MissingCode {
+        /// The section naming it: `start_positions` of the image, or
+        /// a step's `start` or `end`.
+        section: &'static str,
+        /// The thread.
+        tid: ThreadId,
+        /// The location the program lacks.
+        loc: Loc,
+    },
     /// The program's fingerprint does not match the trace header
     /// (strict replay refuses; `verify` proceeds and reports).
     Fingerprint {
@@ -247,6 +258,10 @@ impl fmt::Display for TraceError {
                 write!(f, "trace image cannot start thread {tid}: {defect}")
             }
             TraceError::Program(e) => write!(f, "trace does not fit the program: {e}"),
+            TraceError::MissingCode { section, tid, loc } => write!(
+                f,
+                "trace {section} of thread {tid} is at {loc}, which the program lacks"
+            ),
             TraceError::Fingerprint { expected, got } => write!(
                 f,
                 "program fingerprint {got:016x} does not match the trace's {expected:016x}"

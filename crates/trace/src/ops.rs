@@ -3,7 +3,8 @@
 use std::fmt;
 
 use mvm_core::Coredump;
-use mvm_isa::Program;
+use mvm_isa::{Loc, Program};
+use mvm_machine::ThreadId;
 use res_core::{replay_observed, replay_suffix, Divergence, ExecutionSuffix, ReplayReport};
 use res_obs::Recorder;
 use res_store::program_fingerprint;
@@ -73,11 +74,40 @@ pub fn record_trace(
     Ok(trace)
 }
 
+/// Refuses a trace that replay cannot start on `program`: its dump
+/// names code the program lacks ([`TraceError::Program`]), or its image
+/// starts a thread there ([`TraceError::MissingCode`]).
+fn check_starts(program: &Program, trace: &TraceFile) -> Result<(), TraceError> {
+    trace
+        .dump
+        .check_program(program)
+        .map_err(TraceError::Program)?;
+    let starts = trace.image.start_positions.iter();
+    missing_code(
+        program,
+        starts.map(|(&tid, &(_, loc))| ("start_positions", tid, loc)),
+    )
+}
+
+/// The first `(section, thread, location)` of `named` whose location
+/// the program lacks, as a [`TraceError::MissingCode`].
+fn missing_code(
+    program: &Program,
+    mut named: impl Iterator<Item = (&'static str, ThreadId, Loc)>,
+) -> Result<(), TraceError> {
+    match named.find(|&(_, _, loc)| !program.has_loc(loc)) {
+        Some((section, tid, loc)) => Err(TraceError::MissingCode { section, tid, loc }),
+        None => Ok(()),
+    }
+}
+
 /// Replays a trace against the program it was recorded from and
 /// verifies reproduction. Strict: a program whose fingerprint differs
 /// from the header is refused (use [`verify_trace`] to ask whether a
 /// *modified* program still reproduces), and so is a trace whose dump
-/// names code the program lacks ([`TraceError::Program`]).
+/// names code the program lacks ([`TraceError::Program`]), or whose
+/// image or steps do ([`TraceError::MissingCode`]): the recorded
+/// program's own trace names only its code.
 pub fn replay_trace(
     program: &Program,
     trace: &TraceFile,
@@ -90,10 +120,12 @@ pub fn replay_trace(
             got,
         });
     }
-    trace
-        .dump
-        .check_program(program)
-        .map_err(TraceError::Program)?;
+    check_starts(program, trace)?;
+    let ends = trace
+        .steps
+        .iter()
+        .flat_map(|s| [("step start", s.tid, s.start), ("step end", s.tid, s.end)]);
+    missing_code(program, ends)?;
     let span = rec.span("trace.replay");
     let report = replay_suffix(program, &trace.dump, &trace.to_suffix());
     rec.counter("trace.replayed", 1);
@@ -122,17 +154,17 @@ pub struct VerifyOutcome {
 /// execution is indistinguishable from the recorded one; otherwise the
 /// [`Divergence`] names the first event (index, thread, expected vs
 /// got) where behaviour changed — the wasm-rr "did the fix work?"
-/// verdict. A trace whose dump names code the program lacks cannot be
-/// replayed on it and is refused ([`TraceError::Program`]).
+/// verdict. A trace whose dump or image names code the program lacks
+/// cannot be started on it and is refused ([`TraceError::Program`],
+/// [`TraceError::MissingCode`]). Its steps' locations are what the
+/// recording saw: a fix may move or drop that code, and a step the
+/// modified program does not reach there is a divergence.
 pub fn verify_trace(
     program: &Program,
     trace: &TraceFile,
     rec: &Recorder,
 ) -> Result<VerifyOutcome, TraceError> {
-    trace
-        .dump
-        .check_program(program)
-        .map_err(TraceError::Program)?;
+    check_starts(program, trace)?;
     let span = rec.span("trace.verify");
     let fingerprint_matches = program_fingerprint(program) == trace.header.program_fp;
     let expected = trace.expected_events();

@@ -24,7 +24,9 @@ echo "==> codec, suffix identity, store-open, store-key, solver and hardware-swe
 # its reference implementation, on every random case; every solver
 # model must satisfy its constraints, and every bounded Unsat survive
 # brute force; a check that starts from its parent's solver fixpoint
-# must answer and count exactly as a from-scratch check; every §3.2
+# must answer and count exactly as a from-scratch check, and each
+# propagation run leave exactly the state of the copying reference
+# rounds; every §3.2
 # verdict, with its searches stopped once settled, must equal the
 # sweep that runs every search to the end. Two more fixed seeds make
 # each CI run check three times as many cases against the reference.
@@ -38,6 +40,8 @@ for seed in 1 2; do
     RES_PROP_SEED=$seed cargo test -q --test canonical_key
     RES_PROP_SEED=$seed cargo test -q --test properties solver_soundness
     RES_PROP_SEED=$seed cargo test -q --test properties solver_fixpoint
+    RES_PROP_SEED=$seed cargo test -q -p mvm-symbolic --lib \
+        solver::tests::propagate_matches_the_reference
     RES_PROP_SEED=$seed cargo test -q -p res-core --lib \
         hwerr::tests::settled_sweeps_give_the_reference_verdicts
 done
@@ -140,18 +144,57 @@ echo "==> traced determinism gate (golden suffix, triage, depth-48 and hardware-
 # The observability contract: the recorder is strictly passive. Run the
 # golden fixture tests with journaling enabled — the fixture files are
 # still the same, so tracing must not change a single synthesized byte
-# or triage answer — then parse and sanity-check the journal left
+# or triage answer — then parse and sanity-check the journals left
 # behind.
 echo "    RES_TRACE (passivity)"
 RES_TRACE="$scratch_dir/golden.jsonl" cargo test -q --test suffix_golden \
     default_dfs_suffixes_match_pre_refactor_fixture
 test -s "$scratch_dir/golden.jsonl" || { echo "trace journal was never written"; exit 1; }
-RES_TRACE="$scratch_dir/triage.jsonl" cargo test -q --test triage_golden
-test -s "$scratch_dir/triage.jsonl" || { echo "triage trace journal was never written"; exit 1; }
-RES_TRACE="$scratch_dir/deep.jsonl" cargo test -q --test deep_golden
-test -s "$scratch_dir/deep.jsonl" || { echo "depth-48 trace journal was never written"; exit 1; }
-RES_TRACE="$scratch_dir/hw.jsonl" cargo test -q --test hw_verdict_golden
-test -s "$scratch_dir/hw.jsonl" || { echo "hardware-verdict trace journal was never written"; exit 1; }
+# The multi-search fixtures name a journal directory: a journal is one
+# recorder's lifetime, so each fixture line journals its searches to a
+# file of its own (a hardware verdict's sweep through its one engine,
+# the caller-owned store's verdict under `in-store/`). Every search
+# also prints one `res-trace:` line on stderr, so the journals must
+# hold exactly as many `synthesize` spans as the run printed lines.
+for golden in triage_golden deep_golden hw_verdict_golden; do
+    RES_TRACE="$scratch_dir/$golden" cargo test -q --test "$golden" -- --nocapture \
+        > /dev/null 2> "$scratch_dir/$golden.stderr" \
+        || { cat "$scratch_dir/$golden.stderr"; echo "traced $golden failed"; exit 1; }
+done
+# journals_parse <dir> <journals wanted>: one parseable, non-empty
+# journal per fixture line with a search; prints their `synthesize`
+# spans.
+journals_parse() {
+    local journals=0 spans=0 f
+    for f in "$1"/*.jsonl; do
+        test -s "$f" || { echo "empty journal $f" >&2; exit 1; }
+        cargo run --release -q --bin res-cli -- trace "$f" > /dev/null \
+            || { echo "journal $f does not parse" >&2; exit 1; }
+        journals=$((journals + 1))
+        spans=$((spans + $(grep -c '"name":"synthesize"' "$f")))
+    done
+    test "$journals" -eq "$2" \
+        || { echo "$1 holds $journals journals, not $2" >&2; exit 1; }
+    echo "$spans"
+}
+# searches_add_up <golden> <synthesize spans>
+searches_add_up() {
+    local searches
+    searches="$(grep -c '^res-trace: ' "$scratch_dir/$1.stderr")"
+    test "$2" -eq "$searches" \
+        || { echo "$1 journals hold $2 searches, the run made $searches"; exit 1; }
+}
+echo "    one journal per searched fixture line, holding every search"
+fixtures=tests/fixtures
+spans="$(journals_parse "$scratch_dir/triage_golden" \
+    "$(grep -vc '|true|deadlock:' "$fixtures/triage_identity.txt")")"
+searches_add_up triage_golden "$spans"
+spans="$(journals_parse "$scratch_dir/deep_golden" "$(wc -l < "$fixtures/deep_identity.txt")")"
+searches_add_up deep_golden "$spans"
+hw_lines="$(wc -l < "$fixtures/hw_verdict_identity.txt")"
+spans="$(journals_parse "$scratch_dir/hw_verdict_golden" "$hw_lines")"
+in_store="$(journals_parse "$scratch_dir/hw_verdict_golden/in-store" "$hw_lines")"
+searches_add_up hw_verdict_golden "$((spans + in_store))"
 echo "    journal parses and reconstructs the run"
 trace_out="$(cargo run --release -q --bin res-cli -- trace "$scratch_dir/golden.jsonl")"
 echo "$trace_out" | grep -q "synthesize" || { echo "journal missing synthesize span"; exit 1; }

@@ -125,7 +125,8 @@ fn counts(s: &KernelStats) -> String {
 
 /// One line per dump: its label, verdict, suffixes and counts. With a
 /// store directory each program's searches go through its own store
-/// file there; with a trace each search is journaled to it.
+/// file there; with a journal directory each search journals to its
+/// line's file there.
 fn render(store_dir: Option<&Path>, trace: Option<&Path>) -> String {
     let mut out = String::new();
     for (label, program, dump) in population() {
@@ -134,8 +135,8 @@ fn render(store_dir: Option<&Path>, trace: Option<&Path>) -> String {
             std::fs::create_dir_all(dir).expect("create the store directory");
             builder = builder.cache_path(store_path_for(dir, &program));
         }
-        if let Some(p) = trace {
-            builder = builder.trace(p);
+        if let Some(dir) = trace {
+            builder = builder.trace(dir.join(format!("{label}.jsonl")));
         }
         let result = ResEngine::new(&program, builder.build()).synthesize(&dump);
         let suffixes: Vec<String> = result
@@ -165,9 +166,10 @@ fn render(store_dir: Option<&Path>, trace: Option<&Path>) -> String {
 ///
 /// As in `tests/triage_golden.rs`, `RES_CACHE_PATH=<dir>` routes every
 /// search through a persistent store (one file per program in that
-/// directory), and `RES_TRACE=<file>` journals every search. Neither
-/// may change a byte: the CI determinism loops run this test plain,
-/// cold then warm against one store directory, and traced.
+/// directory), and `RES_TRACE=<dir>` journals each search to its own
+/// file in that directory. Neither may change a byte: the CI
+/// determinism loops run this test plain, cold then warm against one
+/// store directory, and traced.
 #[test]
 fn deep_searches_match_the_identity_fixture() {
     let store_dir = std::env::var_os("RES_CACHE_PATH").map(PathBuf::from);

@@ -101,17 +101,16 @@ fn population() -> Vec<(Program, Vec<(String, Coredump)>)> {
 /// and the caller-owned store is the program's file in its `in-store`
 /// subdirectory, committed after the program's last dump; without one,
 /// the caller-owned store is never committed and lives in memory only.
+/// With a journal directory, each verdict's sweep journals through its
+/// one engine to the line's file there, the caller-owned store's under
+/// `in-store` as well.
 fn render(store_dir: Option<&Path>, trace: Option<&Path>) -> String {
     let temp = std::env::temp_dir().join(format!("res-hw-golden-{}", std::process::id()));
     let mut out = String::new();
     for (program, dumps) in population() {
-        let base = ResConfig {
-            trace: trace.map(Path::to_path_buf),
-            ..ResConfig::default()
-        };
         let plain = match store_dir {
-            Some(dir) => with_shared_store(&base, dir, &program),
-            None => base.clone(),
+            Some(dir) => with_shared_store(&ResConfig::default(), dir, &program),
+            None => ResConfig::default(),
         };
         let in_store_path = match store_dir {
             Some(dir) => store_path_for(&dir.join("in-store"), &program),
@@ -119,8 +118,16 @@ fn render(store_dir: Option<&Path>, trace: Option<&Path>) -> String {
         };
         let mut store = SolverStore::open(&in_store_path, program_fingerprint(&program));
         for (label, dump) in &dumps {
-            let v = hardware_verdict(&program, dump, &plain);
-            let w = hardware_verdict_in_store(&program, dump, &base, &mut store);
+            let plain_config = ResConfig {
+                trace: trace.map(|dir| dir.join(format!("{label}.jsonl"))),
+                ..plain.clone()
+            };
+            let in_store_config = ResConfig {
+                trace: trace.map(|dir| dir.join(format!("in-store/{label}.jsonl"))),
+                ..ResConfig::default()
+            };
+            let v = hardware_verdict(&program, dump, &plain_config);
+            let w = hardware_verdict_in_store(&program, dump, &in_store_config, &mut store);
             out.push_str(&format!(
                 "{label} {} {}\n",
                 mvm_json::to_string(&v),
@@ -139,9 +146,11 @@ fn render(store_dir: Option<&Path>, trace: Option<&Path>) -> String {
 /// As in `tests/triage_golden.rs`, `RES_CACHE_PATH=<dir>` routes every
 /// verdict through persistent stores (one file per program in that
 /// directory, and one per program under `<dir>/in-store` for the
-/// caller-owned store), and `RES_TRACE=<file>` journals every search.
-/// Neither may change a byte: the CI determinism loops run this test
-/// plain, cold then warm against one store directory, and traced.
+/// caller-owned store), and `RES_TRACE=<dir>` journals each verdict's
+/// searches to a file of its own in that directory (the caller-owned
+/// store's under `<dir>/in-store`). Neither may change a byte: the CI
+/// determinism loops run this test plain, cold then warm against one
+/// store directory, and traced.
 #[test]
 fn hardware_verdicts_match_the_identity_fixture() {
     let store_dir = std::env::var_os("RES_CACHE_PATH").map(PathBuf::from);

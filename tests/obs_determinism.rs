@@ -13,8 +13,6 @@
 //!    on the hot path (asserted with an allocation counter, not
 //!    timing).
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
@@ -32,34 +30,13 @@ use res_debugger::workloads::run_to_failure;
 // Allocation counting (claim 3). The counter is thread-local so
 // parallel test threads cannot pollute each other's counts.
 
-struct CountingAlloc;
+#[path = "../crates/bench/src/alloc_count.rs"]
+mod alloc_count;
 
-thread_local! {
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
+use alloc_count::{count_allocations, CountingAlloc};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
-
-fn allocations() -> u64 {
-    ALLOCS.with(|c| c.get())
-}
 
 // ---------------------------------------------------------------------
 // Shared scenario: the same deterministic DivByZero crash the golden
@@ -385,25 +362,24 @@ fn disabled_recorder_allocates_nothing_on_the_hot_path() {
     let scoped = rec.scoped("kernel");
     // Warm up thread-local state outside the measured window.
     rec.counter("warmup", 1);
-    let before = allocations();
-    for i in 0..1_000u64 {
-        rec.counter("kernel.nodes_expanded", 1);
-        rec.gauge("workers", i);
-        rec.event_with("kernel.cut", || {
-            vec![("reason".to_string(), "Nodes".to_string())]
-        });
-        let span = rec.span("synthesize");
-        let child = span.child("replay");
-        drop(child);
-        drop(span);
-        scoped.counter("frontier_pop", 1);
-        let nested = scoped.scoped("inner");
-        nested.counter("n", 1);
-    }
-    let after = allocations();
+    let ((), allocated) = count_allocations(|| {
+        for i in 0..1_000u64 {
+            rec.counter("kernel.nodes_expanded", 1);
+            rec.gauge("workers", i);
+            rec.event_with("kernel.cut", || {
+                vec![("reason".to_string(), "Nodes".to_string())]
+            });
+            let span = rec.span("synthesize");
+            let child = span.child("replay");
+            drop(child);
+            drop(span);
+            scoped.counter("frontier_pop", 1);
+            let nested = scoped.scoped("inner");
+            nested.counter("n", 1);
+        }
+    });
     assert_eq!(
-        after - before,
-        0,
+        allocated, 0,
         "the disabled recorder must not allocate on the hot path"
     );
 }
@@ -412,20 +388,19 @@ fn disabled_recorder_allocates_nothing_on_the_hot_path() {
 fn disabled_registry_allocates_nothing_on_the_hot_path() {
     let reg = Registry::disabled();
     let histo = reg.histogram("serve.rtt.triage_us");
-    let before = allocations();
-    for i in 0..1_000u64 {
-        histo.record(i);
-        // Even the registration path is inert: disabled registries hand
-        // out default handles without touching the name.
-        let h = reg.histogram("serve.queue.wait_us");
-        h.record(i * 3);
-        let snaps = reg.snapshot();
-        assert!(snaps.is_empty());
-    }
-    let after = allocations();
+    let ((), allocated) = count_allocations(|| {
+        for i in 0..1_000u64 {
+            histo.record(i);
+            // Even the registration path is inert: disabled registries
+            // hand out default handles without touching the name.
+            let h = reg.histogram("serve.queue.wait_us");
+            h.record(i * 3);
+            let snaps = reg.snapshot();
+            assert!(snaps.is_empty());
+        }
+    });
     assert_eq!(
-        after - before,
-        0,
+        allocated, 0,
         "the disabled registry must not allocate on the hot path"
     );
 }

@@ -283,3 +283,110 @@ fn read_from_disk_reports_the_same_typed_errors() {
     ));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Round-trips `edited` through its bytes: every edit below decodes.
+fn decoded(edited: &TraceFile) -> TraceFile {
+    TraceFile::from_text_bytes(&edited.to_text_bytes()).expect("the edit decodes")
+}
+
+/// A trace whose image starts a thread at code the program lacks
+/// decodes. A start in a function or block the program lacks then
+/// panicked `replay_trace` in `Program::func` or `Function::block`, and
+/// one past its block's terminator replayed as a failure the trace never
+/// recorded. Replay and verify refuse each with the section, the thread
+/// and the location, and `res-cli replay` and `verify` exit 1 with that
+/// error.
+#[test]
+fn a_start_in_code_the_program_lacks_is_refused() {
+    use res_debugger::isa::{BlockId, FuncId, Loc};
+
+    let (program, trace) = recorded();
+    let (&tid, &(depth, loc)) = trace.image.start_positions.iter().next().unwrap();
+    let dir = std::env::temp_dir().join(format!("res-trace-code-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(
+        dir.join("program.json"),
+        mvm_json::to_string_pretty(&program),
+    )
+    .unwrap();
+    let len = program.block_at(loc).insts.len() as u32;
+    let missing = [
+        Loc {
+            func: FuncId(99),
+            ..loc
+        },
+        Loc {
+            block: BlockId(99),
+            ..loc
+        },
+        Loc {
+            inst: len + 1,
+            ..loc
+        },
+    ];
+    for bad in missing {
+        let mut edited = trace.clone();
+        edited.image.start_positions.insert(tid, (depth, bad));
+        let edited = decoded(&edited);
+        let want = TraceError::MissingCode {
+            section: "start_positions",
+            tid,
+            loc: bad,
+        };
+        let replayed = replay_trace(&program, &edited, &Recorder::disabled());
+        assert_eq!(replayed.map(|_| ()), Err(want.clone()), "replay {bad}");
+        let verified = verify_trace(&program, &edited, &Recorder::disabled());
+        assert_eq!(verified.map(|_| ()), Err(want.clone()), "verify {bad}");
+
+        let path = dir.join("edited.restrace");
+        edited.write(&path).unwrap();
+        for command in ["replay", "verify"] {
+            let out = std::process::Command::new(env!("CARGO_BIN_EXE_res-cli"))
+                .args([command.as_ref(), dir.as_os_str(), path.as_os_str()])
+                .output()
+                .expect("run res-cli");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{command} {bad}: {stderr}");
+            assert!(
+                stderr.contains(&want.to_string()),
+                "{command} {bad}: {stderr}"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A step that starts or ends at code the program lacks was ignored by
+/// replay, which reads only the steps' threads and counts. The strict
+/// replay refuses it, since the recorded program's own trace names only
+/// its code. Verify still reports it as the divergence it is: a fix may
+/// move or drop the code a step ran.
+#[test]
+fn a_step_in_code_the_program_lacks_is_refused_by_replay() {
+    use res_debugger::isa::{BlockId, FuncId, Loc};
+
+    let (program, trace) = recorded();
+    let last = trace.steps.len() - 1;
+    let missing = Loc {
+        func: FuncId(99),
+        block: BlockId(0),
+        inst: 0,
+    };
+    let mut start = trace.clone();
+    start.steps[0].start = missing;
+    let mut end = trace.clone();
+    end.steps[last].end = missing;
+    for (edited, section, step) in [(start, "step start", 0), (end, "step end", last)] {
+        let edited = decoded(&edited);
+        let want = TraceError::MissingCode {
+            section,
+            tid: edited.steps[step].tid,
+            loc: missing,
+        };
+        let replayed = replay_trace(&program, &edited, &Recorder::disabled());
+        assert_eq!(replayed.map(|_| ()), Err(want), "{section}");
+        let verified = verify_trace(&program, &edited, &Recorder::disabled()).expect(section);
+        assert!(!verified.pass && verified.divergence.is_some(), "{section}");
+    }
+}

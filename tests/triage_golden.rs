@@ -123,13 +123,15 @@ fn identity(r: &TriageResponse) -> String {
     )
 }
 
-/// One line per dump: its label, then its identity.
+/// One line per dump: its label, then its identity. With a journal
+/// directory each request's search journals to its line's file there
+/// (a hang is answered without a search, and journals nothing).
 fn render(store_dir: Option<&Path>, trace: Option<&Path>) -> String {
     let mut out = String::new();
     for (label, program, dump) in population() {
         let mut req = TriageRequest::new(program, dump);
         req.store = store_dir.map(|d| store_path_for(d, &req.program).display().to_string());
-        req.trace = trace.map(|p| p.display().to_string());
+        req.trace = trace.map(|dir| dir.join(format!("{label}.jsonl")).display().to_string());
         let resp = triage(&req, &ResConfig::default());
         out.push_str(&format!("{label} {}\n", identity(&resp)));
     }
@@ -141,9 +143,10 @@ fn render(store_dir: Option<&Path>, trace: Option<&Path>) -> String {
 /// As in `tests/suffix_golden.rs`, `RES_CACHE_PATH=<dir>` routes every
 /// request through a persistent store (one file per program in that
 /// directory, the corpus layout of `res_triage::store_path_for`), and
-/// `RES_TRACE=<file>` journals each request to that path. Neither may
-/// change a byte: the CI determinism loops run this test plain, cold
-/// then warm against one store directory, and traced.
+/// `RES_TRACE=<dir>` journals each request to its own file in that
+/// directory. Neither may change a byte: the CI determinism loops run
+/// this test plain, cold then warm against one store directory, and
+/// traced.
 #[test]
 fn triage_answers_match_the_identity_fixture() {
     let store_dir = std::env::var_os("RES_CACHE_PATH").map(PathBuf::from);

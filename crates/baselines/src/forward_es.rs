@@ -170,7 +170,7 @@ impl StateTransform for ForwardDriver<'_> {
     ) -> Option<(NodeScore, FwdNode)> {
         let seed = *cand;
         let mut m = Machine::new(
-            self.program.clone(),
+            self.program,
             MachineConfig {
                 sched: SchedPolicy::Random {
                     seed,
@@ -227,7 +227,7 @@ impl Finalize for ForwardDriver<'_> {
         node.index as usize
     }
 
-    fn finalize(&mut self, node: &FwdNode, _stats: &mut KernelStats) -> Option<u64> {
+    fn finalize(&mut self, node: FwdNode, _stats: &mut KernelStats) -> Option<u64> {
         node.witness
     }
 }

@@ -90,7 +90,7 @@ pub struct RecordingCost {
 /// Runs `program` and models the recorder's cost on that execution.
 pub fn measure_recording(program: &Program, kind: RecorderKind, seed: u64) -> RecordingCost {
     let mut m = Machine::new(
-        program.clone(),
+        program,
         MachineConfig {
             sched: SchedPolicy::Random {
                 seed,

@@ -9,7 +9,10 @@ use res_bench::micro::{bench_function, Group};
 use mvm_core::{Coredump, HwFlavor, Minidump};
 use mvm_symbolic::{canonical_key, ExprRef};
 use res_baselines::{measure_recording, ForwardConfig, ForwardSynthesizer, RecorderKind};
-use res_core::{hardware_verdict, replay_suffix, ExecutionSuffix, HwVerdict, ResConfig, ResEngine};
+use res_core::{
+    hardware_verdict, replay_and_diagnose, replay_suffix, ExecutionSuffix, HwVerdict, ResConfig,
+    ResEngine,
+};
 use res_serve::wire::{read_request, read_response, write_request, write_response};
 use res_serve::{WireRequest, WireResponse};
 use res_store::{program_fingerprint, SolverStore};
@@ -17,7 +20,7 @@ use res_triage::{with_shared_store, TriageRequest};
 use res_workloads::gen::{collect_failures, corpus_specs, generate, hardware_variant, GenClass};
 use res_workloads::{build, run_to_failure, BugKind, WorkloadParams};
 
-/// Counts the `search` group's allocations per call.
+/// Counts the `search` and `replay` groups' allocations per call.
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
@@ -93,18 +96,42 @@ fn bench_e8_recording() {
     }
 }
 
-/// E11: replay latency.
-fn bench_e11_replay() {
-    let (p, d) = dump_for(BugKind::UseAfterFree, 10);
-    let engine = ResEngine::new(&p, ResConfig::default());
-    let result = engine.synthesize(&d);
-    let sfx = result
-        .suffixes
-        .iter()
-        .find(|s| replay_suffix(&p, &d, s).reproduced)
-        .expect("reproducing suffix")
-        .clone();
-    bench_function("e11_replay_suffix", || replay_suffix(&p, &d, &sfx));
+/// E11: replay latency. Each `search` case's first default-config
+/// suffix is replayed plain (`replay_suffix`, what a triage answer pays
+/// per suffix) and traced with the root-cause analyzers
+/// (`replay_and_diagnose`). A replay borrows the program, steps in
+/// place and compares its end state with the dump in place, so it
+/// copies little beyond the dump's memory image. Each timing line is
+/// followed by its heap allocations per call, the count
+/// `tests/alloc_budget.rs` gates (there in the debug profile).
+fn bench_replay() {
+    let g = Group::new("replay").sample_size(50);
+    for class in GenClass::ALL {
+        let gp = generate(corpus_specs(&[class], 1, 23, 1)[0]);
+        let dump = &collect_failures(&gp, 1)[0].dump;
+        let result = ResEngine::new(&gp.program, ResConfig::default()).synthesize(dump);
+        let Some(suffix) = result.suffixes.first() else {
+            continue;
+        };
+        let p = &gp.program;
+        let ids = [("suffix", false), ("diagnose", true)];
+        for (shape, diagnose) in ids {
+            let replay = || {
+                if diagnose {
+                    replay_and_diagnose(p, dump, suffix).0
+                } else {
+                    replay_suffix(p, dump, suffix)
+                }
+            };
+            let id = format!("{shape}/{}", class.name());
+            g.bench(&id, replay);
+            let (_, allocations) = count_allocations(replay);
+            println!(
+                "{:<44} {allocations} allocations per call",
+                format!("replay/{id}")
+            );
+        }
+    }
 }
 
 /// A3: solver latency per budget.
@@ -287,10 +314,10 @@ fn bench_search() {
 fn main() {
     bench_codec();
     bench_search();
+    bench_replay();
     bench_e1_synthesis();
     bench_e2_figure1();
     bench_e3_length_sweep();
     bench_e8_recording();
-    bench_e11_replay();
     bench_a3_solver();
 }

@@ -264,7 +264,7 @@ fn e4_program() -> Program {
 pub fn e4_breadcrumbs() -> Experiment {
     let p = e4_program();
     let mut m = Machine::new(
-        p.clone(),
+        &p,
         MachineConfig {
             input: mvm_machine::InputSource::Seeded { seed: 99 },
             lbr_capacity: 16,

@@ -3,12 +3,14 @@
 //! Replay verification (paper §2.1 requirement 5: "execution E
 //! deterministically leads to C") needs a precise notion of "the replay
 //! reached a state compatible with the coredump". [`diff_dumps`]
-//! reports every observable divergence between two dumps.
+//! reports every observable divergence between two dumps, and
+//! [`diff_machine`] the same between a machine and a dump, without
+//! capturing the machine first.
 
 use mvm_json::json_struct;
 
 use mvm_isa::Loc;
-use mvm_machine::ThreadId;
+use mvm_machine::{Fault, Machine, Memory, ThreadId, ThreadState};
 
 use crate::dump::Coredump;
 
@@ -49,24 +51,51 @@ impl DumpDiff {
 /// Compares two dumps, reporting up to `mem_limit` differing memory
 /// bytes.
 pub fn diff_dumps(a: &Coredump, b: &Coredump, mem_limit: usize) -> DumpDiff {
+    diff_state(&a.memory, &a.fault, a.threads.iter(), b, mem_limit)
+}
+
+/// Compares a machine's state with a dump: exactly
+/// `diff_dumps(&Coredump::capture_anyway(machine), b, mem_limit)`,
+/// reading the machine in place instead of copying its memory and
+/// threads into a dump first. A machine that has not faulted compares
+/// as `capture_anyway` records it, with an empty deadlock.
+pub fn diff_machine(machine: &Machine<'_>, b: &Coredump, mem_limit: usize) -> DumpDiff {
+    let no_fault = Fault::Deadlock { threads: vec![] };
+    let fault = machine.fault().map_or(&no_fault, |(_, f)| f);
+    diff_state(
+        machine.memory(),
+        fault,
+        machine.threads().values(),
+        b,
+        mem_limit,
+    )
+}
+
+/// The comparison both entry points share: side `a` is given by its
+/// memory, fault and threads (in their capture order).
+fn diff_state<'t>(
+    memory: &Memory,
+    fault: &Fault,
+    threads: impl Iterator<Item = &'t ThreadState> + Clone,
+    b: &Coredump,
+    mem_limit: usize,
+) -> DumpDiff {
     let mut d = DumpDiff {
-        memory_bytes: a.memory.diff(&b.memory, mem_limit),
-        fault_differs: a.fault != b.fault,
+        memory_bytes: memory.diff(&b.memory, mem_limit),
+        fault_differs: *fault != b.fault,
         ..DumpDiff::default()
     };
-    let tids_a: Vec<ThreadId> = a.threads.iter().map(|t| t.tid).collect();
-    let tids_b: Vec<ThreadId> = b.threads.iter().map(|t| t.tid).collect();
-    for &t in &tids_a {
-        if !tids_b.contains(&t) {
-            d.thread_set.push(t);
+    for ta in threads.clone() {
+        if b.thread(ta.tid).is_none() {
+            d.thread_set.push(ta.tid);
         }
     }
-    for &t in &tids_b {
-        if !tids_a.contains(&t) {
-            d.thread_set.push(t);
+    for tb in &b.threads {
+        if !threads.clone().any(|ta| ta.tid == tb.tid) {
+            d.thread_set.push(tb.tid);
         }
     }
-    for ta in &a.threads {
+    for ta in threads {
         let Some(tb) = b.thread(ta.tid) else { continue };
         if ta.pc() != tb.pc() {
             d.pcs.push((ta.tid, ta.pc(), tb.pc()));
@@ -94,7 +123,7 @@ mod tests {
             "global g 8 = 5\nfunc main() {\nentry:\n  addr r0, g\n  assert 0, \"x\"\n  halt\n}",
         )
         .unwrap();
-        let mut m = Machine::new(p, MachineConfig::default());
+        let mut m = Machine::new(&p, MachineConfig::default());
         m.run();
         Coredump::capture(&m)
     }

@@ -56,7 +56,7 @@ impl Coredump {
     /// Panics if the machine has not faulted — production systems only
     /// dump core on failure. Use [`Coredump::capture_anyway`] in tests
     /// that need a snapshot of a healthy machine.
-    pub fn capture(machine: &Machine) -> Self {
+    pub fn capture(machine: &Machine<'_>) -> Self {
         assert!(
             machine.fault().is_some(),
             "capture requires a faulted machine"
@@ -66,7 +66,7 @@ impl Coredump {
 
     /// Captures a snapshot regardless of fault state (the fault defaults
     /// to a deadlock descriptor when none is recorded — tests only).
-    pub fn capture_anyway(machine: &Machine) -> Self {
+    pub fn capture_anyway(machine: &Machine<'_>) -> Self {
         let (faulting_tid, fault) = machine
             .fault()
             .cloned()
@@ -268,7 +268,7 @@ mod tests {
 
     fn crash_dump(src: &str) -> Coredump {
         let p = assemble(src).unwrap();
-        let mut m = Machine::new(p, MachineConfig::default());
+        let mut m = Machine::new(&p, MachineConfig::default());
         let o = m.run();
         assert!(matches!(o, Outcome::Faulted { .. }), "{o:?}");
         Coredump::capture(&m)
@@ -297,7 +297,7 @@ mod tests {
     #[should_panic(expected = "faulted machine")]
     fn capture_of_healthy_machine_panics() {
         let p = assemble("func main() {\nentry:\n  halt\n}").unwrap();
-        let mut m = Machine::new(p, MachineConfig::default());
+        let mut m = Machine::new(&p, MachineConfig::default());
         m.run();
         let _ = Coredump::capture(&m);
     }

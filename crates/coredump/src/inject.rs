@@ -310,7 +310,7 @@ mod tests {
             "global g 8 = 5\nfunc main() {\nentry:\n  addr r0, g\n  load r1, [r0]\n  assert 0, \"x\"\n  halt\n}",
         )
         .unwrap();
-        let mut m = Machine::new(p, MachineConfig::default());
+        let mut m = Machine::new(&p, MachineConfig::default());
         m.run();
         Coredump::capture(&m)
     }
@@ -333,7 +333,7 @@ mod tests {
     #[test]
     fn bit_flip_without_a_consequential_site_is_none() {
         let p = assemble("func main() {\nentry:\n  assert 0, \"x\"\n  halt\n}").unwrap();
-        let mut m = Machine::new(p.clone(), MachineConfig::default());
+        let mut m = Machine::new(&p, MachineConfig::default());
         m.run();
         let mut d = Coredump::capture(&m);
         let orig = d.clone();

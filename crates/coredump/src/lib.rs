@@ -15,14 +15,15 @@
 //!   register corruption) that manufacture the inconsistent dumps of the
 //!   paper's §3.2 hardware-error use case, and
 //! * [`diff`] — dump comparison, used to verify that replaying a
-//!   synthesized suffix reproduces the original failure state.
+//!   synthesized suffix reproduces the original failure state (a
+//!   replay compares its machine with the dump in place).
 
 pub mod diff;
 pub mod dump;
 pub mod inject;
 pub mod minidump;
 
-pub use diff::{diff_dumps, DumpDiff};
+pub use diff::{diff_dumps, diff_machine, DumpDiff};
 pub use dump::{Coredump, ProgramMismatch, StackSignature};
 pub use inject::{
     consequential_sites, corrupt_consequential, corrupt_register, corrupt_register_at,

@@ -94,7 +94,7 @@ mod tests {
             "#,
         )
         .unwrap();
-        let mut m = Machine::new(p, MachineConfig::default());
+        let mut m = Machine::new(&p, MachineConfig::default());
         m.run();
         Coredump::capture(&m)
     }

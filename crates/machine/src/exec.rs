@@ -1,7 +1,9 @@
 //! The MicroVM interpreter.
 //!
 //! [`Machine`] owns all execution state (memory, heap, threads, locks)
-//! and advances it one instruction at a time. The public
+//! and advances it one instruction at a time; it borrows the program it
+//! runs and executes each instruction where the program holds it. The
+//! public
 //! [`Machine::step_thread`] lets a caller drive a *specific* thread — the
 //! hook the RES replayer uses to pin a reconstructed schedule — while
 //! [`Machine::run`] drives execution under a [`SchedPolicy`].
@@ -135,10 +137,10 @@ impl Outcome {
     }
 }
 
-/// The MicroVM.
+/// The MicroVM, running a program it borrows.
 #[derive(Debug, Clone)]
-pub struct Machine {
-    program: Program,
+pub struct Machine<'p> {
+    program: &'p Program,
     globals_end: u64,
     memory: Memory,
     heap: Heap,
@@ -156,33 +158,45 @@ pub struct Machine {
     fault: Option<(ThreadId, Fault)>,
 }
 
-impl Machine {
+impl<'p> Machine<'p> {
     /// Boots a machine: loads globals, creates the main thread at the
     /// program entry.
-    pub fn new(program: Program, config: MachineConfig) -> Self {
+    pub fn new(program: &'p Program, config: MachineConfig) -> Self {
         let mut memory = Memory::new();
-        let mut globals_end = layout::GLOBAL_BASE;
         for g in &program.globals {
             if !g.init.is_empty() {
                 memory.write_bytes(g.addr, &g.init);
             }
-            globals_end = globals_end.max(g.addr + ((g.size.max(1) + 7) & !7));
         }
+        let mut m = Self::over_image(program, memory, config);
         let main = ThreadState::spawned(0, program.entry, 0);
-        let mut tracer = Tracer::new(config.trace);
-        tracer.block_enter(0, main.pc(), 0);
+        m.tracer.block_enter(0, main.pc(), 0);
+        m.threads.insert(0, main);
+        m
+    }
+
+    /// Boots a machine over a memory image (a coredump's, say) instead
+    /// of the program's initialized globals, with no threads: the caller
+    /// installs them ([`Machine::install_thread`]). As in
+    /// [`Machine::new`], thread ids start past the main thread's 0.
+    pub fn over_image(program: &'p Program, memory: Memory, config: MachineConfig) -> Self {
+        let globals_end = program
+            .globals
+            .iter()
+            .map(|g| g.addr + ((g.size.max(1) + 7) & !7))
+            .fold(layout::GLOBAL_BASE, u64::max);
         Machine {
             program,
             globals_end,
             memory,
             heap: Heap::new(),
-            threads: BTreeMap::from([(0, main)]),
+            threads: BTreeMap::new(),
             next_tid: 1,
             steps: 0,
             lbr: LbrRing::new(config.lbr_capacity).with_filtering(config.lbr_filter_inferrable),
             logs: VecDeque::new(),
             outputs: Vec::new(),
-            tracer,
+            tracer: Tracer::new(config.trace),
             scheduler: Scheduler::new(config.sched),
             input: config.input,
             config_max_steps: config.max_steps,
@@ -191,20 +205,14 @@ impl Machine {
         }
     }
 
-    /// The loaded program.
-    pub fn program(&self) -> &Program {
-        &self.program
+    /// The program the machine runs.
+    pub fn program(&self) -> &'p Program {
+        self.program
     }
 
     /// Current memory contents.
     pub fn memory(&self) -> &Memory {
         &self.memory
-    }
-
-    /// Mutable memory access — used by the RES replayer to instantiate a
-    /// synthesized partial image `Mi` before replaying a suffix.
-    pub fn memory_mut(&mut self) -> &mut Memory {
-        &mut self.memory
     }
 
     /// Heap allocator state.
@@ -221,12 +229,6 @@ impl Machine {
     /// All threads by id.
     pub fn threads(&self) -> &BTreeMap<ThreadId, ThreadState> {
         &self.threads
-    }
-
-    /// Mutable thread table — used by the replayer to instantiate
-    /// thread contexts from a synthesized snapshot.
-    pub fn threads_mut(&mut self) -> &mut BTreeMap<ThreadId, ThreadState> {
-        &mut self.threads
     }
 
     /// The LBR breadcrumb ring.
@@ -350,12 +352,11 @@ impl Machine {
 
     fn step_inner(&mut self, tid: ThreadId) -> Result<bool, Fault> {
         let loc = self.thread(tid).pc();
-        let block = self.program.block_at(loc).clone();
-        if (loc.inst as usize) < block.insts.len() {
-            let inst = block.insts[loc.inst as usize].clone();
-            self.exec_inst(tid, loc, &inst)
-        } else {
-            self.exec_terminator(tid, loc, &block.terminator.clone())
+        let program = self.program;
+        let block = program.block_at(loc);
+        match block.insts.get(loc.inst as usize) {
+            Some(inst) => self.exec_inst(tid, loc, inst),
+            None => self.exec_terminator(tid, loc, &block.terminator),
         }
     }
 
@@ -723,8 +724,10 @@ mod tests {
     use super::*;
     use mvm_isa::asm::assemble;
 
-    fn run_src(src: &str) -> (Machine, Outcome) {
-        let p = assemble(src).unwrap();
+    /// Runs `src` to its end; the program lives as long as the test
+    /// binary, so the machine can outlive this call.
+    fn run_src(src: &str) -> (Machine<'static>, Outcome) {
+        let p = Box::leak(Box::new(assemble(src).unwrap()));
         let mut m = Machine::new(p, MachineConfig::default());
         let o = m.run();
         (m, o)
@@ -945,7 +948,7 @@ mod tests {
         "#;
         let p = assemble(src).unwrap();
         let mut m = Machine::new(
-            p,
+            &p,
             MachineConfig {
                 sched: SchedPolicy::RoundRobin { quantum: 1 },
                 ..MachineConfig::default()
@@ -1016,7 +1019,7 @@ mod tests {
         )
         .unwrap();
         let mut m = Machine::new(
-            p,
+            &p,
             MachineConfig {
                 input: InputSource::Scripted {
                     per_thread: HashMap::from([(0, VecDeque::from([7, 9]))]),
@@ -1074,7 +1077,7 @@ mod tests {
         let run = || {
             let p = assemble(src).unwrap();
             let mut m = Machine::new(
-                p,
+                &p,
                 MachineConfig {
                     sched: SchedPolicy::Random {
                         seed: 42,
@@ -1098,7 +1101,7 @@ mod tests {
     fn step_limit_reported() {
         let p = assemble("func main() {\nentry:\n  jmp entry\n}").unwrap();
         let mut m = Machine::new(
-            p,
+            &p,
             MachineConfig {
                 max_steps: 100,
                 ..MachineConfig::default()
@@ -1110,7 +1113,7 @@ mod tests {
     #[test]
     fn step_thread_drives_specific_thread() {
         let p = assemble("func main() {\nentry:\n  mov r0, 1\n  mov r1, 2\n  halt\n}").unwrap();
-        let mut m = Machine::new(p, MachineConfig::default());
+        let mut m = Machine::new(&p, MachineConfig::default());
         assert!(m.step_thread(0).unwrap());
         assert_eq!(m.threads()[&0].top().reg(Reg(0)), 1);
         assert_eq!(m.threads()[&0].top().reg(Reg(1)), 0);
@@ -1135,7 +1138,7 @@ mod tests {
     fn block_trace_schedule_captured() {
         let p = assemble("func main() {\nentry:\n  jmp a\na:\n  jmp b\nb:\n  halt\n}").unwrap();
         let mut m = Machine::new(
-            p,
+            &p,
             MachineConfig {
                 trace: TraceLevel::Blocks,
                 ..MachineConfig::default()

@@ -141,7 +141,7 @@ pub struct HypSpec<'a> {
     pub spost_regs: &'a [ExprRef],
     /// For `depth_delta == +1`: the callee frame's entry register state
     /// in the snapshot, to be matched against the call's arguments.
-    pub callee_entry_regs: Option<Vec<ExprRef>>,
+    pub callee_entry_regs: Option<&'a [ExprRef]>,
     /// For `depth_delta == +1`: the callee frame's `ret_reg` and parked
     /// caller block, for structural call-site matching.
     pub callee_ret_reg: Option<Reg>,
@@ -346,16 +346,16 @@ impl<'a, 'b> Attempt<'a, 'b> {
             self.steps += 1;
             started = true;
 
-            let blk = self.spec.program.func(func).block(block);
-            if (inst as usize) < blk.insts.len() {
-                let i = blk.insts[inst as usize].clone();
-                self.exec_inst(&i, here)?;
+            // The program outlives the attempt: run its code in place.
+            let program: &'a Program = self.spec.program;
+            let blk = program.func(func).block(block);
+            if let Some(i) = blk.insts.get(inst as usize) {
+                self.exec_inst(i, here)?;
                 inst += 1;
                 continue;
             }
             // Terminator.
-            let term = blk.terminator.clone();
-            match term {
+            match blk.terminator {
                 Terminator::Jump(t) => {
                     let to = Loc::block_start(func, t);
                     self.transfers.push(Transfer {
@@ -387,7 +387,7 @@ impl<'a, 'b> Attempt<'a, 'b> {
                 }
                 Terminator::Call {
                     func: callee,
-                    args,
+                    ref args,
                     ret,
                     cont,
                 } => {
@@ -865,7 +865,6 @@ impl<'a, 'b> Attempt<'a, 'b> {
         let spec = self.spec;
         let entry_regs = spec
             .callee_entry_regs
-            .as_ref()
             .expect("call-into requires callee entry regs");
         // Structural checks: same return register and continuation as
         // the dump's frames record.

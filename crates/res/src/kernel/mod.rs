@@ -84,8 +84,9 @@ pub trait Finalize: HypothesisGen {
     fn depth(&self, node: &Self::Node) -> usize;
 
     /// Completes `node` into an artifact, or rejects it late (counting
-    /// the failure in `stats`).
-    fn finalize(&mut self, node: &Self::Node, stats: &mut KernelStats) -> Option<Self::Artifact>;
+    /// the failure in `stats`). The node leaves the search here, so the
+    /// artifact may take what only the node holds instead of copying it.
+    fn finalize(&mut self, node: Self::Node, stats: &mut KernelStats) -> Option<Self::Artifact>;
 }
 
 /// Limits for one [`explore`] run.
@@ -148,7 +149,7 @@ where
         stats.deepest = stats.deepest.max(depth);
 
         if depth >= config.max_depth {
-            if let Some(a) = driver.finalize(&node, stats) {
+            if let Some(a) = driver.finalize(node, stats) {
                 artifacts.push(a);
                 settled = depth >= config.settle_depth;
             }
@@ -156,7 +157,7 @@ where
         }
         let candidates = driver.generate(&node);
         if candidates.is_empty() {
-            if let Some(a) = driver.finalize(&node, stats) {
+            if let Some(a) = driver.finalize(node, stats) {
                 artifacts.push(a);
                 settled = depth >= config.settle_depth;
             }
@@ -173,7 +174,7 @@ where
             // Cul-de-sac: the node itself is the longest suffix on this
             // path.
             if depth > 0 {
-                if let Some(a) = driver.finalize(&node, stats) {
+                if let Some(a) = driver.finalize(node, stats) {
                     artifacts.push(a);
                     settled = depth >= config.settle_depth;
                 }
@@ -241,8 +242,8 @@ mod tests {
         fn depth(&self, node: &u32) -> usize {
             bit_depth(*node)
         }
-        fn finalize(&mut self, node: &u32, _stats: &mut KernelStats) -> Option<u32> {
-            Some(*node)
+        fn finalize(&mut self, node: u32, _stats: &mut KernelStats) -> Option<u32> {
+            Some(node)
         }
     }
 
@@ -278,8 +279,8 @@ mod tests {
         fn depth(&self, node: &u32) -> usize {
             usize::from(*node > 0)
         }
-        fn finalize(&mut self, node: &u32, _stats: &mut KernelStats) -> Option<u32> {
-            Some(*node)
+        fn finalize(&mut self, node: u32, _stats: &mut KernelStats) -> Option<u32> {
+            Some(node)
         }
     }
 

@@ -5,18 +5,20 @@
 //! the developer it looks as if the program deterministically runs into
 //! the same failure."
 //!
-//! The replayer here is that environment: it boots a fresh machine,
-//! instantiates the partial image `Mi` over the coredump's memory,
-//! reconstructs thread contexts and allocator metadata at the suffix
-//! start, pins the block-granular schedule and the inferred inputs, runs
-//! forward, and finally verifies that the machine faults identically and
-//! that its memory and thread state match the original dump byte for
-//! byte.
+//! The replayer here is that environment: it boots a fresh machine
+//! over the coredump's memory image with the partial image `Mi` laid
+//! on it, reconstructs thread contexts and allocator metadata at the
+//! suffix start, pins the block-granular schedule and the inferred
+//! inputs, runs forward, and finally verifies that the machine faults
+//! identically and that its memory and thread state match the original
+//! dump byte for byte. The machine borrows the program and compares
+//! itself with the dump in place; it copies only the dump's memory
+//! image, which it runs on.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
-use mvm_core::{diff_dumps, Coredump, DumpDiff};
+use mvm_core::{diff_machine, Coredump, DumpDiff};
 use mvm_isa::{Loc, Program, Width};
 use mvm_json::{json_enum, json_struct};
 use mvm_machine::{
@@ -52,23 +54,33 @@ pub struct ReplayReport {
     pub steps_executed: u64,
 }
 
+/// How many differing memory bytes a replay's [`DumpDiff`] lists.
+const DIFF_LIMIT: usize = 64;
+
 /// Builds a machine positioned at the suffix start ("the environment
 /// slipped underneath the debugger"), ready to be stepped.
 ///
 /// Exposed separately from [`replay_suffix`] so debugging aids (§3.3)
 /// can stop at intermediate points.
-pub fn instantiate(
-    program: &Program,
+pub fn instantiate<'p>(
+    program: &'p Program,
     dump: &Coredump,
     suffix: &ExecutionSuffix,
     trace: TraceLevel,
-) -> Machine {
+) -> Machine<'p> {
     let mut per_thread: HashMap<ThreadId, VecDeque<u64>> = HashMap::new();
     for (tid, vals) in &suffix.inputs {
         per_thread.insert(*tid, vals.iter().copied().collect());
     }
-    let mut m = Machine::new(
-        program.clone(),
+    // Memory: the dump image (locations the suffix never touches are
+    // unchanged by it) overlaid with the concretized `Mi` cells.
+    let mut memory = dump.memory.clone();
+    for (addr, width, value) in &suffix.initial_cells {
+        memory.write(*addr, *value, *width);
+    }
+    let mut m = Machine::over_image(
+        program,
+        memory,
         MachineConfig {
             input: InputSource::Scripted {
                 per_thread,
@@ -78,12 +90,6 @@ pub fn instantiate(
             ..MachineConfig::default()
         },
     );
-    // Memory: the dump image (locations the suffix never touches are
-    // unchanged by it) overlaid with the concretized `Mi` cells.
-    *m.memory_mut() = dump.memory.clone();
-    for (addr, width, value) in &suffix.initial_cells {
-        m.memory_mut().write(*addr, *value, *width);
-    }
     // Heap: the dump's allocation table minus the allocations the
     // suffix itself performs (address order is allocation order for the
     // bump allocator), with suffix-freed blocks resurrected.
@@ -98,7 +104,6 @@ pub fn instantiate(
     }
     // Threads: dump frames below the start depth, a concretized frame at
     // the start position.
-    m.threads_mut().clear();
     for (&tid, &(depth, loc)) in &suffix.start_positions {
         let dump_thread = dump.thread(tid).expect("dump thread");
         let mut frames: Vec<Frame> = dump_thread.frames[..depth].to_vec();
@@ -142,27 +147,33 @@ pub fn replay_suffix(program: &Program, dump: &Coredump, suffix: &ExecutionSuffi
 
 /// Replays and also returns the machine (with any requested trace) for
 /// root-cause analysis.
-pub fn replay_with_trace(
-    program: &Program,
+pub fn replay_with_trace<'p>(
+    program: &'p Program,
     dump: &Coredump,
     suffix: &ExecutionSuffix,
     trace: TraceLevel,
-) -> (ReplayReport, Machine) {
-    drive(program, dump, suffix, trace, None)
+) -> (ReplayReport, Machine<'p>) {
+    drive(program, dump, suffix, trace, None, diff_machine)
 }
+
+/// How a replay compares its end state with the dump, listing up to a
+/// given number of differing memory bytes: every replay reads the
+/// machine in place ([`diff_machine`]).
+type EndDiff = fn(&Machine<'_>, &Coredump, usize) -> DumpDiff;
 
 /// The one replay loop: runs the schedule, settles each thread whose
 /// suffix work is done, takes the final faulting step and compares the
-/// end state with the dump. An `observer` (which needs a
+/// end state with the dump by `end_diff`. An `observer` (which needs a
 /// [`TraceLevel::Full`] machine to see writes) also collects every event
 /// and stops the replay at the first [`Divergence`].
-fn drive(
-    program: &Program,
+fn drive<'p>(
+    program: &'p Program,
     dump: &Coredump,
     suffix: &ExecutionSuffix,
     trace: TraceLevel,
     mut observer: Option<&mut Observer<'_>>,
-) -> (ReplayReport, Machine) {
+    end_diff: EndDiff,
+) -> (ReplayReport, Machine<'p>) {
     let mut m = instantiate(program, dump, suffix, trace);
     let mut steps_executed = 0u64;
     let schedule = suffix.schedule();
@@ -173,8 +184,8 @@ fn drive(
     for &(tid, n) in &schedule {
         *remaining.entry(tid).or_default() += n;
     }
-    let fail = |m: Machine, fault: Option<Fault>, steps: u64| {
-        let diff = diff_dumps(&Coredump::capture_anyway(&m), dump, 64);
+    let fail = |m: Machine<'p>, fault: Option<Fault>, steps: u64| {
+        let diff = end_diff(&m, dump, DIFF_LIMIT);
         let report = ReplayReport {
             reproduced: false,
             fault_matches: false,
@@ -258,7 +269,7 @@ fn drive(
         Some(fault) => *fault == dump.fault,
         None => false,
     };
-    let diff = diff_dumps(&Coredump::capture_anyway(&m), dump, 64);
+    let diff = end_diff(&m, dump, DIFF_LIMIT);
     let state_matches = diff.memory_bytes.is_empty()
         && diff.pcs.is_empty()
         && diff.registers.is_empty()
@@ -505,7 +516,14 @@ pub fn replay_observed(
         divergence: None,
         at: None,
     };
-    let (report, _) = drive(program, dump, suffix, TraceLevel::Full, Some(&mut observer));
+    let (report, _) = drive(
+        program,
+        dump,
+        suffix,
+        TraceLevel::Full,
+        Some(&mut observer),
+        diff_machine,
+    );
     (report, observer.events, observer.divergence)
 }
 
@@ -523,7 +541,7 @@ struct Observer<'a> {
 impl Observer<'_> {
     /// Event `i` of thread `tid` is about to run: returns `false` when
     /// the recording started it elsewhere.
-    fn begin(&mut self, i: usize, tid: ThreadId, m: &Machine) -> bool {
+    fn begin(&mut self, i: usize, tid: ThreadId, m: &Machine<'_>) -> bool {
         let start = m.threads()[&tid].pc();
         self.at = Some((start, m.tracer().events().len()));
         match self.expected.and_then(|e| e.get(i)) {
@@ -549,7 +567,7 @@ impl Observer<'_> {
         n: u64,
         executed: u64,
         fault: Option<&Fault>,
-        m: &Machine,
+        m: &Machine<'_>,
     ) -> bool {
         let (start, mark) = self.at.take().expect("a begun event");
         let writes: Vec<(u64, Width, u64)> = m.tracer().events()[mark..]
@@ -609,5 +627,185 @@ impl Observer<'_> {
 
     fn diverge(&mut self, event: usize, tid: ThreadId, kind: DivergenceKind) {
         self.divergence = Some(Divergence { event, tid, kind });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cell::RefCell;
+
+    use mvm_core::diff_dumps;
+    use mvm_isa::Inst;
+    use proptest_mini::{any_u64, check, prop_assert_eq, Config};
+    use res_workloads::gen::{collect_failures, corpus_specs, generate, GenClass};
+
+    use super::*;
+    use crate::search::{ResConfig, ResEngine};
+
+    /// The end-state comparison through a captured dump: capture the
+    /// machine, then diff the two dumps. The property below holds every
+    /// replay to it.
+    fn captured_diff(m: &Machine<'_>, dump: &Coredump, mem_limit: usize) -> DumpDiff {
+        diff_dumps(&Coredump::capture_anyway(m), dump, mem_limit)
+    }
+
+    /// Copies of `suffix` that a replay should not reproduce, each
+    /// named, seeded by `pick`: one initial cell with a bit flipped,
+    /// ten words at the dump's first page written (more differing
+    /// bytes than a report lists), one initial register changed, one
+    /// input dropped, the schedule one step short, and a thread that
+    /// starts right after a `spawn` started at it (the replay spawns a
+    /// thread the dump lacks).
+    fn mutants(
+        program: &Program,
+        suffix: &ExecutionSuffix,
+        dump: &Coredump,
+        pick: u64,
+    ) -> Vec<(&'static str, ExecutionSuffix)> {
+        let mut out = Vec::new();
+        let at = |len: usize| (pick % len.max(1) as u64) as usize;
+        if !suffix.initial_cells.is_empty() {
+            let mut s = suffix.clone();
+            let cell = &mut s.initial_cells[at(suffix.initial_cells.len())];
+            cell.2 ^= 1 << (pick % (8 * cell.1.bytes()));
+            out.push(("flipped cell", s));
+        }
+        let mut s = suffix.clone();
+        let base = dump.memory.iter_pages().next().map_or(0, |(b, _)| b);
+        for i in 0..10 {
+            s.initial_cells.push((base + 8 * i, Width::W8, !pick));
+        }
+        out.push(("flooded cells", s));
+        let mut s = suffix.clone();
+        let n = s.initial_regs.len();
+        if let Some((_, regs)) = s.initial_regs.values_mut().nth(at(n)) {
+            let r = at(regs.len());
+            regs[r] = regs[r].wrapping_add(1 + pick % 1024);
+            out.push(("changed register", s));
+        }
+        let mut s = suffix.clone();
+        let n = s.inputs.len();
+        if let Some(vals) = s.inputs.values_mut().nth(at(n)).filter(|v| !v.is_empty()) {
+            vals.remove(at(vals.len()));
+            out.push(("dropped input", s));
+        }
+        let mut s = suffix.clone();
+        if let Some(last) = s.steps.last_mut().filter(|step| step.steps > 0) {
+            last.steps -= 1;
+            out.push(("short schedule", s));
+        }
+        let mut s = suffix.clone();
+        let after_spawn = |loc: Loc| {
+            let before = (loc.inst as usize).checked_sub(1);
+            let insts = &program.block_at(loc).insts;
+            before
+                .and_then(|i| insts.get(i))
+                .is_some_and(|i| matches!(i, Inst::Spawn { .. }))
+        };
+        let respawn = s
+            .start_positions
+            .iter()
+            .find_map(|(&tid, &(_, loc))| after_spawn(loc).then_some(tid));
+        if let Some(tid) = respawn {
+            if let Some(step) = s.steps.iter_mut().find(|step| step.tid == tid) {
+                step.steps += 1;
+                s.start_positions.get_mut(&tid).expect("started").1.inst -= 1;
+                out.push(("respawned", s));
+            }
+        }
+        out
+    }
+
+    /// Which parts of a [`DumpDiff`] the compared replays exercised.
+    #[derive(Debug, Default)]
+    struct Seen {
+        reports: usize,
+        memory_bytes: usize,
+        memory_capped: usize,
+        registers: usize,
+        pcs: usize,
+        thread_set: usize,
+        fault_differs: usize,
+    }
+
+    impl Seen {
+        fn note(&mut self, d: &DumpDiff) {
+            self.reports += 1;
+            self.memory_bytes += usize::from(!d.memory_bytes.is_empty());
+            self.memory_capped += usize::from(d.memory_bytes.len() == DIFF_LIMIT);
+            self.registers += usize::from(!d.registers.is_empty());
+            self.pcs += usize::from(!d.pcs.is_empty());
+            self.thread_set += usize::from(!d.thread_set.is_empty());
+            self.fault_differs += usize::from(d.fault_differs);
+        }
+    }
+
+    /// A replay that compares its end state in place reports exactly
+    /// what the capture-then-diff reference reports, field by field, on
+    /// every suffix of generated populations (every class, two dumps
+    /// per program) and on mutants of each. Reproduce a failure with
+    /// `RES_PROP_SEED=<seed>`.
+    #[test]
+    fn in_place_end_state_matches_the_reference() {
+        let seen = RefCell::new(Seen::default());
+        let cfg = Config {
+            cases: 8,
+            max_shrink_steps: 0,
+            ..Config::new()
+        };
+        check(
+            "in_place_end_state_matches_the_reference",
+            &cfg,
+            &any_u64(),
+            |&seed| {
+                for spec in corpus_specs(&GenClass::ALL, GenClass::ALL.len(), seed, 1) {
+                    let gp = generate(spec);
+                    let program = &gp.program;
+                    let engine = ResEngine::new(program, ResConfig::default());
+                    for failure in collect_failures(&gp, 2) {
+                        let dump = &failure.dump;
+                        for suffix in engine.synthesize(dump).suffixes {
+                            let mut cases = mutants(program, &suffix, dump, seed);
+                            cases.push(("synthesized", suffix));
+                            for (name, suffix) in &cases {
+                                let got = replay_suffix(program, dump, suffix);
+                                let want = drive(
+                                    program,
+                                    dump,
+                                    suffix,
+                                    TraceLevel::Off,
+                                    None,
+                                    captured_diff,
+                                )
+                                .0;
+                                let at = format!("{name} suffix, {:?} #{}", spec.class, spec.seed);
+                                prop_assert_eq!((&got.diff, &at), (&want.diff, &at));
+                                prop_assert_eq!(
+                                    (got.reproduced, got.fault_matches, &at),
+                                    (want.reproduced, want.fault_matches, &at)
+                                );
+                                prop_assert_eq!(
+                                    (&got.replay_fault, got.steps_executed, &at),
+                                    (&want.replay_fault, want.steps_executed, &at)
+                                );
+                                seen.borrow_mut().note(&want.diff);
+                            }
+                        }
+                    }
+                }
+                Ok(())
+            },
+        );
+        let seen = seen.into_inner();
+        println!("{seen:?}");
+        assert!(
+            seen.memory_bytes > 0
+                && seen.memory_capped > 0
+                && seen.registers > 0
+                && seen.pcs > 0
+                && seen.thread_set > 0
+                && seen.fault_differs > 0,
+            "the replays left a part of the end-state diff unexercised: {seen:?}"
+        );
     }
 }

@@ -450,7 +450,8 @@ struct Node {
     /// The solver fixpoint of `constraints`, which each child's global
     /// check starts from.
     fixpoint: Fixpoint,
-    /// The accepted steps, newest first, shared with every descendant.
+    /// The accepted steps, newest first (the suffix's forward order),
+    /// shared with every descendant.
     steps: Option<Rc<StepLink>>,
     positions: BTreeMap<ThreadId, ThreadPos>,
     suffix_allocs: usize,
@@ -469,19 +470,11 @@ struct StepLink {
     prev: Option<Rc<StepLink>>,
 }
 
-impl Node {
-    /// The accepted steps, newest first: the suffix's forward order.
-    fn steps(&self) -> impl Iterator<Item = &StepLink> {
-        std::iter::successors(self.steps.as_deref(), |link| link.prev.as_deref())
-    }
-}
-
 struct Candidate {
     tid: ThreadId,
     frame_depth: usize,
     start: Loc,
     end: EndPoint,
-    callee_entry_regs: Option<Vec<ExprRef>>,
     callee_ret_reg: Option<Reg>,
     pops_frame: bool,
     priority: u8,
@@ -920,7 +913,6 @@ impl<'p> ResEngine<'p> {
                         depth_delta: 0,
                         loc: pos.loc,
                     },
-                    callee_entry_regs: None,
                     callee_ret_reg: None,
                     pops_frame: false,
                     priority,
@@ -952,7 +944,6 @@ impl<'p> ResEngine<'p> {
                                     depth_delta: 1,
                                     loc: pos.loc,
                                 },
-                                callee_entry_regs: Some(callee_frame.regs.clone()),
                                 callee_ret_reg: callee_frame.ret_reg,
                                 pops_frame: true,
                                 priority: 1,
@@ -1005,7 +996,6 @@ impl<'p> ResEngine<'p> {
                 depth_delta: 0,
                 loc: pos.loc,
             },
-            callee_entry_regs: None,
             callee_ret_reg: None,
             pops_frame: false,
             priority: 0,
@@ -1069,12 +1059,18 @@ impl<'p> ResEngine<'p> {
         hyp_max_steps: u64,
         stats: &mut KernelStats,
     ) -> Option<Node> {
-        let spost_regs = &node
+        // The executed frame's registers, and on a step back past a
+        // function entry the callee frame's above it, are read in place
+        // from the node's snapshot.
+        let frames = &node
             .snap
             .thread(cand.tid)
             .expect("thread in snapshot")
-            .frames[cand.frame_depth]
-            .regs;
+            .frames;
+        let spost_regs = &frames[cand.frame_depth].regs;
+        let callee_entry_regs = cand
+            .pops_frame
+            .then(|| frames[cand.frame_depth + 1].regs.as_slice());
         let spec = HypSpec {
             program: self.program,
             tid: cand.tid,
@@ -1082,7 +1078,7 @@ impl<'p> ResEngine<'p> {
             start: cand.start,
             end: cand.end,
             spost_regs,
-            callee_entry_regs: cand.callee_entry_regs.clone(),
+            callee_entry_regs,
             callee_ret_reg: cand.callee_ret_reg,
             dump_allocs: &dump.heap_allocs,
             later_allocs: node.suffix_allocs,
@@ -1269,12 +1265,11 @@ impl<'p> ResEngine<'p> {
         })
     }
 
-    fn finalize(
-        &self,
-        node: &Node,
-        ctx: &SymCtx,
-        stats: &mut KernelStats,
-    ) -> Option<ExecutionSuffix> {
+    /// Completes a leaf into its suffix. The leaf leaves the search
+    /// here, so the steps and tags of the links only it holds move into
+    /// the suffix; from the first link that a node still on the stack
+    /// shares, the rest of the chain is copied.
+    fn finalize(&self, node: Node, stats: &mut KernelStats) -> Option<ExecutionSuffix> {
         node.steps.as_ref()?;
         // The node's own fixpoint: the memo key reuses its hash.
         let (verdict, _) = self.session.check_after(&node.constraints, &node.fixpoint);
@@ -1286,29 +1281,47 @@ impl<'p> ResEngine<'p> {
                 return None;
             }
         };
-        let steps: Vec<SuffixStep> = node.steps().map(|link| link.step.clone()).collect();
-        let chunks: Vec<&[Tag]> = node.steps().map(|link| link.tags.as_slice()).collect();
-        let tags = chunks.into_iter().rev().flatten();
-        let constraints: Vec<Tagged> = node
-            .constraints
-            .iter()
-            .zip(tags)
-            .map(|(expr, &tag)| Tagged {
-                expr: expr.clone(),
-                tag,
-            })
-            .collect();
-        debug_assert_eq!(constraints.len(), node.constraints.len());
+        let Node {
+            snap,
+            constraints: exprs,
+            steps: mut link,
+            positions,
+            depth,
+            ..
+        } = node;
+        // Newest link first: the steps come out in forward order, the
+        // constraints from the last (reversed below).
+        let mut steps: Vec<SuffixStep> = Vec::with_capacity(depth);
+        let mut constraints: Vec<Tagged> = Vec::with_capacity(exprs.len());
+        while let Some(rc) = link {
+            match Rc::try_unwrap(rc) {
+                Ok(StepLink { step, tags, prev }) => {
+                    push_tagged(&mut constraints, &exprs, &tags);
+                    steps.push(step);
+                    link = prev;
+                }
+                Err(shared) => {
+                    let rest = std::iter::successors(Some(&*shared), |l| l.prev.as_deref());
+                    for l in rest {
+                        push_tagged(&mut constraints, &exprs, &l.tags);
+                        steps.push(l.step.clone());
+                    }
+                    break;
+                }
+            }
+        }
+        debug_assert_eq!(constraints.len(), exprs.len());
+        constraints.reverse();
         // Concretize the suffix-start snapshot.
         let mut initial_cells = Vec::new();
-        for (addr, cell) in node.snap.cells() {
+        for (addr, cell) in snap.cells() {
             let v = model.eval_total(&cell.expr).unwrap_or(0);
             initial_cells.push((addr, cell.width, v));
         }
         let mut initial_regs = BTreeMap::new();
         let mut start_positions = BTreeMap::new();
-        for (&tid, pos) in &node.positions {
-            let t = node.snap.thread(tid).expect("thread in snapshot");
+        for (&tid, pos) in &positions {
+            let t = snap.thread(tid).expect("thread in snapshot");
             let regs: Vec<u64> = t.frames[pos.depth]
                 .regs
                 .iter()
@@ -1325,7 +1338,6 @@ impl<'p> ResEngine<'p> {
                 inputs.entry(s.tid).or_default().push(v);
             }
         }
-        let _ = ctx;
         Some(ExecutionSuffix {
             steps,
             model,
@@ -1336,6 +1348,16 @@ impl<'p> ResEngine<'p> {
             constraints,
             approximate,
         })
+    }
+}
+
+/// Pushes the constraints one link's `tags` tag onto `out`, newest
+/// first: they are the last `tags.len()` of `exprs` that `out` does not
+/// hold yet.
+fn push_tagged(out: &mut Vec<Tagged>, exprs: &[ExprRef], tags: &[Tag]) {
+    for &tag in tags.iter().rev() {
+        let expr = exprs[exprs.len() - 1 - out.len()].clone();
+        out.push(Tagged { expr, tag });
     }
 }
 
@@ -1451,7 +1473,7 @@ impl Finalize for SearchDriver<'_, '_, '_> {
         node.depth
     }
 
-    fn finalize(&mut self, node: &Node, stats: &mut KernelStats) -> Option<ExecutionSuffix> {
-        self.engine.finalize(node, &self.ctx, stats)
+    fn finalize(&mut self, node: Node, stats: &mut KernelStats) -> Option<ExecutionSuffix> {
+        self.engine.finalize(node, stats)
     }
 }

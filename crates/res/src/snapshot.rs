@@ -297,7 +297,7 @@ mod tests {
             "global g 16 = 77\nfunc main() {\nentry:\n  addr r0, g\n  load r1, [r0]\n  assert 0, \"x\"\n  halt\n}",
         )
         .unwrap();
-        let mut m = Machine::new(p, MachineConfig::default());
+        let mut m = Machine::new(&p, MachineConfig::default());
         m.run();
         Coredump::capture(&m)
     }

@@ -23,13 +23,14 @@ fn crash(src: &str) -> (Program, Coredump) {
 
 fn crash_with(src: &str, config: MachineConfig) -> (Program, Coredump) {
     let p = assemble(src).unwrap();
-    let mut m = Machine::new(p.clone(), config);
+    let mut m = Machine::new(&p, config);
     let o = m.run();
     assert!(
         matches!(o, Outcome::Faulted { .. }),
         "expected fault, got {o:?}"
     );
-    (p, Coredump::capture(&m))
+    let dump = Coredump::capture(&m);
+    (p, dump)
 }
 
 fn synthesize_and_replay(
@@ -509,10 +510,11 @@ fn traced_replay_reports_what_a_plain_replay_does() {
             hash_rounds: 1,
         },
     );
-    let machine = (0..500)
+    let dump = (0..500)
         .find_map(|s| run_to_failure(&golden, s))
+        .map(|m| Coredump::capture(&m))
         .expect("DivByZero workload must fault");
-    let mut cases = vec![("golden div-by-zero", golden, Coredump::capture(&machine))];
+    let mut cases = vec![("golden div-by-zero", golden, dump)];
     for spec in corpus_specs(&GenClass::ALL, GenClass::ALL.len(), 7, 1) {
         let gp = generate(spec);
         for failure in collect_failures(&gp, 1) {

@@ -13,10 +13,11 @@ use res_core::{replay_suffix, ResConfig, ResEngine, Snapshot, SymCtx, Verdict};
 
 fn crash(src: &str, config: MachineConfig) -> (Program, Coredump) {
     let p = assemble(src).unwrap();
-    let mut m = Machine::new(p.clone(), config);
+    let mut m = Machine::new(&p, config);
     let o = m.run();
     assert!(matches!(o, Outcome::Faulted { .. }), "{o:?}");
-    (p, Coredump::capture(&m))
+    let dump = Coredump::capture(&m);
+    (p, dump)
 }
 
 /// Direct `run_hypothesis` exercise: the partial range of a faulting
@@ -308,7 +309,7 @@ fn preemption_query_detects_interleaving() {
         .find_map(|seed| {
             let p = assemble(src).unwrap();
             let mut m = Machine::new(
-                p.clone(),
+                &p,
                 MachineConfig {
                     sched: mvm_machine::SchedPolicy::Random {
                         seed,
@@ -317,7 +318,8 @@ fn preemption_query_detects_interleaving() {
                     ..MachineConfig::default()
                 },
             );
-            matches!(m.run(), Outcome::Faulted { .. }).then(|| (p, Coredump::capture(&m)))
+            let dump = matches!(m.run(), Outcome::Faulted { .. }).then(|| Coredump::capture(&m))?;
+            Some((p, dump))
         })
         .expect("race manifests");
     let engine = ResEngine::new(&p, ResConfig::default());

@@ -64,9 +64,9 @@ impl Default for CorpusSpec {
 
 /// Runs a program under a seeded random schedule and seeded inputs until
 /// it faults, returning the machine if it does.
-pub fn run_to_failure(program: &Program, seed: u64) -> Option<Machine> {
+pub fn run_to_failure(program: &Program, seed: u64) -> Option<Machine<'_>> {
     let mut m = Machine::new(
-        program.clone(),
+        program,
         MachineConfig {
             sched: SchedPolicy::Random {
                 seed,

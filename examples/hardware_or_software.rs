@@ -31,7 +31,7 @@ fn main() {
     )
     .expect("program assembles");
 
-    let mut machine = Machine::new(program.clone(), MachineConfig::default());
+    let mut machine = Machine::new(&program, MachineConfig::default());
     machine.run();
     let genuine = Coredump::capture(&machine);
     let config = ResConfig::default();

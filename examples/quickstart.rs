@@ -30,7 +30,7 @@ fn main() {
 
     // Production: the program runs and dies. The only artifact is the
     // coredump — no recording, no logs, no instrumentation.
-    let mut machine = Machine::new(program.clone(), MachineConfig::default());
+    let mut machine = Machine::new(&program, MachineConfig::default());
     let outcome = machine.run();
     println!("production outcome: {outcome:?}");
     let dump = Coredump::capture(&machine);

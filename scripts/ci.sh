@@ -18,7 +18,7 @@ cargo build --workspace --release
 echo "==> cargo test"
 cargo test --workspace -q
 
-echo "==> codec, suffix identity, store-open, store-key, solver and hardware-sweep properties under two more seeds"
+echo "==> codec, suffix identity, store-open, store-key, solver, hardware-sweep and replay properties under two more seeds"
 # The direct JSON reader must equal the tree path (value or error), a
 # suffix's direct identity text its derived `Debug`, and the store key
 # its reference implementation, on every random case; every solver
@@ -28,8 +28,10 @@ echo "==> codec, suffix identity, store-open, store-key, solver and hardware-swe
 # propagation run leave exactly the state of the copying reference
 # rounds; every §3.2
 # verdict, with its searches stopped once settled, must equal the
-# sweep that runs every search to the end. Two more fixed seeds make
-# each CI run check three times as many cases against the reference.
+# sweep that runs every search to the end; every replay that compares
+# its end state in place must report what the capture-then-diff
+# reference reports. Two more fixed seeds make each CI run check three
+# times as many cases against the reference.
 for seed in 1 2; do
     echo "    RES_PROP_SEED=$seed"
     RES_PROP_SEED=$seed cargo test -q --test codec_identity
@@ -44,6 +46,8 @@ for seed in 1 2; do
         solver::tests::propagate_matches_the_reference
     RES_PROP_SEED=$seed cargo test -q -p res-core --lib \
         hwerr::tests::settled_sweeps_give_the_reference_verdicts
+    RES_PROP_SEED=$seed cargo test -q -p res-core --lib \
+        replay::tests::in_place_end_state_matches_the_reference
 done
 
 echo "==> benchmark build and self-test (perfbench/)"

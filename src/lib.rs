@@ -49,8 +49,9 @@
 //! )
 //! .unwrap();
 //!
-//! // 2. It crashes in production; the system captures a coredump.
-//! let mut m = Machine::new(program.clone(), MachineConfig::default());
+//! // 2. It crashes in production; the system captures a coredump. The
+//! //    machine borrows the program it runs.
+//! let mut m = Machine::new(&program, MachineConfig::default());
 //! m.run();
 //! let dump = Coredump::capture(&m);
 //!

@@ -110,7 +110,7 @@ fn scheduler_seed_actually_matters() {
     );
     let trace_for = |seed: u64| {
         let mut m = Machine::new(
-            program.clone(),
+            &program,
             MachineConfig {
                 sched: SchedPolicy::Random {
                     seed,

@@ -8,10 +8,11 @@ use res_debugger::workloads::run_to_failure;
 
 fn failing_dump(kind: BugKind) -> (Program, Coredump) {
     let p = build_workload(kind, WorkloadParams::default());
-    let m = (0..500)
+    let dump = (0..500)
         .find_map(|s| run_to_failure(&p, s))
+        .map(|m| Coredump::capture(&m))
         .expect("workload failure");
-    (p, Coredump::capture(&m))
+    (p, dump)
 }
 
 #[test]
@@ -112,7 +113,7 @@ fn suffix_focus_sets_are_tiny_relative_to_dump() {
 fn facade_prelude_is_sufficient_for_the_workflow() {
     // Compile-time check that the prelude covers the primary workflow.
     let p = build_workload(BugKind::DivByZero, WorkloadParams::default());
-    let mut m = Machine::new(p.clone(), MachineConfig::default());
+    let mut m = Machine::new(&p, MachineConfig::default());
     let _: Outcome = m.run();
     let d = Coredump::capture(&m);
     let _ = Minidump::from_coredump(&d);

@@ -406,7 +406,7 @@ fn machine_is_deterministic() {
             );
             let run = || {
                 let mut m = Machine::new(
-                    p.clone(),
+                    &p,
                     MachineConfig {
                         sched: SchedPolicy::Random {
                             seed,
@@ -465,7 +465,7 @@ fn synthesis_replay_round_trip() {
                     hash_rounds: 1,
                 },
             );
-            let mut m = Machine::new(p.clone(), MachineConfig::default());
+            let mut m = Machine::new(&p, MachineConfig::default());
             let o = m.run();
             let faulted = matches!(o, Outcome::Faulted { .. });
             prop_assert!(faulted);

@@ -14,7 +14,7 @@ fn lbr_filtered_recording_matches_engine_expectations() {
     // and still synthesize correctly.
     let p = build_workload(BugKind::Figure1, WorkloadParams::default());
     let mut m = Machine::new(
-        p.clone(),
+        &p,
         MachineConfig {
             lbr_capacity: 4,
             lbr_filter_inferrable: true,
@@ -49,7 +49,7 @@ fn replay_reports_divergence_for_tampered_suffix() {
     // A suffix whose initial image is tampered with must not silently
     // "reproduce": the replayer reports the divergence.
     let p = build_workload(BugKind::DivByZero, WorkloadParams::default());
-    let mut m = Machine::new(p.clone(), MachineConfig::default());
+    let mut m = Machine::new(&p, MachineConfig::default());
     m.run();
     let d = Coredump::capture(&m);
     let engine = ResEngine::new(&p, ResConfig::default());
@@ -125,7 +125,7 @@ fn lbr_ring_model_matches_hardware_semantics() {
 #[test]
 fn engine_survives_minimal_and_maximal_budgets() {
     let p = build_workload(BugKind::SemanticAssert, WorkloadParams::default());
-    let mut m = Machine::new(p.clone(), MachineConfig::default());
+    let mut m = Machine::new(&p, MachineConfig::default());
     m.run();
     let d = Coredump::capture(&m);
     // Degenerate budgets must not panic and must answer honestly.

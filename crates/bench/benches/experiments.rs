@@ -7,7 +7,7 @@ use res_bench::alloc_count::{count_allocations, CountingAlloc};
 use res_bench::micro::{bench_function, Group};
 
 use mvm_core::{Coredump, HwFlavor, Minidump};
-use mvm_symbolic::{canonical_key, ExprRef};
+use mvm_symbolic::{canonical_key, ExprRef, SolverSession};
 use res_baselines::{measure_recording, ForwardConfig, ForwardSynthesizer, RecorderKind};
 use res_core::{
     hardware_verdict, replay_and_diagnose, replay_suffix, ExecutionSuffix, HwVerdict, ResConfig,
@@ -284,6 +284,86 @@ fn bench_suffix_identity(g: &Group) {
     );
 }
 
+/// The warm-store path of the §3.2 hardware filter, the `hwfilter`
+/// shape: two seed-7 programs per E7c class, four dumps each, the
+/// second corrupted (bit flips and register corruption alternating by
+/// program), every program's store warmed by a verdict on each of its
+/// dumps. `store/open` opens the first program's store and
+/// `store/absorb` absorbs it into a fresh session;
+/// `store/verdict_warm` and `store/verdict_plain` run
+/// `hardware_verdict` on every input with its warm store and with none
+/// (one pass each). Each timing line is followed by the allocations per
+/// call; a verdict pass's figures are per input.
+fn bench_store() {
+    let g = Group::new("store").sample_size(30);
+    let classes = [
+        GenClass::DataRace,
+        GenClass::DivByZero,
+        GenClass::LocalOverflow,
+        GenClass::UseAfterFree,
+    ];
+    let dir = std::env::temp_dir().join(format!("res-bench-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create the bench store directory");
+    let cold = ResConfig::default();
+    let mut programs = Vec::new();
+    let mut inputs = Vec::new();
+    for (n, spec) in corpus_specs(&classes, 2 * classes.len(), 7, 1)
+        .into_iter()
+        .enumerate()
+    {
+        let gp = generate(spec);
+        let warm = with_shared_store(&cold, &dir, &gp.program);
+        let flavor = [HwFlavor::BitFlip, HwFlavor::RegCorrupt][n % 2];
+        for (k, failure) in collect_failures(&gp, 4).iter().enumerate() {
+            let dump = if k == 1 {
+                hardware_variant(&gp, failure, flavor).0
+            } else {
+                failure.dump.clone()
+            };
+            hardware_verdict(&gp.program, &dump, &warm);
+            inputs.push((programs.len(), dump));
+        }
+        programs.push((gp.program, warm));
+    }
+    let report = |id: &str, calls: usize, f: &mut dyn FnMut() -> usize| {
+        g.bench(id, &mut *f);
+        let (_, allocations) = count_allocations(f);
+        println!(
+            "{:<44} {} allocations per call",
+            format!("store/{id}"),
+            allocations / calls as u64
+        );
+    };
+    let (program, warm) = &programs[0];
+    let path = warm.cache_path.clone().expect("a shared store path");
+    let fp = program_fingerprint(program);
+    let store = SolverStore::open(&path, fp);
+    assert!(!store.is_empty(), "warming must populate the store");
+    report("open", 1, &mut || SolverStore::open(&path, fp).len());
+    report("absorb", 1, &mut || {
+        store.absorb_into(&SolverSession::new())
+    });
+    for (id, plain) in [("verdict_warm", false), ("verdict_plain", true)] {
+        report(id, inputs.len(), &mut || {
+            inputs
+                .iter()
+                .map(|(prog, dump)| {
+                    let (program, warm) = &programs[*prog];
+                    let config = if plain { &cold } else { warm };
+                    hardware_verdict(program, dump, config);
+                })
+                .count()
+        });
+    }
+    println!(
+        "store: {} inputs of {} programs per verdict pass",
+        inputs.len(),
+        programs.len()
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The backward search itself: `synthesize` on a fresh engine at the
 /// default config (the `triage` shape) and at `max_depth(48)`, over the
 /// first genuine dump of one seeded program per generator class. At
@@ -313,6 +393,7 @@ fn bench_search() {
 
 fn main() {
     bench_codec();
+    bench_store();
     bench_search();
     bench_replay();
     bench_e1_synthesis();

@@ -7,7 +7,7 @@ use mvm_json::json_struct;
 pub const MAGIC: &str = "RES-STORE";
 
 /// The format version this build reads and writes.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// FNV-1a over 64 bits — the per-record checksum. Not cryptographic;
 /// it guards against torn writes and bit rot, not adversaries.

@@ -24,12 +24,12 @@
 //! `scripts/ci.sh` gates this cross-run determinism against the golden
 //! suffix fixture.
 //!
-//! ## File format (version 1)
+//! ## File format (version 2)
 //!
 //! A store is a UTF-8 text file of newline-terminated records:
 //!
 //! ```text
-//! RES-STORE 1
+//! RES-STORE 2
 //! H <len> <fnv64-hex> <header-json>
 //! E <len> <fnv64-hex> <entry-json>
 //! ...
@@ -37,7 +37,14 @@
 //! ```
 //!
 //! * The magic line names the format and its version; any other first
-//!   line refuses the whole file.
+//!   line refuses the whole file. Version 2 changed no record: it
+//!   changed the key. Its [`CanonFp`](mvm_symbolic::CanonFp) is a
+//!   word-at-a-time fold of the renamed constraint walk that a query's
+//!   key continues from its parent's
+//!   ([`canonical_key`](mvm_symbolic::canonical_key)); version 1 hashed
+//!   the walk a byte at a time. A version-1 file would load entries that
+//!   no query ever hits, so it opens as a version mismatch: a cold start,
+//!   rewritten on the first commit.
 //! * Every record is length-prefixed (`len` = payload bytes) and
 //!   checksummed (FNV-1a 64 of the payload), so a torn or corrupted
 //!   tail is detected and *skipped* — earlier records stay usable, and
@@ -66,12 +73,16 @@
 //!
 //! [`SolverStore::open`] reads the file once, checks every record's
 //! length and checksum, and decodes each payload straight into its
-//! typed value through `mvm-json`'s direct reader (no JSON tree; a
-//! payload the direct reader refuses is decoded again through the tree
-//! path, so what loads is unchanged). The read buffer, cut at the first
-//! torn or undecodable record, becomes the prefix later commits append
-//! to. The byte-serial FNV-1a checksum pass is the part of an open that
-//! only a format change could shrink.
+//! typed value (an entry in its writer's form by a direct scanner, any
+//! other payload through `mvm-json`'s reader, so what loads is
+//! unchanged) into one table, sized once from the file's length. The
+//! read buffer, cut at the first torn or undecodable record, becomes
+//! the prefix later commits append to. Absorbing the store hands that
+//! table to the session behind an `Arc`
+//! ([`SolverSession::absorb_shared`](mvm_symbolic::SolverSession::absorb_shared)):
+//! no entry is copied, and entries merged later go to a table of their
+//! own, so a merge never copies the table a session holds. The
+//! byte-serial FNV-1a checksum pass is left as it is.
 //!
 //! Commits are atomic: the new content is written to a sibling
 //! temporary file, synced, and `rename`d over the store, and the parent
@@ -91,7 +102,9 @@
 mod format;
 mod store;
 
-pub use format::{decode_record, encode_record, fnv64, Header, Tag, FORMAT_VERSION, MAGIC};
+pub use format::{
+    decode_record, encode_record, fnv64, parse_magic, Header, Tag, FORMAT_VERSION, MAGIC,
+};
 pub use store::{
     program_fingerprint, write_atomic, CommitReport, CompactReport, LoadOutcome, LoadReport,
     SolverStore, StoreStats,

@@ -1,13 +1,14 @@
 //! The store proper: open/validate, absorb, append, commit, compact.
 
-use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use mvm_isa::Program;
 use mvm_json::{json_enum, json_struct};
 use mvm_symbolic::{
-    CanonFp, PortableCache, PortableResult, PortableVerdict, SolverSession, UnknownReason,
+    CanonFp, PortableCache, PortableResult, PortableTable, PortableVerdict, SolverSession,
+    UnknownReason,
 };
 use res_obs::Recorder;
 
@@ -172,7 +173,8 @@ fn scan_entry(payload: &str) -> Option<EntryRecord> {
         PortableVerdict::Unknown(UnknownReason::Incomplete)
     } else {
         s.lit("{\"Sat\":[")?;
-        let mut pairs = Vec::new();
+        // Every pair opens with the only `[` left in the payload.
+        let mut pairs = Vec::with_capacity(s.0.iter().filter(|&&b| b == b'[').count());
         if s.lit("]").is_none() {
             loop {
                 s.lit("[")?;
@@ -219,10 +221,18 @@ impl Scan<'_> {
         if len == 0 || (digits[0] == b'0' && len > 1) {
             return None;
         }
-        let mut n: u64 = 0;
-        for &d in digits {
-            n = n.checked_mul(10)?.checked_add(u64::from(d - b'0'))?;
-        }
+        let n = if len < 20 {
+            // At most 19 digits: below 10¹⁹ < 2⁶⁴, so nothing overflows.
+            digits
+                .iter()
+                .fold(0u64, |n, &d| n * 10 + u64::from(d - b'0'))
+        } else {
+            let mut n: u64 = 0;
+            for &d in digits {
+                n = n.checked_mul(10)?.checked_add(u64::from(d - b'0'))?;
+            }
+            n
+        };
         self.0 = rest;
         Some(n)
     }
@@ -241,7 +251,12 @@ impl Scan<'_> {
 pub struct SolverStore {
     path: PathBuf,
     header: Header,
-    entries: BTreeMap<CanonFp, PortableResult>,
+    /// The entries the file held at open, decoded once and shared with
+    /// every session that absorbs the store. Never changed after open,
+    /// so a merge copies no table a session holds.
+    table: Arc<PortableTable>,
+    /// Entries merged since open, none of them in `table`.
+    merged: PortableTable,
     /// Entries merged since the last commit, in merge order.
     pending: Vec<(CanonFp, PortableResult)>,
     stats: StoreStats,
@@ -275,7 +290,8 @@ impl SolverStore {
         let mut store = SolverStore {
             path,
             header: Header::new(program_fp),
-            entries: BTreeMap::new(),
+            table: Arc::default(),
+            merged: PortableTable::default(),
             pending: Vec::new(),
             stats: StoreStats::default(),
             report: LoadReport::cold(LoadOutcome::Missing, 0),
@@ -396,6 +412,10 @@ impl SolverStore {
         }
         self.header = header;
         // Body records, stopping at the first torn or undecodable one.
+        // The writer writes no entry record shorter than 90 bytes (an
+        // `Unsat` entry with zero fingerprint and cost), so the table
+        // is sized once for the entries of any file it wrote.
+        let mut table = PortableTable::with_capacity((text.len() - off) / 90);
         let mut superseded = 0usize;
         while let Some((line, end)) = Self::next_line(text, off) {
             let parsed = decode_record(line).and_then(|(tag, payload)| match tag {
@@ -414,7 +434,7 @@ impl SolverStore {
             match parsed {
                 Some(Some(rec)) => {
                     // Append-only supersedure: the later record wins.
-                    if self.entries.insert(rec.fp, rec.result).is_some() {
+                    if table.insert(rec.fp, rec.result).is_some() {
                         superseded += 1;
                     }
                     self.base_entry_records += 1;
@@ -430,11 +450,12 @@ impl SolverStore {
         self.base = raw;
         self.report = LoadReport {
             outcome: LoadOutcome::Loaded,
-            entries_loaded: self.entries.len(),
+            entries_loaded: table.len(),
             superseded,
             records_skipped,
             bytes,
         };
+        self.table = Arc::new(table);
     }
 
     /// The next newline-*terminated* line starting at byte `off`:
@@ -472,14 +493,14 @@ impl SolverStore {
         &self.stats
     }
 
-    /// Distinct live entries (loaded plus merged-but-uncommitted).
+    /// Distinct live entries (loaded plus merged since open).
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.table.len() + self.merged.len()
     }
 
     /// `true` when the store holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
     /// `true` when the store refuses writes (fingerprint mismatch).
@@ -487,13 +508,20 @@ impl SolverStore {
         self.read_only
     }
 
+    /// All live entries, in deterministic (fingerprint) order.
+    fn sorted_entries(&self) -> Vec<(&CanonFp, &PortableResult)> {
+        let mut entries: Vec<_> = self.table.iter().chain(self.merged.iter()).collect();
+        entries.sort_unstable_by_key(|(fp, _)| **fp);
+        entries
+    }
+
     /// All live entries as a portable cache, in deterministic
     /// (fingerprint) order.
     pub fn to_portable(&self) -> PortableCache {
         PortableCache {
             entries: self
-                .entries
-                .iter()
+                .sorted_entries()
+                .into_iter()
                 .map(|(fp, r)| (*fp, r.clone()))
                 .collect(),
         }
@@ -502,14 +530,14 @@ impl SolverStore {
     /// Absorbs every entry into `session`'s cross-session cache with
     /// store provenance, so the hits they serve are reported as
     /// cross-run ([`mvm_symbolic::SessionStats::store_hits`]), and
-    /// returns how many the session did not hold yet. Entries are lent,
-    /// not copied: the session clones only those new ones, so
-    /// re-absorbing between calls is cheap.
+    /// returns how many the session did not hold yet. The entries read
+    /// at open are shared, not copied
+    /// ([`SolverSession::absorb_shared`]), so an absorb costs no copy
+    /// of the file's entries and re-absorbing between calls is cheap;
+    /// the session clones only entries merged since open that it does
+    /// not hold.
     pub fn absorb_into(&self, session: &SolverSession) -> usize {
-        if self.entries.is_empty() {
-            return 0;
-        }
-        session.absorb_from(&self.entries)
+        session.absorb_shared(&self.table) + session.absorb_from(self.merged.iter())
     }
 
     /// Merges a session's portable export, keeping only fingerprints
@@ -518,10 +546,10 @@ impl SolverStore {
     pub fn merge(&mut self, export: &PortableCache) -> usize {
         let mut added = 0;
         for (fp, p) in &export.entries {
-            if self.entries.contains_key(fp) {
+            if self.table.contains(fp) || self.merged.contains(fp) {
                 continue;
             }
-            self.entries.insert(*fp, p.clone());
+            self.merged.insert(*fp, p.clone());
             self.pending.push((*fp, p.clone()));
             added += 1;
         }
@@ -568,7 +596,7 @@ impl SolverStore {
             encode_record(Tag::Entry, &mvm_json::to_string(&rec), &mut bytes);
         }
         self.base_entry_records += appended;
-        self.stats.entries = self.entries.len() as u64;
+        self.stats.entries = self.len() as u64;
         self.stats.bytes = bytes.len() as u64;
         self.stats.commits += 1;
         encode_record(Tag::Stats, &mvm_json::to_string(&self.stats), &mut bytes);
@@ -601,23 +629,23 @@ impl SolverStore {
             });
         }
         let bytes_before = self.base.len() as u64;
-        let dropped =
-            (self.base_entry_records + self.pending.len()).saturating_sub(self.entries.len());
+        let live = self.len();
+        let dropped = (self.base_entry_records + self.pending.len()).saturating_sub(live);
         let mut bytes = self.fresh_prefix();
-        for (fp, result) in &self.entries {
+        for (fp, result) in self.sorted_entries() {
             let rec = EntryRecord {
                 fp: *fp,
                 result: result.clone(),
             };
             encode_record(Tag::Entry, &mvm_json::to_string(&rec), &mut bytes);
         }
-        self.stats.entries = self.entries.len() as u64;
+        self.stats.entries = live as u64;
         self.stats.bytes = bytes.len() as u64;
         self.stats.compactions += 1;
         encode_record(Tag::Stats, &mvm_json::to_string(&self.stats), &mut bytes);
         self.write_atomic(&bytes)?;
         self.base = bytes;
-        self.base_entry_records = self.entries.len();
+        self.base_entry_records = live;
         self.pending.clear();
         self.report.outcome = LoadOutcome::Loaded;
         let bytes_after = self.stats.bytes;

@@ -28,7 +28,9 @@
 //!
 //! `SymCtx` lives in `res-core`; the solver only sees the ids it mints.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::rc::Rc;
 
 use mvm_json::{field, json_enum, json_struct, FromJson, Json, JsonError, Reader, ToJson};
 
@@ -85,63 +87,96 @@ impl FromJson for CanonFp {
     }
 }
 
-/// Two independent FNV-1a accumulators, combined into 128 bits.
-struct Fnv2 {
+/// The running state of a store key: two 64-bit lanes that every word
+/// of a renamed constraint walk is mixed into (see [`canonical_key`]).
+/// It is finalized only when a fingerprint is read, so the key of a
+/// sequence continues from the lanes of any prefix of it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Lanes {
     a: u64,
     b: u64,
 }
 
-impl Fnv2 {
-    fn new() -> Self {
-        Fnv2 {
-            a: 0xcbf2_9ce4_8422_2325,
-            b: 0x6c62_272e_07bb_0142,
+/// Multipliers of the two lanes (odd, from the digits of π and e).
+const K_A: u64 = 0x243f_6a88_85a3_08d3;
+const K_B: u64 = 0xb7e1_5162_8aed_2a6b;
+
+/// The word that ends each constraint. Node words carry their tag in
+/// the low byte (1 to 4), so no node starts with it.
+const END: u64 = 0xfe;
+
+impl Lanes {
+    const START: Lanes = Lanes {
+        a: 0xcbf2_9ce4_8422_2325,
+        b: 0x6c62_272e_07bb_0142,
+    };
+
+    /// Mixes `w` into both lanes: each lane is multiplied into 128 bits,
+    /// keeps the low half and feeds the high half to the other lane.
+    /// For a fixed word the step is a bijection of the state, so no two
+    /// states merge.
+    fn word(&mut self, w: u64) {
+        let p = u128::from(self.a ^ w) * u128::from(K_A);
+        self.a = p as u64;
+        self.b ^= (p >> 64) as u64;
+        let q = u128::from(self.b) * u128::from(K_B);
+        self.b = q as u64;
+        self.a ^= (q >> 64) as u64;
+    }
+
+    /// The fingerprint: two more rounds, so the last words reach every
+    /// bit of both lanes.
+    fn finish(mut self) -> CanonFp {
+        self.word(END << 8);
+        self.word(END << 16);
+        CanonFp((u128::from(self.a) << 64) | u128::from(self.b))
+    }
+
+    /// Mixes in `e` with every symbol replaced by its rank: its position
+    /// in `sorted`, which holds every symbol of `e`. A node is one word
+    /// (its tag in the low byte, its operator or rank above), and a
+    /// constant is followed by a word of its value.
+    fn expr(&mut self, e: &ExprRef, sorted: &[SymId]) {
+        match &**e {
+            Expr::Const(v) => {
+                self.word(1);
+                self.word(*v);
+            }
+            Expr::Sym(s) => {
+                let rank = sorted.binary_search(s).expect("every symbol is ranked");
+                self.word(2 | (rank as u64) << 8);
+            }
+            Expr::Bin(op, a, b) => {
+                self.word(3 | u64::from(*op as u8) << 8);
+                self.expr(a, sorted);
+                self.expr(b, sorted);
+            }
+            Expr::Un(op, a) => {
+                self.word(4 | u64::from(*op as u8) << 8);
+                self.expr(a, sorted);
+            }
         }
     }
 
-    fn byte(&mut self, x: u8) {
-        self.a ^= x as u64;
-        self.a = self.a.wrapping_mul(0x0000_0100_0000_01b3);
-        self.b ^= x as u64;
-        self.b = self.b.wrapping_mul(0x0000_0100_0000_0163);
-    }
-
-    fn u64(&mut self, x: u64) {
-        for byte in x.to_le_bytes() {
-            self.byte(byte);
+    /// Mixes in each constraint of `constraints`, each followed by
+    /// [`END`].
+    fn constraints(&mut self, constraints: &[ExprRef], sorted: &[SymId]) {
+        for c in constraints {
+            self.expr(c, sorted);
+            self.word(END);
         }
-    }
-
-    fn finish(&self) -> u128 {
-        ((self.a as u128) << 64) | self.b as u128
     }
 }
 
-/// Hashes `e` with every symbol replaced by its rank: its position in
-/// `sorted`, which holds every symbol of `e`.
-fn hash_expr(e: &ExprRef, sorted: &[SymId], h: &mut Fnv2) {
-    match &**e {
-        Expr::Const(v) => {
-            h.byte(1);
-            h.u64(*v);
-        }
-        Expr::Sym(s) => {
-            h.byte(2);
-            let rank = sorted.binary_search(s).expect("every symbol is ranked");
-            h.u64(rank as u64);
-        }
-        Expr::Bin(op, a, b) => {
-            h.byte(3);
-            h.byte(*op as u8);
-            hash_expr(a, sorted, h);
-            hash_expr(b, sorted, h);
-        }
-        Expr::Un(op, a) => {
-            h.byte(4);
-            h.byte(*op as u8);
-            hash_expr(a, sorted, h);
-        }
+/// The sorted distinct symbols of `constraints`.
+fn sorted_symbols(constraints: &[ExprRef]) -> Vec<SymId> {
+    let mut sorted = Vec::new();
+    for c in constraints {
+        c.collect_symbols(&mut sorted);
     }
+    sorted.sort_unstable();
+    sorted.dedup();
+    sorted
 }
 
 /// Canonicalizes a constraint sequence: returns its [`CanonFp`] and the
@@ -149,20 +184,69 @@ fn hash_expr(e: &ExprRef, sorted: &[SymId], h: &mut Fnv2) {
 /// (rank → original id). The renaming is monotone (sorted order), so it
 /// preserves every id-order-dependent choice the solver makes on
 /// complete domains.
+///
+/// The fingerprint is a fold over a pre-order walk of the renamed
+/// constraints, one 64-bit word per node (two for a constant), each
+/// constraint ended by a terminator word and the sequence by nothing:
+/// the walk decodes unambiguously, so no length prefix is needed, and
+/// the key of a sequence continues the key of any prefix whose ranks it
+/// keeps ([`CanonKey::extend`]). This is store format 2; format 1
+/// hashed the same walk a byte at a time behind a length prefix.
 pub fn canonical_key(constraints: &[ExprRef]) -> (CanonFp, Vec<SymId>) {
-    let mut sorted = Vec::new();
-    for c in constraints {
-        c.collect_symbols(&mut sorted);
+    let sorted = sorted_symbols(constraints);
+    let mut lanes = Lanes::START;
+    lanes.constraints(constraints, &sorted);
+    (lanes.finish(), sorted)
+}
+
+/// The store key of a constraint sequence, unfinalized, with its sorted
+/// distinct symbols: what a solver [`Fixpoint`](crate::Fixpoint) carries
+/// so that the key of a list extending the sequence hashes only what
+/// the list adds.
+#[derive(Debug, Clone)]
+pub struct CanonKey {
+    lanes: Lanes,
+    sorted: Rc<[SymId]>,
+}
+
+impl CanonKey {
+    /// The key of `constraints`, computed from scratch.
+    pub fn of(constraints: &[ExprRef]) -> CanonKey {
+        let sorted = sorted_symbols(constraints);
+        let mut lanes = Lanes::START;
+        lanes.constraints(constraints, &sorted);
+        CanonKey {
+            lanes,
+            sorted: sorted.into(),
+        }
     }
-    sorted.sort_unstable();
-    sorted.dedup();
-    let mut h = Fnv2::new();
-    h.u64(constraints.len() as u64);
-    for c in constraints {
-        hash_expr(c, &sorted, &mut h);
-        h.byte(0xfe);
+
+    /// The key of this key's sequence followed by `added`, continued
+    /// from this key's lanes. `None` when `added` brings a symbol that
+    /// ranks below this sequence's largest: the ranks of the prefix
+    /// would shift, so the key must be computed from scratch.
+    pub fn extend(&self, added: &[ExprRef]) -> Option<CanonKey> {
+        let mut new = sorted_symbols(added);
+        new.retain(|s| self.sorted.binary_search(s).is_err());
+        let sorted = match (new.first(), self.sorted.last()) {
+            (None, _) => self.sorted.clone(),
+            (Some(low), Some(high)) if low < high => return None,
+            _ => self.sorted.iter().chain(&new).copied().collect(),
+        };
+        let mut lanes = self.lanes;
+        lanes.constraints(added, &sorted);
+        Some(CanonKey { lanes, sorted })
     }
-    (CanonFp(h.finish()), sorted)
+
+    /// The fingerprint of the sequence.
+    pub fn fingerprint(&self) -> CanonFp {
+        self.lanes.finish()
+    }
+
+    /// The sequence's sorted distinct symbols: rank → symbol.
+    pub fn symbols(&self) -> &[SymId] {
+        &self.sorted
+    }
 }
 
 /// A solver verdict over canonical ranks (no `ExprRef`s, so `Send`).
@@ -200,7 +284,8 @@ json_struct!(PortableResult {
 });
 
 impl PortableResult {
-    /// Renames `result` into rank space. Returns `None` when the model
+    /// Renames `result` into rank space; `sorted_syms` is sorted and
+    /// distinct, as [`canonical_key`] returns it. Returns `None` when the model
     /// mentions a symbol outside the key (cannot happen for results the
     /// solver produced from the keyed constraints; guarded anyway).
     pub fn from_result(
@@ -208,16 +293,12 @@ impl PortableResult {
         assignments: u64,
         sorted_syms: &[SymId],
     ) -> Option<Self> {
-        let rank: BTreeMap<SymId, u32> = sorted_syms
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| (s, i as u32))
-            .collect();
         let verdict = match result {
             SolveResult::Sat(m) => {
                 let mut pairs = Vec::with_capacity(m.len());
                 for (s, v) in m.iter() {
-                    pairs.push((*rank.get(&s)?, v));
+                    let rank = sorted_syms.binary_search(&s).ok()?;
+                    pairs.push((rank as u32, v));
                 }
                 PortableVerdict::Sat(pairs)
             }
@@ -274,6 +355,74 @@ impl PortableCache {
     /// takes.
     pub fn iter(&self) -> impl Iterator<Item = (&CanonFp, &PortableResult)> {
         self.entries.iter().map(|(fp, p)| (fp, p))
+    }
+}
+
+/// Store entries by fingerprint, built once and then only read: a store
+/// decodes its file into one and shares it with every session that
+/// absorbs the store
+/// ([`SolverSession::absorb_shared`](crate::SolverSession::absorb_shared)).
+#[derive(Debug, Default)]
+pub struct PortableTable {
+    entries: HashMap<CanonFp, PortableResult, BuildHasherDefault<FpHasher>>,
+}
+
+impl PortableTable {
+    /// An empty table with room for `n` entries.
+    pub fn with_capacity(n: usize) -> Self {
+        PortableTable {
+            entries: HashMap::with_capacity_and_hasher(n, Default::default()),
+        }
+    }
+
+    /// Sets the entry of `fp`; returns the entry it replaced.
+    pub fn insert(&mut self, fp: CanonFp, result: PortableResult) -> Option<PortableResult> {
+        self.entries.insert(fp, result)
+    }
+
+    /// The entry of `fp`.
+    pub fn get(&self, fp: &CanonFp) -> Option<&PortableResult> {
+        self.entries.get(fp)
+    }
+
+    /// `true` when the table holds an entry for `fp`.
+    pub fn contains(&self, fp: &CanonFp) -> bool {
+        self.entries.contains_key(fp)
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// `true` when the table holds no entry.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// The entries, in no particular order.
+    pub fn iter(&self) -> impl Iterator<Item = (&CanonFp, &PortableResult)> {
+        self.entries.iter()
+    }
+}
+
+/// Hashes a [`CanonFp`], which is a hash already, by folding its halves.
+#[derive(Default)]
+pub(crate) struct FpHasher(u64);
+
+impl Hasher for FpHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0.rotate_left(8) ^ u64::from(b)).wrapping_mul(K_A);
+        }
+    }
+
+    fn write_u128(&mut self, n: u128) {
+        self.0 = n as u64 ^ (n >> 64) as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 

@@ -33,7 +33,9 @@ pub mod session;
 pub mod solver;
 
 pub use expr::{Expr, ExprRef, SymId};
-pub use fingerprint::{canonical_key, CanonFp, PortableCache, PortableResult, PortableVerdict};
+pub use fingerprint::{
+    canonical_key, CanonFp, CanonKey, PortableCache, PortableResult, PortableTable, PortableVerdict,
+};
 pub use interval::Interval;
 pub use model::Model;
 pub use session::{SessionStats, SolverSession};

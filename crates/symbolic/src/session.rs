@@ -22,11 +22,14 @@ use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::rc::Rc;
+use std::sync::Arc;
 
 use mvm_json::json_struct;
 
 use crate::expr::{ExprRef, SymId};
-use crate::fingerprint::{canonical_key, CanonFp, PortableCache, PortableResult};
+use crate::fingerprint::{
+    canonical_key, CanonFp, CanonKey, FpHasher, PortableCache, PortableResult, PortableTable,
+};
 use crate::solver::{Fixpoint, SolveResult, Solver, SolverConfig, UnknownReason, WeakFixpoint};
 
 /// Cumulative counters for one [`SolverSession`].
@@ -100,11 +103,40 @@ pub struct SolverSession {
     /// Exact memo: each constraint sequence's memo-key hash → the
     /// entries of the sequences with that hash (almost always one).
     cache: RefCell<HashMap<u64, Vec<MemoEntry>, BuildHasherDefault<WordHasher>>>,
-    /// Cross-session cache absorbed from a persistent store, keyed by
+    /// Cross-session cache absorbed from persistent stores, keyed by
     /// α-canonical fingerprint. Consulted only after the exact memo
     /// misses.
-    absorbed: RefCell<HashMap<CanonFp, PortableResult>>,
+    absorbed: RefCell<Absorbed>,
     stats: RefCell<SessionStats>,
+}
+
+/// The store entries a session absorbed: tables it shares with their
+/// stores, in the order it absorbed them, and entries it absorbed one
+/// by one. The first entry absorbed for a fingerprint is the one a
+/// query gets: an entry is taken into `own` only when no table holds
+/// its fingerprint yet, and a table's entries that an earlier source
+/// holds are not counted as new, so looking in `own` first and then in
+/// the tables in order finds it.
+#[derive(Debug, Default)]
+struct Absorbed {
+    own: HashMap<CanonFp, PortableResult, BuildHasherDefault<FpHasher>>,
+    shared: Vec<Arc<PortableTable>>,
+}
+
+impl Absorbed {
+    fn is_empty(&self) -> bool {
+        self.own.is_empty() && self.shared.is_empty()
+    }
+
+    fn get(&self, fp: &CanonFp) -> Option<&PortableResult> {
+        self.own
+            .get(fp)
+            .or_else(|| self.shared.iter().find_map(|t| t.get(fp)))
+    }
+
+    fn contains(&self, fp: &CanonFp) -> bool {
+        self.own.contains_key(fp) || self.shared.iter().any(|t| t.contains(fp))
+    }
 }
 
 /// One memo entry: the constraint sequence, its answer, the answer's
@@ -235,6 +267,14 @@ impl SolverSession {
     /// unsettled one); a hit on an absorbed store entry returns an
     /// unsettled one. A query extending an unsettled fixpoint solves
     /// from scratch. A miss memoizes `all` itself, not a copy.
+    ///
+    /// When the session has absorbed store entries, a memo miss needs
+    /// `all`'s store key. It continues the key the parent's fixpoint
+    /// carries ([`CanonKey::extend`]) unless `all[k..]` brings a symbol
+    /// ranked below the parent's largest, and is computed from scratch
+    /// otherwise. The returned fixpoint carries the key, and so does a
+    /// memo hit's, from the entry, so the key of a list below a repeated
+    /// one continues too ([`Fixpoint::store_key`]).
     pub fn check_after(&self, all: &Rc<[ExprRef]>, parent: &Fixpoint) -> (SolveResult, Fixpoint) {
         self.lookup_or_solve(all, || all.clone(), parent)
     }
@@ -254,7 +294,8 @@ impl SolverSession {
             parent.hash,
             "the parent fixpoint covers a prefix of the query"
         );
-        let hash = fold(parent.hash, &all[parent.len..]);
+        let added = &all[parent.len..];
+        let hash = fold(parent.hash, added);
         let cache = self.cache.borrow();
         if let Some(hit) = cache
             .get(&hash)
@@ -267,16 +308,22 @@ impl SolverSession {
         drop(cache);
         // Absorbed (α-canonical) lookup. The guard keeps the common
         // single-session path free of canonicalization overhead; when
-        // it runs, the canonical form is kept for the memo entry so no
-        // export has to canonicalize this query again.
+        // it runs, the key continues the parent's when the step keeps
+        // its ranks, and the canonical form is kept for the memo entry
+        // so no export has to canonicalize this query again.
         let mut canonical = None;
         if !self.absorbed.borrow().is_empty() {
-            let (fp, sorted_syms) = canonical_key(all);
+            let key = parent
+                .canon
+                .as_ref()
+                .and_then(|k| k.extend(added))
+                .unwrap_or_else(|| CanonKey::of(all));
+            let fp = key.fingerprint();
             let instantiated = self
                 .absorbed
                 .borrow()
                 .get(&fp)
-                .and_then(|p| Some((p.instantiate(&sorted_syms)?, p.assignments)));
+                .and_then(|p| Some((p.instantiate(key.symbols())?, p.assignments)));
             if let Some((result, cost)) = instantiated {
                 stats.cache_hits += 1;
                 stats.store_hits += 1;
@@ -286,12 +333,12 @@ impl SolverSession {
                 // exactly like a locally-solved query.
                 stats.assignments += cost;
                 Self::tally(&mut stats, &result);
-                let canon = Canon::known(fp, &result, cost, &sorted_syms);
-                let unsettled = Fixpoint::unsettled(all.len(), hash);
+                let canon = Canon::known(fp, &result, cost, key.symbols());
+                let unsettled = Fixpoint::unsettled(all.len(), hash, Some(key));
                 self.insert(shared(), &result, canon, &unsettled);
                 return (result, unsettled);
             }
-            canonical = Some((fp, sorted_syms));
+            canonical = Some((fp, key));
         }
         stats.cache_misses += 1;
         drop(stats);
@@ -299,12 +346,13 @@ impl SolverSession {
         let mut stats = self.stats.borrow_mut();
         stats.assignments += used;
         Self::tally(&mut stats, &result);
-        let canon = match canonical {
+        let canon = match &canonical {
             _ if !portable => Canon::Private,
-            Some((fp, sorted_syms)) => Canon::known(fp, &result, used, &sorted_syms),
+            Some((fp, key)) => Canon::known(*fp, &result, used, key.symbols()),
             None => Canon::Lazy(used),
         };
         fixpoint.hash = hash;
+        fixpoint.canon = canonical.map(|(_, key)| key);
         self.insert(shared(), &result, canon, &fixpoint);
         (result, fixpoint)
     }
@@ -355,27 +403,54 @@ impl SolverSession {
         }
     }
 
-    /// Merges a persistent store's borrowed `(fingerprint, result)`
-    /// entries into the absorbed cache and returns how many were new;
-    /// the hits they serve are counted in [`SessionStats::store_hits`].
-    /// Only fingerprints this session does not hold yet are cloned, so
-    /// re-absorbing a large store between calls costs one lookup per
-    /// entry. On fingerprint collision the first entry wins; by
-    /// equivariance the entries are identical anyway (modulo the
-    /// ~2⁻¹²⁸ hash-collision risk, which
-    /// [`PortableResult::instantiate`]'s rank guard partially covers).
+    /// Merges borrowed `(fingerprint, result)` entries into the
+    /// absorbed cache and returns how many were new; the hits they
+    /// serve are counted in [`SessionStats::store_hits`]. Only
+    /// fingerprints this session does not hold yet are cloned. On
+    /// fingerprint collision the first entry wins; by equivariance the
+    /// entries are identical anyway (modulo the ~2⁻¹²⁸ hash-collision
+    /// risk, which [`PortableResult::instantiate`]'s rank guard
+    /// partially covers).
     pub fn absorb_from<'a>(
         &self,
         entries: impl IntoIterator<Item = (&'a CanonFp, &'a PortableResult)>,
     ) -> usize {
         let mut absorbed = self.absorbed.borrow_mut();
+        let Absorbed { own, shared } = &mut *absorbed;
         let mut new = 0;
         for (fp, p) in entries {
-            if let Entry::Vacant(slot) = absorbed.entry(*fp) {
+            if shared.iter().any(|t| t.contains(fp)) {
+                continue;
+            }
+            if let Entry::Vacant(slot) = own.entry(*fp) {
                 slot.insert(p.clone());
                 new += 1;
             }
         }
+        new
+    }
+
+    /// Absorbs a whole table, shared rather than copied, and returns
+    /// how many of its fingerprints this session did not hold yet
+    /// (first entry wins, as in
+    /// [`absorb_from`](SolverSession::absorb_from)). A table the
+    /// session already shares adds nothing, so re-absorbing a store
+    /// between calls costs one pointer comparison per table held; a
+    /// first table costs no lookup at all.
+    pub fn absorb_shared(&self, table: &Arc<PortableTable>) -> usize {
+        let mut absorbed = self.absorbed.borrow_mut();
+        if table.is_empty() || absorbed.shared.iter().any(|t| Arc::ptr_eq(t, table)) {
+            return 0;
+        }
+        let new = if absorbed.is_empty() {
+            table.len()
+        } else {
+            table
+                .iter()
+                .filter(|(fp, _)| !absorbed.contains(fp))
+                .count()
+        };
+        absorbed.shared.push(Arc::clone(table));
         new
     }
 

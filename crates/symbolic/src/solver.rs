@@ -24,6 +24,7 @@ use mvm_isa::{BinOp, UnOp};
 use mvm_json::json_enum;
 
 use crate::expr::{Expr, ExprRef, SymId};
+use crate::fingerprint::{CanonFp, CanonKey};
 use crate::interval::Interval;
 use crate::model::Model;
 
@@ -212,6 +213,9 @@ pub struct Fixpoint {
     /// The session's memo-key hash of those constraints, which the
     /// next query's hash continues (see `SolverSession::check_after`).
     pub(crate) hash: u64,
+    /// Their store key, which the next query's key continues; `None`
+    /// when the check that returned this fixpoint computed none.
+    pub(crate) canon: Option<CanonKey>,
     /// The settled state; `None` when no exact start was recorded, so
     /// the next query solves from scratch.
     settled: Option<Rc<Settled>>,
@@ -230,14 +234,26 @@ struct Settled {
 }
 
 impl Fixpoint {
-    /// A fixpoint of `len` constraints hashing to `hash` that records no
-    /// state: a query extending it solves from scratch.
-    pub(crate) fn unsettled(len: usize, hash: u64) -> Fixpoint {
+    /// A fixpoint of `len` constraints with memo-key hash `hash` and
+    /// store key `canon` that records no state: a query extending it
+    /// solves from scratch.
+    pub(crate) fn unsettled(len: usize, hash: u64, canon: Option<CanonKey>) -> Fixpoint {
         Fixpoint {
             len,
             hash,
+            canon,
             settled: None,
         }
+    }
+
+    /// The store key of the constraints this fixpoint covers and their
+    /// sorted distinct symbols, as the check that returned it computed
+    /// them: always equal to [`canonical_key`](crate::canonical_key) of
+    /// those constraints. `None` when that check needed no key (its
+    /// session had absorbed no store entries).
+    pub fn store_key(&self) -> Option<(CanonFp, &[SymId])> {
+        let canon = self.canon.as_ref()?;
+        Some((canon.fingerprint(), canon.symbols()))
     }
 
     /// `true` when a query extending this one may start from its state.
@@ -251,6 +267,7 @@ impl Fixpoint {
         WeakFixpoint {
             len: self.len,
             hash: self.hash,
+            canon: self.canon.clone(),
             settled: self.settled.as_ref().map(Rc::downgrade),
         }
     }
@@ -259,11 +276,13 @@ impl Fixpoint {
 /// A [`Fixpoint`] whose state lives only as long as some [`Fixpoint`]
 /// still holds it. A session's memo keeps these: the state of a list a
 /// live search node still carries is there for a repeat of that list,
-/// and a discarded subtree's states are freed with it.
+/// and a discarded subtree's states are freed with it. The store key is
+/// kept whole, so a repeat continues it too.
 #[derive(Debug)]
 pub(crate) struct WeakFixpoint {
     len: usize,
     hash: u64,
+    canon: Option<CanonKey>,
     settled: Option<Weak<Settled>>,
 }
 
@@ -273,6 +292,7 @@ impl WeakFixpoint {
         Fixpoint {
             len: self.len,
             hash: self.hash,
+            canon: self.canon.clone(),
             settled: self.settled.as_ref().and_then(Weak::upgrade),
         }
     }
@@ -478,6 +498,7 @@ impl Solver {
         let fixpoint = Fixpoint {
             len: all.len(),
             hash: 0,
+            canon: None,
             settled,
         };
         (result, used, portable, fixpoint)

@@ -19,7 +19,7 @@
 
 use std::path::Path;
 
-use res_debugger::store::{LoadOutcome, SolverStore};
+use res_debugger::store::{parse_magic, LoadOutcome, SolverStore, StoreStats, FORMAT_VERSION};
 use res_debugger::trace::{TraceFile, MAGIC};
 
 fn inspect_trace(path: &Path, compact: bool) -> Result<(), String> {
@@ -76,12 +76,27 @@ fn inspect(path: &Path, compact: bool) -> Result<(), String> {
     let header = store.header().clone();
     let stats = *store.stats();
 
+    let loaded = report.outcome == LoadOutcome::Loaded;
+
     println!("store: {}", path.display());
     println!("  outcome:          {:?}", report.outcome);
-    println!("  format version:   {}", header.format_version);
-    println!("  program fp:       {:#018x}", header.program_fp);
-    println!("  isa:              {}", header.isa);
-    println!("  writer:           {}", header.writer);
+    if loaded {
+        println!("  format version:   {}", header.format_version);
+        println!("  program fp:       {:#018x}", header.program_fp);
+        println!("  isa:              {}", header.isa);
+        println!("  writer:           {}", header.writer);
+    } else {
+        // The store holds only this build's defaults: print what the
+        // file itself declares.
+        let magic = head.split(|&b| b == b'\n').next().unwrap_or_default();
+        match std::str::from_utf8(magic).ok().and_then(parse_magic) {
+            Some(v) => {
+                println!("  format version:   {v} (magic line; this build reads {FORMAT_VERSION})")
+            }
+            None => println!("  format version:   unknown (no store magic line)"),
+        }
+        println!("  header:           not read");
+    }
     println!("  bytes:            {}", report.bytes);
     println!("  live entries:     {}", report.entries_loaded);
     println!("  superseded:       {}", report.superseded);
@@ -93,20 +108,16 @@ fn inspect(path: &Path, compact: bool) -> Result<(), String> {
         report.superseded as f64 / total as f64
     };
     println!("  superseded ratio: {ratio:.2}");
-    println!("  stats (persisted at the last commit that wrote entries):");
-    println!("    entries:        {}", stats.entries);
-    println!("    bytes:          {}", stats.bytes);
-    println!(
-        "    absorbed hits:  {} (up to that write)",
-        stats.absorbed_hits
-    );
-    println!("    commits:        {}", stats.commits);
-    println!("    compactions:    {}", stats.compactions);
+    if loaded {
+        print_stats(&stats);
+    } else {
+        println!("  stats:            not read");
+    }
 
     if !compact {
         return Ok(());
     }
-    if report.outcome != LoadOutcome::Loaded {
+    if !loaded {
         return Err(format!(
             "refusing to compact: store did not load cleanly ({:?})",
             report.outcome
@@ -118,6 +129,18 @@ fn inspect(path: &Path, compact: bool) -> Result<(), String> {
         c.dropped, c.bytes_before, c.bytes_after
     );
     Ok(())
+}
+
+fn print_stats(stats: &StoreStats) {
+    println!("  stats (persisted at the last commit that wrote entries):");
+    println!("    entries:        {}", stats.entries);
+    println!("    bytes:          {}", stats.bytes);
+    println!(
+        "    absorbed hits:  {} (up to that write)",
+        stats.absorbed_hits
+    );
+    println!("    commits:        {}", stats.commits);
+    println!("    compactions:    {}", stats.compactions);
 }
 
 fn main() {

@@ -17,6 +17,10 @@
 //! suffix. Each budget is the mean count per call in this test's
 //! profile (`cargo test`'s debug profile) plus 5%, taken when the
 //! change named at the budget landed.
+//!
+//! Absorbing a store into a session shares the store's decoded entries
+//! instead of copying them, so its count is gated against the store's
+//! size: it must not grow with the entries.
 
 #[path = "../crates/bench/src/alloc_count.rs"]
 mod alloc_count;
@@ -129,4 +133,47 @@ fn replays_stay_within_their_allocation_budget() {
 fn diagnosing_replays_stay_within_their_allocation_budget() {
     let counts = replay_allocations_per_case(replay_and_diagnose);
     assert_mean_within("replay_and_diagnose", counts, DIAGNOSE_BUDGET);
+}
+
+/// Allocations of absorbing a store of `n` entries, reopened from its
+/// file, into a fresh session.
+fn absorb_allocations(n: u64) -> u64 {
+    use res_debugger::symbolic::{
+        CanonFp, PortableCache, PortableResult, PortableVerdict, SolverSession,
+    };
+
+    let dir = std::env::temp_dir().join(format!("res-alloc-absorb-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create the store directory");
+    let path = dir.join(format!("{n}.resstore"));
+    let _ = std::fs::remove_file(&path);
+    let entries = (0..n)
+        .map(|i| {
+            let fp =
+                CanonFp(u128::from(i + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15_f39c_c060_5ced_c835));
+            let verdict = PortableVerdict::Sat(vec![(0, i), (1, i + 1)]);
+            (
+                fp,
+                PortableResult {
+                    verdict,
+                    assignments: i,
+                },
+            )
+        })
+        .collect();
+    let mut store = SolverStore::open(&path, 7);
+    store.merge(&PortableCache { entries });
+    store.commit().expect("commit the store");
+    let store = SolverStore::open(&path, 7);
+    assert_eq!(store.len() as u64, n, "the store reopens with every entry");
+    let session = SolverSession::new();
+    let (new, allocations) = count_allocations(|| store.absorb_into(&session));
+    assert_eq!(new as u64, n, "every entry is new to a fresh session");
+    let _ = std::fs::remove_dir_all(&dir);
+    println!("absorb of {n} entries: {allocations} allocations");
+    allocations
+}
+
+#[test]
+fn absorbing_a_store_allocates_alike_for_10_and_1000_entries() {
+    assert_eq!(absorb_allocations(10), absorb_allocations(1000));
 }

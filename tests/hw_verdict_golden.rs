@@ -12,6 +12,14 @@
 //! reaches the depth horizon), so its line pins where the sweep
 //! localized the fault.
 //!
+//! `tests/fixtures/store_counts.txt` holds, for the same dumps, what a
+//! plain `synthesize` through each program's store counted: the
+//! [`StoreReport`](res_debugger::res::StoreReport) and the session's
+//! queries, cache hits and store hits, over a pass that fills the store
+//! dump by dump and a second, warm pass. The counts depend on which
+//! queries share a store key, so they pin the key's equivalence classes
+//! across a change of its hash.
+//!
 //! To regenerate after an *intentional* change to hardware verdicts:
 //!
 //! ```text
@@ -164,4 +172,76 @@ fn hardware_verdicts_match_the_identity_fixture() {
         assert!(rendered.contains(needle), "no verdict reads {needle}");
     }
     check_golden("hw_verdict_identity.txt", &rendered);
+}
+
+/// One line per pass and dump: a plain `synthesize` through the
+/// program's store file in `dir`, on a fresh engine, and for each
+/// corrupted dump one more line that sums the same engine's searches
+/// relaxed at each register in turn (the sweep's first candidates). The
+/// first pass starts each program with no file, so each dump reads what
+/// the dumps before it committed; the second reads the store the first
+/// pass left.
+fn render_store_counts(dir: &Path) -> String {
+    use res_debugger::isa::Reg;
+    use res_debugger::res::Relax;
+
+    let population = population();
+    let mut out = String::new();
+    for pass in ["filling", "warm"] {
+        for (program, dumps) in &population {
+            let config = with_shared_store(&ResConfig::default(), dir, program);
+            for (k, (label, dump)) in dumps.iter().enumerate() {
+                let engine = ResEngine::new(program, config.clone());
+                let mut searches = vec![("plain", vec![Relax::None])];
+                if k >= GENUINE {
+                    let regs = (0..Reg::COUNT as u8).map(|r| Relax::Reg { reg: Reg(r) });
+                    searches.push(("registers", regs.collect()));
+                }
+                for (what, relaxations) in searches {
+                    let mut counts = [0u64; 6];
+                    for relax in relaxations {
+                        let result = engine.synthesize_relaxed(dump, relax);
+                        let store = result.store.expect("a store is configured");
+                        let s = &result.stats.solver;
+                        let line = [
+                            store.loaded_entries as u64,
+                            store.appended_entries as u64,
+                            store.store_hits,
+                            s.queries,
+                            s.cache_hits,
+                            s.store_hits,
+                        ];
+                        for (sum, n) in counts.iter_mut().zip(line) {
+                            *sum += n;
+                        }
+                    }
+                    let [loaded, appended, hits, queries, cache_hits, store_hits] = counts;
+                    out.push_str(&format!(
+                        "{pass} {label} {what}: loaded {loaded} appended {appended} \
+                         store_hits {hits} | queries {queries} cache_hits {cache_hits} \
+                         store_hits {store_hits}\n"
+                    ));
+                }
+            }
+        }
+    }
+    out.trim_end().to_string()
+}
+
+/// Every store-routed `synthesize` of the population counts what the
+/// fixture pins. The test keeps its own store directory, so it reads
+/// neither `RES_CACHE_PATH` nor `RES_TRACE`.
+#[test]
+fn warm_store_counts_match_the_fixture() {
+    let dir = std::env::temp_dir().join(format!("res-store-counts-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let rendered = render_store_counts(&dir);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(
+        rendered
+            .lines()
+            .any(|l| l.starts_with("warm") && !l.contains("store_hits 0 |")),
+        "the warm pass serves no store hits"
+    );
+    check_golden("store_counts.txt", &rendered);
 }

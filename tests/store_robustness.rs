@@ -7,12 +7,14 @@
 //! here damages a real store a different way, reruns the engine over
 //! it, and asserts the suffixes are byte-identical to a store-less run.
 //!
-//! The byte-level golden fixture (`tests/fixtures/store_v1.resstore`)
-//! pins the version-1 file format: the store a run writes today must
+//! The byte-level golden fixture (`tests/fixtures/store_v2.resstore`)
+//! pins the version-2 file format: the store a run writes today must
 //! match the committed bytes exactly, so accidental format drift —
 //! which would silently cold-start every existing store in the field —
 //! fails loudly. Regenerate after an *intentional* format change with
-//! `RES_REGEN_FIXTURES=1 cargo test --test store_robustness`.
+//! `RES_REGEN_FIXTURES=1 cargo test --test store_robustness`. The
+//! version-1 fixture (`tests/fixtures/store_v1.resstore`) stays as an
+//! input: this build must read it as a version mismatch, a cold start.
 
 use std::path::PathBuf;
 
@@ -123,18 +125,40 @@ fn corrupted_checksum_drops_the_damaged_tail() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A store of another format version opens cold and the first commit
+/// rewrites it in this build's format: a store of this build with its
+/// magic line naming version 99, and the committed version-1 fixture,
+/// whose keys this build would never hit.
 #[test]
 fn wrong_format_version_is_a_cold_start() {
+    use res_debugger::store::program_fingerprint;
+
     let (program, dump, golden, path, dir) = populated_store("ver");
     let text = std::fs::read_to_string(&path).unwrap();
-    let bumped = text.replacen("RES-STORE 1", "RES-STORE 99", 1);
-    std::fs::write(&path, bumped).unwrap();
-
-    let (warm, report) = run_with_store(&program, &dump, &path);
-    assert_eq!(warm, golden, "a version mismatch changed the synthesis");
-    assert_eq!(report.outcome, LoadOutcome::VersionMismatch);
-    assert_eq!(report.loaded_entries, 0);
-    assert_eq!(report.store_hits, 0);
+    let bumped = text.replacen("RES-STORE 2", "RES-STORE 99", 1);
+    assert_ne!(bumped, text, "the store names its version");
+    let v1 = std::fs::read(fixture_path("store_v1.resstore")).unwrap();
+    for (what, bytes) in [("version 99", bumped.into_bytes()), ("version 1", v1)] {
+        std::fs::write(&path, bytes).unwrap();
+        let (warm, report) = run_with_store(&program, &dump, &path);
+        assert_eq!(warm, golden, "a {what} store changed the synthesis");
+        assert_eq!(report.outcome, LoadOutcome::VersionMismatch, "{what}");
+        assert_eq!(report.loaded_entries, 0, "{what}");
+        assert_eq!(report.store_hits, 0, "{what}");
+        assert!(report.committed, "a {what} store must be rewritten");
+        let rewritten = std::fs::read_to_string(&path).unwrap();
+        assert!(
+            rewritten.starts_with("RES-STORE 2\n"),
+            "{what}: {rewritten}"
+        );
+        let reopened = SolverStore::open(&path, program_fingerprint(&program));
+        assert_eq!(
+            reopened.load_report().outcome,
+            LoadOutcome::Loaded,
+            "{what}"
+        );
+        assert_eq!(reopened.len(), report.appended_entries, "{what}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -272,13 +296,13 @@ fn empty_store_file_is_a_cold_start() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Byte-level golden fixture for format version 1: a store built from
+/// Byte-level golden fixture for format version 2: a store built from
 /// fixed inputs must match the committed fixture exactly, and reading
 /// the fixture back must reproduce the same entries. The store header
 /// deliberately carries no timestamps, which is what makes this
 /// possible.
 #[test]
-fn store_v1_golden_fixture_round_trips() {
+fn store_v2_golden_fixture_round_trips() {
     use res_debugger::symbolic::{CanonFp, PortableCache, PortableResult, PortableVerdict};
 
     let dir = temp_dir("golden");
@@ -308,7 +332,7 @@ fn store_v1_golden_fixture_round_trips() {
     store.commit().expect("commit golden store");
     let written = std::fs::read(&path).unwrap();
 
-    let fixture = fixture_path("store_v1.resstore");
+    let fixture = fixture_path("store_v2.resstore");
     if std::env::var_os("RES_REGEN_FIXTURES").is_some() {
         std::fs::write(&fixture, &written).expect("write fixture");
     } else {
@@ -321,7 +345,7 @@ fn store_v1_golden_fixture_round_trips() {
         assert_eq!(
             String::from_utf8_lossy(&written),
             String::from_utf8_lossy(&golden),
-            "store format drifted from the committed version-1 fixture; \
+            "store format drifted from the committed version-2 fixture; \
              bump FORMAT_VERSION for an intentional change"
         );
     }
@@ -331,6 +355,52 @@ fn store_v1_golden_fixture_round_trips() {
     assert_eq!(back.load_report().outcome, LoadOutcome::Loaded);
     assert_eq!(back.to_portable().entries, entries);
     assert_eq!(back.stats().absorbed_hits, 4);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `store-inspect` prints a header only when the store loaded. On a
+/// store that did not, it prints the version its magic line declares
+/// and says the header was not read, instead of this build's defaults.
+#[test]
+fn store_inspect_reports_what_a_store_that_does_not_load_declares() {
+    let inspect = |path: &std::path::Path| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_store-inspect"))
+            .arg(path)
+            .output()
+            .expect("run store-inspect");
+        assert!(out.status.success(), "store-inspect failed on {path:?}");
+        String::from_utf8(out.stdout).expect("UTF-8 output")
+    };
+    let dir = temp_dir("inspect");
+    let v1 = std::fs::read(fixture_path("store_v1.resstore")).unwrap();
+    let v7 = dir.join("v7.resstore");
+    std::fs::write(
+        &v7,
+        String::from_utf8_lossy(&v1).replacen("RES-STORE 1", "RES-STORE 7", 1),
+    )
+    .unwrap();
+    for (path, version) in [(fixture_path("store_v1.resstore"), 1), (v7, 7)] {
+        let text = inspect(&path);
+        assert!(text.contains("outcome:          VersionMismatch"), "{text}");
+        let declared = format!("format version:   {version} (magic line; this build reads 2)");
+        assert!(text.contains(&declared), "{text}");
+        assert!(text.contains("header:           not read"), "{text}");
+        assert!(!text.contains("writer:"), "{text}");
+        assert!(text.contains("stats:            not read"), "{text}");
+    }
+    assert_eq!(
+        std::fs::read(fixture_path("store_v1.resstore")).unwrap(),
+        v1
+    );
+    let text = inspect(&fixture_path("store_v2.resstore"));
+    for line in [
+        "outcome:          Loaded",
+        "format version:   2\n",
+        "program fp:       0x1deac0de5eedf00d",
+        "absorbed hits:  4",
+    ] {
+        assert!(text.contains(line), "{line:?} missing from {text}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -403,7 +473,7 @@ mod open_reference {
             .strip_prefix("RES-STORE ")
             .and_then(|v| v.parse::<u32>().ok());
         match version {
-            Some(1) => {}
+            Some(2) => {}
             Some(_) => return cold(LoadOutcome::VersionMismatch, bytes, false),
             None => return cold(LoadOutcome::CorruptHeader, bytes, false),
         }
@@ -415,7 +485,7 @@ mod open_reference {
             return cold(LoadOutcome::CorruptHeader, bytes, false);
         };
         off = next_line(text, off).expect("the header line").1;
-        if header.format_version != 1 {
+        if header.format_version != 2 {
             return cold(LoadOutcome::VersionMismatch, bytes, false);
         }
         if header.program_fp != program_fp {
@@ -653,7 +723,7 @@ fn mutate(raw: &[u8], kind: usize, rng: &mut mvm_prng::Xoshiro256StarStar) -> Ve
 /// `SolverStore::open` never panics on a mutated store, and what it
 /// loads (report, header, entries, stats, validated prefix, read-only
 /// flag) equals what the tree-path reference loads from the same bytes.
-/// The inputs are the version-1 fixture and a freshly populated
+/// The inputs are the version-2 fixture and a freshly populated
 /// multi-commit store. Then every entry record of both, edited once
 /// away from the form its writer produces, must open the same way too.
 /// Reproduce with `RES_PROP_SEED=<seed> cargo test --test
@@ -664,7 +734,7 @@ fn store_open_matches_the_tree_reference_under_mutation() {
     use res_debugger::store::{decode_record, encode_record, Header, Tag};
 
     let dir = temp_dir("mutate");
-    let fixture = std::fs::read(fixture_path("store_v1.resstore")).expect("read the fixture");
+    let fixture = std::fs::read(fixture_path("store_v2.resstore")).expect("read the fixture");
     let fixture_fp = open_reference::tree::<Header>(
         std::str::from_utf8(&fixture)
             .expect("a UTF-8 fixture")

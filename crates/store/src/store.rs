@@ -415,7 +415,8 @@ impl SolverStore {
         // The writer writes no entry record shorter than 90 bytes (an
         // `Unsat` entry with zero fingerprint and cost), so the table
         // is sized once for the entries of any file it wrote.
-        let mut table = PortableTable::with_capacity((text.len() - off) / 90);
+        let mut table =
+            PortableTable::with_capacity_and_hasher((text.len() - off) / 90, Default::default());
         let mut superseded = 0usize;
         while let Some((line, end)) = Self::next_line(text, off) {
             let parsed = decode_record(line).and_then(|(tag, payload)| match tag {
@@ -531,11 +532,11 @@ impl SolverStore {
     /// store provenance, so the hits they serve are reported as
     /// cross-run ([`mvm_symbolic::SessionStats::store_hits`]), and
     /// returns how many the session did not hold yet. The entries read
-    /// at open are shared, not copied
-    /// ([`SolverSession::absorb_shared`]), so an absorb costs no copy
-    /// of the file's entries and re-absorbing between calls is cheap;
-    /// the session clones only entries merged since open that it does
-    /// not hold.
+    /// at open are shared, not copied, with a session that holds none
+    /// of them ([`SolverSession::absorb_shared`]), so an absorb into a
+    /// fresh session costs no copy of the file's entries and
+    /// re-absorbing the same store between calls is cheap; otherwise
+    /// the session clones only the entries it does not hold.
     pub fn absorb_into(&self, session: &SolverSession) -> usize {
         session.absorb_shared(&self.table) + session.absorb_from(self.merged.iter())
     }
@@ -546,7 +547,7 @@ impl SolverStore {
     pub fn merge(&mut self, export: &PortableCache) -> usize {
         let mut added = 0;
         for (fp, p) in &export.entries {
-            if self.table.contains(fp) || self.merged.contains(fp) {
+            if self.table.contains_key(fp) || self.merged.contains_key(fp) {
                 continue;
             }
             self.merged.insert(*fp, p.clone());

@@ -358,57 +358,14 @@ impl PortableCache {
     }
 }
 
-/// Store entries by fingerprint, built once and then only read: a store
-/// decodes its file into one and shares it with every session that
-/// absorbs the store
+/// Store entries by fingerprint: a store decodes its file into one and
+/// shares it with every session that absorbs the store
 /// ([`SolverSession::absorb_shared`](crate::SolverSession::absorb_shared)).
-#[derive(Debug, Default)]
-pub struct PortableTable {
-    entries: HashMap<CanonFp, PortableResult, BuildHasherDefault<FpHasher>>,
-}
-
-impl PortableTable {
-    /// An empty table with room for `n` entries.
-    pub fn with_capacity(n: usize) -> Self {
-        PortableTable {
-            entries: HashMap::with_capacity_and_hasher(n, Default::default()),
-        }
-    }
-
-    /// Sets the entry of `fp`; returns the entry it replaced.
-    pub fn insert(&mut self, fp: CanonFp, result: PortableResult) -> Option<PortableResult> {
-        self.entries.insert(fp, result)
-    }
-
-    /// The entry of `fp`.
-    pub fn get(&self, fp: &CanonFp) -> Option<&PortableResult> {
-        self.entries.get(fp)
-    }
-
-    /// `true` when the table holds an entry for `fp`.
-    pub fn contains(&self, fp: &CanonFp) -> bool {
-        self.entries.contains_key(fp)
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` when the table holds no entry.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The entries, in no particular order.
-    pub fn iter(&self) -> impl Iterator<Item = (&CanonFp, &PortableResult)> {
-        self.entries.iter()
-    }
-}
+pub type PortableTable = HashMap<CanonFp, PortableResult, BuildHasherDefault<FpHasher>>;
 
 /// Hashes a [`CanonFp`], which is a hash already, by folding its halves.
 #[derive(Default)]
-pub(crate) struct FpHasher(u64);
+pub struct FpHasher(u64);
 
 impl Hasher for FpHasher {
     fn write(&mut self, bytes: &[u8]) {

@@ -34,7 +34,8 @@ pub mod solver;
 
 pub use expr::{Expr, ExprRef, SymId};
 pub use fingerprint::{
-    canonical_key, CanonFp, CanonKey, PortableCache, PortableResult, PortableTable, PortableVerdict,
+    canonical_key, CanonFp, CanonKey, FpHasher, PortableCache, PortableResult, PortableTable,
+    PortableVerdict,
 };
 pub use interval::Interval;
 pub use model::Model;

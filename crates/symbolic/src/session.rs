@@ -28,7 +28,7 @@ use mvm_json::json_struct;
 
 use crate::expr::{ExprRef, SymId};
 use crate::fingerprint::{
-    canonical_key, CanonFp, CanonKey, FpHasher, PortableCache, PortableResult, PortableTable,
+    canonical_key, CanonFp, CanonKey, PortableCache, PortableResult, PortableTable,
 };
 use crate::solver::{Fixpoint, SolveResult, Solver, SolverConfig, UnknownReason, WeakFixpoint};
 
@@ -111,15 +111,14 @@ pub struct SolverSession {
 }
 
 /// The store entries a session absorbed: tables it shares with their
-/// stores, in the order it absorbed them, and entries it absorbed one
-/// by one. The first entry absorbed for a fingerprint is the one a
-/// query gets: an entry is taken into `own` only when no table holds
-/// its fingerprint yet, and a table's entries that an earlier source
-/// holds are not counted as new, so looking in `own` first and then in
-/// the tables in order finds it.
+/// stores and entries it copied. Each fingerprint is held by one of
+/// them, the first source that brought it: a table is shared only when
+/// the session holds none of its fingerprints yet, and otherwise only
+/// the entries it adds are copied into `own`. So the session holds each
+/// absorbed entry once, however often it absorbs a reopened store.
 #[derive(Debug, Default)]
 struct Absorbed {
-    own: HashMap<CanonFp, PortableResult, BuildHasherDefault<FpHasher>>,
+    own: PortableTable,
     shared: Vec<Arc<PortableTable>>,
 }
 
@@ -135,7 +134,7 @@ impl Absorbed {
     }
 
     fn contains(&self, fp: &CanonFp) -> bool {
-        self.own.contains_key(fp) || self.shared.iter().any(|t| t.contains(fp))
+        self.own.contains_key(fp) || self.shared.iter().any(|t| t.contains_key(fp))
     }
 }
 
@@ -419,7 +418,7 @@ impl SolverSession {
         let Absorbed { own, shared } = &mut *absorbed;
         let mut new = 0;
         for (fp, p) in entries {
-            if shared.iter().any(|t| t.contains(fp)) {
+            if shared.iter().any(|t| t.contains_key(fp)) {
                 continue;
             }
             if let Entry::Vacant(slot) = own.entry(*fp) {
@@ -430,28 +429,26 @@ impl SolverSession {
         new
     }
 
-    /// Absorbs a whole table, shared rather than copied, and returns
-    /// how many of its fingerprints this session did not hold yet
-    /// (first entry wins, as in
-    /// [`absorb_from`](SolverSession::absorb_from)). A table the
-    /// session already shares adds nothing, so re-absorbing a store
-    /// between calls costs one pointer comparison per table held; a
-    /// first table costs no lookup at all.
+    /// Absorbs a whole table and returns how many of its fingerprints
+    /// this session did not hold yet. A table none of whose
+    /// fingerprints the session holds is shared, not copied: one
+    /// pointer push, and a first table needs no lookup. Otherwise the
+    /// entries it adds are copied, as
+    /// [`absorb_from`](SolverSession::absorb_from) does, so absorbing a
+    /// reopened store again keeps no second copy of what it held. A
+    /// table the session already shares adds nothing and costs one
+    /// pointer comparison per table held.
     pub fn absorb_shared(&self, table: &Arc<PortableTable>) -> usize {
         let mut absorbed = self.absorbed.borrow_mut();
         if table.is_empty() || absorbed.shared.iter().any(|t| Arc::ptr_eq(t, table)) {
             return 0;
         }
-        let new = if absorbed.is_empty() {
-            table.len()
-        } else {
-            table
-                .iter()
-                .filter(|(fp, _)| !absorbed.contains(fp))
-                .count()
-        };
-        absorbed.shared.push(Arc::clone(table));
-        new
+        if absorbed.is_empty() || table.keys().all(|fp| !absorbed.contains(fp)) {
+            absorbed.shared.push(Arc::clone(table));
+            return table.len();
+        }
+        drop(absorbed);
+        self.absorb_from(table.iter())
     }
 
     /// Memoized [`Solver::solve`]: check and demand a model.
@@ -670,6 +667,41 @@ mod tests {
         );
         b.check(&q_b);
         assert_eq!(b.assignments_spent(), original_cost, "repeats are free");
+    }
+
+    #[test]
+    fn absorbing_a_reopened_table_keeps_each_entry_once() {
+        use crate::fingerprint::PortableVerdict;
+        // Entry `i` of a table; `cost` tells two sources' entries apart.
+        let entry = |i: u64, cost: u64| {
+            let result = PortableResult {
+                verdict: PortableVerdict::Sat(vec![(0, i)]),
+                assignments: cost,
+            };
+            (CanonFp(u128::from(i) << 64 | 1), result)
+        };
+        let table = |ids: std::ops::Range<u64>, cost: u64| {
+            Arc::new(ids.map(|i| entry(i, cost)).collect::<PortableTable>())
+        };
+        let session = SolverSession::new();
+        let first = table(0..4, 1);
+        assert_eq!(session.absorb_shared(&first), 4);
+        assert_eq!(session.absorb_shared(&first), 0, "the same table");
+        // A reopened store decodes what it held into a new table.
+        assert_eq!(session.absorb_shared(&table(0..4, 2)), 0);
+        // One that gained entries since adds only those.
+        assert_eq!(session.absorb_shared(&table(0..6, 3)), 2);
+        // A table with nothing the session holds is shared whole.
+        assert_eq!(session.absorb_shared(&table(10..13, 4)), 3);
+        let absorbed = session.absorbed.borrow();
+        assert_eq!(absorbed.shared.len(), 2, "only the disjoint tables");
+        assert_eq!(absorbed.own.len(), 2, "only the added entries");
+        let cost = |i| absorbed.get(&entry(i, 0).0).map(|p| p.assignments);
+        assert_eq!(
+            (0..6).chain(10..13).map(cost).collect::<Vec<_>>(),
+            [1, 1, 1, 1, 3, 3, 4, 4, 4].map(Some),
+            "the first source of each fingerprint answers"
+        );
     }
 
     #[test]

@@ -136,7 +136,8 @@ fn diagnosing_replays_stay_within_their_allocation_budget() {
 }
 
 /// Allocations of absorbing a store of `n` entries, reopened from its
-/// file, into a fresh session.
+/// file, into a fresh session. Absorbing the file reopened once more
+/// into that session adds no entry and allocates nothing.
 fn absorb_allocations(n: u64) -> u64 {
     use res_debugger::symbolic::{
         CanonFp, PortableCache, PortableResult, PortableVerdict, SolverSession,
@@ -168,6 +169,9 @@ fn absorb_allocations(n: u64) -> u64 {
     let session = SolverSession::new();
     let (new, allocations) = count_allocations(|| store.absorb_into(&session));
     assert_eq!(new as u64, n, "every entry is new to a fresh session");
+    let reopened = SolverStore::open(&path, 7);
+    let (again, reabsorb) = count_allocations(|| reopened.absorb_into(&session));
+    assert_eq!((again, reabsorb), (0, 0), "a reopened store adds nothing");
     let _ = std::fs::remove_dir_all(&dir);
     println!("absorb of {n} entries: {allocations} allocations");
     allocations

@@ -292,8 +292,11 @@ fn bench_suffix_identity(g: &Group) {
 /// `store/absorb` absorbs it into a fresh session;
 /// `store/verdict_warm` and `store/verdict_plain` run
 /// `hardware_verdict` on every input with its warm store and with none
-/// (one pass each). Each timing line is followed by the allocations per
-/// call; a verdict pass's figures are per input.
+/// (one pass each). `store/deep_warm` and `store/deep_plain` do the
+/// same for the `deep` shape: `synthesize` at `max_depth(48)` on every
+/// genuine dump, with a store one such pass warmed and with none. Each
+/// timing line is followed by the allocations per call; a pass's
+/// figures are per input.
 fn bench_store() {
     let g = Group::new("store").sample_size(30);
     let classes = [
@@ -322,7 +325,7 @@ fn bench_store() {
                 failure.dump.clone()
             };
             hardware_verdict(&gp.program, &dump, &warm);
-            inputs.push((programs.len(), dump));
+            inputs.push((programs.len(), dump, k == 1));
         }
         programs.push((gp.program, warm));
     }
@@ -348,7 +351,7 @@ fn bench_store() {
         report(id, inputs.len(), &mut || {
             inputs
                 .iter()
-                .map(|(prog, dump)| {
+                .map(|(prog, dump, _)| {
                     let (program, warm) = &programs[*prog];
                     let config = if plain { &cold } else { warm };
                     hardware_verdict(program, dump, config);
@@ -356,6 +359,29 @@ fn bench_store() {
                 .count()
         });
     }
+    let deep = ResConfig::builder().max_depth(48).build();
+    let deep_dir = dir.join("deep");
+    std::fs::create_dir_all(&deep_dir).expect("create the deep store directory");
+    let deep_warm: Vec<_> = programs
+        .iter()
+        .map(|(program, _)| with_shared_store(&deep, &deep_dir, program))
+        .collect();
+    let genuine: Vec<_> = inputs
+        .iter()
+        .filter(|(_, _, corrupted)| !corrupted)
+        .collect();
+    let deep_pass = |plain: bool| {
+        genuine
+            .iter()
+            .map(|(prog, dump, _)| {
+                let config = if plain { &deep } else { &deep_warm[*prog] };
+                ResEngine::new(&programs[*prog].0, config.clone()).synthesize(dump);
+            })
+            .count()
+    };
+    deep_pass(false);
+    report("deep_warm", genuine.len(), &mut || deep_pass(false));
+    report("deep_plain", genuine.len(), &mut || deep_pass(true));
     println!(
         "store: {} inputs of {} programs per verdict pass",
         inputs.len(),

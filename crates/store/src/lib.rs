@@ -77,11 +77,14 @@
 //! other payload through `mvm-json`'s reader, so what loads is
 //! unchanged) into one table, sized once from the file's length. The
 //! read buffer, cut at the first torn or undecodable record, becomes
-//! the prefix later commits append to. Absorbing the store hands that
-//! table to the session behind an `Arc`
+//! the prefix later commits append to. Absorbing the store into a
+//! session that holds none of its entries hands that table over behind
+//! an `Arc`
 //! ([`SolverSession::absorb_shared`](mvm_symbolic::SolverSession::absorb_shared)):
-//! no entry is copied, and entries merged later go to a table of their
-//! own, so a merge never copies the table a session holds. The
+//! no entry is copied. A session that already holds some copies only
+//! the entries it lacks, so reopening a store for each call of one
+//! engine keeps no second copy. Entries merged later go to a table of
+//! their own, so a merge never copies the table a session holds. The
 //! byte-serial FNV-1a checksum pass is left as it is.
 //!
 //! Commits are atomic: the new content is written to a sibling
